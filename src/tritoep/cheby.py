@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidOrder
+from .core import _check_int
 
 __all__ = [
     "ScaledValue",
@@ -112,16 +112,30 @@ def _series_near_one(m, eps):
     return d0 + eps * (d1 + eps * 0.5 * d2)
 
 
-def _use_series(eps: float, m: int) -> bool:
-    return abs(eps) <= _CONFLUENT_WINDOW and abs(eps) * (m + 3) ** 2 <= _SERIES_PARAM_MAX
+def _use_series(eps: float, m):
+    """Whether the confluent series serves degree m (an int or an array)."""
+    return (abs(eps) <= _CONFLUENT_WINDOW) & (
+        abs(eps) * (m + 3.0) ** 2 <= _SERIES_PARAM_MAX
+    )
 
 
-def _check_degree(m: int) -> int:
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise InvalidOrder(f"degree m must be an integer, got {m!r}")
-    if m < 0:
-        raise InvalidOrder(f"degree m must be nonnegative, got {m}")
-    return int(m)
+def _eval_u(m: int, x: float):
+    """The scalar regime dispatch behind :func:`eval_U` and :func:`eval_U_scaled`.
+
+    Returns a plain float from the confluent series or the sine quotient,
+    and a ScaledValue from the hyperbolic form, whose value may lie
+    beyond the float range.
+    """
+    m = _check_int(m, "degree m", 0)
+    ax = abs(x)
+    parity = 1 if (x >= 0 or m % 2 == 0) else -1
+    if _use_series(ax - 1.0, m):
+        return parity * float(_series_near_one(m, ax - 1.0))
+    if ax < 1.0:
+        # the sine quotient at theta = acos(x) already carries the sign
+        theta = math.acos(x)
+        return math.sin((m + 1) * theta) / math.sin(theta)
+    return ScaledValue(parity, _log_u_hyperbolic(m, math.acosh(ax)))
 
 
 def eval_U(m: int, x: float) -> float:
@@ -130,36 +144,20 @@ def eval_U(m: int, x: float) -> float:
     Raises OverflowError once the true value leaves the double range
     (x > 1, large m); use :func:`eval_U_scaled` there instead.
     """
-    m = _check_degree(m)
-    ax = abs(x)
-    parity = 1 if (x >= 0 or m % 2 == 0) else -1
-    if _use_series(ax - 1.0, m):
-        return parity * float(_series_near_one(m, ax - 1.0))
-    if ax < 1.0:
-        theta = math.acos(x)
-        return math.sin((m + 1) * theta) / math.sin(theta)
-    gamma = math.acosh(ax)
-    log_mag = _log_u_hyperbolic(m, gamma)
-    if log_mag > _LOG_MAX:
+    u = _eval_u(m, x)
+    if isinstance(u, float):
+        return u
+    if u.log_mag > _LOG_MAX:
         raise OverflowError(
-            f"U_{m}({x!r}) has log-magnitude {log_mag:.6g}, beyond the float range"
+            f"U_{m}({x!r}) has log-magnitude {u.log_mag:.6g}, beyond the float range"
         )
-    return parity * math.exp(log_mag)
+    return u.sign * math.exp(u.log_mag)
 
 
 def eval_U_scaled(m: int, x: float) -> ScaledValue:
     """U_m(x) as sign plus log-magnitude; never overflows."""
-    m = _check_degree(m)
-    ax = abs(x)
-    parity = 1 if (x >= 0 or m % 2 == 0) else -1
-    if _use_series(ax - 1.0, m):
-        return ScaledValue(parity, math.log(float(_series_near_one(m, ax - 1.0))))
-    if ax < 1.0:
-        # the sine quotient at theta = acos(x) already carries the sign
-        theta = math.acos(x)
-        return ScaledValue.from_float(math.sin((m + 1) * theta) / math.sin(theta))
-    gamma = math.acosh(ax)
-    return ScaledValue(parity, _log_u_hyperbolic(m, gamma))
+    u = _eval_u(m, x)
+    return ScaledValue.from_float(u) if isinstance(u, float) else u
 
 
 def u_sequence_scaled(m_max: int, x: float) -> list[ScaledValue]:
@@ -170,15 +168,13 @@ def u_sequence_scaled(m_max: int, x: float) -> list[ScaledValue]:
 
 def _u_sequence_arrays(m_max: int, x: float):
     """Signs and log-magnitudes of U_0..U_{m_max} as numpy arrays."""
-    m_max = _check_degree(m_max)
+    m_max = _check_int(m_max, "degree m", 0)
     m = np.arange(m_max + 1)
     ax = abs(x)
     parity = np.where((x >= 0) | (m % 2 == 0), 1.0, -1.0)
     eps = ax - 1.0
 
-    series_mask = (abs(eps) <= _CONFLUENT_WINDOW) & (
-        abs(eps) * (m + 3.0) ** 2 <= _SERIES_PARAM_MAX
-    )
+    series_mask = _use_series(eps, m)
     signs = np.empty(m_max + 1)
     logs = np.empty(m_max + 1)
 
@@ -209,7 +205,7 @@ def _u_sequence_arrays(m_max: int, x: float):
 
 def eval_U_recurrence(m: int, x: float) -> float:
     """Forward three-term recursion; the independent cross-check path."""
-    m = _check_degree(m)
+    m = _check_int(m, "degree m", 0)
     u_prev, u = 1.0, 2.0 * x
     if m == 0:
         return u_prev

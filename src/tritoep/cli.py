@@ -11,6 +11,13 @@ exact integers and rationals are decimal strings ("1111", "-1/111"),
 indices are 1-based, field order is fixed, so identical invocations
 produce byte-identical output (bench timing columns excepted; pass
 ``--reps 0`` to suppress timing and keep bench deterministic too).
+
+Every subcommand builds one result dict plus its plain lines, and
+``_emit`` derives all three formats from them: json is the spec echo,
+the result (non-finite floats as null) and a meta block; csv is the
+result's fields as a header and one row, or a table for 1-based vectors
+(one row per index), ``repunit inverse``, ``verify`` and ``bench``; plain
+is the subcommand's lines, or the csv for ``bench``, which has none.
 """
 
 from __future__ import annotations
@@ -109,22 +116,37 @@ def _sanitize(obj):
 
 
 def _emit(args, spec_echo: dict, result: dict, tolerances: dict,
-          header: list, rows: list, plain_lines: list) -> int:
+          plain: list | None = None, table=None, meta: dict | None = None) -> int:
+    """Print one subcommand's result in ``args.format`` (rules in the module docstring)."""
     if args.format == "json":
         doc = {
             "spec": spec_echo,
             "result": _sanitize(result),
-            "meta": {"version": __version__, "tolerances": tolerances},
+            "meta": {"version": __version__, **(meta or {}), "tolerances": tolerances},
         }
         print(json.dumps(doc, indent=2, default=_json_default))
-    elif args.format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_cell(v) for v in row))
-    else:
-        for line in plain_lines:
+        return 0
+    if args.format == "plain" and plain is not None:
+        for line in plain:
             print(line)
+        return 0
+    header, rows = table if table is not None else (list(result), [result.values()])
+    print(",".join(header))
+    for row in rows:
+        print(",".join(_cell(v) for v in row))
     return 0
+
+
+def _indexed(index: str, name: str, symbol: str, values):
+    """A 1-based vector as floats, its csv table and its plain lines."""
+    values = [float(v) for v in values]
+    rows = list(enumerate(values, 1))
+    lines = [f"{symbol}_{k} = {_fmt(v)}" for k, v in rows]
+    return values, ([index, name], rows), lines
+
+
+def _fmt_or_overflow(value) -> str:
+    return "overflow" if value is None else _fmt(value)
 
 
 def _scaled_result(sv: ScaledValue) -> dict:
@@ -206,60 +228,45 @@ def _cmd_eig(args) -> int:
     spec = _resolve_spec(args)
     tols = {"singular_tol": _singular_tol(args)}
     if args.k is None:
-        vals = [float(v) for v in eigenvalues(spec)]
-        result = {"eigenvalues": vals}
-        rows = [(k + 1, v) for k, v in enumerate(vals)]
-        plain = [f"lambda_{k + 1} = {_fmt(v)}" for k, v in enumerate(vals)]
-        return _emit(args, _spec_echo(spec), result, tols,
-                     ["k", "eigenvalue"], rows, plain)
-    vec = eigenvector(spec, args.k, args.normalization)
+        vals, table, plain = _indexed("k", "eigenvalue", "lambda", eigenvalues(spec))
+        return _emit(args, _spec_echo(spec), {"eigenvalues": vals}, tols, plain, table)
+    vec, table, plain = _indexed(
+        "j", "component", "v", eigenvector(spec, args.k, args.normalization)
+    )
     lam = float(eigenvalues(spec)[args.k - 1])
     result = {"k": args.k, "eigenvalue": lam,
-              "normalization": args.normalization,
-              "eigenvector": [float(v) for v in vec]}
-    rows = [(j + 1, float(v)) for j, v in enumerate(vec)]
-    plain = [f"lambda_{args.k} = {_fmt(lam)}"] + [
-        f"v_{j + 1} = {_fmt(v)}" for j, v in enumerate(vec)
-    ]
+              "normalization": args.normalization, "eigenvector": vec}
     return _emit(args, _spec_echo(spec), result, tols,
-                 ["j", "component"], rows, plain)
+                 [f"lambda_{args.k} = {_fmt(lam)}", *plain], table)
 
 
 def _cmd_det(args) -> int:
     spec = _resolve_spec(args)
     sv = determinant(spec)
     result = _scaled_result(sv)
-    rows = [(result["sign"], result["log_abs"], result["value"])]
     if sv.sign == 0:
         plain = ["det = 0"]
     else:
-        value = result["value"]
         plain = [
-            f"det = {('overflow' if value is None else _fmt(value))} "
+            f"det = {_fmt_or_overflow(result['value'])} "
             f"(sign {sv.sign}, log|det| {_fmt(sv.log_mag)})"
         ]
     return _emit(args, _spec_echo(spec), result,
-                 {"singular_tol": _singular_tol(args)},
-                 ["sign", "log_abs", "value"], rows, plain)
+                 {"singular_tol": _singular_tol(args)}, plain)
 
 
 def _cmd_charpoly(args) -> int:
     spec = _resolve_spec(args)
     sv = char_poly_eval(spec, args.t)
     result = {"t": args.t, **_scaled_result(sv)}
-    rows = [(args.t, result["sign"], result["log_abs"], result["value"])]
     if sv.sign == 0:
         plain = [f"charpoly({_fmt(args.t)}) = 0 (within tolerance)"]
     else:
-        value = result["value"]
         plain = [
-            f"charpoly({_fmt(args.t)}) = "
-            f"{('overflow' if value is None else _fmt(value))} "
+            f"charpoly({_fmt(args.t)}) = {_fmt_or_overflow(result['value'])} "
             f"(sign {sv.sign}, log|chi| {_fmt(sv.log_mag)})"
         ]
-    return _emit(args, _spec_echo(spec), result,
-                 {"charpoly_zero_tol": 1e-10},
-                 ["t", "sign", "log_abs", "value"], rows, plain)
+    return _emit(args, _spec_echo(spec), result, {"charpoly_zero_tol": 1e-10}, plain)
 
 
 def _cmd_inverse(args) -> int:
@@ -270,23 +277,18 @@ def _cmd_inverse(args) -> int:
         raise _UsageError("give either -i/-j or --rhs, not both")
     if not entry_mode and args.rhs is None:
         raise _UsageError("inverse needs -i and -j (one entry) or --rhs (apply)")
+    if entry_mode and (args.i is None or args.j is None):
+        raise _UsageError("both -i and -j are required for an entry")
     kernel = build_kernel(spec, singular_tol=tol)
     if entry_mode:
-        if args.i is None or args.j is None:
-            raise _UsageError("both -i and -j are required for an entry")
         value = inverse_entry(kernel, args.i, args.j)
         result = {"i": args.i, "j": args.j, "value": value}
         return _emit(args, _spec_echo(spec), result, {"singular_tol": tol},
-                     ["i", "j", "value"],
-                     [(args.i, args.j, value)],
                      [f"inverse[{args.i},{args.j}] = {_fmt(value)}"])
     rhs = _parse_rhs(args.rhs, spec.n)
-    x = apply_inverse(kernel, rhs)
-    result = {"solution": [float(v) for v in x]}
-    rows = [(i + 1, float(v)) for i, v in enumerate(x)]
-    plain = [f"x_{i + 1} = {_fmt(v)}" for i, v in enumerate(x)]
-    return _emit(args, _spec_echo(spec), result, {"singular_tol": tol},
-                 ["i", "x"], rows, plain)
+    x, table, plain = _indexed("i", "x", "x", apply_inverse(kernel, rhs))
+    return _emit(args, _spec_echo(spec), {"solution": x}, {"singular_tol": tol},
+                 plain, table)
 
 
 def _cmd_solve(args) -> int:
@@ -297,11 +299,9 @@ def _cmd_solve(args) -> int:
         x = thomas_solve(spec, rhs)
     else:
         x = apply_inverse(build_kernel(spec, singular_tol=tol), rhs)
-    result = {"method": args.method, "solution": [float(v) for v in x]}
-    rows = [(i + 1, float(v)) for i, v in enumerate(x)]
-    plain = [f"x_{i + 1} = {_fmt(v)}" for i, v in enumerate(x)]
-    return _emit(args, _spec_echo(spec), result, {"singular_tol": tol},
-                 ["i", "x"], rows, plain)
+    x, table, plain = _indexed("i", "x", "x", x)
+    result = {"method": args.method, "solution": x}
+    return _emit(args, _spec_echo(spec), result, {"singular_tol": tol}, plain, table)
 
 
 def _cmd_cond(args) -> int:
@@ -315,8 +315,6 @@ def _cmd_cond(args) -> int:
         "cond_weighted": rep.cond_weighted,
         "formula_value": rep.formula_value,
     }
-    rows = [(rep.lambda_max, rep.lambda_min, rep.positive_definite,
-             rep.cond_weighted, rep.formula_value)]
     plain = [
         f"lambda_max = {_fmt(rep.lambda_max)}",
         f"lambda_min = {_fmt(rep.lambda_min)}",
@@ -325,9 +323,7 @@ def _cmd_cond(args) -> int:
     ]
     if rep.formula_value is not None:
         plain.append(f"formula_value = {_fmt(rep.formula_value)}")
-    return _emit(args, _spec_echo(spec), result, {"singular_tol": tol},
-                 ["lambda_max", "lambda_min", "positive_definite",
-                  "cond_weighted", "formula_value"], rows, plain)
+    return _emit(args, _spec_echo(spec), result, {"singular_tol": tol}, plain)
 
 
 def _cmd_decay(args) -> int:
@@ -336,14 +332,12 @@ def _cmd_decay(args) -> int:
     bound = decay_bound(spec, args.i, args.j)
     result = {"i": args.i, "j": args.j, "eta": env.eta,
               "prefactor": env.prefactor, "bound": bound}
-    rows = [(args.i, args.j, env.eta, env.prefactor, bound)]
     plain = [
         f"eta = {_fmt(env.eta)}",
         f"prefactor = {_fmt(env.prefactor)}",
         f"bound[{args.i},{args.j}] = {_fmt(bound)}",
     ]
-    return _emit(args, _spec_echo(spec), result, {},
-                 ["i", "j", "eta", "prefactor", "bound"], rows, plain)
+    return _emit(args, _spec_echo(spec), result, {}, plain)
 
 
 def _repunit_spec_echo(base: float, n: int) -> dict:
@@ -363,9 +357,7 @@ def _cmd_repunit(args) -> int:
         result = {"m": args.m, "base": base, "exact": exact,
                   "value": rv.float_value}
         plain = [exact if args.exact else _fmt(rv.float_value)]
-        return _emit(args, {"base": base, "m": args.m}, result, {},
-                     ["m", "base", "exact", "value"],
-                     [(args.m, base, exact, rv.float_value)], plain)
+        return _emit(args, {"base": base, "m": args.m}, result, {}, plain)
     if args.action == "det":
         exact = None
         if float(base).is_integer() and base >= 1:
@@ -375,25 +367,17 @@ def _cmd_repunit(args) -> int:
         fv = repunit(args.n + 1, base).float_value
         result = {"n": args.n, "base": base, "exact": exact, "value": fv}
         plain = [exact if (args.exact and exact is not None) else _fmt(fv)]
-        return _emit(args, _repunit_spec_echo(base, args.n), result, {},
-                     ["n", "base", "exact", "value"],
-                     [(args.n, base, exact, fv)], plain)
+        return _emit(args, _repunit_spec_echo(base, args.n), result, {}, plain)
     if args.action == "product":
         lv = cosine_product_log(base, args.n)
         value = math.exp(lv) if lv <= math.log(sys.float_info.max) else None
         result = {"n": args.n, "base": base, "log_value": lv, "value": value}
-        plain = [
-            f"log_value = {_fmt(lv)}",
-            f"value = {('overflow' if value is None else _fmt(value))}",
-        ]
-        return _emit(args, _repunit_spec_echo(base, args.n), result, {},
-                     ["n", "base", "log_value", "value"],
-                     [(args.n, base, lv, value)], plain)
+        plain = [f"log_value = {_fmt(lv)}", f"value = {_fmt_or_overflow(value)}"]
+        return _emit(args, _repunit_spec_echo(base, args.n), result, {}, plain)
     if args.action == "cond":
         value = repunit_condition(base, args.n)
         result = {"n": args.n, "base": base, "value": value}
         return _emit(args, _repunit_spec_echo(base, args.n), result, {},
-                     ["n", "base", "value"], [(args.n, base, value)],
                      [f"cond = {_fmt(value)}"])
     if args.action == "inverse":
         entry = repunit_inverse_entry(base, args.n, args.i, args.j)
@@ -403,15 +387,13 @@ def _cmd_repunit(args) -> int:
                   "value": entry.float_value}
         plain = [f"inverse[{args.i},{args.j}] = {rational} "
                  f"({_fmt(entry.float_value)})"]
-        return _emit(args, _repunit_spec_echo(base, args.n), result, {},
-                     ["i", "j", "sign", "rational", "value"],
-                     [(args.i, args.j, entry.sign, rational, entry.float_value)],
-                     plain)
+        header = ["i", "j", "sign", "rational", "value"]
+        return _emit(args, _repunit_spec_echo(base, args.n), result, {}, plain,
+                     (header, [[result[k] for k in header]]))
     # identity
     resid = cheb_repunit_identity_residual(base, args.m)
     result = {"m": args.m, "base": base, "residual": resid}
     return _emit(args, {"base": base, "m": args.m}, result, {},
-                 ["m", "base", "residual"], [(args.m, base, resid)],
                  [f"residual = {_fmt(resid)}"])
 
 
@@ -528,8 +510,6 @@ def _cmd_verify(args) -> int:
     checks = _verify_checks(spec, tol)
     failed = any(c["status"] == "FAIL" for c in checks)
     result = {"checks": checks, "overall": "FAIL" if failed else "PASS"}
-    rows = [(c["name"], c["residual"], c["tolerance"], c["status"])
-            for c in checks]
     width = max(len(c["name"]) for c in checks)
     plain = []
     for c in checks:
@@ -541,8 +521,9 @@ def _cmd_verify(args) -> int:
                 f"  tol {_fmt(c['tolerance'])}  {c['status']}"
             )
     plain.append(f"overall: {result['overall']}")
-    _emit(args, _spec_echo(spec), result, {"singular_tol": tol},
-          ["check", "residual", "tolerance", "status"], rows, plain)
+    table = (["check", "residual", "tolerance", "status"],
+             [c.values() for c in checks])
+    _emit(args, _spec_echo(spec), result, {"singular_tol": tol}, plain, table)
     return 1 if failed else 0
 
 
@@ -618,22 +599,11 @@ def _cmd_bench(args) -> int:
             "max_discrepancy": disc,
         })
 
-    header = ["n", "apply_inverse_ms", "thomas_ms", "dense_ms", "max_discrepancy"]
-    if args.format == "json":
-        doc = {
-            "spec": {"a": a, "b": b, "c": c},
-            "result": {"rows": rows},
-            "meta": {"version": __version__,
-                     "grid": grid, "reps": args.reps,
-                     "dense_limit": args.dense_limit,
-                     "tolerances": {"singular_tol": tol}},
-        }
-        print(json.dumps(doc, indent=2, default=_json_default))
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_cell(row[k]) for k in header))
-    return 0
+    return _emit(args, {"a": a, "b": b, "c": c}, {"rows": rows},
+                 {"singular_tol": tol},
+                 table=(list(rows[0]), [row.values() for row in rows]),
+                 meta={"grid": grid, "reps": args.reps,
+                       "dense_limit": args.dense_limit})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import TriToeplitzSpec, symmetrise
 from .errors import DimensionMismatch, SingularMatrix
-from .spectral import eigenvalues
+from .spectral import _eigenvalues_at, extremal_eigenvalues
 
 __all__ = [
     "ConditionReport",
@@ -68,31 +68,35 @@ def weighted_norm(w, u) -> float:
 
 def weighted_operator_norm(spec: TriToeplitzSpec) -> float:
     """max_k |lambda_k|, attained at k = 1 or k = n."""
-    form = symmetrise(spec)
-    edge = 2.0 * form.s * math.cos(math.pi / (spec.n + 1))
-    return max(abs(spec.b + edge), abs(spec.b - edge))
+    ext = extremal_eigenvalues(spec)
+    return max(abs(ext.lambda_max), abs(ext.lambda_min))
 
 
 def weighted_condition(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> ConditionReport:
     """Weighted condition number with the closed formula on the PD branch.
 
     Raises SingularMatrix when some eigenvalue magnitude falls below
-    singular_tol times the spectral scale.
+    singular_tol times the spectral scale.  O(1): only the eigenvalues
+    that can be extreme in magnitude are evaluated.
     """
-    form = symmetrise(spec)
-    edge = 2.0 * form.s * math.cos(math.pi / (spec.n + 1))
-    lam_max = spec.b + edge
-    lam_min = spec.b - edge
-    positive_definite = spec.b > edge
-
-    lam = eigenvalues(spec)
-    abs_min = float(np.min(np.abs(lam)))
-    abs_max = float(np.max(np.abs(lam)))
+    x = symmetrise(spec).x
+    n = spec.n
+    # |lambda_k| = 2s |x + cos(k pi/(n+1))| falls up to k = phi, where the
+    # cosine equals -x, and rises after it, so max|lambda| sits at k = 1 or
+    # k = n and min|lambda| there or at one of the two indices around phi
+    k = [1, n]
+    if abs(x) <= 1.0:
+        phi = (n + 1) * math.acos(-x) / math.pi
+        k += [min(max(math.floor(phi), 1), n), min(max(math.ceil(phi), 1), n)]
+    lam = np.abs(_eigenvalues_at(spec, np.array(k))).tolist()
+    abs_min, abs_max = min(lam), max(lam)
     if abs_min <= singular_tol * max(1.0, abs_max):
         raise SingularMatrix(
             f"smallest eigenvalue magnitude {abs_min!r} is below tolerance"
         )
-    if positive_definite:
+    ext = extremal_eigenvalues(spec)
+    lam_max, lam_min = ext.lambda_max, ext.lambda_min
+    if ext.positive_definite:
         value = lam_max / lam_min
         return ConditionReport(lam_max, lam_min, True, value, value)
     return ConditionReport(lam_max, lam_min, False, abs_max / abs_min, None)

@@ -20,6 +20,7 @@ from .errors import (
     InvalidOrder,
     InvalidParameter,
     NotSymmetrisable,
+    TriToeplitzError,
     ZeroOffDiagonal,
 )
 
@@ -32,6 +33,24 @@ __all__ = [
     "apply_matvec",
     "weighted_selfadjoint_residual",
 ]
+
+
+def _check_int(value, name: str, lo: int, hi: int | None = None,
+               error: type[TriToeplitzError] = InvalidOrder) -> int:
+    """``value`` as a plain int, checked to be an integer in lo..hi.
+
+    The one validator for orders, degrees, lengths and 1-based indices;
+    ``hi=None`` leaves the range open above, and each caller names the
+    error class it raises.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise error(f"{name} {value} outside {lo}..{hi}")
+    if value < lo:
+        bound = "a nonnegative integer" if lo == 0 else f">= {lo}"
+        raise error(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -58,14 +77,11 @@ class TriToeplitzSpec:
                 raise InvalidParameter(f"{name} must be finite, got {v!r}")
         if self.a == 0 or self.c == 0:
             raise ZeroOffDiagonal("off-diagonal entries a and c must be nonzero")
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise InvalidOrder(f"order n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise InvalidOrder(f"order n must be >= 1, got {self.n}")
+        n = _check_int(self.n, "order n", 1)
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
     @property
     def symmetrisable(self) -> bool:

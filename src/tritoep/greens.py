@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheby import ScaledValue, _LOG_MAX, _log1mexp, _u_sequence_arrays
-from .core import SymmetrisedForm, TriToeplitzSpec, symmetrise
+from .core import SymmetrisedForm, TriToeplitzSpec, _check_int, symmetrise
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -153,21 +153,35 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> GreenKer
     )
 
 
-def _check_entry_indices(kernel_n: int, i: int, j: int):
-    for idx in (i, j):
-        if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
-            raise IndexOutOfRange(f"indices must be integers, got {idx!r}")
-        if not 1 <= idx <= kernel_n:
-            raise IndexOutOfRange(f"index {idx} outside 1..{kernel_n}")
-    return int(i), int(j)
-
-
 def _require_invertible(kernel: GreenKernel) -> None:
     if not kernel.invertible:
         raise SingularMatrix(
             f"|U_n(x)| = exp({kernel.wronskian.log_mag!r}) is below the "
             f"singularity tolerance {kernel.singular_tol!r}"
         )
+
+
+def _entry_sign_log(kernel: GreenKernel, lo, hi, diff):
+    """Sign and log-magnitude of q^diff f_lo g_hi / (s U_n).
+
+    Works on scalar indices and elementwise on index arrays; callers
+    exponentiate the result themselves.
+    """
+    sign_q = 1.0 if kernel.q > 0 else -1.0
+    sign = (
+        kernel.f_signs[lo]
+        * kernel.g_signs[hi]
+        * kernel.wronskian.sign
+        * sign_q**diff
+    )
+    log_mag = (
+        kernel.f_logs[lo]
+        + kernel.g_logs[hi]
+        - kernel.wronskian.log_mag
+        - math.log(kernel.s)
+        + diff * math.log(abs(kernel.q))
+    )
+    return sign, log_mag
 
 
 def inverse_entry(kernel: GreenKernel, i: int, j: int) -> float:
@@ -179,24 +193,11 @@ def inverse_entry(kernel: GreenKernel, i: int, j: int) -> float:
     float range.
     """
     _require_invertible(kernel)
-    i, j = _check_entry_indices(kernel.n, i, j)
-    lo, hi = (i, j) if i <= j else (j, i)
-    sign_q = 1.0 if kernel.q > 0 else -1.0
-    sign = (
-        kernel.f_signs[lo]
-        * kernel.g_signs[hi]
-        * kernel.wronskian.sign
-        * sign_q ** (i - j)
-    )
+    i = _check_int(i, "index", 1, kernel.n, IndexOutOfRange)
+    j = _check_int(j, "index", 1, kernel.n, IndexOutOfRange)
+    sign, log_mag = _entry_sign_log(kernel, min(i, j), max(i, j), i - j)
     if sign == 0.0:
         return 0.0
-    log_mag = (
-        kernel.f_logs[lo]
-        + kernel.g_logs[hi]
-        - kernel.wronskian.log_mag
-        - math.log(kernel.s)
-        + (i - j) * math.log(abs(kernel.q))
-    )
     if log_mag > _LOG_MAX:
         raise OverflowError(
             f"inverse entry ({i},{j}) has log-magnitude {log_mag:.6g}, "
@@ -210,22 +211,11 @@ def inverse_dense(kernel: GreenKernel) -> np.ndarray:
     _require_invertible(kernel)
     n = kernel.n
     idx = np.arange(1, n + 1)
-    lo = np.minimum.outer(idx, idx)
-    hi = np.maximum.outer(idx, idx)
-    diff = np.subtract.outer(idx, idx)
-    sign_q = 1.0 if kernel.q > 0 else -1.0
-    signs = (
-        kernel.f_signs[lo]
-        * kernel.g_signs[hi]
-        * kernel.wronskian.sign
-        * np.power(sign_q, diff)
-    )
-    logs = (
-        kernel.f_logs[lo]
-        + kernel.g_logs[hi]
-        - kernel.wronskian.log_mag
-        - math.log(kernel.s)
-        + diff * math.log(abs(kernel.q))
+    signs, logs = _entry_sign_log(
+        kernel,
+        np.minimum.outer(idx, idx),
+        np.maximum.outer(idx, idx),
+        np.subtract.outer(idx, idx),
     )
     if np.any((signs != 0.0) & (logs > _LOG_MAX)):
         raise OverflowError("some inverse entries exceed the float range")
@@ -370,7 +360,8 @@ def decay_bound(spec: TriToeplitzSpec, i: int, j: int) -> float:
     form = symmetrise(spec)
     if not form.x > 1.0:
         raise NotInGappedRegime(f"x = b/(2s) = {form.x!r} is not > 1")
-    i, j = _check_entry_indices(spec.n, i, j)
+    i = _check_int(i, "index", 1, spec.n, IndexOutOfRange)
+    j = _check_int(j, "index", 1, spec.n, IndexOutOfRange)
     gamma = math.acosh(form.x)
     log_bound = (
         math.log(2.0 / form.s)
@@ -393,7 +384,8 @@ def hyperbolic_inverse_entry(form: SymmetrisedForm, i: int, j: int) -> float:
     """
     if not form.x > 1.0:
         raise NotInGappedRegime(f"x = {form.x!r} is not > 1")
-    i, j = _check_entry_indices(form.n, i, j)
+    i = _check_int(i, "index", 1, form.n, IndexOutOfRange)
+    j = _check_int(j, "index", 1, form.n, IndexOutOfRange)
     lo, hi = (i, j) if i <= j else (j, i)
     gamma = math.acosh(form.x)
     log_mag = (

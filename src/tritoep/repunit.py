@@ -24,8 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from .cheby import _log1mexp, eval_U_scaled
-from .core import TriToeplitzSpec, make_spec
-from .errors import IndexOutOfRange, InvalidBase, InvalidOrder
+from .core import TriToeplitzSpec, _check_int, make_spec
+from .errors import IndexOutOfRange, InvalidBase
+from .spectral import eigenvalues, extremal_eigenvalues
 
 __all__ = [
     "RepunitValue",
@@ -85,14 +86,6 @@ class RepunitInverseEntry:
         return self.sign * self.rational_part
 
 
-def _check_length(m: int, name: str = "m") -> int:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise InvalidOrder(f"{name} must be an integer, got {m!r}")
-    if m < 1:
-        raise InvalidOrder(f"{name} must be >= 1, got {m}")
-    return int(m)
-
-
 def _check_base(d) -> float:
     if isinstance(d, bool) or not isinstance(d, (int, float, np.integer, np.floating)):
         raise InvalidBase(f"base d must be a positive real, got {d!r}")
@@ -127,7 +120,7 @@ def repunit(m: int, d) -> RepunitValue:
     Positive integer bases get an exact big-integer value; other bases use
     the closed form (d^m - 1)/(d - 1) in floating point.
     """
-    m = _check_length(m)
+    m = _check_int(m, "m", 1)
     dv = _check_base(d)
     di = _integer_base(d)
     if di is not None:
@@ -148,7 +141,7 @@ def repunit(m: int, d) -> RepunitValue:
 
 def log_repunit(m: int, d) -> float:
     """log R_m(d), stable for large m and for d near 1."""
-    m = _check_length(m)
+    m = _check_int(m, "m", 1)
     dv = _check_base(d)
     di = _integer_base(d)
     if di is not None and di > 1:
@@ -170,24 +163,18 @@ def repunit_matrix_spec(d, n: int) -> TriToeplitzSpec:
     x = (d+1)/(2 sqrt(d)) >= 1, with equality exactly at d = 1.
     """
     dv = _check_base(d)
-    n = _check_length(n, "n")
+    n = _check_int(n, "n", 1)
     return make_spec(dv, dv + 1.0, 1.0, n)
 
 
 def repunit_det_exact(d, n: int) -> int:
     """det of the n x n repunit matrix by exact integer continuant recursion."""
     di = _require_integer_base(d)
-    n = _check_length(n, "n")
+    n = _check_int(n, "n", 1)
     det_prev, det_cur = 1, di + 1
     for _ in range(n - 1):
         det_prev, det_cur = det_cur, (di + 1) * det_cur - di * det_prev
     return det_cur
-
-
-def _cosine_factor_logs(dv: float, n: int) -> np.ndarray:
-    k = np.arange(1, n + 1)
-    factors = dv + 1.0 + 2.0 * math.sqrt(dv) * np.cos(k * math.pi / (n + 1))
-    return np.log(factors)
 
 
 def cosine_product(d, n: int) -> float:
@@ -201,18 +188,17 @@ def cosine_product(d, n: int) -> float:
 
 
 def cosine_product_log(d, n: int) -> float:
-    """Natural log of :func:`cosine_product`; never overflows."""
-    dv = _check_base(d)
-    n = _check_length(n, "n")
-    return math.fsum(_cosine_factor_logs(dv, n))
+    """Natural log of :func:`cosine_product`; never overflows.
+
+    The factors are the eigenvalues of the repunit matrix.
+    """
+    return math.fsum(np.log(eigenvalues(repunit_matrix_spec(d, n))))
 
 
 def repunit_condition(d, n: int) -> float:
     """Weighted condition number of the n x n repunit matrix (closed form)."""
-    dv = _check_base(d)
-    n = _check_length(n, "n")
-    edge = 2.0 * math.sqrt(dv) * math.cos(math.pi / (n + 1))
-    return (dv + 1.0 + edge) / (dv + 1.0 - edge)
+    ext = extremal_eigenvalues(repunit_matrix_spec(d, n))
+    return ext.lambda_max / ext.lambda_min
 
 
 def repunit_inverse_entry(d, n: int, i: int, j: int) -> RepunitInverseEntry:
@@ -222,13 +208,9 @@ def repunit_inverse_entry(d, n: int, i: int, j: int) -> RepunitInverseEntry:
     mirrored product picks up the weighted-symmetry factor d^(i-j).
     """
     di = _require_integer_base(d)
-    n = _check_length(n, "n")
-    for idx in (i, j):
-        if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
-            raise IndexOutOfRange(f"indices must be integers, got {idx!r}")
-        if not 1 <= idx <= n:
-            raise IndexOutOfRange(f"index {idx} outside 1..{n}")
-    i, j = int(i), int(j)
+    n = _check_int(n, "n", 1)
+    i = _check_int(i, "index", 1, n, IndexOutOfRange)
+    j = _check_int(j, "index", 1, n, IndexOutOfRange)
     denom = _repunit_int(n + 1, di)
     if i <= j:
         rational = Fraction(_repunit_int(i, di) * _repunit_int(n + 1 - j, di), denom)
@@ -255,7 +237,7 @@ def inverse_entry_alt_scaling(d, n: int, i: int, j: int):
     discrepancy stays documented and testable.
     """
     di = _require_integer_base(d)
-    n = _check_length(n, "n")
+    n = _check_int(n, "n", 1)
     entry = repunit_inverse_entry(di, n, i, j)
     if entry.i <= entry.j:
         base = entry.sign * Fraction(
@@ -280,9 +262,7 @@ def cheb_repunit_identity_residual(d, m: int) -> float:
     for large m.
     """
     dv = _check_base(d)
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise InvalidOrder(f"m must be a nonnegative integer, got {m!r}")
-    m = int(m)
+    m = _check_int(m, "m", 0)
     lhs = eval_U_scaled(m, (dv + 1.0) / (2.0 * math.sqrt(dv)))
     rhs_log = -0.5 * m * math.log(dv) + log_repunit(m + 1, dv)
     if lhs.sign != 1:

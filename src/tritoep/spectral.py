@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheby import ScaledValue, eval_U_scaled
-from .core import TriToeplitzSpec, symmetrise
+from .core import TriToeplitzSpec, _check_int, symmetrise
 from .errors import IndexOutOfRange
 
 __all__ = [
@@ -65,17 +65,13 @@ class SpectrumSummary:
 
 def eigenvalues(spec: TriToeplitzSpec) -> np.ndarray:
     """All n eigenvalues b + 2s*cos(k*pi/(n+1)), k = 1..n (decreasing)."""
+    return _eigenvalues_at(spec, np.arange(1, spec.n + 1))
+
+
+def _eigenvalues_at(spec: TriToeplitzSpec, k: np.ndarray) -> np.ndarray:
+    """Eigenvalues b + 2s*cos(k*pi/(n+1)) for an array of 1-based indices k."""
     form = symmetrise(spec)
-    k = np.arange(1, spec.n + 1)
     return spec.b + 2.0 * form.s * np.cos(k * math.pi / (spec.n + 1))
-
-
-def _check_index(k: int, n: int) -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise IndexOutOfRange(f"index must be an integer, got {k!r}")
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"index {k} outside 1..{n}")
-    return int(k)
 
 
 def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np.ndarray:
@@ -86,7 +82,7 @@ def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np
     Euclidean norm with the first nonzero entry positive.
     """
     form = symmetrise(spec)
-    k = _check_index(k, spec.n)
+    k = _check_int(k, "index", 1, spec.n, IndexOutOfRange)
     if normalization not in _NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {_NORMALIZATIONS}, got {normalization!r}")
     theta = k * math.pi / (spec.n + 1)
@@ -108,7 +104,7 @@ def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np
 def eigen_pair(spec: TriToeplitzSpec, k: int) -> EigenPair:
     """Bundle theta_k, lambda_k and both eigenvector forms for index k."""
     form = symmetrise(spec)
-    k = _check_index(k, spec.n)
+    k = _check_int(k, "index", 1, spec.n, IndexOutOfRange)
     theta = k * math.pi / (spec.n + 1)
     j = np.arange(1, spec.n + 1)
     sines = np.sin(j * theta)

@@ -15,16 +15,23 @@ from tritoep.oracle import dense_from_spec, lu_det
 
 
 def u_exact(m: int, x: float) -> Fraction:
-    """U_m at the exact rational value of the float x, by exact recursion."""
-    xf = Fraction(x)
+    """U_m at the exact rational value of the float x, by exact recursion.
+
+    With x = p / 2^k (every float is one), V_j = 2^(kj) U_j satisfies the
+    integer recursion V_(j+1) = 2p V_j - 4^k V_(j-1), V_0 = 1, V_1 = 2p,
+    so no rational arithmetic is needed until the final division.
+    """
     if m == -1:
         return Fraction(0)
-    prev, cur = Fraction(1), 2 * xf
+    xf = Fraction(x)
+    p, k = xf.numerator, xf.denominator.bit_length() - 1
+    four_k = 4**k
+    prev, cur = 1, 2 * p
     if m == 0:
-        return prev
+        return Fraction(prev)
     for _ in range(m - 1):
-        prev, cur = cur, 2 * xf * cur - prev
-    return cur
+        prev, cur = cur, 2 * p * cur - four_k * prev
+    return Fraction(cur, 2 ** (k * m))
 
 
 def log_abs_fraction(fr: Fraction) -> float:

@@ -80,6 +80,17 @@ class TestRun:
         assert code == 2
         assert "missing" in err
 
+    def test_half_entry_rejected_before_kernel_build(self, capsys, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("kernel built before the usage check")
+
+        monkeypatch.setattr("tritoep.cli.build_kernel", no_kernel)
+        code, out, err = run_cli(capsys, "inverse", "-a", "1", "-b", "2.5", "-c", "1",
+                                 "-n", "3", "-i", "1")
+        assert code == 2
+        assert out == ""
+        assert "both -i and -j" in err
+
     def test_solve_methods_agree(self, capsys):
         argv = ["solve", "-a", "10", "-b", "11", "-c", "1", "-n", "3",
                 "--rhs", "1,0,0", "--format", "json"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from tritoep import (
     DimensionMismatch,
     SingularMatrix,
     apply_matvec,
+    eigenvalues,
     eigenvector,
     make_spec,
     weight_vector,
@@ -78,6 +80,35 @@ class TestWeightedCondition:
             assert rep.cond_weighted == pytest.approx(
                 float(lam[-1] / lam[0]), rel=1e-10
             )
+
+    def test_extremes_equal_full_spectrum(self):
+        # min|lambda| and max|lambda| come from a few candidate indices; they
+        # must equal the extremes of the whole eigenvalue array exactly, as
+        # seen through the singularity check and the indefinite ratio
+        rng = np.random.default_rng(113)
+        for t in range(600):
+            n = (1, 2)[t % 2] if t < 100 else int(rng.integers(3, 300))
+            sign = -1.0 if rng.random() < 0.5 else 1.0
+            a = sign * math.exp(rng.uniform(-2.0, 2.0))
+            c = sign * math.exp(rng.uniform(-2.0, 2.0))
+            kind = t % 3
+            if kind == 0:
+                x = rng.uniform(-2.0, 2.0)
+            elif kind == 1:
+                x = (-1.0) ** t * (1.0 + rng.uniform(-1e-9, 1e-9))
+            else:
+                k = int(rng.integers(1, n + 1))
+                x = -math.cos(k * math.pi / (n + 1)) + rng.choice([0.0, 1e-15, -1e-13])
+            spec = make_spec(a, 2.0 * math.sqrt(a * c) * x, c, n)
+            lam = np.abs(eigenvalues(spec))
+            lam_min, lam_max = float(np.min(lam)), float(np.max(lam))
+            if lam_min <= 1e-12 * max(1.0, lam_max):
+                with pytest.raises(SingularMatrix, match=re.escape(repr(lam_min))):
+                    weighted_condition(spec)
+                continue
+            rep = weighted_condition(spec)
+            if not rep.positive_definite:
+                assert rep.cond_weighted == lam_max / lam_min
 
     def test_monotone_blowup(self):
         n, s = 8, 1.0
