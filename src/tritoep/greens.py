@@ -11,9 +11,14 @@ validated when a kernel is built.  Everything is carried as sign plus
 log-magnitude, which keeps entries computable for orders in the thousands
 even when the Chebyshev values themselves would overflow.
 
-``apply_inverse`` exploits the rank-one triangles with prefix/suffix scans
-(O(n)); ``thomas_solve`` is the classical elimination baseline and the only
-routine here that does not need a*c > 0.
+``apply_inverse`` exploits the rank-one triangles with a prefix and a
+suffix sum (O(n)).  Each sum is split into its positive and negative terms,
+and each part runs as one vectorised log-space scan
+(``np.logaddexp.accumulate``); an (n, k) block of right-hand sides shares
+one pass.  Entry, dense and apply paths follow one overflow policy: a
+nonzero value whose log-magnitude exceeds the float range raises
+OverflowError.  ``thomas_solve`` is the classical elimination baseline and
+the only routine here that does not need a*c > 0.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
 ]
 
 _WRONSKIAN_TOL = 1e-9
+_MOST_NEGATIVE = np.finfo(float).min
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,85 +229,104 @@ def inverse_dense(kernel: GreenKernel) -> np.ndarray:
         return signs * np.exp(np.where(signs == 0.0, -np.inf, logs))
 
 
-def _scan_scaled(term_signs, term_logs, weights):
-    """Running sums of sign*weight*exp(log) with on-the-fly rescaling.
+def _scan_scaled(term_signs, term_logs):
+    """Running sums of sign*exp(log) down axis 0, in scaled form.
 
-    Returns arrays (acc, scale) where the partial sum through index k is
-    acc[k] * exp(scale[k]).  Accumulators are renormalised by the running
-    dominant magnitude, so the scan never overflows.
+    Positive and negative terms are summed apart in log space by
+    np.logaddexp.accumulate, an associative prefix scan.  Returns arrays
+    (acc, scale) where the partial sum through row k is
+    acc[k] * exp(scale[k]); scale is the larger of the two log-sums, so
+    |acc| <= 1 and the scan never overflows.  Until the first nonzero
+    term, acc is 0 and scale is -inf.
     """
-    m = len(weights)
-    accs = np.empty(m)
-    scales = np.empty(m)
-    acc, scale = 0.0, -math.inf
-    for k in range(m):
-        w = weights[k]
-        sgn = term_signs[k]
-        if w != 0.0 and sgn != 0.0:
-            t = term_logs[k]
-            top = max(scale, t)
-            acc = acc * math.exp(scale - top) + sgn * w * math.exp(t - top)
-            scale = top
-        accs[k] = acc
-        scales[k] = scale
-    return accs, scales
+    negative = term_signs < 0
+    # zero terms carry log -inf, so they can join either part; a NaN term
+    # joins the positive one and makes every later partial sum NaN
+    pos = np.where(negative, -np.inf, term_logs)
+    neg = np.where(negative, term_logs, -np.inf)
+    np.logaddexp.accumulate(pos, axis=0, out=pos)
+    np.logaddexp.accumulate(neg, axis=0, out=neg)
+    scale = np.maximum(pos, neg)
+    # a finite shift makes the empty rows exp(-inf) - exp(-inf) = 0, not NaN
+    shift = np.maximum(scale, _MOST_NEGATIVE)
+    pos -= shift
+    neg -= shift
+    acc = np.exp(pos, out=pos)
+    acc -= np.exp(neg, out=neg)
+    return acc, scale
+
+
+def _scaled_terms(row_signs, row_logs, acc, scale):
+    """Rows of row_sign * exp(row_log) * acc * exp(scale), one per rhs column.
+
+    Overflow is decided on each term's whole log-magnitude, log|acc|
+    included, so a term is refused exactly when its value would leave the
+    float range, as in inverse_entry and inverse_dense.
+    """
+    log_mag = row_logs[:, None] + scale
+    log_mag += np.log(np.abs(acc))
+    if (log_mag > _LOG_MAX).any():
+        raise OverflowError("some solution terms exceed the float range")
+    terms = np.copysign(np.exp(log_mag, out=log_mag), acc, out=log_mag)
+    terms *= row_signs[:, None]
+    return terms
 
 
 def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
     """Solve A x = rhs through the semiseparable kernel in O(n).
 
-    Uses prefix sums of f-terms and suffix sums of g-terms with running
-    rescaling; deterministic for fixed input.
+    rhs is a vector of length n or an (n, k) block of k right-hand sides;
+    the result has the shape of rhs, and a block gives, column for column,
+    exactly what the columns give one by one.  Row i of the solution is
+
+        q^i / (s U_n) * (g_i P_i + f_i S_(i+1)),
+
+    with the prefix sums P_i = sum_(j<=i) f_j q^(-j) rhs_j and the suffix
+    sums S_i = sum_(j>=i) g_j q^(-j) rhs_j, both run by _scan_scaled down
+    all columns at once.  Deterministic for fixed input.  Raises
+    OverflowError when a term of the solution, or the solution itself,
+    leaves the float range.
     """
     _require_invertible(kernel)
     n = kernel.n
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (n,):
-        raise DimensionMismatch(f"expected rhs of length {n}, got shape {rhs.shape}")
-
-    log_q = math.log(abs(kernel.q))
-    sign_q = 1.0 if kernel.q > 0 else -1.0
-    k = np.arange(n + 2)
-    q_pow_signs = np.power(sign_q, k)
-
-    # prefix over j <= i of f_j q^(-j) rhs_j   (j = 1..n)
-    p_acc, p_scale = _scan_scaled(
-        kernel.f_signs[1 : n + 1] * q_pow_signs[1 : n + 1],
-        kernel.f_logs[1 : n + 1] - k[1 : n + 1] * log_q,
-        rhs,
-    )
-    # suffix over j > i of g_j q^(-j) rhs_j
-    q_acc_rev, q_scale_rev = _scan_scaled(
-        (kernel.g_signs[1 : n + 1] * q_pow_signs[1 : n + 1])[::-1],
-        (kernel.g_logs[1 : n + 1] - k[1 : n + 1] * log_q)[::-1],
-        rhs[::-1],
-    )
-    # q_tail[i] = sum over j >= i+2 ... shift so index i (0-based row) sums j > i+1
-    q_acc = np.zeros(n)
-    q_scale = np.full(n, -math.inf)
-    if n > 1:
-        q_acc[:-1] = q_acc_rev[::-1][1:]
-        q_scale[:-1] = q_scale_rev[::-1][1:]
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise DimensionMismatch(
+            f"expected rhs of shape ({n},) or ({n}, k), got shape {rhs.shape}"
+        )
+    cols = rhs[:, None] if rhs.ndim == 1 else rhs
 
     i = np.arange(1, n + 1)
-    base = i * log_q - math.log(kernel.s) - kernel.wronskian.log_mag
-    sign_base = q_pow_signs[1 : n + 1] * kernel.wronskian.sign
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        term_g = (
-            kernel.g_signs[1 : n + 1]
-            * sign_base
-            * p_acc
-            * np.exp(kernel.g_logs[1 : n + 1] + base + p_scale)
+    q_signs = np.power(1.0 if kernel.q > 0 else -1.0, i)
+    q_logs = i * math.log(abs(kernel.q))
+    f_signs, f_logs = kernel.f_signs[1 : n + 1], kernel.f_logs[1 : n + 1]
+    g_signs, g_logs = kernel.g_signs[1 : n + 1], kernel.g_logs[1 : n + 1]
+
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        rhs_signs = np.sign(cols)
+        rhs_logs = np.log(np.abs(cols))
+        p_acc, p_scale = _scan_scaled(
+            (f_signs * q_signs)[:, None] * rhs_signs,
+            (f_logs - q_logs)[:, None] + rhs_logs,
         )
-        term_f = (
-            kernel.f_signs[1 : n + 1]
-            * sign_base
-            * q_acc
-            * np.exp(kernel.f_logs[1 : n + 1] + base + q_scale)
+        # S_n, S_(n-1), ..., S_2: the suffix sums, scanned from the last row up
+        s_acc, s_scale = _scan_scaled(
+            ((g_signs * q_signs)[:, None] * rhs_signs)[:0:-1],
+            ((g_logs - q_logs)[:, None] + rhs_logs)[:0:-1],
         )
-    return np.where(np.isnan(term_g), 0.0, term_g) + np.where(
-        np.isnan(term_f), 0.0, term_f
-    )
+        del rhs_signs, rhs_logs  # n*k each: free them before the combine
+        base_signs = q_signs * kernel.wronskian.sign
+        base_logs = q_logs - math.log(kernel.s) - kernel.wronskian.log_mag
+        x = _scaled_terms(g_signs * base_signs, g_logs + base_logs, p_acc, p_scale)
+        x[:-1] += _scaled_terms(
+            f_signs[:-1] * base_signs[:-1],
+            f_logs[:-1] + base_logs[:-1],
+            s_acc[::-1],
+            s_scale[::-1],
+        )
+    if np.isinf(x).any():
+        raise OverflowError("some solution entries exceed the float range")
+    return x.reshape(rhs.shape)
 
 
 def thomas_solve(spec: TriToeplitzSpec, rhs, pivot_tol: float = 1e-300) -> np.ndarray:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from tritoep import build_kernel
 from tritoep.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -165,6 +166,22 @@ class TestBench:
         assert cells[2] != "n/a"
         assert cells[3] != "n/a"
         assert float(cells[4]) <= 1e-8
+
+    def test_apply_column_times_apply_only(self, capsys, monkeypatch):
+        # apply_inverse_ms times the solve on the kernel built once per row
+        builds = []
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build_kernel(*args, **kwargs)
+
+        monkeypatch.setattr("tritoep.cli.build_kernel", counting_build)
+        code, out, _ = run_cli(capsys, "bench", "--grid", "8,16", "-a", "1",
+                               "-b", "2.5", "-c", "1", "--reps", "3")
+        assert code == 0
+        assert len(builds) == 2
+        assert all(row.split(",")[1] != "n/a"
+                   for row in out.strip().splitlines()[1:])
 
     def test_grid_order_and_discrepancy(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--grid", "8,16,32", "-a", "1",

@@ -11,6 +11,7 @@ from tritoep import (
     NotInGappedRegime,
     SingularMatrix,
     SymmetrisedForm,
+    TriToeplitzError,
     apply_inverse,
     apply_matvec,
     build_kernel,
@@ -129,6 +130,108 @@ class TestApplyInverse:
         x2 = apply_inverse(k, rhs)
         assert np.array_equal(x1, x2)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_smallest_orders_match_dense(self, n):
+        # n = 2 is the first order where the suffix sums reach a row
+        for spec in (make_spec(0.7, 2.9, 1.3, n), make_spec(-0.5, 0.3, -2.0, n)):
+            rhs = np.arange(1.0, n + 1.0)
+            want = dense_inverse(dense_from_spec(spec)) @ rhs
+            got = apply_inverse(build_kernel(spec), rhs)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_rhs_with_exact_zeros(self):
+        spec = make_spec(0.8, -2.7, 1.1, 40)
+        rhs = np.zeros(40)
+        rhs[[5, 6, 22]] = [1.5, -2.0, 0.25]
+        want = inverse_dense(build_kernel(spec)) @ rhs
+        got = apply_inverse(build_kernel(spec), rhs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(apply_inverse(build_kernel(spec), np.zeros(40)),
+                              np.zeros(40))
+
+    def test_block_equals_columns_exactly(self):
+        rng = np.random.default_rng(211)
+        for n in (1, 2, 37, 500):
+            spec, kernel = random_invertible_spec(rng, n_max=n, q_span=0.5)
+            n = spec.n
+            block = rng.standard_normal((n, 5))
+            block[:, 2] = 0.0
+            block[n // 2, 4] = 0.0
+            got = apply_inverse(kernel, block)
+            assert got.shape == (n, 5)
+            for col in range(5):
+                assert np.array_equal(got[:, col], apply_inverse(kernel, block[:, col]))
+            one = apply_inverse(kernel, block[:, :1])
+            assert one.shape == (n, 1)
+            assert np.array_equal(one[:, 0], got[:, 0])
+
+    def test_block_dimension_mismatch(self):
+        k = build_kernel(make_spec(1, 4, 1, 3))
+        for bad in (np.ones((4, 2)), np.ones((2, 3)), np.ones((3, 2, 2)), 1.0):
+            with pytest.raises(DimensionMismatch):
+                apply_inverse(k, bad)
+
+    def test_overflow_raises_like_inverse_entry(self):
+        # |q|^(n-1) = 1e1197: entries and solution leave the float range
+        kernel = build_kernel(make_spec(1e3, 3, 1e-3, 400))
+        with pytest.raises(OverflowError):
+            inverse_entry(kernel, 400, 1)
+        with pytest.raises(OverflowError):
+            apply_inverse(kernel, np.ones(400))
+
+    def test_overflowing_sum_of_finite_terms_raises(self):
+        # x_1 = 8.5e307 + 9.5e307 leaves the float range, x_2 does not
+        kernel = build_kernel(make_spec(0.1, 2.5, 10, 2))
+        rhs = np.array([1.79e308, -0.5e308])
+        assert np.all(np.isfinite(apply_inverse(kernel, rhs * [1, 0])))
+        assert np.all(np.isfinite(apply_inverse(kernel, rhs * [0, 1])))
+        with pytest.raises(OverflowError):
+            apply_inverse(kernel, rhs)
+
+    def test_finite_solution_near_overflow_is_returned(self):
+        # rhs_1 and rhs_2 cancel in the prefix sum, so the last rows are just
+        # below the float range while entry (n, 1) and the prefix sum's
+        # scale factor alone are beyond it
+        n, x = 60, 1.5
+        q = math.exp(768.4 / (n - 1))
+        kernel = build_kernel(make_spec(q, 2.0 * x, 1.0 / q, n))
+        rhs = np.zeros(n)
+        rhs[:2] = [1.0, q * (1.0 - 1e-3) / (2.0 * x)]
+        with pytest.raises(OverflowError):
+            inverse_entry(kernel, n, 1)
+        got = apply_inverse(kernel, rhs)
+        assert np.all(np.isfinite(got)) and abs(got[-1]) > 1e305
+        np.testing.assert_allclose(got, 1e6 * apply_inverse(kernel, 1e-6 * rhs),
+                                   rtol=1e-9)
+
+    def test_nan_rhs_is_not_hidden(self):
+        k = build_kernel(make_spec(1, 3, 1, 5))
+        with np.errstate(invalid="ignore"):
+            got = apply_inverse(k, [1.0, np.nan, 0.0, 0.0, 0.0])
+        assert np.all(np.isnan(got))
+
+
+def _backward_error(spec, x, rhs):
+    """Normwise ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf)."""
+    a_norm = abs(spec.a) + abs(spec.b) + abs(spec.c)
+    resid = np.max(np.abs(apply_matvec(spec, x) - rhs))
+    return resid / (a_norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("x", [0.35, -0.8, 1 + 5e-8, 1.25])
+@pytest.mark.parametrize("q_sign", [1.0, -1.0])
+@pytest.mark.parametrize("log_growth", [-40.0, 40.0])
+def test_apply_inverse_regimes(x, q_sign, log_growth):
+    # oscillatory, near-confluent and gapped x; log|q|*(n-1) = +-40
+    n = 10_000
+    q = q_sign * math.exp(log_growth / (n - 1))
+    spec = make_spec(q, 2.0 * x, 1.0 / q, n)
+    rhs = np.random.default_rng(223).standard_normal(n)
+    xk = apply_inverse(build_kernel(spec), rhs)
+    assert _backward_error(spec, xk, rhs) <= 1e-9
+    xt = thomas_solve(spec, rhs)
+    assert np.max(np.abs(xk - xt)) <= 1e-9 * np.max(np.abs(xt))
+
 
 class TestThomas:
     def test_examples(self):
@@ -158,6 +261,32 @@ class TestThomas:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             thomas_solve(make_spec(1, 3, 1, 3), [1.0])
+
+    def test_nearly_singular_odd_order_is_ill_conditioned_not_wrong(self):
+        # b ~ 0 with n odd is one eigenvalue away from singular; a generic
+        # rhs gives a solution ~1e200 whose residual is large relative to
+        # ||b|| only, while the normwise backward error is at rounding level
+        spec = make_spec(1, 1e-200, 1, 7)
+        rhs = np.arange(1.0, 8.0)
+        x = thomas_solve(spec, rhs)
+        assert np.max(np.abs(x)) > 1e199
+        assert _backward_error(spec, x, rhs) <= 1e-15
+        want = np.linalg.solve(dense_from_spec(spec), rhs)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.xfail(strict=True, reason="unpivoted elimination passes the "
+                       "1e-200 pivot; a backward-error check would refuse it")
+    def test_tiny_pivot_with_bounded_solution(self):
+        # rhs = 1 has no component along the near-null vector, so the exact
+        # solution is (1, 1, 0, 0, 1, 1, 0); elimination through the 1e-200
+        # pivot loses it.  Either the bound holds or a typed error is raised.
+        spec = make_spec(1, 1e-200, 1, 7)
+        rhs = np.ones(7)
+        try:
+            x = thomas_solve(spec, rhs)
+        except TriToeplitzError:
+            return
+        assert _backward_error(spec, x, rhs) <= 1e-15
 
     def test_agrees_with_apply_inverse_large(self):
         spec = make_spec(1.0, 2.5, 1.0, 10_000)
