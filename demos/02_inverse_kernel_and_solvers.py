@@ -2,9 +2,10 @@
 """Walkthrough: the semiseparable inverse kernel, fast solves, and decay.
 
 The inverse of an invertible tridiagonal Toeplitz matrix has closed-form
-entries built from two Chebyshev sequences.  The kernel gives O(1) access
-to any entry, an O(n) solve, and (in the gapped regime x > 1) a geometric
-decay envelope.  The classical Thomas elimination is kept as a baseline.
+entries built from one Chebyshev sequence, read forwards and backwards.
+The kernel gives O(1) access to any entry, an O(n) solve, and (in the
+gapped regime x > 1) a geometric decay envelope.  The classical Thomas
+elimination is kept as a baseline.
 """
 
 import time

@@ -1,15 +1,16 @@
 """Closed inverse of the tridiagonal Toeplitz matrix and fast solvers.
 
-The inverse has semiseparable structure: with f_k = (-1)^(k-1) U_{k-1}(x)
-and g_k = (-1)^(k-1) U_{n-k}(x), entry (i, j) of the inverse equals
+The inverse has semiseparable structure: with lo = min(i, j) and
+hi = max(i, j), entry (i, j) of the inverse equals
 
-    q^(i-j) * f_min(i,j) * g_max(i,j) / (s * U_n(x)).
+    (-q)^(i-j) * U_{lo-1}(x) * U_{n-hi}(x) / (s * U_n(x)),
 
-Both sequences solve the same three-term recurrence, so their discrete
-Wronskian f_k g_{k+1} - f_{k+1} g_k is constant and equals U_n(x); this is
-validated when a kernel is built.  Everything is carried as sign plus
-log-magnitude, which keeps entries computable for orders in the thousands
-even when the Chebyshev values themselves would overflow.
+one Chebyshev sequence read forwards and backwards; a kernel holds
+U_{-1}..U_n once (U_{-1} = 0).  Its discrete Wronskian is constant,
+U_k U_{n-k} - U_{k-1} U_{n-k-1} = U_n, which is validated when a kernel
+is built.  Everything is carried as sign plus log-magnitude, which keeps
+entries computable for orders in the thousands even when the Chebyshev
+values themselves would overflow.
 
 ``apply_inverse`` exploits the rank-one triangles with a prefix and a
 suffix sum (O(n)).  Each sum is split into its positive and negative terms,
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 _WRONSKIAN_TOL = 1e-9
+_BACKWARD_TOL = 1e-9
 _MOST_NEGATIVE = np.finfo(float).min
 
 
@@ -60,9 +62,10 @@ _MOST_NEGATIVE = np.finfo(float).min
 class GreenKernel:
     """Assembled inverse kernel of one matrix.
 
-    ``f_signs/f_logs`` and ``g_signs/g_logs`` hold the two recurrence
-    solutions for k = 0..n+1 in scaled form (sign arrays contain -1, 0, +1
-    as floats).  ``wronskian`` equals U_n(x); ``invertible`` is a queried
+    ``u_signs/u_logs`` hold U_{k-1}(x) for k = 0..n+1 in scaled form, with
+    U_{-1} = 0 (sign 0, log -inf) in front; sign arrays contain -1, 0, +1
+    as floats.  Entry (i, j) reads indices lo and n+1-hi.
+    ``wronskian`` equals U_n(x); ``invertible`` is a queried
     flag, entry and solve operations raise SingularMatrix when it is
     False.
     """
@@ -71,20 +74,12 @@ class GreenKernel:
     s: float
     q: float
     x: float
-    f_signs: np.ndarray
-    f_logs: np.ndarray
-    g_signs: np.ndarray
-    g_logs: np.ndarray
+    u_signs: np.ndarray
+    u_logs: np.ndarray
     wronskian: ScaledValue
     invertible: bool
     wronskian_residual: float
     singular_tol: float
-
-    def f_at(self, k: int) -> ScaledValue:
-        return ScaledValue(int(self.f_signs[k]), float(self.f_logs[k]))
-
-    def g_at(self, k: int) -> ScaledValue:
-        return ScaledValue(int(self.g_signs[k]), float(self.g_logs[k]))
 
 
 @dataclass(frozen=True)
@@ -100,25 +95,21 @@ class DecayEnvelope:
 
 
 def build_kernel(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> GreenKernel:
-    """Assemble the f/g sequences, Wronskian and invertibility flag.
+    """Assemble the scaled sequence U_{-1..n}, Wronskian and invertibility flag.
 
     The matrix counts as invertible when |U_n(x)| exceeds
-    singular_tol * max(1, |U_{n-1}(x)|); construction never raises
-    SingularMatrix, only the entry/apply operations do.
+    singular_tol * max(1, |U_{n-1}(x)|); the entry/apply operations on a
+    kernel below that raise SingularMatrix.  Construction raises it when
+    the flag passes but the Wronskian self-check fails.
     """
     if not singular_tol > 0:
         raise TriToeplitzError(f"singular_tol must be positive, got {singular_tol!r}")
     form = symmetrise(spec)
     n = spec.n
     usigns, ulogs = _u_sequence_arrays(n, form.x)
-
-    # f_k = (-1)^(k-1) U_{k-1}, g_k = (-1)^(k-1) U_{n-k}, k = 0..n+1,
-    # with U_{-1} := 0 covering both boundary entries
-    alt = np.where(np.arange(n + 2) % 2 == 1, 1.0, -1.0)
-    f_signs = np.concatenate(([0.0], alt[1:] * usigns[np.arange(0, n + 1)]))
-    f_logs = np.concatenate(([-np.inf], ulogs[np.arange(0, n + 1)]))
-    g_signs = np.concatenate((alt[: n + 1] * usigns[np.arange(n, -1, -1)], [0.0]))
-    g_logs = np.concatenate((ulogs[np.arange(n, -1, -1)], [-np.inf]))
+    # index k holds U_{k-1}, k = 0..n+1; U_{-1} := 0 covers both boundaries
+    u_signs = np.concatenate(([0.0], usigns))
+    u_logs = np.concatenate(([-np.inf], ulogs))
 
     wronskian = ScaledValue(int(usigns[n]), float(ulogs[n]))
     log_threshold = math.log(singular_tol) + max(0.0, float(ulogs[n - 1]))
@@ -126,32 +117,25 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> GreenKer
 
     residual = math.nan
     if invertible:
-        t1 = (
-            f_signs[: n + 1]
-            * g_signs[1:]
-            * wronskian.sign
-            * np.exp(f_logs[: n + 1] + g_logs[1:] - wronskian.log_mag)
-        )
-        t2 = (
-            f_signs[1:]
-            * g_signs[: n + 1]
-            * wronskian.sign
-            * np.exp(f_logs[1:] + g_logs[: n + 1] - wronskian.log_mag)
-        )
+        # U_k U_{n-k} - U_{k-1} U_{n-k-1} = U_n for k = 0..n
+        rev_signs, rev_logs = u_signs[::-1] * wronskian.sign, u_logs[::-1]
+        w_log = wronskian.log_mag
+        t1 = u_signs[1:] * rev_signs[:-1] * np.exp(u_logs[1:] + rev_logs[:-1] - w_log)
+        t2 = u_signs[:-1] * rev_signs[1:] * np.exp(u_logs[:-1] + rev_logs[1:] - w_log)
         residual = float(np.max(np.abs(t1 - t2 - 1.0)))
         if residual > _WRONSKIAN_TOL:
-            raise TriToeplitzError(
-                f"kernel self-check failed: Wronskian residual {residual:.3e}"
+            raise SingularMatrix(
+                f"kernel self-check failed: Wronskian residual {residual:.3e} "
+                f"exceeds {_WRONSKIAN_TOL:g}; log|U_n(x)| = "
+                f"{wronskian.log_mag:.6g} against the threshold {log_threshold:.6g}"
             )
     return GreenKernel(
         n=n,
         s=form.s,
         q=form.q,
         x=form.x,
-        f_signs=f_signs,
-        f_logs=f_logs,
-        g_signs=g_signs,
-        g_logs=g_logs,
+        u_signs=u_signs,
+        u_logs=u_logs,
         wronskian=wronskian,
         invertible=invertible,
         wronskian_residual=residual,
@@ -168,21 +152,22 @@ def _require_invertible(kernel: GreenKernel) -> None:
 
 
 def _entry_sign_log(kernel: GreenKernel, lo, hi, diff):
-    """Sign and log-magnitude of q^diff f_lo g_hi / (s U_n).
+    """Sign and log-magnitude of (-q)^diff U_{lo-1} U_{n-hi} / (s U_n).
 
     Works on scalar indices and elementwise on index arrays; callers
     exponentiate the result themselves.
     """
-    sign_q = 1.0 if kernel.q > 0 else -1.0
+    sign_neg_q = -1.0 if kernel.q > 0 else 1.0
+    back = kernel.n + 1 - hi
     sign = (
-        kernel.f_signs[lo]
-        * kernel.g_signs[hi]
+        kernel.u_signs[lo]
+        * kernel.u_signs[back]
         * kernel.wronskian.sign
-        * sign_q**diff
+        * sign_neg_q**diff
     )
     log_mag = (
-        kernel.f_logs[lo]
-        + kernel.g_logs[hi]
+        kernel.u_logs[lo]
+        + kernel.u_logs[back]
         - kernel.wronskian.log_mag
         - math.log(kernel.s)
         + diff * math.log(abs(kernel.q))
@@ -193,10 +178,10 @@ def _entry_sign_log(kernel: GreenKernel, lo, hi, diff):
 def inverse_entry(kernel: GreenKernel, i: int, j: int) -> float:
     """Entry (i, j) of the inverse, 1-based.
 
-    For i <= j this is (-1)^(i+j) q^(i-j) U_{i-1} U_{n-j} / (s U_n); for
-    i > j the Chebyshev indices swap while the q power keeps the signed
-    exponent i-j.  Raises OverflowError when the plain value leaves the
-    float range.
+    This is (-q)^(i-j) U_{lo-1} U_{n-hi} / (s U_n) with lo = min(i, j)
+    and hi = max(i, j): the Chebyshev indices are symmetric while the q
+    power keeps the signed exponent i-j.  Raises OverflowError when the
+    plain value leaves the float range.
     """
     _require_invertible(kernel)
     i = _check_int(i, "index", 1, kernel.n, IndexOutOfRange)
@@ -279,13 +264,13 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
     the result has the shape of rhs, and a block gives, column for column,
     exactly what the columns give one by one.  Row i of the solution is
 
-        q^i / (s U_n) * (g_i P_i + f_i S_(i+1)),
+        (-q)^i / (s U_n) * (U_(n-i) P_i + U_(i-1) S_(i+1)),
 
-    with the prefix sums P_i = sum_(j<=i) f_j q^(-j) rhs_j and the suffix
-    sums S_i = sum_(j>=i) g_j q^(-j) rhs_j, both run by _scan_scaled down
-    all columns at once.  Deterministic for fixed input.  Raises
-    OverflowError when a term of the solution, or the solution itself,
-    leaves the float range.
+    with the prefix sums P_i = sum_(j<=i) U_(j-1) (-q)^(-j) rhs_j and the
+    suffix sums S_i = sum_(j>=i) U_(n-j) (-q)^(-j) rhs_j, both run by
+    _scan_scaled down all columns at once.  Deterministic for fixed input.
+    Raises OverflowError when a term of the solution, or the solution
+    itself, leaves the float range.
     """
     _require_invertible(kernel)
     n = kernel.n
@@ -297,30 +282,32 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
     cols = rhs[:, None] if rhs.ndim == 1 else rhs
 
     i = np.arange(1, n + 1)
-    q_signs = np.power(1.0 if kernel.q > 0 else -1.0, i)
+    # signs of -(-q)^i: the minus cancels in x and only signs its exact zeros
+    q_signs = -np.power(-1.0 if kernel.q > 0 else 1.0, i)
     q_logs = i * math.log(abs(kernel.q))
-    f_signs, f_logs = kernel.f_signs[1 : n + 1], kernel.f_logs[1 : n + 1]
-    g_signs, g_logs = kernel.g_signs[1 : n + 1], kernel.g_logs[1 : n + 1]
+    # U_(i-1) and U_(n-i): the one sequence read forwards and backwards
+    fwd_signs, fwd_logs = kernel.u_signs[1 : n + 1], kernel.u_logs[1 : n + 1]
+    bwd_signs, bwd_logs = kernel.u_signs[n:0:-1], kernel.u_logs[n:0:-1]
 
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         rhs_signs = np.sign(cols)
         rhs_logs = np.log(np.abs(cols))
         p_acc, p_scale = _scan_scaled(
-            (f_signs * q_signs)[:, None] * rhs_signs,
-            (f_logs - q_logs)[:, None] + rhs_logs,
+            (fwd_signs * q_signs)[:, None] * rhs_signs,
+            (fwd_logs - q_logs)[:, None] + rhs_logs,
         )
         # S_n, S_(n-1), ..., S_2: the suffix sums, scanned from the last row up
         s_acc, s_scale = _scan_scaled(
-            ((g_signs * q_signs)[:, None] * rhs_signs)[:0:-1],
-            ((g_logs - q_logs)[:, None] + rhs_logs)[:0:-1],
+            ((bwd_signs * q_signs)[:, None] * rhs_signs)[:0:-1],
+            ((bwd_logs - q_logs)[:, None] + rhs_logs)[:0:-1],
         )
         del rhs_signs, rhs_logs  # n*k each: free them before the combine
         base_signs = q_signs * kernel.wronskian.sign
         base_logs = q_logs - math.log(kernel.s) - kernel.wronskian.log_mag
-        x = _scaled_terms(g_signs * base_signs, g_logs + base_logs, p_acc, p_scale)
+        x = _scaled_terms(bwd_signs * base_signs, bwd_logs + base_logs, p_acc, p_scale)
         x[:-1] += _scaled_terms(
-            f_signs[:-1] * base_signs[:-1],
-            f_logs[:-1] + base_logs[:-1],
+            fwd_signs[:-1] * base_signs[:-1],
+            fwd_logs[:-1] + base_logs[:-1],
             s_acc[::-1],
             s_scale[::-1],
         )
@@ -334,7 +321,9 @@ def thomas_solve(spec: TriToeplitzSpec, rhs, pivot_tol: float = 1e-300) -> np.nd
 
     Works for any spec (symmetrisable or not) but raises
     NearSingularPivot as soon as a running pivot magnitude drops below
-    pivot_tol times the row scale; there is no pivoting fallback.
+    pivot_tol times the row scale; there is no pivoting fallback.  It also
+    raises it when the answer misses the backward-error bound
+    ||A x - rhs|| <= 1e-9 (row_scale ||x|| + ||rhs||) in max norms.
     """
     n = spec.n
     rhs = np.asarray(rhs, dtype=float)
@@ -361,6 +350,16 @@ def thomas_solve(spec: TriToeplitzSpec, rhs, pivot_tol: float = 1e-300) -> np.nd
     x[n - 1] = z[n - 1]
     for k in range(n - 2, -1, -1):
         x[k] = z[k] - w[k] * x[k + 1]
+
+    resid = b * x - rhs
+    resid[1:] += a * x[:-1]
+    resid[:-1] += c * x[1:]
+    resid_norm = np.max(np.abs(resid))
+    scale = spec.row_scale() * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    if resid_norm > _BACKWARD_TOL * scale:  # False for NaN: NaN rhs, NaN x
+        raise NearSingularPivot(
+            f"backward error {resid_norm / scale:.3e} exceeds {_BACKWARD_TOL:g}"
+        )
     return x
 
 

@@ -239,16 +239,10 @@ def inverse_entry_alt_scaling(d, n: int, i: int, j: int):
     di = _require_integer_base(d)
     n = _check_int(n, "n", 1)
     entry = repunit_inverse_entry(di, n, i, j)
-    if entry.i <= entry.j:
-        base = entry.sign * Fraction(
-            _repunit_int(entry.i, di) * _repunit_int(n + 1 - entry.j, di),
-            _repunit_int(n + 1, di),
-        )
-    else:
-        base = entry.sign * Fraction(
-            _repunit_int(entry.j, di) * _repunit_int(n + 1 - entry.i, di),
-            _repunit_int(n + 1, di),
-        )
+    # the plain entry without its d^(i-j) factor below the diagonal
+    base = entry.value
+    if entry.i > entry.j:
+        base /= Fraction(di) ** (entry.i - entry.j)
     exponent = entry.i - entry.j - 1
     if exponent % 2 == 0:
         return base * Fraction(di) ** (exponent // 2)

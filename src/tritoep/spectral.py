@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cheby import ScaledValue, eval_U_scaled
+from .cheby import ScaledValue, _LOG_MAX, eval_U_scaled
 from .core import TriToeplitzSpec, _check_int, symmetrise
 from .errors import IndexOutOfRange
 
@@ -79,7 +79,9 @@ def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np
 
     ``raw`` returns the literal entries q^(j-1)*sin(j*theta_k);
     ``unit_weighted`` rescales to unit W-norm, ``unit_euclidean`` to unit
-    Euclidean norm with the first nonzero entry positive.
+    Euclidean norm with the first nonzero entry positive.  Raises
+    OverflowError when |q|^(n-1) leaves the float range, whatever the
+    normalization.
     """
     form = symmetrise(spec)
     k = _check_int(k, "index", 1, spec.n, IndexOutOfRange)
@@ -88,7 +90,7 @@ def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np
     theta = k * math.pi / (spec.n + 1)
     j = np.arange(1, spec.n + 1)
     sines = np.sin(j * theta)
-    vec = np.power(form.q, j - 1) * sines
+    vec = _right_vector(form.q, j, sines)
     if normalization == "raw":
         return vec
     if normalization == "unit_weighted":
@@ -101,8 +103,22 @@ def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np
     return vec if first > 0 else -vec
 
 
+def _right_vector(q: float, j: np.ndarray, sines: np.ndarray) -> np.ndarray:
+    """Entries q^(j-1) * sines_j; OverflowError when |q|^(n-1) overflows."""
+    growth = (len(j) - 1) * math.log(abs(q))
+    if growth > _LOG_MAX:
+        raise OverflowError(
+            f"eigenvector entry q^(n-1) has log-magnitude {growth:.6g}, "
+            "beyond the float range"
+        )
+    return np.power(q, j - 1) * sines
+
+
 def eigen_pair(spec: TriToeplitzSpec, k: int) -> EigenPair:
-    """Bundle theta_k, lambda_k and both eigenvector forms for index k."""
+    """Bundle theta_k, lambda_k and both eigenvector forms for index k.
+
+    Raises OverflowError as eigenvector does.
+    """
     form = symmetrise(spec)
     k = _check_int(k, "index", 1, spec.n, IndexOutOfRange)
     theta = k * math.pi / (spec.n + 1)
@@ -112,7 +128,7 @@ def eigen_pair(spec: TriToeplitzSpec, k: int) -> EigenPair:
         k=k,
         theta=theta,
         value=spec.b + 2.0 * form.s * math.cos(theta),
-        right_vector=np.power(form.q, j - 1) * sines,
+        right_vector=_right_vector(form.q, j, sines),
         symmetric_vector=sines,
     )
 

@@ -41,12 +41,20 @@ class TestBuildKernel:
         assert abs(k.wronskian.try_float() or 0.0) <= 1e-10
 
     def test_boundary_sequences(self):
+        # index k holds U_{k-1}: U_{-1} = 0, U_0 = 1, U_1 = 2x = 5 = U_n
         k = build_kernel(make_spec(1, 5, 1, 1))
-        assert k.f_signs[0] == 0.0 and k.f_logs[0] == -math.inf
-        assert k.g_signs[2] == 0.0 and k.g_logs[2] == -math.inf
-        assert k.f_at(1).to_float() == pytest.approx(1.0)
-        assert abs(k.g_at(0).to_float()) == pytest.approx(5.0, rel=1e-13)
+        assert k.u_signs.shape == k.u_logs.shape == (3,)
+        assert k.u_signs[0] == 0.0 and k.u_logs[0] == -math.inf
+        assert k.u_signs[1] == 1.0 and k.u_logs[1] == pytest.approx(0.0, abs=1e-15)
+        assert k.u_signs[2] == 1.0
+        assert math.exp(k.u_logs[2]) == pytest.approx(5.0, rel=1e-13)
         assert k.wronskian.to_float() == pytest.approx(5.0, rel=1e-13)
+
+    def test_failed_self_check_raises_singular(self):
+        # 1e-13 from the singular point cos(pi/101) passes the invertible
+        # flag, but the Wronskian residual is 6e-4
+        with pytest.raises(SingularMatrix, match="Wronskian residual"):
+            build_kernel(make_spec(1, 2 * math.cos(math.pi / 101) + 1e-13, 1, 100))
 
     def test_entry_ops_raise_on_singular(self):
         k = build_kernel(make_spec(1, 0, 1, 3))
@@ -274,8 +282,6 @@ class TestThomas:
         want = np.linalg.solve(dense_from_spec(spec), rhs)
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.xfail(strict=True, reason="unpivoted elimination passes the "
-                       "1e-200 pivot; a backward-error check would refuse it")
     def test_tiny_pivot_with_bounded_solution(self):
         # rhs = 1 has no component along the near-null vector, so the exact
         # solution is (1, 1, 0, 0, 1, 1, 0); elimination through the 1e-200

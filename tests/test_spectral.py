@@ -76,6 +76,15 @@ class TestEigenvector:
         with pytest.raises(ValueError):
             eigenvector(spec, 1, "fancy")
 
+    @pytest.mark.parametrize("norm", ["raw", "unit_weighted", "unit_euclidean"])
+    def test_overflowing_q_power_raises(self, norm):
+        # q = 100 and n = 200: q^(n-1) = 1e398 leaves the float range
+        spec = make_spec(100, 2, 0.01, 200)
+        with pytest.raises(OverflowError):
+            eigenvector(spec, 1, norm)
+        with pytest.raises(OverflowError):
+            eigen_pair(spec, 1)
+
     def test_eigen_pair_transport(self):
         spec = make_spec(4, 5, 1, 7)
         form = symmetrise(spec)
