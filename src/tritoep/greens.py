@@ -354,8 +354,8 @@ def thomas_solve(spec: TriToeplitzSpec, rhs, pivot_tol: float = 1e-300) -> np.nd
     resid = b * x - rhs
     resid[1:] += a * x[:-1]
     resid[:-1] += c * x[1:]
-    resid_norm = np.max(np.abs(resid))
-    scale = spec.row_scale() * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    resid_norm = abs(resid).max()
+    scale = spec.row_scale() * abs(x).max() + abs(rhs).max()
     if resid_norm > _BACKWARD_TOL * scale:  # False for NaN: NaN rhs, NaN x
         raise NearSingularPivot(
             f"backward error {resid_norm / scale:.3e} exceeds {_BACKWARD_TOL:g}"
