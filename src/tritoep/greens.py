@@ -332,24 +332,25 @@ def thomas_solve(spec: TriToeplitzSpec, rhs, pivot_tol: float = 1e-300) -> np.nd
     threshold = pivot_tol * spec.row_scale()
     a, b, c = spec.a, spec.b, spec.c
 
-    w = np.empty(n)
-    z = np.empty(n)
+    # the loops run on Python floats and lists, several times faster than
+    # numpy scalars and with the same IEEE double arithmetic
+    w = [0.0] * n
+    z = rhs.tolist()
     piv = b
     if abs(piv) <= threshold:
         raise NearSingularPivot(f"pivot {piv!r} at row 1 below tolerance")
     w[0] = c / piv
-    z[0] = rhs[0] / piv
+    z[0] = z[0] / piv
     for k in range(1, n):
         piv = b - a * w[k - 1]
         if abs(piv) <= threshold:
             raise NearSingularPivot(f"pivot {piv!r} at row {k + 1} below tolerance")
         w[k] = c / piv
-        z[k] = (rhs[k] - a * z[k - 1]) / piv
-
-    x = np.empty(n)
-    x[n - 1] = z[n - 1]
+        z[k] = (z[k] - a * z[k - 1]) / piv
+    # back-substitution overwrites z with the solution
     for k in range(n - 2, -1, -1):
-        x[k] = z[k] - w[k] * x[k + 1]
+        z[k] = z[k] - w[k] * z[k + 1]
+    x = np.array(z)
 
     resid = b * x - rhs
     resid[1:] += a * x[:-1]
