@@ -329,7 +329,8 @@ def thomas_solve(spec: TriToeplitzSpec, rhs, pivot_tol: float = 1e-300) -> np.nd
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise DimensionMismatch(f"expected rhs of length {n}, got shape {rhs.shape}")
-    threshold = pivot_tol * spec.row_scale()
+    row_scale = spec.row_scale()
+    threshold = pivot_tol * row_scale
     a, b, c = spec.a, spec.b, spec.c
 
     # the loops run on Python floats and lists, several times faster than
@@ -340,7 +341,7 @@ def thomas_solve(spec: TriToeplitzSpec, rhs, pivot_tol: float = 1e-300) -> np.nd
     if abs(piv) <= threshold:
         raise NearSingularPivot(f"pivot {piv!r} at row 1 below tolerance")
     w[0] = c / piv
-    z[0] = z[0] / piv
+    z[0] /= piv
     for k in range(1, n):
         piv = b - a * w[k - 1]
         if abs(piv) <= threshold:
@@ -349,15 +350,15 @@ def thomas_solve(spec: TriToeplitzSpec, rhs, pivot_tol: float = 1e-300) -> np.nd
         z[k] = (z[k] - a * z[k - 1]) / piv
     # back-substitution overwrites z with the solution
     for k in range(n - 2, -1, -1):
-        z[k] = z[k] - w[k] * z[k + 1]
+        z[k] -= w[k] * z[k + 1]
     x = np.array(z)
 
     resid = b * x - rhs
     resid[1:] += a * x[:-1]
     resid[:-1] += c * x[1:]
     resid_norm = abs(resid).max()
-    scale = spec.row_scale() * abs(x).max() + abs(rhs).max()
-    if resid_norm > _BACKWARD_TOL * scale:  # False for NaN: NaN rhs, NaN x
+    scale = row_scale * abs(x).max() + abs(rhs).max()
+    if resid_norm > _BACKWARD_TOL * scale:  # NaN compares False: NaN rhs, NaN x
         raise NearSingularPivot(
             f"backward error {resid_norm / scale:.3e} exceeds {_BACKWARD_TOL:g}"
         )
