@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from tritoep import build_kernel
-from tritoep.cli import main
+from tritoep.cli import _VERIFY_TOLS, main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -136,6 +136,15 @@ class TestVerify:
                                "-n", "500")
         assert code == 2
         assert "envelope" in err
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setitem(_VERIFY_TOLS, "eigen", 0.0)
+        code, out, _ = run_cli(capsys, "verify", "-a", "10", "-b", "11", "-c", "1",
+                               "-n", "8")
+        assert code == 1
+        assert any(line.startswith("eigen") and line.endswith("FAIL")
+                   for line in out.splitlines())
+        assert out.splitlines()[-1] == "overall: FAIL"
 
     def test_negative_q_branch_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "-a", "-1", "-b", "0.5", "-c", "-2",

@@ -46,6 +46,8 @@ _PER_FORMAT = [
     # |det| beyond the float range: value is null / "overflow"
     (["det", "-a", "10", "-b", "11", "-c", "1", "-n", "400"], FORMATS),
     (["det", *NEG_Q, "-n", "12"], FORMATS),
+    # a --tol other than the default is echoed in the json tolerances
+    (["det", "-a", "10", "-b", "11", "-c", "1", "-n", "5", "--tol", "1e-8"], ("json",)),
     (["charpoly", "-a", "1", "-b", "2", "-c", "1", "-n", "5", "-t", "0.5"], FORMATS),
     # t at an eigenvalue: reported as an exact zero
     (["charpoly", "-a", "1", "-b", "2", "-c", "1", "-n", "3", "-t", "2.0"], FORMATS),
@@ -122,6 +124,9 @@ _ERRORS = [
     ["solve", "-a", "1", "-b", "0", "-c", "1", "-n", "3", "--rhs", "1,2,3",
      "--method", "kernel"],
     ["cond", "-a", "1", "-b", "0", "-c", "1", "-n", "3"],
+    # a large --tol refuses a well-conditioned spec
+    ["inverse", *GAPPED, "-n", "3", "-i", "1", "-j", "1", "--tol", "10"],
+    ["cond", "-a", "1", "-b", "0.5", "-c", "1", "-n", "5", "--tol", "0.3"],
     ["decay", "-a", "1", "-b", "2", "-c", "1", "-n", "3", "-i", "1", "-j", "2"],
     ["decay", *GAPPED, "-n", "3", "-i", "4", "-j", "2"],
     ["repunit"],
