@@ -4,7 +4,7 @@ Subcommands: eig, det, charpoly, inverse, solve, cond, decay, repunit,
 verify, bench.  Output goes to stdout in json, csv or plain form;
 diagnostics go to stderr.  Exit status: 0 on success, 1 on domain errors
 (non-symmetrisable input, singular matrix, not in the gapped regime,
-overflow), 2 on usage errors.
+overflow) and on a failed ``verify``, 2 on usage errors.
 
 Serialisation rules: floats use the shortest round-trip representation,
 exact integers and rationals are decimal strings ("1111", "-1/111"),
@@ -12,22 +12,27 @@ indices are 1-based, field order is fixed, so identical invocations
 produce byte-identical output (bench timing columns excepted; pass
 ``--reps 0`` to suppress timing and keep bench deterministic too).
 
-Every subcommand builds one result dict plus its plain lines, and
-``_emit`` derives all three formats from them: json is the spec echo,
-the result (non-finite floats as null) and a meta block; csv is the
-result's fields as a header and one row, or a table for 1-based vectors
-(one row per index), ``repunit inverse``, ``verify`` and ``bench``; plain
-is the subcommand's lines, or the csv for ``bench``, which has none.
+Every subcommand takes the parsed arguments and the spec that ``main``
+resolved, and returns one ``_Answer``: the result dict, its plain lines
+and, where needed, tolerances, a csv table, json meta or a spec echo.
+``main`` alone prints it with ``_emit`` and sets the exit status.  json is
+the spec echo, the result (non-finite floats as null) and a meta block;
+csv is the result's fields as a header and one row, or a table for 1-based
+vectors (one row per index), ``repunit inverse``, ``verify`` and
+``bench``; plain is the subcommand's lines, or the csv for ``bench``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import math
 import statistics
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,9 +86,25 @@ class _UsageError(Exception):
     pass
 
 
+class _Answer(NamedTuple):
+    """One subcommand's answer, which ``main`` prints with ``_emit``.
+
+    ``plain`` None prints the csv; ``table`` None makes the csv the
+    result's fields as one row; ``tolerances`` None is the singular
+    tolerance alone; ``echo`` None echoes the resolved spec.
+    """
+
+    result: dict
+    plain: list | None = None
+    tolerances: dict | None = None
+    table: tuple | None = None
+    meta: dict | None = None
+    echo: dict | None = None
+
+
 def _fmt(v) -> str:
-    """Shortest round-trip float formatting."""
-    return repr(float(v))
+    """Shortest round-trip float formatting; None (past the float range) is "overflow"."""
+    return "overflow" if v is None else repr(float(v))
 
 
 def _cell(v) -> str:
@@ -115,26 +136,24 @@ def _sanitize(obj):
     return obj
 
 
-def _emit(args, spec_echo: dict, result: dict, tolerances: dict,
-          plain: list | None = None, table=None, meta: dict | None = None) -> int:
-    """Print one subcommand's result in ``args.format`` (rules in the module docstring)."""
-    if args.format == "json":
+def _emit(fmt: str, echo: dict, tolerances: dict, answer: _Answer) -> None:
+    """Print one answer in ``fmt`` (rules in the module docstring)."""
+    if fmt == "json":
         doc = {
-            "spec": spec_echo,
-            "result": _sanitize(result),
-            "meta": {"version": __version__, **(meta or {}), "tolerances": tolerances},
+            "spec": echo,
+            "result": _sanitize(answer.result),
+            "meta": {"version": __version__, **(answer.meta or {}),
+                     "tolerances": tolerances},
         }
         print(json.dumps(doc, indent=2, default=_json_default))
-        return 0
-    if args.format == "plain" and plain is not None:
-        for line in plain:
+    elif fmt == "plain" and answer.plain is not None:
+        for line in answer.plain:
             print(line)
-        return 0
-    header, rows = table if table is not None else (list(result), [result.values()])
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_cell(v) for v in row))
-    return 0
+    else:
+        header, rows = answer.table or (list(answer.result), [answer.result.values()])
+        print(",".join(header))
+        for row in rows:
+            print(",".join(_cell(v) for v in row))
 
 
 def _indexed(index: str, name: str, symbol: str, values):
@@ -145,14 +164,19 @@ def _indexed(index: str, name: str, symbol: str, values):
     return values, ([index, name], rows), lines
 
 
-def _fmt_or_overflow(value) -> str:
-    return "overflow" if value is None else _fmt(value)
-
-
-def _scaled_result(sv: ScaledValue) -> dict:
+def _signed_log(sv: ScaledValue, lhs: str, log_name: str, zero: str = "") -> tuple:
+    """The sign / log_abs / value result of ``sv`` and its plain line."""
     if sv.sign == 0:
-        return {"sign": 0, "log_abs": None, "value": 0.0}
-    return {"sign": sv.sign, "log_abs": sv.log_mag, "value": sv.try_float()}
+        return {"sign": 0, "log_abs": None, "value": 0.0}, f"{lhs} = 0{zero}"
+    value = sv.try_float()
+    return ({"sign": sv.sign, "log_abs": sv.log_mag, "value": value},
+            f"{lhs} = {_fmt(value)} (sign {sv.sign}, log|{log_name}| {_fmt(sv.log_mag)})")
+
+
+def _solution(x, **fields) -> _Answer:
+    """A solve's answer: ``fields``, then the solution vector."""
+    x, table, plain = _indexed("i", "x", "x", x)
+    return _Answer({**fields, "solution": x}, plain, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +190,17 @@ def _add_spec_args(sp, with_n=True):
         sp.add_argument("-n", type=int, default=None, help="matrix order")
     sp.add_argument("--spec-file", default=None,
                     help="JSON file with a/b/c/n (accepts any subcommand's output)")
-    sp.add_argument("--tol", type=float, default=None,
+    sp.add_argument("--tol", type=float, default=DEFAULT_SINGULAR_TOL,
                     help=f"singularity tolerance (default {DEFAULT_SINGULAR_TOL})")
 
 
-def _add_format_arg(sp, default="plain"):
-    sp.add_argument("--format", choices=("json", "csv", "plain"), default=default)
-
-
-def _resolve_spec(args, with_n=True):
-    fields = {}
-    if getattr(args, "spec_file", None):
+def _resolve_spec(args):
+    """The spec from the flags over --spec-file; (a, b, c) for bench, None for repunit."""
+    if not hasattr(args, "spec_file"):
+        return None
+    with_n = hasattr(args, "n")
+    data = {}
+    if args.spec_file:
         try:
             with open(args.spec_file) as fh:
                 data = json.load(fh)
@@ -186,14 +210,9 @@ def _resolve_spec(args, with_n=True):
             data = data["spec"]
         if not isinstance(data, dict):
             raise _UsageError("--spec-file must contain a JSON object")
-        for key in ("a", "b", "c", "n"):
-            if key in data:
-                fields[key] = data[key]
-    for key in ("a", "b", "c", "n"):
-        v = getattr(args, key, None)
-        if v is not None:
-            fields[key] = v
-    needed = ("a", "b", "c", "n") if with_n else ("a", "b", "c")
+    fields = {k: data[k] for k in "abcn" if k in data}
+    fields.update((k, v) for k in "abcn" if (v := getattr(args, k, None)) is not None)
+    needed = "abcn" if with_n else "abc"
     missing = [k for k in needed if k not in fields]
     if missing:
         raise _UsageError(f"missing required parameters: {', '.join(missing)}")
@@ -207,10 +226,6 @@ def _spec_echo(spec) -> dict:
             "symmetrisable": spec.symmetrisable}
 
 
-def _singular_tol(args) -> float:
-    return args.tol if getattr(args, "tol", None) is not None else DEFAULT_SINGULAR_TOL
-
-
 def _parse_rhs(text: str, n: int) -> np.ndarray:
     try:
         vals = [float(t) for t in text.split(",")]
@@ -222,56 +237,32 @@ def _parse_rhs(text: str, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed args and the resolved spec
 
-def _cmd_eig(args) -> int:
-    spec = _resolve_spec(args)
-    tols = {"singular_tol": _singular_tol(args)}
+def _cmd_eig(args, spec) -> _Answer:
     if args.k is None:
         vals, table, plain = _indexed("k", "eigenvalue", "lambda", eigenvalues(spec))
-        return _emit(args, _spec_echo(spec), {"eigenvalues": vals}, tols, plain, table)
-    vec, table, plain = _indexed(
-        "j", "component", "v", eigenvector(spec, args.k, args.normalization)
-    )
+        return _Answer({"eigenvalues": vals}, plain, table=table)
+    vec, table, plain = _indexed("j", "component", "v",
+                                 eigenvector(spec, args.k, args.normalization))
     lam = float(eigenvalues(spec)[args.k - 1])
     result = {"k": args.k, "eigenvalue": lam,
               "normalization": args.normalization, "eigenvector": vec}
-    return _emit(args, _spec_echo(spec), result, tols,
-                 [f"lambda_{args.k} = {_fmt(lam)}", *plain], table)
+    return _Answer(result, [f"lambda_{args.k} = {_fmt(lam)}", *plain], table=table)
 
 
-def _cmd_det(args) -> int:
-    spec = _resolve_spec(args)
-    sv = determinant(spec)
-    result = _scaled_result(sv)
-    if sv.sign == 0:
-        plain = ["det = 0"]
-    else:
-        plain = [
-            f"det = {_fmt_or_overflow(result['value'])} "
-            f"(sign {sv.sign}, log|det| {_fmt(sv.log_mag)})"
-        ]
-    return _emit(args, _spec_echo(spec), result,
-                 {"singular_tol": _singular_tol(args)}, plain)
+def _cmd_det(args, spec) -> _Answer:
+    result, line = _signed_log(determinant(spec), "det", "det")
+    return _Answer(result, [line])
 
 
-def _cmd_charpoly(args) -> int:
-    spec = _resolve_spec(args)
-    sv = char_poly_eval(spec, args.t)
-    result = {"t": args.t, **_scaled_result(sv)}
-    if sv.sign == 0:
-        plain = [f"charpoly({_fmt(args.t)}) = 0 (within tolerance)"]
-    else:
-        plain = [
-            f"charpoly({_fmt(args.t)}) = {_fmt_or_overflow(result['value'])} "
-            f"(sign {sv.sign}, log|chi| {_fmt(sv.log_mag)})"
-        ]
-    return _emit(args, _spec_echo(spec), result, {"charpoly_zero_tol": 1e-10}, plain)
+def _cmd_charpoly(args, spec) -> _Answer:
+    result, line = _signed_log(char_poly_eval(spec, args.t), f"charpoly({_fmt(args.t)})",
+                               "chi", " (within tolerance)")
+    return _Answer({"t": args.t, **result}, [line], {"charpoly_zero_tol": 1e-10})
 
 
-def _cmd_inverse(args) -> int:
-    spec = _resolve_spec(args)
-    tol = _singular_tol(args)
+def _cmd_inverse(args, spec) -> _Answer:
     entry_mode = args.i is not None or args.j is not None
     if entry_mode and args.rhs is not None:
         raise _UsageError("give either -i/-j or --rhs, not both")
@@ -279,75 +270,41 @@ def _cmd_inverse(args) -> int:
         raise _UsageError("inverse needs -i and -j (one entry) or --rhs (apply)")
     if entry_mode and (args.i is None or args.j is None):
         raise _UsageError("both -i and -j are required for an entry")
-    kernel = build_kernel(spec, singular_tol=tol)
-    if entry_mode:
-        value = inverse_entry(kernel, args.i, args.j)
-        result = {"i": args.i, "j": args.j, "value": value}
-        return _emit(args, _spec_echo(spec), result, {"singular_tol": tol},
-                     [f"inverse[{args.i},{args.j}] = {_fmt(value)}"])
-    rhs = _parse_rhs(args.rhs, spec.n)
-    x, table, plain = _indexed("i", "x", "x", apply_inverse(kernel, rhs))
-    return _emit(args, _spec_echo(spec), {"solution": x}, {"singular_tol": tol},
-                 plain, table)
+    kernel = build_kernel(spec, singular_tol=args.tol)
+    if not entry_mode:
+        return _solution(apply_inverse(kernel, _parse_rhs(args.rhs, spec.n)))
+    value = inverse_entry(kernel, args.i, args.j)
+    return _Answer({"i": args.i, "j": args.j, "value": value},
+                   [f"inverse[{args.i},{args.j}] = {_fmt(value)}"])
 
 
-def _cmd_solve(args) -> int:
-    spec = _resolve_spec(args)
-    tol = _singular_tol(args)
+def _cmd_solve(args, spec) -> _Answer:
     rhs = _parse_rhs(args.rhs, spec.n)
     if args.method == "thomas":
         x = thomas_solve(spec, rhs)
     else:
-        x = apply_inverse(build_kernel(spec, singular_tol=tol), rhs)
-    x, table, plain = _indexed("i", "x", "x", x)
-    result = {"method": args.method, "solution": x}
-    return _emit(args, _spec_echo(spec), result, {"singular_tol": tol}, plain, table)
+        x = apply_inverse(build_kernel(spec, singular_tol=args.tol), rhs)
+    return _solution(x, method=args.method)
 
 
-def _cmd_cond(args) -> int:
-    spec = _resolve_spec(args)
-    tol = _singular_tol(args)
-    rep = weighted_condition(spec, singular_tol=tol)
-    result = {
-        "lambda_max": rep.lambda_max,
-        "lambda_min": rep.lambda_min,
-        "positive_definite": rep.positive_definite,
-        "cond_weighted": rep.cond_weighted,
-        "formula_value": rep.formula_value,
-    }
-    plain = [
-        f"lambda_max = {_fmt(rep.lambda_max)}",
-        f"lambda_min = {_fmt(rep.lambda_min)}",
-        f"positive_definite = {str(rep.positive_definite).lower()}",
-        f"cond_weighted = {_fmt(rep.cond_weighted)}",
-    ]
-    if rep.formula_value is not None:
-        plain.append(f"formula_value = {_fmt(rep.formula_value)}")
-    return _emit(args, _spec_echo(spec), result, {"singular_tol": tol}, plain)
+def _cmd_cond(args, spec) -> _Answer:
+    result = dataclasses.asdict(weighted_condition(spec, singular_tol=args.tol))
+    plain = [f"{k} = {str(v).lower() if isinstance(v, bool) else _fmt(v)}"
+             for k, v in result.items() if v is not None]
+    return _Answer(result, plain)
 
 
-def _cmd_decay(args) -> int:
-    spec = _resolve_spec(args)
+def _cmd_decay(args, spec) -> _Answer:
     env = decay_envelope(spec)
     bound = decay_bound(spec, args.i, args.j)
     result = {"i": args.i, "j": args.j, "eta": env.eta,
               "prefactor": env.prefactor, "bound": bound}
-    plain = [
-        f"eta = {_fmt(env.eta)}",
-        f"prefactor = {_fmt(env.prefactor)}",
-        f"bound[{args.i},{args.j}] = {_fmt(bound)}",
-    ]
-    return _emit(args, _spec_echo(spec), result, {}, plain)
+    plain = [f"eta = {_fmt(env.eta)}", f"prefactor = {_fmt(env.prefactor)}",
+             f"bound[{args.i},{args.j}] = {_fmt(bound)}"]
+    return _Answer(result, plain, {})
 
 
-def _repunit_spec_echo(base: float, n: int) -> dict:
-    spec = make_spec(base, base + 1.0, 1.0, n)
-    echo = _spec_echo(spec)
-    echo["base"] = base
-    return echo
-
-
-def _cmd_repunit(args) -> int:
+def _cmd_repunit(args, _spec) -> _Answer:
     base = args.base
     if args.action == "value":
         rv = repunit(args.m, base)
@@ -356,9 +313,8 @@ def _cmd_repunit(args) -> int:
         exact = None if rv.exact_value is None else str(rv.exact_value)
         result = {"m": args.m, "base": base, "exact": exact,
                   "value": rv.float_value}
-        plain = [exact if args.exact else _fmt(rv.float_value)]
-        return _emit(args, {"base": base, "m": args.m}, result, {}, plain)
-    if args.action == "det":
+        answer = _Answer(result, [exact if args.exact else _fmt(rv.float_value)])
+    elif args.action == "det":
         exact = None
         if float(base).is_integer() and base >= 1:
             exact = str(repunit_det_exact(int(base), args.n))
@@ -366,35 +322,36 @@ def _cmd_repunit(args) -> int:
             raise _UsageError("--exact needs a positive integer base")
         fv = repunit(args.n + 1, base).float_value
         result = {"n": args.n, "base": base, "exact": exact, "value": fv}
-        plain = [exact if (args.exact and exact is not None) else _fmt(fv)]
-        return _emit(args, _repunit_spec_echo(base, args.n), result, {}, plain)
-    if args.action == "product":
+        answer = _Answer(result, [exact if (args.exact and exact is not None) else _fmt(fv)])
+    elif args.action == "product":
         lv = cosine_product_log(base, args.n)
-        value = math.exp(lv) if lv <= math.log(sys.float_info.max) else None
+        value = ScaledValue(1, lv).try_float()
         result = {"n": args.n, "base": base, "log_value": lv, "value": value}
-        plain = [f"log_value = {_fmt(lv)}", f"value = {_fmt_or_overflow(value)}"]
-        return _emit(args, _repunit_spec_echo(base, args.n), result, {}, plain)
-    if args.action == "cond":
+        answer = _Answer(result, [f"log_value = {_fmt(lv)}", f"value = {_fmt(value)}"])
+    elif args.action == "cond":
         value = repunit_condition(base, args.n)
-        result = {"n": args.n, "base": base, "value": value}
-        return _emit(args, _repunit_spec_echo(base, args.n), result, {},
-                     [f"cond = {_fmt(value)}"])
-    if args.action == "inverse":
+        answer = _Answer({"n": args.n, "base": base, "value": value},
+                         [f"cond = {_fmt(value)}"])
+    elif args.action == "inverse":
         entry = repunit_inverse_entry(base, args.n, args.i, args.j)
         rational = str(entry.value)
         result = {"n": args.n, "base": base, "i": args.i, "j": args.j,
                   "sign": entry.sign, "rational": rational,
                   "value": entry.float_value}
-        plain = [f"inverse[{args.i},{args.j}] = {rational} "
-                 f"({_fmt(entry.float_value)})"]
         header = ["i", "j", "sign", "rational", "value"]
-        return _emit(args, _repunit_spec_echo(base, args.n), result, {}, plain,
-                     (header, [[result[k] for k in header]]))
-    # identity
-    resid = cheb_repunit_identity_residual(base, args.m)
-    result = {"m": args.m, "base": base, "residual": resid}
-    return _emit(args, {"base": base, "m": args.m}, result, {},
-                 [f"residual = {_fmt(resid)}"])
+        answer = _Answer(result, [f"inverse[{args.i},{args.j}] = {rational} "
+                                  f"({_fmt(entry.float_value)})"],
+                         table=(header, [[result[k] for k in header]]))
+    else:  # identity
+        resid = cheb_repunit_identity_residual(base, args.m)
+        answer = _Answer({"m": args.m, "base": base, "residual": resid},
+                         [f"residual = {_fmt(resid)}"])
+    # the actions of degree m echo it; those of order n echo their repunit matrix
+    if hasattr(args, "m"):
+        echo = {"base": base, "m": args.m}
+    else:
+        echo = {**_spec_echo(make_spec(base, base + 1.0, 1.0, args.n)), "base": base}
+    return answer._replace(tolerances={}, echo=echo)
 
 
 # ---------------------------------------------------------------------------
@@ -500,31 +457,20 @@ def _verify_checks(spec, singular_tol):
     return checks
 
 
-def _cmd_verify(args) -> int:
-    spec = _resolve_spec(args)
+def _cmd_verify(args, spec) -> _Answer:
     if spec.n > ORACLE_ENVELOPE:
-        raise _UsageError(
-            f"verify is limited to the oracle envelope n <= {ORACLE_ENVELOPE}"
-        )
-    tol = _singular_tol(args)
-    checks = _verify_checks(spec, tol)
+        raise _UsageError(f"verify is limited to the oracle envelope n <= {ORACLE_ENVELOPE}")
+    checks = _verify_checks(spec, args.tol)
     failed = any(c["status"] == "FAIL" for c in checks)
     result = {"checks": checks, "overall": "FAIL" if failed else "PASS"}
     width = max(len(c["name"]) for c in checks)
-    plain = []
-    for c in checks:
-        if c["residual"] is None:
-            plain.append(f"{c['name']:<{width}}  {c['status']}")
-        else:
-            plain.append(
-                f"{c['name']:<{width}}  residual {_fmt(c['residual'])}"
-                f"  tol {_fmt(c['tolerance'])}  {c['status']}"
-            )
+    plain = [f"{c['name']:<{width}}  " + ("" if c["residual"] is None else
+             f"residual {_fmt(c['residual'])}  tol {_fmt(c['tolerance'])}  ")
+             + c["status"] for c in checks]
     plain.append(f"overall: {result['overall']}")
     table = (["check", "residual", "tolerance", "status"],
              [c.values() for c in checks])
-    _emit(args, _spec_echo(spec), result, {"singular_tol": tol}, plain, table)
-    return 1 if failed else 0
+    return _Answer(result, plain, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -539,74 +485,99 @@ def _median_ms(fn, reps: int) -> float:
     return statistics.median(times)
 
 
-def _cmd_bench(args) -> int:
-    a, b, c = _resolve_spec(args, with_n=False)
+def _cmd_bench(args, abc) -> _Answer:
+    a, b, c = abc
     try:
         grid = [int(t) for t in args.grid.split(",")]
     except ValueError as exc:
         raise _UsageError(f"--grid must be a comma-separated int list: {exc}")
     if args.reps < 0:
         raise _UsageError("--reps must be >= 0")
-    tol = _singular_tol(args)
 
     rows = []
     for n in grid:
         spec = make_spec(a, b, c, n)
-        rng = np.random.default_rng(1800 + n)
-        rhs = rng.standard_normal(n)
-        solutions = {}
-        times = {"apply_inverse": None, "thomas": None, "dense": None}
-
-        gapped = spec.symmetrisable and symmetrise(spec).x > 1.0
-        if gapped:
-            kernel = build_kernel(spec, singular_tol=tol)
+        rhs = np.random.default_rng(1800 + n).standard_normal(n)
+        # the solvers that apply to this row, each with the errors that
+        # blank its column (any other error propagates)
+        solvers = {}
+        if spec.symmetrisable and symmetrise(spec).x > 1.0:
+            kernel = build_kernel(spec, singular_tol=args.tol)
             if kernel.invertible:
-                solutions["apply_inverse"] = apply_inverse(kernel, rhs)
-                if args.reps:
-                    times["apply_inverse"] = _median_ms(
-                        lambda: apply_inverse(kernel, rhs), args.reps
-                    )
-        try:
-            solutions["thomas"] = thomas_solve(spec, rhs)
-            if args.reps:
-                times["thomas"] = _median_ms(lambda: thomas_solve(spec, rhs), args.reps)
-        except TriToeplitzError:
-            pass
+                solvers["apply_inverse"] = (lambda: apply_inverse(kernel, rhs), ())
+        solvers["thomas"] = (lambda: thomas_solve(spec, rhs), TriToeplitzError)
         if n <= args.dense_limit:
             dense = dense_from_spec(spec)
+            solvers["dense"] = (lambda: lu_solve(dense, rhs), SingularMatrix)
+
+        solutions, times = [], {}
+        for name, (solve, blanks) in solvers.items():
             try:
-                solutions["dense"] = lu_solve(dense, rhs)
+                solutions.append(solve())
                 if args.reps:
-                    times["dense"] = _median_ms(lambda: lu_solve(dense, rhs), args.reps)
-            except SingularMatrix:
+                    times[name] = _median_ms(solve, args.reps)
+            except blanks:
                 pass
 
         disc = None
         if len(solutions) >= 2:
-            sols = list(solutions.values())
-            norm = max(float(np.max(np.abs(s0))) for s0 in sols)
-            disc = 0.0
-            for u in range(len(sols)):
-                for v in range(u + 1, len(sols)):
-                    disc = max(disc, float(np.max(np.abs(sols[u] - sols[v]))))
+            norm = max(float(np.max(np.abs(x))) for x in solutions)
+            disc = max(0.0, *(float(np.max(np.abs(u - v)))
+                              for u, v in itertools.combinations(solutions, 2)))
             disc /= max(norm, 1e-300)
-        rows.append({
-            "n": n,
-            "apply_inverse_ms": times["apply_inverse"],
-            "thomas_ms": times["thomas"],
-            "dense_ms": times["dense"],
-            "max_discrepancy": disc,
-        })
+        rows.append({"n": n, **{f"{name}_ms": times.get(name)
+                                for name in ("apply_inverse", "thomas", "dense")},
+                     "max_discrepancy": disc})
 
-    return _emit(args, {"a": a, "b": b, "c": c}, {"rows": rows},
-                 {"singular_tol": tol},
-                 table=(list(rows[0]), [row.values() for row in rows]),
-                 meta={"grid": grid, "reps": args.reps,
-                       "dense_limit": args.dense_limit})
+    return _Answer({"rows": rows}, table=(list(rows[0]), [row.values() for row in rows]),
+                   meta={"grid": grid, "reps": args.reps, "dense_limit": args.dense_limit},
+                   echo={"a": a, "b": b, "c": c})
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+_FORMATS = ("json", "csv", "plain")
+
+# (name, handler, help, arguments between the spec and --format)
+_COMMANDS = (
+    ("eig", _cmd_eig, "eigenvalues (all) or one eigenvector (-k)", (
+        ("-k", {"type": int, "help": "eigenpair index (1-based)"}),
+        ("--normalization", {"choices": ("raw", "unit_weighted", "unit_euclidean"),
+                             "default": "raw"}),
+    )),
+    ("det", _cmd_det, "determinant (sign, log-magnitude, value)", ()),
+    ("charpoly", _cmd_charpoly, "characteristic polynomial at t", (
+        ("-t", {"type": float, "required": True, "help": "evaluation point"}),
+    )),
+    ("inverse", _cmd_inverse, "one inverse entry (-i -j) or apply (--rhs)", (
+        ("-i", {"type": int}), ("-j", {"type": int}),
+        ("--rhs", {"help": "comma-separated right-hand side"}),
+    )),
+    ("solve", _cmd_solve, "solve A x = rhs", (
+        ("--rhs", {"required": True, "help": "comma-separated right-hand side"}),
+        ("--method", {"choices": ("thomas", "kernel"), "default": "thomas"}),
+    )),
+    ("cond", _cmd_cond, "weighted condition number report", ()),
+    ("decay", _cmd_decay, "inverse-entry decay bound (needs x > 1)", (
+        ("-i", {"type": int, "required": True}), ("-j", {"type": int, "required": True}),
+    )),
+    ("repunit", _cmd_repunit, "repunit identities (exact for integer bases)", ()),
+    ("verify", _cmd_verify, "oracle cross-checks for one spec (n <= 200)", ()),
+    ("bench", _cmd_bench, "timing table: apply_inverse / thomas / dense", (
+        ("--grid", {"required": True, "help": "comma-separated orders, e.g. 64,256"}),
+        ("--reps", {"type": int, "default": 9,
+                    "help": "timing repetitions (median reported); 0 = no timing, "
+                            "deterministic output"}),
+        ("--dense-limit", {"type": int, "default": DEFAULT_DENSE_LIMIT,
+                           "help": "skip the dense baseline above this order"}),
+    )),
+)
+
+# repunit action: its integer arguments
+_REPUNIT_ACTIONS = {"value": "m", "det": "n", "product": "n", "cond": "n",
+                    "inverse": "nij", "identity": "m"}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -615,90 +586,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "conditioning of tridiagonal Toeplitz matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("eig", help="eigenvalues (all) or one eigenvector (-k)")
-    _add_spec_args(sp)
-    sp.add_argument("-k", type=int, default=None, help="eigenpair index (1-based)")
-    sp.add_argument("--normalization",
-                    choices=("raw", "unit_weighted", "unit_euclidean"),
-                    default="raw")
-    _add_format_arg(sp)
-    sp.set_defaults(func=_cmd_eig)
-
-    sp = sub.add_parser("det", help="determinant (sign, log-magnitude, value)")
-    _add_spec_args(sp)
-    _add_format_arg(sp)
-    sp.set_defaults(func=_cmd_det)
-
-    sp = sub.add_parser("charpoly", help="characteristic polynomial at t")
-    _add_spec_args(sp)
-    sp.add_argument("-t", type=float, required=True, help="evaluation point")
-    _add_format_arg(sp)
-    sp.set_defaults(func=_cmd_charpoly)
-
-    sp = sub.add_parser("inverse", help="one inverse entry (-i -j) or apply (--rhs)")
-    _add_spec_args(sp)
-    sp.add_argument("-i", type=int, default=None)
-    sp.add_argument("-j", type=int, default=None)
-    sp.add_argument("--rhs", default=None, help="comma-separated right-hand side")
-    _add_format_arg(sp)
-    sp.set_defaults(func=_cmd_inverse)
-
-    sp = sub.add_parser("solve", help="solve A x = rhs")
-    _add_spec_args(sp)
-    sp.add_argument("--rhs", required=True, help="comma-separated right-hand side")
-    sp.add_argument("--method", choices=("thomas", "kernel"), default="thomas")
-    _add_format_arg(sp)
-    sp.set_defaults(func=_cmd_solve)
-
-    sp = sub.add_parser("cond", help="weighted condition number report")
-    _add_spec_args(sp)
-    _add_format_arg(sp)
-    sp.set_defaults(func=_cmd_cond)
-
-    sp = sub.add_parser("decay", help="inverse-entry decay bound (needs x > 1)")
-    _add_spec_args(sp)
-    sp.add_argument("-i", type=int, required=True)
-    sp.add_argument("-j", type=int, required=True)
-    _add_format_arg(sp)
-    sp.set_defaults(func=_cmd_decay)
-
-    sp = sub.add_parser("repunit", help="repunit identities (exact for integer bases)")
-    rsub = sp.add_subparsers(dest="action", required=True)
-    for action, extra in (
-        ("value", ("m",)),
-        ("det", ("n",)),
-        ("product", ("n",)),
-        ("cond", ("n",)),
-        ("inverse", ("n", "i", "j")),
-        ("identity", ("m",)),
-    ):
-        rp = rsub.add_parser(action)
-        rp.add_argument("--base", type=float, required=True, help="repunit base d > 0")
-        for name in extra:
-            rp.add_argument(f"-{name}", type=int, required=True)
-        if action in ("value", "det"):
-            rp.add_argument("--exact", action="store_true",
-                            help="print the exact decimal string (integer base only)")
-        _add_format_arg(rp)
-        rp.set_defaults(func=_cmd_repunit)
-
-    sp = sub.add_parser("verify", help="oracle cross-checks for one spec (n <= 200)")
-    _add_spec_args(sp)
-    _add_format_arg(sp)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("bench", help="timing table: apply_inverse / thomas / dense")
-    _add_spec_args(sp, with_n=False)
-    sp.add_argument("--grid", required=True, help="comma-separated orders, e.g. 64,256")
-    sp.add_argument("--reps", type=int, default=9,
-                    help="timing repetitions (median reported); 0 = no timing, "
-                         "deterministic output")
-    sp.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT,
-                    help="skip the dense baseline above this order")
-    _add_format_arg(sp, default="csv")
-    sp.set_defaults(func=_cmd_bench)
-
+    for name, func, helptext, extra in _COMMANDS:
+        sp = sub.add_parser(name, help=helptext)
+        if func is _cmd_repunit:
+            rsub = sp.add_subparsers(dest="action", required=True)
+            for action, ints in _REPUNIT_ACTIONS.items():
+                rp = rsub.add_parser(action)
+                rp.add_argument("--base", type=float, required=True,
+                                help="repunit base d > 0")
+                for arg in ints:
+                    rp.add_argument(f"-{arg}", type=int, required=True)
+                if action in ("value", "det"):
+                    rp.add_argument("--exact", action="store_true",
+                                    help="print the exact decimal string (integer base only)")
+                rp.add_argument("--format", choices=_FORMATS, default="plain")
+                rp.set_defaults(func=func)
+            continue
+        _add_spec_args(sp, with_n=name != "bench")
+        for flag, kwargs in extra:
+            sp.add_argument(flag, **kwargs)
+        sp.add_argument("--format", choices=_FORMATS,
+                        default="csv" if name == "bench" else "plain")
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -709,13 +618,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        spec = _resolve_spec(args)
+        answer = args.func(args, spec)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (TriToeplitzError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    echo = _spec_echo(spec) if answer.echo is None else answer.echo
+    tolerances = ({"singular_tol": args.tol} if answer.tolerances is None
+                  else answer.tolerances)
+    _emit(args.format, echo, tolerances, answer)
+    return 1 if answer.result.get("overall") == "FAIL" else 0
 
 
 if __name__ == "__main__":
