@@ -4,7 +4,7 @@ regime.
 Evaluation is regime-dispatched:
 
 * ``|x| < 1``  -- closed sine quotient sin((m+1)*theta)/sin(theta) with
-  theta = arccos(x);
+  theta = arccos(|x|), times the parity (-1)^m when x < 0;
 * ``x > 1``    -- hyperbolic form sinh((m+1)*gamma)/sinh(gamma) with
   gamma = arccosh(x), carried in log space so eta^m never overflows;
 * ``x < -1``   -- parity U_m(-x) = (-1)^m U_m(x), then the hyperbolic form;
@@ -132,9 +132,9 @@ def _eval_u(m: int, x: float):
     if _use_series(ax - 1.0, m):
         return parity * float(_series_near_one(m, ax - 1.0))
     if ax < 1.0:
-        # the sine quotient at theta = acos(x) already carries the sign
-        theta = math.acos(x)
-        return math.sin((m + 1) * theta) / math.sin(theta)
+        # at |x|, so theta stays away from pi, where acos loses pi - theta
+        theta = math.acos(ax)
+        return parity * (math.sin((m + 1) * theta) / math.sin(theta))
     return ScaledValue(parity, _log_u_hyperbolic(m, math.acosh(ax)))
 
 
@@ -186,11 +186,11 @@ def _u_sequence_arrays(m_max: int, x: float):
     if rest.any():
         mr = m[rest]
         if ax < 1.0:
-            # parity is already encoded in sin((m+1)theta) for x in (-1, 1)
-            theta = math.acos(x)
+            # at |x| with the parity, as in _eval_u
+            theta = math.acos(ax)
             with np.errstate(divide="ignore"):
                 vals = np.sin((mr + 1) * theta) / math.sin(theta)
-                signs[rest] = np.sign(vals)
+                signs[rest] = np.sign(vals) * parity[rest]
                 logs[rest] = np.log(np.abs(vals))
         else:
             gamma = math.acosh(ax)

@@ -14,6 +14,7 @@ from tritoep import (
     eval_U_scaled,
     u_sequence_scaled,
 )
+from tritoep.cheby import _u_sequence_arrays
 
 
 class TestEvalU:
@@ -202,3 +203,26 @@ def test_recurrence_cross_check():
         m = int(rng.integers(0, 60))
         ref = eval_U_recurrence(m, x)
         assert eval_U(m, x) == pytest.approx(ref, rel=1e-9, abs=1e-9 * max(1.0, abs(ref)))
+
+
+# oscillatory points on both sides of the confluent window and of zero
+_OSCILLATORY = [0.03, 0.2, 0.5, 0.77, 0.999, 0.99999999997]
+
+
+@pytest.mark.parametrize("x", _OSCILLATORY)
+def test_oscillatory_parity_is_exact(x):
+    for m in range(60):
+        assert eval_U(m, -x) == (-1) ** m * eval_U(m, x)
+    signs, logs = _u_sequence_arrays(59, x)
+    neg_signs, neg_logs = _u_sequence_arrays(59, -x)
+    parity = (-1.0) ** np.arange(60)
+    assert np.array_equal(neg_signs, parity * signs)
+    assert np.array_equal(neg_logs, logs)
+
+
+@pytest.mark.parametrize("x", [-v for v in _OSCILLATORY])
+def test_negative_oscillatory_scalar_and_array_agree(x):
+    for m, sv in enumerate(u_sequence_scaled(59, x)):
+        ref = eval_U_scaled(m, x)
+        assert sv.sign == ref.sign
+        assert sv.log_mag == pytest.approx(ref.log_mag, rel=1e-13, abs=1e-13)

@@ -56,6 +56,13 @@ class TestBuildKernel:
         with pytest.raises(SingularMatrix, match="Wronskian residual"):
             build_kernel(make_spec(1, 2 * math.cos(math.pi / 101) + 1e-13, 1, 100))
 
+    def test_x_just_above_minus_one_builds(self):
+        # far from singular (log|U_n| ~ 7.6); the sine branch at x itself
+        # lost pi - theta here and the self-check failed
+        k = build_kernel(make_spec(1, 2 * (-0.99999999997), 1, 2000))
+        assert k.invertible
+        assert k.wronskian_residual <= 1e-11
+
     def test_entry_ops_raise_on_singular(self):
         k = build_kernel(make_spec(1, 0, 1, 3))
         with pytest.raises(SingularMatrix):
