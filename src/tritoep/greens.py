@@ -55,6 +55,7 @@ __all__ = [
 
 _WRONSKIAN_TOL = 1e-9
 _BACKWARD_TOL = 1e-9
+_PIVOT_TOL = 1e-300
 _MOST_NEGATIVE = np.finfo(float).min
 
 
@@ -316,21 +317,23 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
     return x.reshape(rhs.shape)
 
 
-def thomas_solve(spec: TriToeplitzSpec, rhs, pivot_tol: float = 1e-300) -> np.ndarray:
+def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     """Classical unpivoted tridiagonal elimination; O(n).
 
     Works for any spec (symmetrisable or not) but raises
     NearSingularPivot as soon as a running pivot magnitude drops below
-    pivot_tol times the row scale; there is no pivoting fallback.  It also
+    1e-300 times the row scale; there is no pivoting fallback.  It also
     raises it when the answer misses the backward-error bound
-    ||A x - rhs|| <= 1e-9 (row_scale ||x|| + ||rhs||) in max norms.
+    ||A x - rhs|| <= 1e-9 (row_scale ||x|| + ||rhs||) in max norms,
+    non-finite answers to a finite rhs included.  A NaN in rhs gives a
+    NaN solution.
     """
     n = spec.n
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise DimensionMismatch(f"expected rhs of length {n}, got shape {rhs.shape}")
     row_scale = spec.row_scale()
-    threshold = pivot_tol * row_scale
+    threshold = _PIVOT_TOL * row_scale
     a, b, c = spec.a, spec.b, spec.c
 
     # the loops run on Python floats and lists, several times faster than
@@ -358,10 +361,14 @@ def thomas_solve(spec: TriToeplitzSpec, rhs, pivot_tol: float = 1e-300) -> np.nd
     resid[:-1] += c * x[1:]
     resid_norm = abs(resid).max()
     scale = row_scale * abs(x).max() + abs(rhs).max()
-    if resid_norm > _BACKWARD_TOL * scale:  # NaN compares False: NaN rhs, NaN x
-        raise NearSingularPivot(
-            f"backward error {resid_norm / scale:.3e} exceeds {_BACKWARD_TOL:g}"
-        )
+    # a NaN or infinite x fails the test too; it is refused unless the rhs
+    # itself is not finite
+    if not resid_norm <= _BACKWARD_TOL * scale or scale == math.inf:
+        if np.isfinite(rhs).all():
+            raise NearSingularPivot(
+                f"backward error {float(resid_norm) / float(scale):.3e} "
+                f"exceeds {_BACKWARD_TOL:g}"
+            )
     return x
 
 

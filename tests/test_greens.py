@@ -301,6 +301,20 @@ class TestThomas:
             return
         assert _backward_error(spec, x, rhs) <= 1e-15
 
+    @pytest.mark.parametrize("spec, rhs", [
+        # LAPACK gives (-1e-289, 1e10); elimination gave (nan, inf)
+        (make_spec(1, 1e-299, 1, 2), [1e10, 0.0]),
+        # LAPACK gives a finite vector; elimination gave six NaNs and -inf
+        (make_spec(1, 1e-200, 1, 7), np.full(7, 1e120)),
+    ])
+    def test_nonfinite_answer_to_finite_rhs_refused(self, spec, rhs):
+        with pytest.raises(NearSingularPivot, match="backward error"):
+            thomas_solve(spec, rhs)
+
+    def test_nan_rhs_gives_nan_solution(self):
+        x = thomas_solve(make_spec(1, 2.5, 1, 4), [1.0, np.nan, 0.0, 0.0])
+        assert np.all(np.isnan(x))
+
     def test_agrees_with_apply_inverse_large(self):
         spec = make_spec(1.0, 2.5, 1.0, 10_000)
         rhs = np.random.default_rng(71).standard_normal(10_000)
