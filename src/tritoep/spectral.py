@@ -97,7 +97,12 @@ def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np
         # w_j * vec_j^2 = sin^2(j*theta), so the W-norm is the Euclidean
         # norm of the sine vector; no q powers are needed
         return vec / np.linalg.norm(sines)
-    nrm = np.linalg.norm(vec)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(vec)
+    if not math.isfinite(nrm):
+        # finite entries whose squares overflow: rescale them first
+        vec = vec / np.max(np.abs(vec))
+        nrm = np.linalg.norm(vec)
     vec = vec / nrm
     first = vec[np.nonzero(vec)[0][0]]
     return vec if first > 0 else -vec

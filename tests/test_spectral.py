@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ class TestEigenvector:
             eigenvector(spec, 1, norm)
         with pytest.raises(OverflowError):
             eigen_pair(spec, 1)
+
+    @pytest.mark.parametrize("k", [1, 100, 201])
+    def test_unit_euclidean_when_the_norm_overflows(self, k):
+        # q = 10 and n = 201: the entries reach 1e200, their squares overflow
+        spec = make_spec(100, 2, 1, 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = eigenvector(spec, k, "unit_euclidean")
+        assert np.all(np.isfinite(vec))
+        assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-14)
+        assert vec[np.nonzero(vec)[0][0]] > 0
+        raw = eigenvector(spec, k)
+        scaled = np.abs(raw) / np.max(np.abs(raw))
+        np.testing.assert_allclose(np.abs(vec), scaled / np.linalg.norm(scaled),
+                                   rtol=1e-13)
 
     def test_eigen_pair_transport(self):
         spec = make_spec(4, 5, 1, 7)
