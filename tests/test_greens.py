@@ -306,6 +306,8 @@ class TestThomas:
         (make_spec(1, 1e-299, 1, 2), [1e10, 0.0]),
         # LAPACK gives a finite vector; elimination gave six NaNs and -inf
         (make_spec(1, 1e-200, 1, 7), np.full(7, 1e120)),
+        # an infinite x whose residual is infinite too: inf <= 1e-9 * inf
+        (make_spec(1, 1e-299, 1, 1), [1e10]),
     ])
     def test_nonfinite_answer_to_finite_rhs_refused(self, spec, rhs):
         with pytest.raises(NearSingularPivot, match="backward error"):
