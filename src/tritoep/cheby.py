@@ -171,31 +171,34 @@ def _u_sequence_arrays(m_max: int, x: float):
     m_max = _check_int(m_max, "degree m", 0)
     m = np.arange(m_max + 1)
     ax = abs(x)
-    parity = np.where((x >= 0) | (m % 2 == 0), 1.0, -1.0)
+    parity = np.ones(m_max + 1)
+    if not x >= 0:
+        parity[1::2] = -1.0
     eps = ax - 1.0
-
-    series_mask = _use_series(eps, m)
+    # the series serves a leading run of degrees, as eps*(m+3)^2 grows with
+    # m, so both parts are slices
+    k = 0
+    if abs(eps) <= _CONFLUENT_WINDOW:
+        k = int(np.count_nonzero(_use_series(eps, m)))
     signs = np.empty(m_max + 1)
     logs = np.empty(m_max + 1)
 
-    if series_mask.any():
-        vals = _series_near_one(m[series_mask], eps)
-        signs[series_mask] = parity[series_mask]
-        logs[series_mask] = np.log(vals)
-    rest = ~series_mask
-    if rest.any():
-        mr = m[rest]
+    if k:
+        signs[:k] = parity[:k]
+        logs[:k] = np.log(_series_near_one(m[:k], eps))
+    if k <= m_max:
+        mr = m[k:]
         if ax < 1.0:
             # at |x| with the parity, as in _eval_u
             theta = math.acos(ax)
             with np.errstate(divide="ignore"):
                 vals = np.sin((mr + 1) * theta) / math.sin(theta)
-                signs[rest] = np.sign(vals) * parity[rest]
-                logs[rest] = np.log(np.abs(vals))
+                signs[k:] = np.sign(vals) * parity[k:]
+                logs[k:] = np.log(np.abs(vals))
         else:
             gamma = math.acosh(ax)
-            signs[rest] = parity[rest]
-            logs[rest] = (
+            signs[k:] = parity[k:]
+            logs[k:] = (
                 mr * gamma
                 + np.log(-np.expm1(-2.0 * (mr + 1) * gamma))
                 - _log1mexp(2.0 * gamma)

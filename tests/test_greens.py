@@ -24,6 +24,7 @@ from tritoep import (
     symmetrise,
     thomas_solve,
 )
+from tritoep.greens import _CHUNK, _CHUNKED_MIN_N
 from tritoep.oracle import dense_from_spec, dense_inverse, lu_solve
 
 
@@ -224,6 +225,130 @@ class TestApplyInverse:
         with np.errstate(invalid="ignore"):
             got = apply_inverse(k, [1.0, np.nan, 0.0, 0.0, 0.0])
         assert np.all(np.isnan(got))
+
+
+def _growth_spec(x, q_sign, log_growth, n):
+    """s = 1, b = 2x and log|q|*(n-1) = log_growth."""
+    q = q_sign * math.exp(log_growth / (n - 1))
+    return make_spec(q, 2.0 * x, 1.0 / q, n)
+
+
+class TestTwoLevelScan:
+    """The chunked scan of apply_inverse, from _CHUNKED_MIN_N rows on."""
+
+    # the smallest chunked order, one padded row, one row in a new chunk,
+    # and a last chunk one row short of full
+    @pytest.mark.parametrize("n", [
+        _CHUNKED_MIN_N - 1, _CHUNKED_MIN_N, _CHUNKED_MIN_N + 1,
+        _CHUNKED_MIN_N + 2 * _CHUNK - 1,
+    ])
+    @pytest.mark.parametrize("x, q_sign", [(0.35, 1.0), (1.25, -1.0), (2.9, 1.0)])
+    def test_chunk_edges(self, n, x, q_sign):
+        spec = _growth_spec(x, q_sign, 30.0, n)
+        kernel = build_kernel(spec)
+        assert (kernel.apply_rows.prefix.weights is None) == (n < _CHUNKED_MIN_N)
+        rhs = np.random.default_rng(n).standard_normal(n)
+        got = apply_inverse(kernel, rhs)
+        assert _backward_error(spec, got, rhs) <= 1e-11
+        want = thomas_solve(spec, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(227)
+        for _ in range(4):
+            n = int(rng.integers(_CHUNKED_MIN_N, 2001))
+            x = float(rng.choice([rng.uniform(-0.95, 0.95), rng.uniform(1.05, 3.0)]))
+            spec = _growth_spec(x, float(rng.choice([-1.0, 1.0])),
+                                float(rng.uniform(-40.0, 40.0)), n)
+            rhs = rng.standard_normal(n)
+            got = apply_inverse(build_kernel(spec), rhs)
+            want = np.linalg.solve(dense_from_spec(spec), rhs)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("x, log_growth", [
+        (100.0, 0.0), (100.0, 1500.0), (100.0, -1500.0), (-100.0, 1500.0),
+    ])
+    @pytest.mark.parametrize("q_sign", [1.0, -1.0])
+    def test_wide_chunks_take_the_log_scan(self, x, log_growth, q_sign):
+        # each row moves the scan terms by e^4 or more, so every full chunk
+        # spans far more than _CHUNK_LOG_SPAN e-folds
+        n = _CHUNKED_MIN_N + _CHUNK // 2
+        spec = _growth_spec(x, q_sign, log_growth, n)
+        kernel = build_kernel(spec)
+        assert np.all(kernel.apply_rows.prefix.span[:-1] > 1000.0)
+        rhs = np.random.default_rng(229).standard_normal(n)
+        got = apply_inverse(kernel, rhs)
+        assert _backward_error(spec, got, rhs) <= 1e-11
+        want = thomas_solve(spec, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("log_growth", [1500.0, -1500.0])
+    @pytest.mark.parametrize("q_sign", [1.0, -1.0])
+    def test_growth_beyond_the_float_range_overflows(self, log_growth, q_sign):
+        # oscillatory x does not damp |q|^(i-j): the far corner is e^1500
+        n = _CHUNKED_MIN_N + _CHUNK
+        kernel = build_kernel(_growth_spec(0.5, q_sign, log_growth, n))
+        with pytest.raises(OverflowError):
+            apply_inverse(kernel, np.random.default_rng(233).standard_normal(n))
+
+    def test_rhs_spread_inside_one_chunk(self):
+        # 1e+-300 neighbours put 1380 e-folds into one chunk, which takes the
+        # log scan.  Far from row 301 the 1e300 source has decayed to the
+        # size of the other entries' part, so each row is checked against
+        # the superposition of the two parts, to rounding of each.
+        n = _CHUNKED_MIN_N + 100
+        spec = _growth_spec(1.25, 1.0, 20.0, n)
+        kernel = build_kernel(spec)
+        rest = np.random.default_rng(239).standard_normal(n)
+        rest[300:303] = 0.0
+        rhs = rest.copy()
+        rhs[300:303] = [1e300, -1e-300, 2e-300]
+        got = apply_inverse(kernel, rhs)
+        e_301 = np.zeros(n)
+        e_301[300] = 1.0
+        near, far = 1e300 * apply_inverse(kernel, e_301), apply_inverse(kernel, rest)
+        assert np.all(np.abs(got - (near + far)) <= 1e-9 * (np.abs(near) + np.abs(far)))
+
+    def test_rhs_with_exact_zeros(self):
+        # zero chunks, a single nonzero row, and zeros inside live chunks
+        n = _CHUNKED_MIN_N + 2 * _CHUNK + 7
+        spec = _growth_spec(0.6, -1.0, -25.0, n)
+        kernel = build_kernel(spec)
+        rhs = np.random.default_rng(241).standard_normal(n)
+        rhs[: 2 * _CHUNK] = 0.0
+        rhs[::3] = 0.0
+        got = apply_inverse(kernel, rhs)
+        assert _backward_error(spec, got, rhs) <= 1e-11
+        e_j = np.zeros(n)
+        e_j[_CHUNK + 5] = 1.0
+        col = apply_inverse(kernel, e_j)
+        for i in (1, _CHUNK + 6, n):
+            assert col[i - 1] == pytest.approx(inverse_entry(kernel, i, _CHUNK + 6),
+                                               rel=1e-11)
+        assert np.array_equal(apply_inverse(kernel, np.zeros(n)), np.zeros(n))
+
+    def test_nan_rhs_gives_all_nan(self):
+        n = _CHUNKED_MIN_N + 3
+        kernel = build_kernel(_growth_spec(1.25, 1.0, 10.0, n))
+        rhs = np.random.default_rng(251).standard_normal(n)
+        rhs[n // 2] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = apply_inverse(kernel, rhs)
+        assert np.all(np.isnan(got))
+
+    def test_block_equals_columns_bit_for_bit(self):
+        n = _CHUNKED_MIN_N + _CHUNK + 9
+        spec = _growth_spec(0.8, -1.0, 15.0, n)
+        kernel = build_kernel(spec)
+        rng = np.random.default_rng(257)
+        block = rng.standard_normal((n, 5))
+        block[:, 1] = 0.0
+        block[: 3 * _CHUNK, 2] = 0.0
+        block[40:42, 3] = [1e300, 1e-300]  # one column falls back in one chunk
+        block[:, 4] *= 1e-300
+        got = apply_inverse(kernel, block)
+        for col in range(5):
+            assert np.array_equal(got[:, col], apply_inverse(kernel, block[:, col]))
 
 
 def _backward_error(spec, x, rhs):
