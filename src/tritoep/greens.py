@@ -57,6 +57,9 @@ __all__ = [
 _WRONSKIAN_TOL = 1e-9
 _BACKWARD_TOL = 1e-9
 _PIVOT_TOL = 1e-300
+# a non-finite Thomas solution to a finite rhs is named an overflow when no
+# pivot fell below this share of the row scale, a near-singular pivot else
+_WELL_PIVOTED = 1e-8
 _MOST_NEGATIVE = np.finfo(float).min
 # rows per chunk of the two-level scan in apply_inverse
 _CHUNK = 256
@@ -482,9 +485,11 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     NearSingularPivot as soon as a running pivot magnitude drops below
     1e-300 times the row scale; there is no pivoting fallback.  It also
     raises it when the answer misses the backward-error bound
-    ||A x - rhs|| <= 1e-9 (row_scale ||x|| + ||rhs||) in max norms,
-    non-finite answers to a finite rhs included.  A NaN in rhs gives a
-    NaN solution.
+    ||A x - rhs|| <= 1e-9 (row_scale ||x|| + ||rhs||) in max norms.  A
+    non-finite answer to a finite rhs raises OverflowError when every
+    pivot is at least 1e-8 times the row scale (the solution itself
+    leaves the float range), NearSingularPivot otherwise.  A NaN in rhs
+    gives a NaN solution.
     """
     n = spec.n
     rhs = np.asarray(rhs, dtype=float)
@@ -513,21 +518,39 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     for k in range(n - 2, -1, -1):
         z[k] -= w[k] * z[k + 1]
     x = np.array(z)
+    finite_rhs = np.isfinite(rhs).all()
+    if finite_rhs and not np.isfinite(x).all():
+        if _smallest_pivot(spec) >= _WELL_PIVOTED * row_scale:
+            raise OverflowError(
+                "the solution leaves the float range; every pivot is at least "
+                f"{_WELL_PIVOTED:g} times the row scale {row_scale!r}"
+            )
+        raise NearSingularPivot(
+            f"non-finite solution to a finite rhs: backward error exceeds {_BACKWARD_TOL:g}"
+        )
 
     resid = b * x - rhs
     resid[1:] += a * x[:-1]
     resid[:-1] += c * x[1:]
     resid_norm = abs(resid).max()
     scale = row_scale * abs(x).max() + abs(rhs).max()
-    # a NaN or infinite x fails the test too; it is refused unless the rhs
-    # itself is not finite
-    if not resid_norm <= _BACKWARD_TOL * scale or scale == math.inf:
-        if np.isfinite(rhs).all():
-            raise NearSingularPivot(
-                f"backward error {float(resid_norm) / float(scale):.3e} "
-                f"exceeds {_BACKWARD_TOL:g}"
-            )
+    # an infinite scale fails it too: inf <= 1e-9 * inf would pass
+    if finite_rhs and (not resid_norm <= _BACKWARD_TOL * scale or scale == math.inf):
+        raise NearSingularPivot(
+            f"backward error {float(resid_norm) / float(scale):.3e} "
+            f"exceeds {_BACKWARD_TOL:g}"
+        )
     return x
+
+
+def _smallest_pivot(spec: TriToeplitzSpec) -> float:
+    """Smallest |pivot| of the unpivoted elimination of thomas_solve."""
+    a, b, c = spec.a, spec.b, spec.c
+    piv = smallest = abs(b)
+    for _ in range(spec.n - 1):
+        piv = b - a * c / piv
+        smallest = min(smallest, abs(piv))
+    return smallest
 
 
 def _logsinh(t: float) -> float:

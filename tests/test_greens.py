@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -437,6 +438,16 @@ class TestThomas:
     def test_nonfinite_answer_to_finite_rhs_refused(self, spec, rhs):
         with pytest.raises(NearSingularPivot, match="backward error"):
             thomas_solve(spec, rhs)
+
+    def test_overflowing_solution_raises_overflow_without_warnings(self):
+        # well-conditioned: the exact solution (1.5, -2, 1.5) * 1e308 leaves
+        # the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="float range"):
+                thomas_solve(make_spec(1, 2, 1, 3), [1e308, -1e308, 1e308])
+            x = thomas_solve(make_spec(1, 2, 1, 3), [1e307, -1e307, 1e307])
+        np.testing.assert_allclose(x, [1.5e307, -2e307, 1.5e307], rtol=1e-15)
 
     def test_nan_rhs_gives_nan_solution(self):
         x = thomas_solve(make_spec(1, 2.5, 1, 4), [1.0, np.nan, 0.0, 0.0])
