@@ -91,7 +91,8 @@ class _Answer(NamedTuple):
 
     ``plain`` None prints the csv; ``table`` None makes the csv the
     result's fields as one row; ``tolerances`` None is the singular
-    tolerance alone; ``echo`` None echoes the resolved spec.
+    tolerance alone where the subcommand takes --tol, and none else;
+    ``echo`` None echoes the resolved spec.
     """
 
     result: dict
@@ -190,8 +191,6 @@ def _add_spec_args(sp, with_n=True):
         sp.add_argument("-n", type=int, default=None, help="matrix order")
     sp.add_argument("--spec-file", default=None,
                     help="JSON file with a/b/c/n (accepts any subcommand's output)")
-    sp.add_argument("--tol", type=float, default=DEFAULT_SINGULAR_TOL,
-                    help=f"singularity tolerance (default {DEFAULT_SINGULAR_TOL})")
 
 
 def _resolve_spec(args):
@@ -539,6 +538,10 @@ def _cmd_bench(args, abc) -> _Answer:
 
 _FORMATS = ("json", "csv", "plain")
 
+# --tol, for the subcommands whose answer depends on it
+_TOL = ("--tol", {"type": float, "default": DEFAULT_SINGULAR_TOL,
+                  "help": f"singularity tolerance (default {DEFAULT_SINGULAR_TOL})"})
+
 # (name, handler, help, arguments between the spec and --format)
 _COMMANDS = (
     ("eig", _cmd_eig, "eigenvalues (all) or one eigenvector (-k)", (
@@ -551,20 +554,22 @@ _COMMANDS = (
         ("-t", {"type": float, "required": True, "help": "evaluation point"}),
     )),
     ("inverse", _cmd_inverse, "one inverse entry (-i -j) or apply (--rhs)", (
-        ("-i", {"type": int}), ("-j", {"type": int}),
+        _TOL, ("-i", {"type": int}), ("-j", {"type": int}),
         ("--rhs", {"help": "comma-separated right-hand side"}),
     )),
     ("solve", _cmd_solve, "solve A x = rhs", (
+        _TOL,
         ("--rhs", {"required": True, "help": "comma-separated right-hand side"}),
         ("--method", {"choices": ("thomas", "kernel"), "default": "thomas"}),
     )),
-    ("cond", _cmd_cond, "weighted condition number report", ()),
+    ("cond", _cmd_cond, "weighted condition number report", (_TOL,)),
     ("decay", _cmd_decay, "inverse-entry decay bound (needs x > 1)", (
         ("-i", {"type": int, "required": True}), ("-j", {"type": int, "required": True}),
     )),
     ("repunit", _cmd_repunit, "repunit identities (exact for integer bases)", ()),
-    ("verify", _cmd_verify, "oracle cross-checks for one spec (n <= 200)", ()),
+    ("verify", _cmd_verify, "oracle cross-checks for one spec (n <= 200)", (_TOL,)),
     ("bench", _cmd_bench, "timing table: apply_inverse / thomas / dense", (
+        _TOL,
         ("--grid", {"required": True, "help": "comma-separated orders, e.g. 64,256"}),
         ("--reps", {"type": int, "default": 9,
                     "help": "timing repetitions (median reported); 0 = no timing, "
@@ -627,8 +632,10 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     echo = _spec_echo(spec) if answer.echo is None else answer.echo
-    tolerances = ({"singular_tol": args.tol} if answer.tolerances is None
-                  else answer.tolerances)
+    if answer.tolerances is not None:
+        tolerances = answer.tolerances
+    else:
+        tolerances = {"singular_tol": args.tol} if hasattr(args, "tol") else {}
     _emit(args.format, echo, tolerances, answer)
     return 1 if answer.result.get("overall") == "FAIL" else 0
 

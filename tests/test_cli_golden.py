@@ -46,7 +46,7 @@ _PER_FORMAT = [
     # |det| beyond the float range: value is null / "overflow"
     (["det", "-a", "10", "-b", "11", "-c", "1", "-n", "400"], FORMATS),
     (["det", *NEG_Q, "-n", "12"], FORMATS),
-    # a --tol other than the default is echoed in the json tolerances
+    # det takes no tolerance, so --tol is a usage error
     (["det", "-a", "10", "-b", "11", "-c", "1", "-n", "5", "--tol", "1e-8"], ("json",)),
     (["charpoly", "-a", "1", "-b", "2", "-c", "1", "-n", "5", "-t", "0.5"], FORMATS),
     # t at an eigenvalue: reported as an exact zero
