@@ -116,16 +116,17 @@ class _ApplyRows(NamedTuple):
     ``prefix`` and ``suffix`` are the scans' term factors U_(j-1) and
     U_(n-j) times (-q)^(-j), the suffix one from row n up.  Row i of the
     solution is p_i P_i + s_i S_(i+1) (see apply_inverse) with
-    p_i = U_(n-i) (-q)^i / (s U_n) and s_i = U_(i-1) (-q)^i / (s U_n)
-    (rows 1..n-1), whose logs are ``p_logs`` and ``s_logs``; their signs
-    are those of suffix.signs[n-i] and prefix.signs[i-1] times ``sign``,
-    the sign of U_n, as the q-power signs cancel.
+    p_i = U_(n-i) (-q)^i / (s U_n) and s_i = U_(i-1) (-q)^i / (s U_n).
+    Their logs are u_logs[n-i] and u_logs[i-1] (a view of the kernel's
+    U_0..U_(n-1)) plus base_logs[i-1], and their signs those of
+    suffix.signs[n-i] and prefix.signs[i-1] times ``sign``, the sign of
+    U_n, as the q-power signs cancel.
     """
 
     prefix: _ScanRows
     suffix: _ScanRows
-    p_logs: np.ndarray
-    s_logs: np.ndarray
+    u_logs: np.ndarray
+    base_logs: np.ndarray
     sign: float
 
 
@@ -138,12 +139,13 @@ def _apply_rows(form, wronskian, u_signs, u_logs) -> _ApplyRows:
         q_signs[::2] = 1.0
     # U_(i-1), read forwards; read backwards it is U_(n-i)
     u_signs, u_logs = u_signs[1 : n + 1], u_logs[1 : n + 1]
-    prefix = _scan_rows(u_signs * q_signs, u_logs - q_logs)
-    suffix = _scan_rows(u_signs * q_signs[::-1], u_logs - q_logs[::-1])
+    signs = u_signs * q_signs
+    # the suffix reads q_signs backwards, which is q_signs times (-sign q)^(n-1)
+    prefix = _scan_rows(signs, u_logs - q_logs)
+    suffix = _scan_rows(-signs if form.q > 0 and n % 2 == 0 else signs,
+                        u_logs - q_logs[::-1])
     base_logs = q_logs - math.log(form.s) - wronskian.log_mag
-    p_logs = u_logs[::-1] + base_logs
-    s_logs = u_logs[:-1] + base_logs[:-1]
-    return _ApplyRows(prefix, suffix, p_logs, s_logs, float(wronskian.sign))
+    return _ApplyRows(prefix, suffix, u_logs, base_logs, float(wronskian.sign))
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,10 +471,11 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
         p_signs, s_signs = -p_signs, -s_signs
 
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        x = _scaled_terms(p_signs, rows.p_logs, *_scan(pre, cols))
+        x = _scaled_terms(p_signs, rows.u_logs[::-1] + rows.base_logs, *_scan(pre, cols))
         # S_n, S_(n-1), ..., S_1: the suffix sums, scanned from the last row up
         s_acc, s_scale = _scan(suf, cols[::-1])
-        x[:-1] += _scaled_terms(s_signs, rows.s_logs, s_acc[-2::-1], s_scale[-2::-1])
+        x[:-1] += _scaled_terms(s_signs, rows.u_logs[:-1] + rows.base_logs[:-1],
+                                s_acc[-2::-1], s_scale[-2::-1])
     if np.isinf(x).any():
         raise OverflowError("some solution entries exceed the float range")
     return x.reshape(rhs.shape)
