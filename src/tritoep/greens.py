@@ -13,13 +13,19 @@ entries computable for orders in the thousands even when the Chebyshev
 values themselves would overflow.
 
 ``apply_inverse`` exploits the rank-one triangles with a prefix and a
-suffix sum (O(n)).  Each sum is split into its positive and negative terms,
-and each part runs as one vectorised log-space scan
-(``np.logaddexp.accumulate``); an (n, k) block of right-hand sides shares
-one pass.  Entry, dense and apply paths follow one overflow policy: a
-nonzero value whose log-magnitude exceeds the float range raises
-OverflowError.  ``thomas_solve`` is the classical elimination baseline and
-the only routine here that does not need a*c > 0.
+suffix sum (O(n)); the row factors that do not depend on the right-hand
+side are built with the kernel.  Below 1280 rows each sum is split into
+its positive and negative terms, and each part runs as one vectorised
+log-space scan (``np.logaddexp.accumulate``).  From 1280 rows on, the sums
+run as a two-level scan: chunks of 256 rows are scaled by one exponent
+each and summed in linear space by ``np.cumsum``, and only the chunk
+totals take the log-space scan; a chunk whose terms span more than 650
+e-folds, or that holds a NaN or an inf, takes the log-space scan itself.
+An (n, k) block of right-hand sides shares one pass.  Entry, dense and
+apply paths follow one overflow policy: a nonzero value whose
+log-magnitude exceeds the float range raises OverflowError.
+``thomas_solve`` is the classical elimination baseline and the only
+routine here that does not need a*c > 0.
 """
 
 from __future__ import annotations
@@ -361,13 +367,16 @@ def _scan_two_level(rows: _ScanRows, cols):
     col_span = log_top - np.log(np.min(mags, axis=1, where=mags > 0, initial=np.inf))
     del mags
     linear = rows.span[:, None] + col_span <= _CHUNK_LOG_SPAN
-    far_c, far_k = np.nonzero(~linear) if not linear.all() else ((), ())
+    far_c, far_k = np.nonzero(~linear)
     chunk_scale = rows.top[:, None] + log_top
-    chunk_scale[far_c, far_k] = -np.inf
-    col_top[far_c, far_k] = 1.0
+    if len(far_c):
+        # the log-space chunks: no linear terms, so no inf or NaN either
+        chunk_scale[far_c, far_k] = -np.inf
+        col_top[far_c, far_k] = 1.0
     # divided by max|rhs| first: a tiny rhs times a small weight underflows
     acc = cols / np.where(col_top > 0, col_top, 1.0)[:, None, :]
-    acc[far_c, :, far_k] = 0.0
+    if len(far_c):
+        acc[far_c, :, far_k] = 0.0
     acc *= rows.weights[:, :, None]
     np.cumsum(acc, axis=1, out=acc)
 
