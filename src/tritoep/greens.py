@@ -344,11 +344,11 @@ def _scan_scaled(term_signs, term_logs):
 
 
 def _scan_two_level(rows: _ScanRows, cols):
-    """Running sums of rows * cols down axis 1 of the chunk grid, in scaled form.
+    """Running sums of rows * cols along the rows of the chunk grid, in scaled form.
 
-    cols is the right-hand side on the grid of ``rows``, shape
-    (chunks, _CHUNK, k).  Returns (acc, scale) as _scan_scaled does, with
-    |acc| <= _CHUNK + 1.
+    cols is the right-hand side on the grid of ``rows``, one column per
+    leading index: shape (k, chunks, _CHUNK).  Returns (acc, scale) of that
+    shape, as _scan_scaled does, with |acc| <= _CHUNK + 1.
 
     This is Blelloch's reduce-then-scan with one exponent per chunk and
     column.  Inside a chunk the terms are divided by exp(top + log max|rhs|),
@@ -359,60 +359,62 @@ def _scan_two_level(rows: _ScanRows, cols):
     floats, is summed by _scan_scaled instead; so is one holding a NaN or
     an infinite entry.
     """
-    chunks, _, k = cols.shape
+    k, chunks, _ = cols.shape
     mags = np.abs(cols)
-    col_top = mags.max(axis=1)
+    col_top = mags.max(axis=2)
     log_top = np.log(col_top)
     # log(max|rhs| / min|rhs|) over the nonzero entries; -inf for a zero chunk
-    col_span = log_top - np.log(np.min(mags, axis=1, where=mags > 0, initial=np.inf))
+    col_span = log_top - np.log(np.min(mags, axis=2, where=mags > 0, initial=np.inf))
     del mags
-    linear = rows.span[:, None] + col_span <= _CHUNK_LOG_SPAN
-    far_c, far_k = np.nonzero(~linear)
-    chunk_scale = rows.top[:, None] + log_top
+    linear = rows.span + col_span <= _CHUNK_LOG_SPAN
+    far_k, far_c = np.nonzero(~linear)
+    chunk_scale = rows.top + log_top
     if len(far_c):
         # the log-space chunks: no linear terms, so no inf or NaN either
-        chunk_scale[far_c, far_k] = -np.inf
-        col_top[far_c, far_k] = 1.0
+        chunk_scale[far_k, far_c] = -np.inf
+        col_top[far_k, far_c] = 1.0
     # divided by max|rhs| first: a tiny rhs times a small weight underflows
-    acc = cols / np.where(col_top > 0, col_top, 1.0)[:, None, :]
+    acc = cols / np.where(col_top > 0, col_top, 1.0)[:, :, None]
     if len(far_c):
-        acc[far_c, :, far_k] = 0.0
-    acc *= rows.weights[:, :, None]
-    np.cumsum(acc, axis=1, out=acc)
+        acc[far_k, far_c] = 0.0
+    acc *= rows.weights
+    np.cumsum(acc, axis=2, out=acc)
 
-    # row c + 1 holds the total of chunk c, so the scan of the totals gives
-    # in row c the carry into chunk c, the sum of the chunks before it
-    tot_acc = np.zeros((chunks + 1, k))
-    tot_acc[1:] = acc[:, -1, :]
-    tot_scale = np.empty((chunks + 1, k))
-    tot_scale[0] = -np.inf
-    tot_scale[1:] = chunk_scale
+    # entry c + 1 holds the total of chunk c, so the scan of the totals
+    # gives in entry c the carry into chunk c, the sum of the chunks before it
+    tot_acc = np.zeros((k, chunks + 1))
+    tot_acc[:, 1:] = acc[:, :, -1]
+    tot_scale = np.empty((k, chunks + 1))
+    tot_scale[:, 0] = -np.inf
+    tot_scale[:, 1:] = chunk_scale
     if len(far_c):
-        far = cols[far_c, :, far_k]
+        far = cols[far_k, far_c]
         pad = rows.weights.size - rows.signs.size
         signs = np.append(rows.signs, np.zeros(pad)).reshape(chunks, _CHUNK)
         logs = np.append(rows.logs, np.full(pad, -np.inf)).reshape(chunks, _CHUNK)
         far_acc, far_scale = _scan_scaled(
             (signs[far_c] * far).T, (logs[far_c] + np.log(np.abs(far))).T
         )
-        tot_acc[far_c + 1, far_k] = far_acc[-1]
-        tot_scale[far_c + 1, far_k] = far_scale[-1]
-    carry_acc, carry_scale = _scan_scaled(tot_acc, tot_scale + np.log(np.abs(tot_acc)))
-    carry_acc, carry_scale = carry_acc[:-1], carry_scale[:-1]
+        tot_acc[far_k, far_c + 1] = far_acc[-1]
+        tot_scale[far_k, far_c + 1] = far_scale[-1]
+    carry_acc, carry_scale = _scan_scaled(
+        tot_acc.T, (tot_scale + np.log(np.abs(tot_acc))).T
+    )
+    carry_acc, carry_scale = carry_acc[:-1].T, carry_scale[:-1].T
 
     scale = np.maximum(carry_scale, chunk_scale)
     shift = np.maximum(scale, _MOST_NEGATIVE)
-    acc *= np.exp(chunk_scale - shift)[:, None, :]
-    acc += (carry_acc * np.exp(carry_scale - shift))[:, None, :]
-    scale = np.repeat(scale[:, None, :], _CHUNK, axis=1)
+    acc *= np.exp(chunk_scale - shift)[:, :, None]
+    acc += (carry_acc * np.exp(carry_scale - shift))[:, :, None]
+    scale = np.repeat(scale, _CHUNK, axis=1).reshape(acc.shape)
     if len(far_c):
-        carry_acc, carry_scale = carry_acc[far_c, far_k], carry_scale[far_c, far_k]
+        carry_acc, carry_scale = carry_acc[far_k, far_c], carry_scale[far_k, far_c]
         far_total = np.maximum(carry_scale, far_scale)
         shift = np.maximum(far_total, _MOST_NEGATIVE)
         far_acc *= np.exp(far_scale - shift)
         far_acc += carry_acc * np.exp(carry_scale - shift)
-        acc[far_c, :, far_k] = far_acc.T
-        scale[far_c, :, far_k] = far_total.T
+        acc[far_k, far_c] = far_acc.T
+        scale[far_k, far_c] = far_total.T
     return acc, scale
 
 
@@ -420,17 +422,19 @@ def _scan(rows: _ScanRows, cols):
     """Running sums of rows * cols down axis 0, in scaled form, shape of cols.
 
     Orders below _CHUNKED_MIN_N take the log-space scan on every row,
-    larger ones the two-level scan on rows padded to whole chunks.
+    larger ones the two-level scan on rows padded to whole chunks, with
+    the columns laid out one after the other so that every chunk is
+    contiguous.
     """
     if rows.weights is None:
         return _scan_scaled(
             rows.signs[:, None] * cols, rows.logs[:, None] + np.log(np.abs(cols))
         )
     n, k = cols.shape
-    grid = np.zeros((rows.weights.size, k))
-    grid[:n] = cols
-    acc, scale = _scan_two_level(rows, grid.reshape(-1, _CHUNK, k))
-    return acc.reshape(-1, k)[:n], scale.reshape(-1, k)[:n]
+    grid = np.zeros((k, rows.weights.size))
+    grid[:, :n] = cols.T
+    acc, scale = _scan_two_level(rows, grid.reshape(k, -1, _CHUNK))
+    return acc.reshape(k, -1)[:, :n].T, scale.reshape(k, -1)[:, :n].T
 
 
 def _scaled_terms(row_signs, row_logs, acc, scale):
@@ -441,7 +445,9 @@ def _scaled_terms(row_signs, row_logs, acc, scale):
     float range, as in inverse_entry and inverse_dense.
     """
     log_mag = row_logs[:, None] + scale
-    log_mag += np.log(np.abs(acc))
+    log_acc = np.abs(acc)
+    log_mag += np.log(log_acc, out=log_acc)
+    del log_acc
     if (log_mag > _LOG_MAX).any():
         raise OverflowError("some solution terms exceed the float range")
     terms = np.copysign(np.exp(log_mag, out=log_mag), acc, out=log_mag)
