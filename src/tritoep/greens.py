@@ -536,8 +536,9 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     for k in range(n - 2, -1, -1):
         z[k] -= w[k] * z[k + 1]
     x = np.array(z)
-    finite_rhs = np.isfinite(rhs).all()
-    if finite_rhs and not np.isfinite(x).all():
+    x_max = abs(x).max()
+    # a NaN or infinite x: refused before the residual unless rhs is not finite
+    if not x_max < math.inf and np.isfinite(rhs).all():
         if _smallest_pivot(spec) >= _WELL_PIVOTED * row_scale:
             raise OverflowError(
                 "the solution leaves the float range; every pivot is at least "
@@ -551,13 +552,14 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     resid[1:] += a * x[:-1]
     resid[:-1] += c * x[1:]
     resid_norm = abs(resid).max()
-    scale = row_scale * abs(x).max() + abs(rhs).max()
+    scale = row_scale * x_max + abs(rhs).max()
     # an infinite scale fails it too: inf <= 1e-9 * inf would pass
-    if finite_rhs and (not resid_norm <= _BACKWARD_TOL * scale or scale == math.inf):
-        raise NearSingularPivot(
-            f"backward error {float(resid_norm) / float(scale):.3e} "
-            f"exceeds {_BACKWARD_TOL:g}"
-        )
+    if not resid_norm <= _BACKWARD_TOL * scale or scale == math.inf:
+        if np.isfinite(rhs).all():
+            raise NearSingularPivot(
+                f"backward error {float(resid_norm) / float(scale):.3e} "
+                f"exceeds {_BACKWARD_TOL:g}"
+            )
     return x
 
 
