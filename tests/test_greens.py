@@ -237,8 +237,8 @@ def _growth_spec(x, q_sign, log_growth, n):
 class TestTwoLevelScan:
     """The chunked scan of apply_inverse, from _CHUNKED_MIN_N rows on."""
 
-    # the smallest chunked order, one padded row, one row in a new chunk,
-    # and a last chunk one row short of full
+    # the largest log-space order, the smallest chunked one (whole chunks),
+    # one row into a new chunk, and a last chunk one row short of full
     @pytest.mark.parametrize("n", [
         _CHUNKED_MIN_N - 1, _CHUNKED_MIN_N, _CHUNKED_MIN_N + 1,
         _CHUNKED_MIN_N + 2 * _CHUNK - 1,
