@@ -13,14 +13,14 @@ entries computable for orders in the thousands even when the Chebyshev
 values themselves would overflow.
 
 ``apply_inverse`` exploits the rank-one triangles with a prefix and a
-suffix sum (O(n)); the row factors that do not depend on the right-hand
-side are built with the kernel.  Below 1280 rows each sum is split into
-its positive and negative terms, and each part runs as one vectorised
-log-space scan (``np.logaddexp.accumulate``).  From 1280 rows on, the sums
-run as a two-level scan: chunks of 256 rows are scaled by one exponent
-each and summed in linear space by ``np.cumsum``, and only the chunk
-totals take the log-space scan; a chunk whose terms span more than 650
-e-folds, or that holds a NaN or an inf, takes the log-space scan itself.
+suffix sum (O(n)).  Below 1280 rows each sum is split into its positive
+and negative terms, and each part runs as one vectorised log-space scan
+(``np.logaddexp.accumulate``).  From 1280 rows on, the sums run as a
+two-level scan: chunks of 256 rows are scaled by one exponent each and
+summed in linear space by ``np.cumsum``, and only the chunk totals take
+the log-space scan; a chunk whose terms span more than 650 e-folds, or
+that holds a NaN or an inf, takes the log-space scan itself, and when the
+row factors of every chunk but the last span that much the whole sum does.
 An (n, k) block of right-hand sides shares one pass.  Entry, dense and
 apply paths follow one overflow policy: a nonzero value whose
 log-magnitude exceeds the float range raises OverflowError.
@@ -31,7 +31,7 @@ routine here that does not need a*c > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -88,7 +88,9 @@ class _ScanRows(NamedTuple):
     of _CHUNK, the last one padded with zero rows; for each chunk c,
     top[c] is its largest log and span[c] the distance from that to its
     smallest, and ``weights``, of shape (chunks, _CHUNK), holds
-    signs * exp(logs - top[c]), 0 on the padding.
+    signs * exp(logs - top[c]), 0 on the padding.  When every chunk but
+    the last spans more than _CHUNK_LOG_SPAN e-folds, so that nearly all
+    of them would take the log-space scan, the rows are left unchunked.
     """
 
     signs: np.ndarray
@@ -107,6 +109,9 @@ def _scan_rows(signs, logs) -> _ScanRows:
     # a row with log -inf (an exact zero) makes the span inf, and its chunk
     # takes the log-space scan
     span = top - np.minimum.reduceat(logs, starts)
+    # the last chunk, which may be short, does not count
+    if (span[:-1] > _CHUNK_LOG_SPAN).all():
+        return _ScanRows(signs, logs)
     weights = np.full((starts.size, _CHUNK), -np.inf)
     flat = weights.reshape(-1)
     flat[:n] = logs
@@ -136,22 +141,22 @@ class _ApplyRows(NamedTuple):
     sign: float
 
 
-def _apply_rows(form, wronskian, u_signs, u_logs) -> _ApplyRows:
-    n = form.n
-    q_logs = np.arange(1, n + 1) * math.log(abs(form.q))
+def _apply_rows(kernel) -> _ApplyRows:
+    n, q = kernel.n, kernel.q
+    q_logs = np.arange(1, n + 1) * math.log(abs(q))
     # signs of -(-q)^i: the minus cancels in x and only signs its exact zeros
     q_signs = np.full(n, -1.0)
-    if form.q > 0:
+    if q > 0:
         q_signs[::2] = 1.0
     # U_(i-1), read forwards; read backwards it is U_(n-i)
-    u_signs, u_logs = u_signs[1 : n + 1], u_logs[1 : n + 1]
+    u_signs, u_logs = kernel.u_signs[1 : n + 1], kernel.u_logs[1 : n + 1]
     signs = u_signs * q_signs
     # the suffix reads q_signs backwards, which is q_signs times (-sign q)^(n-1)
     prefix = _scan_rows(signs, u_logs - q_logs)
-    suffix = _scan_rows(-signs if form.q > 0 and n % 2 == 0 else signs,
+    suffix = _scan_rows(-signs if q > 0 and n % 2 == 0 else signs,
                         u_logs - q_logs[::-1])
-    base_logs = q_logs - math.log(form.s) - wronskian.log_mag
-    return _ApplyRows(prefix, suffix, u_logs, base_logs, float(wronskian.sign))
+    base_logs = q_logs - math.log(kernel.s) - kernel.wronskian.log_mag
+    return _ApplyRows(prefix, suffix, u_logs, base_logs, float(kernel.wronskian.sign))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +168,7 @@ class GreenKernel:
     as floats.  Entry (i, j) reads indices lo and n+1-hi.
     ``wronskian`` equals U_n(x); ``invertible`` is a queried
     flag, entry and solve operations raise SingularMatrix when it is
-    False.  ``apply_rows`` holds what apply_inverse needs that does not
-    depend on the right-hand side; it is None when not invertible.
+    False.
     """
 
     n: int
@@ -177,7 +181,6 @@ class GreenKernel:
     invertible: bool
     wronskian_residual: float
     singular_tol: float
-    apply_rows: _ApplyRows | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,6 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> GreenKer
 
     wronskian = ScaledValue(int(usigns[n]), float(ulogs[n]))
     log_threshold = math.log(singular_tol) + max(0.0, float(ulogs[n - 1]))
-    del usigns, ulogs
     invertible = wronskian.sign != 0 and wronskian.log_mag > log_threshold
 
     residual = math.nan
@@ -228,7 +230,6 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> GreenKer
                 f"exceeds {_WRONSKIAN_TOL:g}; log|U_n(x)| = "
                 f"{wronskian.log_mag:.6g} against the threshold {log_threshold:.6g}"
             )
-    rows = _apply_rows(form, wronskian, u_signs, u_logs) if invertible else None
     return GreenKernel(
         n=n,
         s=form.s,
@@ -240,7 +241,6 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> GreenKer
         invertible=invertible,
         wronskian_residual=residual,
         singular_tol=singular_tol,
-        apply_rows=rows,
     )
 
 
@@ -466,8 +466,7 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
 
     with the prefix sums P_i = sum_(j<=i) U_(j-1) (-q)^(-j) rhs_j and the
     suffix sums S_i = sum_(j>=i) U_(n-j) (-q)^(-j) rhs_j, both run by
-    _scan down all columns at once; the factors that do not depend on rhs
-    come with the kernel.  Deterministic for fixed input.  Raises
+    _scan down all columns at once.  Deterministic for fixed input.  Raises
     OverflowError when a term of the solution, or the solution itself,
     leaves the float range.
     """
@@ -479,7 +478,7 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
             f"expected rhs of shape ({n},) or ({n}, k), got shape {rhs.shape}"
         )
     cols = rhs[:, None] if rhs.ndim == 1 else rhs
-    rows = kernel.apply_rows
+    rows = _apply_rows(kernel)
     pre, suf = rows.prefix, rows.suffix
     p_signs, s_signs = suf.signs[::-1], pre.signs[:-1]
     if rows.sign < 0:
@@ -522,14 +521,18 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     w = [0.0] * n
     z = rhs.tolist()
     piv = b
-    if abs(piv) <= threshold:
+    smallest = abs(piv)
+    if smallest <= threshold:
         raise NearSingularPivot(f"pivot {piv!r} at row 1 below tolerance")
     w[0] = c / piv
     z[0] /= piv
     for k in range(1, n):
         piv = b - a * w[k - 1]
-        if abs(piv) <= threshold:
-            raise NearSingularPivot(f"pivot {piv!r} at row {k + 1} below tolerance")
+        mag = abs(piv)
+        if mag < smallest:
+            if mag <= threshold:
+                raise NearSingularPivot(f"pivot {piv!r} at row {k + 1} below tolerance")
+            smallest = mag
         w[k] = c / piv
         z[k] = (z[k] - a * z[k - 1]) / piv
     # back-substitution overwrites z with the solution
@@ -539,7 +542,7 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     x_max = abs(x).max()
     # a NaN or infinite x: refused before the residual unless rhs is not finite
     if not x_max < math.inf and np.isfinite(rhs).all():
-        if _smallest_pivot(spec) >= _WELL_PIVOTED * row_scale:
+        if smallest >= _WELL_PIVOTED * row_scale:
             raise OverflowError(
                 "the solution leaves the float range; every pivot is at least "
                 f"{_WELL_PIVOTED:g} times the row scale {row_scale!r}"
@@ -561,16 +564,6 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
                 f"exceeds {_BACKWARD_TOL:g}"
             )
     return x
-
-
-def _smallest_pivot(spec: TriToeplitzSpec) -> float:
-    """Smallest |pivot| of the unpivoted elimination of thomas_solve."""
-    a, b, c = spec.a, spec.b, spec.c
-    piv = smallest = abs(b)
-    for _ in range(spec.n - 1):
-        piv = b - a * c / piv
-        smallest = min(smallest, abs(piv))
-    return smallest
 
 
 def _logsinh(t: float) -> float:

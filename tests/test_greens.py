@@ -25,7 +25,7 @@ from tritoep import (
     symmetrise,
     thomas_solve,
 )
-from tritoep.greens import _CHUNK, _CHUNKED_MIN_N
+from tritoep.greens import _CHUNK, _CHUNKED_MIN_N, _apply_rows
 from tritoep.oracle import dense_from_spec, dense_inverse, lu_solve
 
 
@@ -247,7 +247,7 @@ class TestTwoLevelScan:
     def test_chunk_edges(self, n, x, q_sign):
         spec = _growth_spec(x, q_sign, 30.0, n)
         kernel = build_kernel(spec)
-        assert (kernel.apply_rows.prefix.weights is None) == (n < _CHUNKED_MIN_N)
+        assert (_apply_rows(kernel).prefix.weights is None) == (n < _CHUNKED_MIN_N)
         rhs = np.random.default_rng(n).standard_normal(n)
         got = apply_inverse(kernel, rhs)
         assert _backward_error(spec, got, rhs) <= 1e-11
@@ -271,12 +271,13 @@ class TestTwoLevelScan:
     ])
     @pytest.mark.parametrize("q_sign", [1.0, -1.0])
     def test_wide_chunks_take_the_log_scan(self, x, log_growth, q_sign):
-        # each row moves the scan terms by e^4 or more, so every full chunk
-        # spans far more than _CHUNK_LOG_SPAN e-folds
+        # each row moves the scan terms by e^4 or more, so every chunk spans
+        # far more than _CHUNK_LOG_SPAN e-folds and the rows stay unchunked
         n = _CHUNKED_MIN_N + _CHUNK // 2
         spec = _growth_spec(x, q_sign, log_growth, n)
         kernel = build_kernel(spec)
-        assert np.all(kernel.apply_rows.prefix.span[:-1] > 1000.0)
+        rows = _apply_rows(kernel)
+        assert rows.prefix.weights is None and rows.suffix.weights is None
         rhs = np.random.default_rng(229).standard_normal(n)
         got = apply_inverse(kernel, rhs)
         assert _backward_error(spec, got, rhs) <= 1e-11
@@ -446,8 +447,17 @@ class TestThomas:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="float range"):
                 thomas_solve(make_spec(1, 2, 1, 3), [1e308, -1e308, 1e308])
+            with pytest.raises(OverflowError, match="float range"):
+                thomas_solve(make_spec(1, -2, 1, 3), [1e308, 1e308, 1e308])
             x = thomas_solve(make_spec(1, 2, 1, 3), [1e307, -1e307, 1e307])
         np.testing.assert_allclose(x, [1.5e307, -2e307, 1.5e307], rtol=1e-15)
+
+    def test_overflow_after_a_tiny_pivot_of_a_negative_diagonal_is_near_singular(self):
+        # pivots -(1 + 1e-12) and about -2e-12, below 1e-8 times the row
+        # scale: the solution of about 5e311 comes from the near-singular
+        # matrix, so it is not named an overflow
+        with pytest.raises(NearSingularPivot):
+            thomas_solve(make_spec(1, -(1 + 1e-12), 1, 2), [1e300, 0.0])
 
     def test_nan_rhs_gives_nan_solution(self):
         x = thomas_solve(make_spec(1, 2.5, 1, 4), [1.0, np.nan, 0.0, 0.0])
