@@ -141,7 +141,7 @@ class _ApplyRows(NamedTuple):
     sign: float
 
 
-def _apply_rows(kernel) -> _ApplyRows:
+def _apply_rows(kernel: GreenKernel) -> _ApplyRows:
     n, q = kernel.n, kernel.q
     q_logs = np.arange(1, n + 1) * math.log(abs(q))
     # signs of -(-q)^i: the minus cancels in x and only signs its exact zeros
