@@ -521,18 +521,14 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     w = [0.0] * n
     z = rhs.tolist()
     piv = b
-    smallest = abs(piv)
-    if smallest <= threshold:
+    if abs(piv) <= threshold:
         raise NearSingularPivot(f"pivot {piv!r} at row 1 below tolerance")
     w[0] = c / piv
     z[0] /= piv
     for k in range(1, n):
         piv = b - a * w[k - 1]
-        mag = abs(piv)
-        if mag < smallest:
-            if mag <= threshold:
-                raise NearSingularPivot(f"pivot {piv!r} at row {k + 1} below tolerance")
-            smallest = mag
+        if abs(piv) <= threshold:
+            raise NearSingularPivot(f"pivot {piv!r} at row {k + 1} below tolerance")
         w[k] = c / piv
         z[k] = (z[k] - a * z[k - 1]) / piv
     # back-substitution overwrites z with the solution
@@ -542,7 +538,9 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     x_max = abs(x).max()
     # a NaN or infinite x: refused before the residual unless rhs is not finite
     if not x_max < math.inf and np.isfinite(rhs).all():
-        if smallest >= _WELL_PIVOTED * row_scale:
+        # pivot k was c / w[k] to rounding, so |c| / max|w| is the smallest;
+        # read back from w, it costs the elimination loop nothing
+        if abs(c) >= _WELL_PIVOTED * row_scale * np.abs(w).max():
             raise OverflowError(
                 "the solution leaves the float range; every pivot is at least "
                 f"{_WELL_PIVOTED:g} times the row scale {row_scale!r}"
