@@ -121,44 +121,6 @@ def _scan_rows(signs, logs) -> _ScanRows:
     return _ScanRows(signs, logs, weights, top, span)
 
 
-class _ApplyRows(NamedTuple):
-    """The factors of apply_inverse that do not depend on the right-hand side.
-
-    ``prefix`` and ``suffix`` are the scans' term factors U_(j-1) and
-    U_(n-j) times (-q)^(-j), the suffix one from row n up.  Row i of the
-    solution is p_i P_i + s_i S_(i+1) (see apply_inverse) with
-    p_i = U_(n-i) (-q)^i / (s U_n) and s_i = U_(i-1) (-q)^i / (s U_n).
-    Their logs are u_logs[n-i] and u_logs[i-1] (a view of the kernel's
-    U_0..U_(n-1)) plus base_logs[i-1], and their signs those of
-    suffix.signs[n-i] and prefix.signs[i-1] times ``sign``, the sign of
-    U_n, as the q-power signs cancel.
-    """
-
-    prefix: _ScanRows
-    suffix: _ScanRows
-    u_logs: np.ndarray
-    base_logs: np.ndarray
-    sign: float
-
-
-def _apply_rows(kernel: GreenKernel) -> _ApplyRows:
-    n, q = kernel.n, kernel.q
-    q_logs = np.arange(1, n + 1) * math.log(abs(q))
-    # signs of -(-q)^i: the minus cancels in x and only signs its exact zeros
-    q_signs = np.full(n, -1.0)
-    if q > 0:
-        q_signs[::2] = 1.0
-    # U_(i-1), read forwards; read backwards it is U_(n-i)
-    u_signs, u_logs = kernel.u_signs[1 : n + 1], kernel.u_logs[1 : n + 1]
-    signs = u_signs * q_signs
-    # the suffix reads q_signs backwards, which is q_signs times (-sign q)^(n-1)
-    prefix = _scan_rows(signs, u_logs - q_logs)
-    suffix = _scan_rows(-signs if q > 0 and n % 2 == 0 else signs,
-                        u_logs - q_logs[::-1])
-    base_logs = q_logs - math.log(kernel.s) - kernel.wronskian.log_mag
-    return _ApplyRows(prefix, suffix, u_logs, base_logs, float(kernel.wronskian.sign))
-
-
 @dataclass(frozen=True, eq=False)
 class GreenKernel:
     """Assembled inverse kernel of one matrix.
@@ -478,17 +440,31 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
             f"expected rhs of shape ({n},) or ({n}, k), got shape {rhs.shape}"
         )
     cols = rhs[:, None] if rhs.ndim == 1 else rhs
-    rows = _apply_rows(kernel)
-    pre, suf = rows.prefix, rows.suffix
-    p_signs, s_signs = suf.signs[::-1], pre.signs[:-1]
-    if rows.sign < 0:
+    q = kernel.q
+    q_logs = np.arange(1, n + 1) * math.log(abs(q))
+    # signs of -(-q)^i: the minus cancels in x and only signs its exact zeros
+    q_signs = np.full(n, -1.0)
+    if q > 0:
+        q_signs[::2] = 1.0
+    # U_(i-1), read forwards; read backwards it is U_(n-i)
+    u_signs, u_logs = kernel.u_signs[1 : n + 1], kernel.u_logs[1 : n + 1]
+    pre_signs = u_signs * q_signs
+    # the suffix reads q_signs backwards, which is q_signs times (-sign q)^(n-1)
+    suf_signs = -pre_signs if q > 0 and n % 2 == 0 else pre_signs
+    # row i is p_i P_i + s_i S_(i+1) with p_i = U_(n-i) (-q)^i / (s U_n) and
+    # s_i = U_(i-1) (-q)^i / (s U_n); the q-power signs cancel, so theirs
+    # are those of suf_signs[n-i] and pre_signs[i-1] times the sign of U_n
+    base_logs = q_logs - math.log(kernel.s) - kernel.wronskian.log_mag
+    p_signs, s_signs = suf_signs[::-1], pre_signs[:-1]
+    if kernel.wronskian.sign < 0:
         p_signs, s_signs = -p_signs, -s_signs
 
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        x = _scaled_terms(p_signs, rows.u_logs[::-1] + rows.base_logs, *_scan(pre, cols))
+        x = _scaled_terms(p_signs, u_logs[::-1] + base_logs,
+                          *_scan(_scan_rows(pre_signs, u_logs - q_logs), cols))
         # S_n, S_(n-1), ..., S_1: the suffix sums, scanned from the last row up
-        s_acc, s_scale = _scan(suf, cols[::-1])
-        x[:-1] += _scaled_terms(s_signs, rows.u_logs[:-1] + rows.base_logs[:-1],
+        s_acc, s_scale = _scan(_scan_rows(suf_signs, u_logs - q_logs[::-1]), cols[::-1])
+        x[:-1] += _scaled_terms(s_signs, u_logs[:-1] + base_logs[:-1],
                                 s_acc[-2::-1], s_scale[-2::-1])
     if np.isinf(x).any():
         raise OverflowError("some solution entries exceed the float range")

@@ -25,7 +25,8 @@ from tritoep import (
     symmetrise,
     thomas_solve,
 )
-from tritoep.greens import _CHUNK, _CHUNKED_MIN_N, _apply_rows
+from tritoep import greens
+from tritoep.greens import _CHUNK, _CHUNKED_MIN_N
 from tritoep.oracle import dense_from_spec, dense_inverse, lu_solve
 
 
@@ -234,6 +235,20 @@ def _growth_spec(x, q_sign, log_growth, n):
     return make_spec(q, 2.0 * x, 1.0 / q, n)
 
 
+@pytest.fixture
+def two_level_calls(monkeypatch):
+    """The column-grid shapes _scan_two_level is called with, in order."""
+    calls = []
+    scan = greens._scan_two_level
+
+    def spy(rows, cols):
+        calls.append(cols.shape)
+        return scan(rows, cols)
+
+    monkeypatch.setattr(greens, "_scan_two_level", spy)
+    return calls
+
+
 class TestTwoLevelScan:
     """The chunked scan of apply_inverse, from _CHUNKED_MIN_N rows on."""
 
@@ -244,12 +259,12 @@ class TestTwoLevelScan:
         _CHUNKED_MIN_N + 2 * _CHUNK - 1,
     ])
     @pytest.mark.parametrize("x, q_sign", [(0.35, 1.0), (1.25, -1.0), (2.9, 1.0)])
-    def test_chunk_edges(self, n, x, q_sign):
+    def test_chunk_edges(self, n, x, q_sign, two_level_calls):
         spec = _growth_spec(x, q_sign, 30.0, n)
         kernel = build_kernel(spec)
-        assert (_apply_rows(kernel).prefix.weights is None) == (n < _CHUNKED_MIN_N)
         rhs = np.random.default_rng(n).standard_normal(n)
         got = apply_inverse(kernel, rhs)
+        assert len(two_level_calls) == (0 if n < _CHUNKED_MIN_N else 2)
         assert _backward_error(spec, got, rhs) <= 1e-11
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -270,16 +285,15 @@ class TestTwoLevelScan:
         (100.0, 0.0), (100.0, 1500.0), (100.0, -1500.0), (-100.0, 1500.0),
     ])
     @pytest.mark.parametrize("q_sign", [1.0, -1.0])
-    def test_wide_chunks_take_the_log_scan(self, x, log_growth, q_sign):
+    def test_wide_chunks_take_the_log_scan(self, x, log_growth, q_sign, two_level_calls):
         # each row moves the scan terms by e^4 or more, so every chunk spans
         # far more than _CHUNK_LOG_SPAN e-folds and the rows stay unchunked
         n = _CHUNKED_MIN_N + _CHUNK // 2
         spec = _growth_spec(x, q_sign, log_growth, n)
         kernel = build_kernel(spec)
-        rows = _apply_rows(kernel)
-        assert rows.prefix.weights is None and rows.suffix.weights is None
         rhs = np.random.default_rng(229).standard_normal(n)
         got = apply_inverse(kernel, rhs)
+        assert two_level_calls == []
         assert _backward_error(spec, got, rhs) <= 1e-11
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
