@@ -430,7 +430,9 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
     suffix sums S_i = sum_(j>=i) U_(n-j) (-q)^(-j) rhs_j, both run by
     _scan down all columns at once.  Deterministic for fixed input.  Raises
     OverflowError when a term of the solution, or the solution itself,
-    leaves the float range.
+    leaves the float range.  A NaN or an infinite entry of a column makes
+    that whole column of the solution NaN, with no RuntimeWarning
+    (thomas_solve gives +-inf entries for an infinite one).
     """
     _require_invertible(kernel)
     n = kernel.n
@@ -459,7 +461,9 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
     if kernel.wronskian.sign < 0:
         p_signs, s_signs = -p_signs, -s_signs
 
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+    # an infinite rhs entry meets inf - inf in the scans, and the NaN it
+    # makes reaches every row, as a NaN entry does
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         x = _scaled_terms(p_signs, u_logs[::-1] + base_logs,
                           *_scan(_scan_rows(pre_signs, u_logs - q_logs), cols))
         # S_n, S_(n-1), ..., S_1: the suffix sums, scanned from the last row up
@@ -492,25 +496,31 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     threshold = _PIVOT_TOL * row_scale
     a, b, c = spec.a, spec.b, spec.c
 
-    # the loops run on Python floats and lists, several times faster than
-    # numpy scalars and with the same IEEE double arithmetic
+    # The loops run on Python floats in preallocated lists that they
+    # overwrite in place: each row takes its predecessor from the locals
+    # wk and zk instead of indexing the list again, and -threshold <= piv
+    # <= threshold is abs(piv) <= threshold, NaN included, without the
+    # call.  Every float operation keeps its order, so the result is bit
+    # for bit that of the indexed loops.  Row 1 stays outside the loop:
+    # b - a * 0.0 would flip a zero z[0] to -0.0 when a < 0.
     w = [0.0] * n
     z = rhs.tolist()
     piv = b
     if abs(piv) <= threshold:
         raise NearSingularPivot(f"pivot {piv!r} at row 1 below tolerance")
-    w[0] = c / piv
-    z[0] /= piv
+    w[0] = wk = c / piv
+    z[0] = zk = z[0] / piv
+    neg_threshold = -threshold
     for k in range(1, n):
-        piv = b - a * w[k - 1]
-        if abs(piv) <= threshold:
+        piv = b - a * wk
+        if neg_threshold <= piv <= threshold:
             raise NearSingularPivot(f"pivot {piv!r} at row {k + 1} below tolerance")
-        w[k] = c / piv
-        z[k] = (z[k] - a * z[k - 1]) / piv
+        w[k] = wk = c / piv
+        z[k] = zk = (z[k] - a * zk) / piv
     # back-substitution overwrites z with the solution
     for k in range(n - 2, -1, -1):
-        z[k] -= w[k] * z[k + 1]
-    x = np.array(z)
+        z[k] = zk = z[k] - w[k] * zk
+    x = np.array(z, dtype=float)
     x_max = abs(x).max()
     # a NaN or infinite x: refused before the residual unless rhs is not finite
     if not x_max < math.inf and np.isfinite(rhs).all():
@@ -528,14 +538,23 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     resid = b * x - rhs
     resid[1:] += a * x[:-1]
     resid[:-1] += c * x[1:]
-    resid_norm = abs(resid).max()
-    scale = row_scale * x_max + abs(rhs).max()
-    # an infinite scale fails it too: inf <= 1e-9 * inf would pass
-    if not resid_norm <= _BACKWARD_TOL * scale or scale == math.inf:
+    resid_norm = float(abs(resid).max())
+    x_max, rhs_max = float(x_max), float(abs(rhs).max())
+    # on Python floats a scale past the float range is inf, with no warning;
+    # there the tolerance goes on each term first, so that a finite solution
+    # near the range keeps a finite bound
+    scale = row_scale * x_max + rhs_max
+    if scale < math.inf:
+        bound = _BACKWARD_TOL * scale
+    else:
+        bound = _BACKWARD_TOL * row_scale * x_max + _BACKWARD_TOL * rhs_max
+    # an infinite bound fails too: inf <= inf would pass
+    if not resid_norm <= bound or bound == math.inf:
         if np.isfinite(rhs).all():
+            backward = (resid_norm / scale if scale < math.inf
+                        else resid_norm / bound * _BACKWARD_TOL)
             raise NearSingularPivot(
-                f"backward error {float(resid_norm) / float(scale):.3e} "
-                f"exceeds {_BACKWARD_TOL:g}"
+                f"backward error {backward:.3e} exceeds {_BACKWARD_TOL:g}"
             )
     return x
 

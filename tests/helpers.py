@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from tritoep import make_spec
+from tritoep import NearSingularPivot, make_spec
 from tritoep.oracle import dense_from_spec, lu_det
 
 
@@ -80,6 +80,35 @@ def eigenvalues_by_bisection(spec, grid_points=4096, iters=80):
                     lo, flo = mid, fmid
             roots.append(0.5 * (lo + hi))
     return np.sort(np.array(roots))
+
+
+def thomas_reference(spec, rhs):
+    """Unpivoted tridiagonal elimination as a plain indexed loop.
+
+    Each row reads its predecessors from the lists, in the float order
+    thomas_solve fixes; it raises NearSingularPivot with thomas_solve's
+    message when a pivot magnitude is at most 1e-300 times the row scale,
+    and has no backward-error check.
+    """
+    n = spec.n
+    a, b, c = spec.a, spec.b, spec.c
+    threshold = 1e-300 * spec.row_scale()
+    w = [0.0] * n
+    z = np.asarray(rhs, dtype=float).tolist()
+    piv = b
+    if abs(piv) <= threshold:
+        raise NearSingularPivot(f"pivot {piv!r} at row 1 below tolerance")
+    w[0] = c / piv
+    z[0] /= piv
+    for k in range(1, n):
+        piv = b - a * w[k - 1]
+        if abs(piv) <= threshold:
+            raise NearSingularPivot(f"pivot {piv!r} at row {k + 1} below tolerance")
+        w[k] = c / piv
+        z[k] = (z[k] - a * z[k - 1]) / piv
+    for k in range(n - 2, -1, -1):
+        z[k] -= w[k] * z[k + 1]
+    return np.array(z)
 
 
 def random_symmetrisable_spec(rng, n_max=50, n_min=1, q_span=1.0, x_range=None):

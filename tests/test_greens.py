@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_invertible_spec, random_symmetrisable_spec
+from helpers import random_invertible_spec, random_symmetrisable_spec, thomas_reference
 from tritoep import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -228,6 +228,15 @@ class TestApplyInverse:
             got = apply_inverse(k, [1.0, np.nan, 0.0, 0.0, 0.0])
         assert np.all(np.isnan(got))
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf])
+    def test_infinite_rhs_gives_all_nan_without_warnings(self, entry):
+        # thomas_solve gives +-inf entries for the same input
+        k = build_kernel(make_spec(1, 2.5, 1, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = apply_inverse(k, [1.0, entry, 0.0, 0.0, 0.0])
+        assert np.all(np.isnan(got))
+
 
 def _growth_spec(x, q_sign, log_growth, n):
     """s = 1, b = 2x and log|q|*(n-1) = log_growth."""
@@ -351,6 +360,19 @@ class TestTwoLevelScan:
         with np.errstate(invalid="ignore"):
             got = apply_inverse(kernel, rhs)
         assert np.all(np.isnan(got))
+
+    def test_infinite_rhs_gives_an_all_nan_column_without_warnings(self):
+        n = _CHUNKED_MIN_N + 3
+        kernel = build_kernel(_growth_spec(1.25, 1.0, 10.0, n))
+        block = np.random.default_rng(253).standard_normal((n, 3))
+        block[n // 2, 0] = np.inf
+        block[[0, _CHUNK, n - 1], 1] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = apply_inverse(kernel, block)
+            finite = apply_inverse(kernel, block[:, 2])
+        assert np.all(np.isnan(got[:, :2]))
+        assert np.array_equal(got[:, 2], finite)
 
     def test_block_equals_columns_bit_for_bit(self):
         n = _CHUNKED_MIN_N + _CHUNK + 9
@@ -476,6 +498,63 @@ class TestThomas:
     def test_nan_rhs_gives_nan_solution(self):
         x = thomas_solve(make_spec(1, 2.5, 1, 4), [1.0, np.nan, 0.0, 0.0])
         assert np.all(np.isnan(x))
+
+    def test_finite_solution_near_the_float_range_is_accepted(self):
+        # row_scale max|x| + max|rhs| is past the float range, the bound is
+        # not; (5e307, -6.25e307, 6.5625e307) is the exact solution, which
+        # the log-space kernel scan meets to about |log 1e308| * eps
+        spec = make_spec(0.5, 2, 1e-300, 3)
+        rhs = [1e308, -1e308, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = thomas_solve(spec, rhs)
+            via_kernel = apply_inverse(build_kernel(spec), rhs)
+        np.testing.assert_allclose(x, [5e307, -6.25e307, 6.5625e307], rtol=1e-15)
+        np.testing.assert_allclose(x, via_kernel, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 300, 2000])
+    def test_bit_identical_to_indexed_reference(self, n):
+        rng = np.random.default_rng(9000 + n)
+        negative_zeros = 0
+        # both off-diagonal signs each (q < 0 when a, c < 0), both diagonal signs
+        for sa, sc, sb in np.ndindex(2, 2, 2):
+            a = (-1.0) ** sa * math.exp(rng.uniform(-0.5, 0.5))
+            c = (-1.0) ** sc * math.exp(rng.uniform(-0.5, 0.5))
+            b = (-1.0) ** sb * (abs(a) + abs(c)) * rng.uniform(1.05, 3.0)
+            spec = make_spec(a, b, c, n)
+            general = rng.standard_normal(n)
+            general[rng.random(n) < 0.25] = 0.0
+            general[rng.random(n) < 0.25] = -0.0
+            signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            for rhs in (general, signed_zeros):
+                rhs[0] = -0.0
+                want = thomas_reference(spec, rhs)
+                assert thomas_solve(spec, rhs).tobytes() == want.tobytes()
+                negative_zeros += int(np.sum((want == 0.0) & np.signbit(want)))
+        assert negative_zeros > 0
+
+    def test_bit_identical_to_indexed_reference_on_nan_rhs(self):
+        spec = make_spec(-1.0, 2.5, 1.5, 17)
+        rhs = np.random.default_rng(9100).standard_normal(17)
+        rhs[5] = np.nan
+        want = thomas_reference(spec, rhs)
+        got = thomas_solve(spec, rhs)
+        assert np.isnan(want).all()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec, row", [
+        (make_spec(1, 0, 1, 2), 1),
+        # b^2 = ac: the second pivot is b - a c / b = 0
+        (make_spec(1, 1, 1, 3), 2),
+    ])
+    def test_pivot_refusal_matches_indexed_reference(self, spec, row):
+        rhs = np.ones(spec.n)
+        with pytest.raises(NearSingularPivot) as want:
+            thomas_reference(spec, rhs)
+        with pytest.raises(NearSingularPivot) as got:
+            thomas_solve(spec, rhs)
+        assert str(got.value) == str(want.value)
+        assert f"at row {row} " in str(got.value)
 
     def test_agrees_with_apply_inverse_large(self):
         spec = make_spec(1.0, 2.5, 1.0, 10_000)
