@@ -500,9 +500,11 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     # overwrite in place: each row takes its predecessor from the locals
     # wk and zk instead of indexing the list again, and -threshold <= piv
     # <= threshold is abs(piv) <= threshold, NaN included, without the
-    # call.  Every float operation keeps its order, so the result is bit
-    # for bit that of the indexed loops.  Row 1 stays outside the loop:
-    # b - a * 0.0 would flip a zero z[0] to -0.0 when a < 0.
+    # call.  Every float operation keeps the order of the plain indexed
+    # loop (tests/helpers.py holds it as a reference), so the result equals
+    # it bit for bit.  Row 1 stays outside the loop: run with wk = zk = 0.0
+    # it would compute z[0] - a * 0.0, which turns a z[0] of -0.0 into +0.0
+    # when a < 0.
     w = [0.0] * n
     z = rhs.tolist()
     piv = b
