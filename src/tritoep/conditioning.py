@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TriToeplitzSpec, symmetrise
+from .core import TriToeplitzSpec, _check_singular_tol, symmetrise
 from .errors import DimensionMismatch, SingularMatrix
 from .spectral import _eigenvalues_at, extremal_eigenvalues
 
@@ -79,6 +79,7 @@ def weighted_condition(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> Co
     singular_tol times the spectral scale.  O(1): only the eigenvalues
     that can be extreme in magnitude are evaluated.
     """
+    _check_singular_tol(singular_tol)
     x = symmetrise(spec).x
     n = spec.n
     # |lambda_k| = 2s |x + cos(k pi/(n+1))| falls up to k = phi, where the

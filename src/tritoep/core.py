@@ -53,6 +53,12 @@ def _check_int(value, name: str, lo: int, hi: int | None = None,
     return int(value)
 
 
+def _check_singular_tol(singular_tol) -> None:
+    """Refuse a singularity tolerance that is not a positive number (NaN too)."""
+    if not singular_tol > 0:
+        raise TriToeplitzError(f"singular_tol must be positive, got {singular_tol!r}")
+
+
 @dataclass(frozen=True)
 class TriToeplitzSpec:
     """Parameters (a, b, c, n) of a real tridiagonal Toeplitz matrix.

@@ -13,15 +13,17 @@ entries computable for orders in the thousands even when the Chebyshev
 values themselves would overflow.
 
 ``apply_inverse`` exploits the rank-one triangles with a prefix and a
-suffix sum (O(n)).  Below 1280 rows each sum is split into its positive
-and negative terms, and each part runs as one vectorised log-space scan
-(``np.logaddexp.accumulate``).  From 1280 rows on, the sums run as a
-two-level scan: chunks of 256 rows are scaled by one exponent each and
-summed in linear space by ``np.cumsum``, and only the chunk totals take
-the log-space scan; a chunk whose terms span more than 650 e-folds, or
-that holds a NaN or an inf, takes the log-space scan itself, and when the
-row factors of every chunk but the last span that much the whole sum does.
-An (n, k) block of right-hand sides shares one pass.  Entry, dense and
+suffix sum (O(n)), each run by one of two scans, chosen per right-hand
+side column.  The log-space scan splits the sum into its positive and
+negative terms and runs each part through ``np.logaddexp.accumulate``.
+The two-level scan scales chunks of 256 rows by one exponent each, sums
+them in linear space by ``np.cumsum`` and runs only the chunk totals
+through the log-space scan.  From 1280 rows on, a column takes the
+two-level scan when in every chunk its terms span at most 650 e-folds;
+a column with a wider chunk, a NaN or an inf, and every column below
+1280 rows, takes the log-space scan whole.  An (n, k) block of
+right-hand sides is split by that choice and gives, column for column,
+what its columns give alone.  Entry, dense and
 apply paths follow one overflow policy: a nonzero value whose
 log-magnitude exceeds the float range raises OverflowError.
 ``thomas_solve`` is the classical elimination baseline and the only
@@ -32,19 +34,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .cheby import ScaledValue, _LOG_MAX, _log1mexp, _u_sequence_arrays
-from .core import SymmetrisedForm, TriToeplitzSpec, _check_int, symmetrise
+from .core import (SymmetrisedForm, TriToeplitzSpec, _check_int, _check_singular_tol,
+                   symmetrise)
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NearSingularPivot,
     NotInGappedRegime,
     SingularMatrix,
-    TriToeplitzError,
 )
 
 __all__ = [
@@ -63,62 +64,25 @@ __all__ = [
 _WRONSKIAN_TOL = 1e-9
 _BACKWARD_TOL = 1e-9
 _PIVOT_TOL = 1e-300
+# rounding in the subnormal range is absolute, not relative to the values:
+# Thomas's backward-error bound adds this times the row scale, so that a
+# residual of a few subnormal steps is not refused however small rhs is
+_SUBNORMAL_FLOOR = 4 * 2.0**-1074
 # a non-finite Thomas solution to a finite rhs is named an overflow when no
 # pivot fell below this share of the row scale, a near-singular pivot else
 _WELL_PIVOTED = 1e-8
 _MOST_NEGATIVE = np.finfo(float).min
 # rows per chunk of the two-level scan in apply_inverse
 _CHUNK = 256
-# a chunk whose nonzero terms may span more e-folds than this is summed in
-# log space: a term this far below the chunk's largest is still a normal
-# float (the normal range ends about 708 e-folds below 1)
+# a column with a chunk whose nonzero terms may span more e-folds than this
+# takes the log-space scan: a term this far below the chunk's largest is
+# still a normal float (the normal range ends about 708 e-folds below 1)
 _CHUNK_LOG_SPAN = 650.0
 # orders from here on take the two-level scan; below, its fixed cost of
 # about 50 numpy calls per scan outweighs the per-row log-space scan it
 # replaces (build plus apply on one CPU, two-level over log-space in four
 # runs: 0.94-1.12x at 4 chunks, 0.85-1.04x at 5)
 _CHUNKED_MIN_N = 5 * _CHUNK
-
-
-class _ScanRows(NamedTuple):
-    """The term factors of one apply_inverse scan, rows in the order it runs.
-
-    Row j adds the term signs[j] * exp(logs[j]) * rhs_j.  From
-    _CHUNKED_MIN_N rows on, the two-level scan cuts the rows into chunks
-    of _CHUNK, the last one padded with zero rows; for each chunk c,
-    top[c] is its largest log and span[c] the distance from that to its
-    smallest, and ``weights``, of shape (chunks, _CHUNK), holds
-    signs * exp(logs - top[c]), 0 on the padding.  When every chunk but
-    the last spans more than _CHUNK_LOG_SPAN e-folds, so that nearly all
-    of them would take the log-space scan, the rows are left unchunked.
-    """
-
-    signs: np.ndarray
-    logs: np.ndarray
-    weights: np.ndarray | None = None
-    top: np.ndarray | None = None
-    span: np.ndarray | None = None
-
-
-def _scan_rows(signs, logs) -> _ScanRows:
-    n = signs.size
-    if n < _CHUNKED_MIN_N:
-        return _ScanRows(signs, logs)
-    starts = np.arange(0, n, _CHUNK)
-    top = np.maximum.reduceat(logs, starts)
-    # a row with log -inf (an exact zero) makes the span inf, and its chunk
-    # takes the log-space scan
-    span = top - np.minimum.reduceat(logs, starts)
-    # the last chunk, which may be short, does not count
-    if (span[:-1] > _CHUNK_LOG_SPAN).all():
-        return _ScanRows(signs, logs)
-    weights = np.full((starts.size, _CHUNK), -np.inf)
-    flat = weights.reshape(-1)
-    flat[:n] = logs
-    weights -= top[:, None]
-    np.exp(weights, out=weights)
-    flat[:n] *= signs
-    return _ScanRows(signs, logs, weights, top, span)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +129,7 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> GreenKer
     kernel below that raise SingularMatrix.  Construction raises it when
     the flag passes but the Wronskian self-check fails.
     """
-    if not singular_tol > 0:
-        raise TriToeplitzError(f"singular_tol must be positive, got {singular_tol!r}")
+    _check_singular_tol(singular_tol)
     form = symmetrise(spec)
     n = spec.n
     usigns, ulogs = _u_sequence_arrays(n, form.x)
@@ -305,41 +268,27 @@ def _scan_scaled(term_signs, term_logs):
     return acc, scale
 
 
-def _scan_two_level(rows: _ScanRows, cols):
-    """Running sums of rows * cols along the rows of the chunk grid, in scaled form.
+def _scan_two_level(weights, top, cols, col_top):
+    """Running sums of weights * cols along the rows of the chunk grid, in scaled form.
 
-    cols is the right-hand side on the grid of ``rows``, one column per
-    leading index: shape (k, chunks, _CHUNK).  Returns (acc, scale) of that
-    shape, as _scan_scaled does, with |acc| <= _CHUNK + 1.
+    cols is the right-hand side on the chunk grid, one column per leading
+    index: shape (k, chunks, _CHUNK).  For each chunk c, top[c] is the
+    largest row log and ``weights``, of shape (chunks, _CHUNK), holds the
+    row factors divided by exp(top[c]), 0 on the padding; col_top, of shape
+    (k, chunks), is max|rhs| per column and chunk.  Returns (acc, scale)
+    of the shape of cols, as _scan_scaled does, with |acc| <= _CHUNK + 1.
 
     This is Blelloch's reduce-then-scan with one exponent per chunk and
     column.  Inside a chunk the terms are divided by exp(top + log max|rhs|),
     a bound on the largest of them, and summed by np.cumsum; the chunk
     totals run through _scan_scaled, and each chunk adds the total of the
-    chunks before it.  A chunk whose nonzero terms may span more than
-    _CHUNK_LOG_SPAN e-folds, where a scaled term could leave the normal
-    floats, is summed by _scan_scaled instead; so is one holding a NaN or
-    an infinite entry.
+    chunks before it.  The caller keeps every scaled term a normal float.
     """
     k, chunks, _ = cols.shape
-    mags = np.abs(cols)
-    col_top = mags.max(axis=2)
-    log_top = np.log(col_top)
-    # log(max|rhs| / min|rhs|) over the nonzero entries; -inf for a zero chunk
-    col_span = log_top - np.log(np.min(mags, axis=2, where=mags > 0, initial=np.inf))
-    del mags
-    linear = rows.span + col_span <= _CHUNK_LOG_SPAN
-    far_k, far_c = np.nonzero(~linear)
-    chunk_scale = rows.top + log_top
-    if len(far_c):
-        # the log-space chunks: no linear terms, so no inf or NaN either
-        chunk_scale[far_k, far_c] = -np.inf
-        col_top[far_k, far_c] = 1.0
+    chunk_scale = top + np.log(col_top)
     # divided by max|rhs| first: a tiny rhs times a small weight underflows
     acc = cols / np.where(col_top > 0, col_top, 1.0)[:, :, None]
-    if len(far_c):
-        acc[far_k, far_c] = 0.0
-    acc *= rows.weights
+    acc *= weights
     np.cumsum(acc, axis=2, out=acc)
 
     # entry c + 1 holds the total of chunk c, so the scan of the totals
@@ -349,16 +298,6 @@ def _scan_two_level(rows: _ScanRows, cols):
     tot_scale = np.empty((k, chunks + 1))
     tot_scale[:, 0] = -np.inf
     tot_scale[:, 1:] = chunk_scale
-    if len(far_c):
-        far = cols[far_k, far_c]
-        pad = rows.weights.size - rows.signs.size
-        signs = np.append(rows.signs, np.zeros(pad)).reshape(chunks, _CHUNK)
-        logs = np.append(rows.logs, np.full(pad, -np.inf)).reshape(chunks, _CHUNK)
-        far_acc, far_scale = _scan_scaled(
-            (signs[far_c] * far).T, (logs[far_c] + np.log(np.abs(far))).T
-        )
-        tot_acc[far_k, far_c + 1] = far_acc[-1]
-        tot_scale[far_k, far_c + 1] = far_scale[-1]
     carry_acc, carry_scale = _scan_scaled(
         tot_acc.T, (tot_scale + np.log(np.abs(tot_acc))).T
     )
@@ -369,34 +308,52 @@ def _scan_two_level(rows: _ScanRows, cols):
     acc *= np.exp(chunk_scale - shift)[:, :, None]
     acc += (carry_acc * np.exp(carry_scale - shift))[:, :, None]
     scale = np.repeat(scale, _CHUNK, axis=1).reshape(acc.shape)
-    if len(far_c):
-        carry_acc, carry_scale = carry_acc[far_k, far_c], carry_scale[far_k, far_c]
-        far_total = np.maximum(carry_scale, far_scale)
-        shift = np.maximum(far_total, _MOST_NEGATIVE)
-        far_acc *= np.exp(far_scale - shift)
-        far_acc += carry_acc * np.exp(carry_scale - shift)
-        acc[far_k, far_c] = far_acc.T
-        scale[far_k, far_c] = far_total.T
     return acc, scale
 
 
-def _scan(rows: _ScanRows, cols):
-    """Running sums of rows * cols down axis 0, in scaled form, shape of cols.
+def _scan(signs, logs, cols):
+    """Running sums of signs * exp(logs) * cols down axis 0, in scaled form.
 
-    Orders below _CHUNKED_MIN_N take the log-space scan on every row,
-    larger ones the two-level scan on rows padded to whole chunks, with
-    the columns laid out one after the other so that every chunk is
-    contiguous.
+    Returns (acc, scale) of the shape of cols, as _scan_scaled does.  From
+    _CHUNKED_MIN_N rows on, a column takes the two-level scan when in every
+    chunk its terms (row factors times entries) span at most _CHUNK_LOG_SPAN
+    e-folds, on rows padded to whole chunks and laid out column after column
+    so that each chunk is contiguous.  Every other column takes the
+    log-space scan whole; a block with both kinds is split, so that each
+    column gives what it gives alone.
     """
-    if rows.weights is None:
-        return _scan_scaled(
-            rows.signs[:, None] * cols, rows.logs[:, None] + np.log(np.abs(cols))
-        )
     n, k = cols.shape
-    grid = np.zeros((k, rows.weights.size))
-    grid[:, :n] = cols.T
-    acc, scale = _scan_two_level(rows, grid.reshape(k, -1, _CHUNK))
-    return acc.reshape(k, -1)[:, :n].T, scale.reshape(k, -1)[:, :n].T
+    if n >= _CHUNKED_MIN_N:
+        starts = np.arange(0, n, _CHUNK)
+        top = np.maximum.reduceat(logs, starts)
+        grid = np.zeros((k, starts.size * _CHUNK))
+        grid[:, :n] = cols.T
+        grid = grid.reshape(k, -1, _CHUNK)
+        mags = np.abs(grid)
+        col_top = mags.max(axis=2)
+        # log(max|rhs| / min|rhs|) over the nonzero entries; -inf for a zero chunk
+        col_span = np.log(col_top) - np.log(
+            np.min(mags, axis=2, where=mags > 0, initial=np.inf))
+        del mags
+        # a row factor of log -inf (an exact zero) makes the span inf, a NaN
+        # or an infinite entry makes it NaN or inf: such a chunk is wide
+        span = top - np.minimum.reduceat(logs, starts) + col_span
+        linear = (span <= _CHUNK_LOG_SPAN).all(axis=1)
+        if linear.all():
+            weights = np.full((starts.size, _CHUNK), -np.inf)
+            flat = weights.reshape(-1)
+            flat[:n] = logs
+            weights -= top[:, None]
+            np.exp(weights, out=weights)
+            flat[:n] *= signs
+            acc, scale = _scan_two_level(weights, top, grid, col_top)
+            return acc.reshape(k, -1)[:, :n].T, scale.reshape(k, -1)[:, :n].T
+        if linear.any():
+            acc, scale = np.empty((n, k)), np.empty((n, k))
+            for part in (linear, ~linear):
+                acc[:, part], scale[:, part] = _scan(signs, logs, cols[:, part])
+            return acc, scale
+    return _scan_scaled(signs[:, None] * cols, logs[:, None] + np.log(np.abs(cols)))
 
 
 def _scaled_terms(row_signs, row_logs, acc, scale):
@@ -465,9 +422,9 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
     # makes reaches every row, as a NaN entry does
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         x = _scaled_terms(p_signs, u_logs[::-1] + base_logs,
-                          *_scan(_scan_rows(pre_signs, u_logs - q_logs), cols))
+                          *_scan(pre_signs, u_logs - q_logs, cols))
         # S_n, S_(n-1), ..., S_1: the suffix sums, scanned from the last row up
-        s_acc, s_scale = _scan(_scan_rows(suf_signs, u_logs - q_logs[::-1]), cols[::-1])
+        s_acc, s_scale = _scan(suf_signs, u_logs - q_logs[::-1], cols[::-1])
         x[:-1] += _scaled_terms(s_signs, u_logs[:-1] + base_logs[:-1],
                                 s_acc[-2::-1], s_scale[-2::-1])
     if np.isinf(x).any():
@@ -482,7 +439,8 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     NearSingularPivot as soon as a running pivot magnitude drops below
     1e-300 times the row scale; there is no pivoting fallback.  It also
     raises it when the answer misses the backward-error bound
-    ||A x - rhs|| <= 1e-9 (row_scale ||x|| + ||rhs||) in max norms.  A
+    ||A x - rhs|| <= 1e-9 (row_scale ||x|| + ||rhs||) + 4 row_scale 2^-1074
+    in max norms.  A
     non-finite answer to a finite rhs raises OverflowError when every
     pivot is at least 1e-8 times the row scale (the solution itself
     leaves the float range), NearSingularPivot otherwise.  A NaN in rhs
@@ -550,6 +508,7 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
         bound = _BACKWARD_TOL * scale
     else:
         bound = _BACKWARD_TOL * row_scale * x_max + _BACKWARD_TOL * rhs_max
+    bound += _SUBNORMAL_FLOOR * row_scale
     # an infinite bound fails too: inf <= inf would pass
     if not resid_norm <= bound or bound == math.inf:
         if np.isfinite(rhs).all():

@@ -65,6 +65,16 @@ class TestRun:
         assert code == 1
         assert "SingularMatrix" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("command", [["cond"], ["inverse", "-i", "1", "-j", "1"],
+                                         ["verify"]])
+    def test_nonpositive_tol_exit_one(self, capsys, command, tol):
+        code, out, err = run_cli(capsys, *command, "-a", "1", "-b", "0", "-c", "1",
+                                 "-n", "3", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert "TriToeplitzError: singular_tol must be positive" in err
+
     def test_decay_regime_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "decay", "-a", "1", "-b", "2", "-c", "1",
                                "-n", "3", "-i", "1", "-j", "2")

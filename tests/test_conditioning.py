@@ -8,7 +8,9 @@ from helpers import random_symmetrisable_spec
 from tritoep import (
     DimensionMismatch,
     SingularMatrix,
+    TriToeplitzError,
     apply_matvec,
+    build_kernel,
     eigenvalues,
     eigenvector,
     make_spec,
@@ -49,6 +51,12 @@ class TestWeightedCondition:
         )
         with pytest.raises(SingularMatrix):
             weighted_condition(make_spec(1, 0, 1, 3))
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("routine", [weighted_condition, build_kernel])
+    def test_singular_tol_must_be_positive(self, routine, tol):
+        with pytest.raises(TriToeplitzError, match="singular_tol must be positive"):
+            routine(make_spec(1, 0, 1, 3), singular_tol=tol)
 
     def test_report_fields(self):
         rep = weighted_condition(make_spec(4, 5, 1, 2))

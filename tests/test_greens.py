@@ -250,9 +250,9 @@ def two_level_calls(monkeypatch):
     calls = []
     scan = greens._scan_two_level
 
-    def spy(rows, cols):
+    def spy(weights, top, cols, col_top):
         calls.append(cols.shape)
-        return scan(rows, cols)
+        return scan(weights, top, cols, col_top)
 
     monkeypatch.setattr(greens, "_scan_two_level", spy)
     return calls
@@ -296,7 +296,8 @@ class TestTwoLevelScan:
     @pytest.mark.parametrize("q_sign", [1.0, -1.0])
     def test_wide_chunks_take_the_log_scan(self, x, log_growth, q_sign, two_level_calls):
         # each row moves the scan terms by e^4 or more, so every chunk spans
-        # far more than _CHUNK_LOG_SPAN e-folds and the rows stay unchunked
+        # far more than _CHUNK_LOG_SPAN e-folds and the column takes the log
+        # scan whole
         n = _CHUNKED_MIN_N + _CHUNK // 2
         spec = _growth_spec(x, q_sign, log_growth, n)
         kernel = build_kernel(spec)
@@ -316,11 +317,12 @@ class TestTwoLevelScan:
         with pytest.raises(OverflowError):
             apply_inverse(kernel, np.random.default_rng(233).standard_normal(n))
 
-    def test_rhs_spread_inside_one_chunk(self):
-        # 1e+-300 neighbours put 1380 e-folds into one chunk, which takes the
-        # log scan.  Far from row 301 the 1e300 source has decayed to the
-        # size of the other entries' part, so each row is checked against
-        # the superposition of the two parts, to rounding of each.
+    def test_rhs_spread_inside_one_chunk(self, two_level_calls):
+        # 1e+-300 neighbours put 1380 e-folds into one chunk, so the column
+        # takes the log scan whole.  Far from row 301 the 1e300 source has
+        # decayed to the size of the other entries' part, so each row is
+        # checked against the superposition of the two parts, to rounding of
+        # each.
         n = _CHUNKED_MIN_N + 100
         spec = _growth_spec(1.25, 1.0, 20.0, n)
         kernel = build_kernel(spec)
@@ -331,8 +333,21 @@ class TestTwoLevelScan:
         got = apply_inverse(kernel, rhs)
         e_301 = np.zeros(n)
         e_301[300] = 1.0
+        assert two_level_calls == []
         near, far = 1e300 * apply_inverse(kernel, e_301), apply_inverse(kernel, rest)
         assert np.all(np.abs(got - (near + far)) <= 1e-9 * (np.abs(near) + np.abs(far)))
+
+    def test_rhs_spread_in_every_chunk(self, two_level_calls):
+        # entries 10^u with u uniform in [-300, 300] span over 650 e-folds in
+        # every chunk: the column takes the log scan whole, not chunk by chunk
+        n = _CHUNKED_MIN_N + _CHUNK
+        spec = _growth_spec(1.25, 1.0, 20.0, n)
+        rng = np.random.default_rng(243)
+        rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        got = apply_inverse(build_kernel(spec), rhs)
+        assert two_level_calls == []
+        want = thomas_solve(spec, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_rhs_with_exact_zeros(self):
         # zero chunks, a single nonzero row, and zeros inside live chunks
@@ -494,6 +509,17 @@ class TestThomas:
         # matrix, so it is not named an overflow
         with pytest.raises(NearSingularPivot):
             thomas_solve(make_spec(1, -(1 + 1e-12), 1, 2), [1e300, 0.0])
+
+    @pytest.mark.parametrize("rhs", [[1e-320, 3e-321], [5e-324, 5e-324]])
+    def test_subnormal_rhs_is_solved(self, rhs):
+        # rounding in the subnormal range is absolute: the residual is a few
+        # 2^-1074 steps, far above 1e-9 of the values themselves
+        spec = make_spec(1, 3, 1, 2)
+        x = thomas_solve(spec, rhs)
+        resid = np.max(np.abs(apply_matvec(spec, x) - rhs))
+        assert resid <= 4 * spec.row_scale() * 2.0**-1074
+        exact = np.linalg.solve(dense_from_spec(spec), np.array(rhs) * 2.0**600)
+        assert np.max(np.abs(x - exact * 2.0**-600)) <= 2 * 2.0**-1074
 
     def test_nan_rhs_gives_nan_solution(self):
         x = thomas_solve(make_spec(1, 2.5, 1, 4), [1.0, np.nan, 0.0, 0.0])
