@@ -353,6 +353,7 @@ def _scan(signs, logs, cols):
             for part in (linear, ~linear):
                 acc[:, part], scale[:, part] = _scan(signs, logs, cols[:, part])
             return acc, scale
+        del grid
     return _scan_scaled(signs[:, None] * cols, logs[:, None] + np.log(np.abs(cols)))
 
 
