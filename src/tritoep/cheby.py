@@ -1,18 +1,19 @@
 """Chebyshev polynomials of the second kind, U_m, evaluated stably in every
 regime.
 
-Evaluation is regime-dispatched:
+Evaluation is regime-dispatched on |x|, times the parity (-1)^m when x < 0:
 
-* ``|x| < 1``  -- closed sine quotient sin((m+1)*theta)/sin(theta) with
-  theta = arccos(|x|), times the parity (-1)^m when x < 0;
-* ``x > 1``    -- hyperbolic form sinh((m+1)*gamma)/sinh(gamma) with
-  gamma = arccosh(x), carried in log space so eta^m never overflows;
-* ``x < -1``   -- parity U_m(-x) = (-1)^m U_m(x), then the hyperbolic form;
-* ``|x| ~ 1``  -- Taylor series around the confluent point, where both the
-  sine and sinh quotients degenerate to 0/0.
+* ``|x| < 1`` -- sine quotient sin((m+1)*theta)/sin(theta) with
+  theta = arccos(|x|);
+* ``|x| = 1`` -- the exact value m + 1, the only point where the quotients
+  are 0/0; just off it theta and gamma are small but accurate, and so are
+  the quotients;
+* ``|x| > 1`` -- hyperbolic form sinh((m+1)*gamma)/sinh(gamma) with
+  gamma = arccosh(|x|), carried in log space so eta^m never overflows.
 
-The three-term recursion U_{m+1} = 2x U_m - U_{m-1} (U_0 = 1, U_1 = 2x) is
-retained as an independent cross-check path, not as the production route.
+A non-finite x is refused.  The three-term recursion U_{m+1} = 2x U_m -
+U_{m-1} (U_0 = 1, U_1 = 2x) is retained as an independent cross-check path,
+not as the production route.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_int
+from .errors import InvalidParameter
 
 __all__ = [
     "ScaledValue",
@@ -34,13 +36,6 @@ __all__ = [
 ]
 
 _LOG_MAX = math.log(sys.float_info.max)
-
-# half-width of the Taylor window around |x| = 1
-_CONFLUENT_WINDOW = 1e-8
-# within the window the series is used only while eps*(m+3)^2 stays small,
-# which keeps its truncation error below ~1e-15 relative; otherwise the
-# sine/sinh quotients are still well conditioned because eps != 0
-_SERIES_PARAM_MAX = 1e-4
 
 
 @dataclass(frozen=True)
@@ -99,38 +94,26 @@ def _log_u_hyperbolic(m: int, gamma: float) -> float:
     return m * gamma + _log1mexp(2.0 * (m + 1) * gamma) - _log1mexp(2.0 * gamma)
 
 
-def _series_near_one(m, eps):
-    """Taylor value of U_m at 1 + eps through the eps^2 term.
-
-    Uses U_m(1) = m + 1, U_m'(1) = m(m+1)(m+2)/3 and
-    U_m''(1) = (m-1)m(m+1)(m+2)(m+3)/15.  Works elementwise on arrays.
-    """
-    m = np.asarray(m, dtype=float)
-    d0 = m + 1.0
-    d1 = m * (m + 1.0) * (m + 2.0) / 3.0
-    d2 = (m - 1.0) * m * (m + 1.0) * (m + 2.0) * (m + 3.0) / 15.0
-    return d0 + eps * (d1 + eps * 0.5 * d2)
-
-
-def _use_series(eps: float, m):
-    """Whether the confluent series serves degree m (an int or an array)."""
-    return (abs(eps) <= _CONFLUENT_WINDOW) & (
-        abs(eps) * (m + 3.0) ** 2 <= _SERIES_PARAM_MAX
-    )
+def _check_x(x: float) -> None:
+    """Refuse a non-finite argument: U_m(+-inf) is infinite, U_m(nan) undefined."""
+    if math.isnan(x):
+        raise InvalidParameter(f"Chebyshev argument x must be a number, got {x!r}")
+    if math.isinf(x):
+        raise OverflowError(f"Chebyshev argument x = {x!r} is beyond the float range")
 
 
 def _eval_u(m: int, x: float):
     """The scalar regime dispatch behind :func:`eval_U` and :func:`eval_U_scaled`.
 
-    Returns a plain float from the confluent series or the sine quotient,
-    and a ScaledValue from the hyperbolic form, whose value may lie
-    beyond the float range.
+    Returns a plain float for |x| <= 1, and a ScaledValue from the
+    hyperbolic form, whose value may lie beyond the float range.
     """
     m = _check_int(m, "degree m", 0)
+    _check_x(x)
     ax = abs(x)
     parity = 1 if (x >= 0 or m % 2 == 0) else -1
-    if _use_series(ax - 1.0, m):
-        return parity * float(_series_near_one(m, ax - 1.0))
+    if ax == 1.0:
+        return parity * float(m + 1)
     if ax < 1.0:
         # at |x|, so theta stays away from pi, where acos loses pi - theta
         theta = math.acos(ax)
@@ -169,40 +152,28 @@ def u_sequence_scaled(m_max: int, x: float) -> list[ScaledValue]:
 def _u_sequence_arrays(m_max: int, x: float):
     """Signs and log-magnitudes of U_0..U_{m_max} as numpy arrays."""
     m_max = _check_int(m_max, "degree m", 0)
+    _check_x(x)
     m = np.arange(m_max + 1)
     ax = abs(x)
-    parity = np.ones(m_max + 1)
+    signs = np.ones(m_max + 1)
     if not x >= 0:
-        parity[1::2] = -1.0
-    eps = ax - 1.0
-    # the series serves a leading run of degrees, as eps*(m+3)^2 grows with
-    # m, so both parts are slices
-    k = 0
-    if abs(eps) <= _CONFLUENT_WINDOW:
-        k = int(np.count_nonzero(_use_series(eps, m)))
-    signs = np.empty(m_max + 1)
-    logs = np.empty(m_max + 1)
-
-    if k:
-        signs[:k] = parity[:k]
-        logs[:k] = np.log(_series_near_one(m[:k], eps))
-    if k <= m_max:
-        mr = m[k:]
-        if ax < 1.0:
-            # at |x| with the parity, as in _eval_u
-            theta = math.acos(ax)
-            with np.errstate(divide="ignore"):
-                vals = np.sin((mr + 1) * theta) / math.sin(theta)
-                signs[k:] = np.sign(vals) * parity[k:]
-                logs[k:] = np.log(np.abs(vals))
-        else:
-            gamma = math.acosh(ax)
-            signs[k:] = parity[k:]
-            logs[k:] = (
-                mr * gamma
-                + np.log(-np.expm1(-2.0 * (mr + 1) * gamma))
-                - _log1mexp(2.0 * gamma)
-            )
+        signs[1::2] = -1.0
+    if ax == 1.0:
+        logs = np.log(m + 1.0)
+    elif ax < 1.0:
+        # at |x| with the parity, as in _eval_u
+        theta = math.acos(ax)
+        with np.errstate(divide="ignore"):
+            vals = np.sin((m + 1) * theta) / math.sin(theta)
+            signs *= np.sign(vals)
+            logs = np.log(np.abs(vals))
+    else:
+        gamma = math.acosh(ax)
+        logs = (
+            m * gamma
+            + np.log(-np.expm1(-2.0 * (m + 1) * gamma))
+            - _log1mexp(2.0 * gamma)
+        )
     return signs, logs
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from .cheby import ScaledValue
 from .conditioning import weighted_condition
-from .core import make_spec, symmetrise
+from .core import _check_singular_tol, make_spec, symmetrise
 from .errors import SingularMatrix, TriToeplitzError
 from .greens import (
     apply_inverse,
@@ -624,6 +624,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         spec = _resolve_spec(args)
+        if hasattr(args, "tol"):
+            # before dispatch, so a subcommand that may not read it refuses it too
+            _check_singular_tol(args.tol)
         answer = args.func(args, spec)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import log_abs_fraction, u_exact
 from tritoep import (
     InvalidOrder,
+    InvalidParameter,
     ScaledValue,
     eval_U,
     eval_U_recurrence,
@@ -28,6 +29,9 @@ class TestEvalU:
     def test_at_one(self):
         assert eval_U(3, 1.0) == 4.0
         assert eval_U(7, -1.0) == -8.0
+        # U_m(+-1) = (+-1)^m (m+1) exactly, at any degree
+        assert eval_U(10**6, -1.0) == 1000001.0
+        assert eval_U(10**6 + 1, -1.0) == -1000002.0
 
     def test_hand_values(self):
         assert eval_U(2, 1.25) == pytest.approx(5.25, rel=1e-14)
@@ -36,6 +40,15 @@ class TestEvalU:
     def test_negative_degree_rejected(self):
         with pytest.raises(InvalidOrder):
             eval_U(-1, 0.5)
+
+    @pytest.mark.parametrize("func", [eval_U, eval_U_scaled, u_sequence_scaled,
+                                      _u_sequence_arrays])
+    def test_nonfinite_argument_refused(self, func):
+        for x in (math.inf, -math.inf):
+            with pytest.raises(OverflowError):
+                func(3, x)
+        with pytest.raises(InvalidParameter):
+            func(3, math.nan)
 
     def test_overflow_signalled(self):
         with pytest.raises(OverflowError):
@@ -81,6 +94,11 @@ class TestUSequence:
         seq = u_sequence_scaled(3, 1.0)
         vals = [sv.to_float() for sv in seq]
         np.testing.assert_allclose(vals, [1.0, 2.0, 3.0, 4.0], rtol=1e-14)
+        m = np.arange(1001)
+        for x, parity in ((1.0, 1.0), (-1.0, (-1.0) ** m)):
+            signs, logs = _u_sequence_arrays(1000, x)
+            assert np.array_equal(signs, parity * np.ones(1001))
+            assert np.array_equal(logs, np.log(m + 1.0))
 
     def test_at_zero(self):
         vals = [sv.to_float() for sv in u_sequence_scaled(2, 0.0)]
@@ -92,7 +110,9 @@ class TestUSequence:
         vals = [sv.to_float() for sv in u_sequence_scaled(2, 1.25)]
         np.testing.assert_allclose(vals, [1.0, 2.5, 5.25], rtol=1e-13)
 
-    @pytest.mark.parametrize("x", [-2.5, -0.9, 0.1, 0.9999, 1.0, 1.0001, 2.0])
+    @pytest.mark.parametrize("x", [-2.5, -0.9, 0.1, 0.9999, 1.0, 1.0001, 2.0,
+                                   1.0 + 1e-9, 1.0 - 1e-9, -1.0 - 1e-12,
+                                   1.0 + 2.0**-52])
     def test_consistent_with_scalar_path(self, x):
         seq = u_sequence_scaled(40, x)
         for m, sv in enumerate(seq):
@@ -106,10 +126,14 @@ class TestConfluentWindow:
     @pytest.mark.parametrize("eps", [1e-9, -1e-9, 1e-12, 0.0])
     @pytest.mark.parametrize("m", [1, 7, 40, 300])
     def test_series_matches_exact_recursion(self, m, eps):
+        # just off |x| = 1 the quotients serve every degree, as far from it
         x = 1.0 + eps
         got = eval_U(m, x)
         want = u_exact(m, x)
         assert got == pytest.approx(float(want), rel=1e-12)
+        signs, logs = _u_sequence_arrays(m, x)
+        want = [float(u_exact(k, x)) for k in range(m + 1)]
+        np.testing.assert_allclose(signs * np.exp(logs), want, rtol=1e-12)
 
     def test_large_degree_leaves_window_gracefully(self):
         # eps inside the window but m too large for the series: the
@@ -145,10 +169,16 @@ class TestScaledValue:
         assert (a * zero).sign == 0
 
 
-@given(
-    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-    st.integers(min_value=0, max_value=300),
+# x = +-(1 + e) with |e| in [1e-14, 1e-4]: both sides of |x| = 1, either sign
+_NEAR_ONE = st.builds(
+    lambda sign, side, log_e: sign * (1.0 + side * 10.0**log_e),
+    st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]),
+    st.floats(min_value=-14.0, max_value=-4.0),
 )
+_X = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False) | _NEAR_ONE
+
+
+@given(_X, st.integers(min_value=0, max_value=300))
 def test_parity(x, m):
     # |U_m(-x) - (-1)^m U_m(x)| <= 1e-12 at the values' own scale, with an
     # absolute floor of 1 so rounding noise at the zeros does not count
@@ -161,10 +191,7 @@ def test_parity(x, m):
     assert abs(tl - tr) <= 1e-12
 
 
-@given(
-    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-    st.integers(min_value=1, max_value=499),
-)
+@given(_X, st.integers(min_value=1, max_value=499))
 def test_recursion_residual(x, m):
     # |U_{m+1} - 2x U_m + U_{m-1}| <= 1e-10 max(1, |U_{m+1}|), checked at
     # whatever scale the values live on

@@ -67,13 +67,37 @@ class TestRun:
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     @pytest.mark.parametrize("command", [["cond"], ["inverse", "-i", "1", "-j", "1"],
-                                         ["verify"]])
+                                         ["verify"], ["solve", "--rhs", "1,0,0"],
+                                         ["solve", "--rhs", "1,0,0", "--method", "kernel"]])
     def test_nonpositive_tol_exit_one(self, capsys, command, tol):
         code, out, err = run_cli(capsys, *command, "-a", "1", "-b", "0", "-c", "1",
                                  "-n", "3", "--tol", tol)
         assert code == 1
         assert out == ""
         assert "TriToeplitzError: singular_tol must be positive" in err
+
+    def test_bench_nonpositive_tol_exit_one(self, capsys):
+        # no grid row is gapped, so no kernel would read --tol
+        code, out, err = run_cli(capsys, "bench", "-a", "1", "-b", "0", "-c", "1",
+                                 "--grid", "4,8", "--reps", "0", "--tol", "-1")
+        assert code == 1
+        assert out == ""
+        assert "TriToeplitzError: singular_tol must be positive" in err
+
+    # x = b/(2s) overflows to inf for the first spec; t = nan for charpoly
+    @pytest.mark.parametrize("argv, error", [
+        (["det", "-a", "1e-150", "-b", "1e308", "-c", "1e-150", "-n", "3"], "OverflowError"),
+        (["inverse", "-a", "1e-150", "-b", "1e308", "-c", "1e-150", "-n", "3",
+          "--rhs", "1,2,3"], "OverflowError"),
+        (["verify", "-a", "1e-150", "-b", "1e308", "-c", "1e-150", "-n", "3"], "OverflowError"),
+        (["charpoly", "-a", "1", "-b", "2.5", "-c", "1", "-n", "3", "-t", "nan"],
+         "InvalidParameter"),
+    ])
+    def test_nonfinite_chebyshev_argument_exit_one(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"error: {error}: Chebyshev argument" in err
 
     def test_decay_regime_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "decay", "-a", "1", "-b", "2", "-c", "1",

@@ -66,6 +66,14 @@ class TestBuildKernel:
         assert k.invertible
         assert k.wronskian_residual <= 1e-11
 
+    def test_infinite_chebyshev_argument_raises_overflow(self):
+        # about 1e308 * I, but x = b/(2s) = 1e308/2e-150 overflows to inf
+        spec = make_spec(1e-150, 1e308, 1e-150, 3)
+        with pytest.raises(OverflowError):
+            build_kernel(spec)
+        np.testing.assert_allclose(thomas_solve(spec, np.array([1.0, 2.0, 3.0])),
+                                   [1e-308, 2e-308, 3e-308], rtol=1e-15)
+
     def test_entry_ops_raise_on_singular(self):
         k = build_kernel(make_spec(1, 0, 1, 3))
         with pytest.raises(SingularMatrix):

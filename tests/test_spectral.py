@@ -7,6 +7,7 @@ import pytest
 from helpers import eigenvalues_by_bisection, random_symmetrisable_spec
 from tritoep import (
     IndexOutOfRange,
+    InvalidParameter,
     NotSymmetrisable,
     apply_matvec,
     char_poly_eval,
@@ -19,6 +20,7 @@ from tritoep import (
     make_spec,
     symmetrise,
     weight_vector,
+    weighted_condition,
     weighted_inner,
 )
 
@@ -178,8 +180,21 @@ class TestDeterminant:
             assert abs(d.log_mag - float(np.sum(np.log(np.abs(lam))))) <= 1e-9
             assert d.sign == (1 if np.prod(np.sign(lam)) > 0 else -1)
 
+    def test_infinite_chebyshev_argument_raises_overflow(self):
+        # about 1e308 * I, but x = b/(2s) = 1e308/2e-150 overflows to inf;
+        # the eigenvalues and the condition number need no U_n
+        spec = make_spec(1e-150, 1e308, 1e-150, 3)
+        with pytest.raises(OverflowError):
+            determinant(spec)
+        np.testing.assert_array_equal(eigenvalues(spec), [1e308] * 3)
+        assert weighted_condition(spec).cond_weighted == 1.0
+
 
 class TestCharPoly:
+    def test_nan_point_refused(self):
+        with pytest.raises(InvalidParameter):
+            char_poly_eval(make_spec(1, 2.5, 1, 3), math.nan)
+
     def test_examples(self):
         assert char_poly_eval(make_spec(1, 0, 1, 2), 0.0).to_float() == pytest.approx(-1.0, rel=1e-13)
         assert char_poly_eval(make_spec(1, 3, 1, 1), 5.0).to_float() == pytest.approx(2.0, rel=1e-13)
