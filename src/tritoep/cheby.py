@@ -151,35 +151,42 @@ def u_sequence_scaled(m_max: int, x: float) -> list[ScaledValue]:
 
 def _u_sequence_arrays(m_max: int, x: float):
     """Signs and log-magnitudes of U_0..U_{m_max} as numpy arrays."""
-    m_max = _check_int(m_max, "degree m", 0)
+    signs, logs = np.empty((2, _check_int(m_max, "degree m", 0) + 1))
+    _u_sequence_into(signs, logs, x)
+    return signs, logs
+
+
+def _u_sequence_into(signs, logs, x: float) -> None:
+    """Write U_0..U_m(x), m = logs.size - 1, into signs and logs, in place."""
     _check_x(x)
-    m = np.arange(m_max + 1)
-    ax = abs(x)
-    signs = np.ones(m_max + 1)
+    t = np.arange(1.0, logs.size + 1.0)  # m + 1, the one scratch array
+    signs.fill(1.0)
     if not x >= 0:
         signs[1::2] = -1.0
+    ax = abs(x)
     if ax == 1.0:
-        logs = np.log(m + 1.0)
+        np.log(t, out=logs)
     elif ax < 1.0:
         # at |x| with the parity, as in _eval_u
         theta = math.acos(ax)
+        np.sin(t * theta, out=t)
+        t /= math.sin(theta)
+        signs *= np.sign(t, out=logs)
         with np.errstate(divide="ignore"):
-            vals = np.sin((m + 1) * theta) / math.sin(theta)
-            signs *= np.sign(vals)
-            logs = np.log(np.abs(vals))
+            np.log(np.abs(t, out=t), out=logs)
     else:
+        # m * gamma + log(1 - e^(-2(m+1) gamma)) - log(1 - e^(-2 gamma))
         gamma = math.acosh(ax)
-        logs = (
-            m * gamma
-            + np.log(-np.expm1(-2.0 * (m + 1) * gamma))
-            - _log1mexp(2.0 * gamma)
-        )
-    return signs, logs
+        np.multiply(np.multiply(t, -2.0, out=logs), gamma, out=logs)
+        np.log(np.negative(np.expm1(logs, out=logs), out=logs), out=logs)
+        logs += np.multiply(np.subtract(t, 1.0, out=t), gamma, out=t)
+        logs -= _log1mexp(2.0 * gamma)
 
 
 def eval_U_recurrence(m: int, x: float) -> float:
     """Forward three-term recursion; the independent cross-check path."""
     m = _check_int(m, "degree m", 0)
+    _check_x(x)
     u_prev, u = 1.0, 2.0 * x
     if m == 0:
         return u_prev

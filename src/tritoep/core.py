@@ -11,6 +11,7 @@ orders do not overflow.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ __all__ = [
     "apply_matvec",
     "weighted_selfadjoint_residual",
 ]
+
+
+_MIN_NORMAL = sys.float_info.min
 
 
 def _check_int(value, name: str, lo: int, hi: int | None = None,
@@ -91,8 +95,12 @@ class TriToeplitzSpec:
 
     @property
     def symmetrisable(self) -> bool:
-        """True when a*c > 0, i.e. a diagonal similarity to a symmetric matrix exists."""
-        return self.a * self.c > 0
+        """True when a*c > 0, i.e. a diagonal similarity to a symmetric matrix exists.
+
+        Read from the signs of a and c, so a product that over- or
+        underflows does not decide it.
+        """
+        return (self.a > 0) == (self.c > 0)
 
     def row_scale(self) -> float:
         return abs(self.a) + abs(self.b) + abs(self.c)
@@ -137,8 +145,13 @@ def symmetrise(spec: TriToeplitzSpec) -> SymmetrisedForm:
     tridiagonal Toeplitz matrix with diagonal b and off-diagonal s.
     Requires a*c > 0; note q < 0 whenever a, c < 0.
     """
-    _require_symmetrisable(spec)
-    s = math.sqrt(spec.a * spec.c)
+    ac = spec.a * spec.c
+    # one rounding while a*c is a normal float; else two, but no over- or underflow
+    if _MIN_NORMAL <= ac < math.inf:
+        s = math.sqrt(ac)
+    else:
+        _require_symmetrisable(spec)
+        s = math.sqrt(abs(spec.a)) * math.sqrt(abs(spec.c))
     q = s / spec.c
     x = spec.b / (2.0 * s)
     return SymmetrisedForm(s=s, q=q, x=x, n=spec.n)

@@ -14,20 +14,21 @@ values themselves would overflow.
 
 ``apply_inverse`` exploits the rank-one triangles with a prefix and a
 suffix sum (O(n)), each run by one of two scans, chosen per right-hand
-side column.  The log-space scan splits the sum into its positive and
-negative terms and runs each part through ``np.logaddexp.accumulate``.
-The two-level scan scales chunks of 256 rows by one exponent each, sums
-them in linear space by ``np.cumsum`` and runs only the chunk totals
-through the log-space scan.  From 1280 rows on, a column takes the
-two-level scan when in every chunk its terms span at most 650 e-folds;
-a column with a wider chunk, a NaN or an inf, and every column below
-1280 rows, takes the log-space scan whole.  An (n, k) block of
-right-hand sides is split by that choice and gives, column for column,
-what its columns give alone.  Entry, dense and
-apply paths follow one overflow policy: a nonzero value whose
-log-magnitude exceeds the float range raises OverflowError.
-``thomas_solve`` is the classical elimination baseline and the only
-routine here that does not need a*c > 0.
+side column.  The log-space scan sums the positive and the negative
+terms apart by ``np.logaddexp.accumulate``.  The two-level scan scales
+chunks of 256 rows by one exponent each, sums them by ``np.cumsum`` and
+runs only the chunk totals through the log-space scan.  From 1280 rows
+on, a column takes it when in every chunk its terms span at most 650
+e-folds; a column with a wider chunk, a NaN or an inf, and every column
+below 1280 rows, takes the log-space scan whole.  An (n, k) block gives,
+column for column, what its columns give alone.  Entry, dense and apply
+paths follow one overflow policy: a nonzero value whose log-magnitude
+exceeds the float range raises OverflowError.  ``build_kernel`` and
+``apply_inverse`` do their n-length work in place in a few buffers per
+call, which saves page faults on fresh memory, not flops, with the float
+operations of the plain expressions in their order.  ``thomas_solve`` is
+the classical elimination baseline and the only routine here that does
+not need a*c > 0.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cheby import ScaledValue, _LOG_MAX, _log1mexp, _u_sequence_arrays
+from .cheby import ScaledValue, _LOG_MAX, _log1mexp, _u_sequence_into
 from .core import (SymmetrisedForm, TriToeplitzSpec, _check_int, _check_singular_tol,
                    symmetrise)
 from .errors import (
@@ -132,23 +133,27 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> GreenKer
     _check_singular_tol(singular_tol)
     form = symmetrise(spec)
     n = spec.n
-    usigns, ulogs = _u_sequence_arrays(n, form.x)
     # index k holds U_{k-1}, k = 0..n+1; U_{-1} := 0 covers both boundaries
-    u_signs = np.concatenate(([0.0], usigns))
-    u_logs = np.concatenate(([-np.inf], ulogs))
+    u_signs, u_logs = np.empty((2, n + 2))
+    u_signs[0], u_logs[0] = 0.0, -np.inf
+    _u_sequence_into(u_signs[1:], u_logs[1:], form.x)
 
-    wronskian = ScaledValue(int(usigns[n]), float(ulogs[n]))
-    log_threshold = math.log(singular_tol) + max(0.0, float(ulogs[n - 1]))
+    wronskian = ScaledValue(int(u_signs[n + 1]), float(u_logs[n + 1]))
+    log_threshold = math.log(singular_tol) + max(0.0, float(u_logs[n]))
     invertible = wronskian.sign != 0 and wronskian.log_mag > log_threshold
 
     residual = math.nan
     if invertible:
-        # U_k U_{n-k} - U_{k-1} U_{n-k-1} = U_n for k = 0..n
-        rev_signs, rev_logs = u_signs[::-1] * wronskian.sign, u_logs[::-1]
-        w_log = wronskian.log_mag
-        t1 = u_signs[1:] * rev_signs[:-1] * np.exp(u_logs[1:] + rev_logs[:-1] - w_log)
-        t2 = u_signs[:-1] * rev_signs[1:] * np.exp(u_logs[:-1] + rev_logs[1:] - w_log)
-        residual = float(np.max(np.abs(t1 - t2 - 1.0)))
+        # U_k U_{n-k} - U_{k-1} U_{n-k-1} = U_n over |U_n|, k = 0..n; sign products
+        # are exact in any order, and |t1 - t2 - w| = |w (t1 - t2) - 1| for w = +-1
+        t1, t2 = u_logs[1:] + u_logs[:0:-1], u_logs[:-1] + u_logs[-2::-1]
+        for t, lo, hi in ((t1, u_signs[1:], u_signs[:0:-1]),
+                          (t2, u_signs[:-1], u_signs[-2::-1])):
+            np.exp(np.subtract(t, wronskian.log_mag, out=t), out=t)
+            t *= lo
+            t *= hi
+        t1 -= t2
+        residual = float(np.max(np.abs(np.subtract(t1, wronskian.sign, out=t1), out=t1)))
         if residual > _WRONSKIAN_TOL:
             raise SingularMatrix(
                 f"kernel self-check failed: Wronskian residual {residual:.3e} "
@@ -240,31 +245,29 @@ def inverse_dense(kernel: GreenKernel) -> np.ndarray:
         return signs * np.exp(np.where(signs == 0.0, -np.inf, logs))
 
 
-def _scan_scaled(term_signs, term_logs):
-    """Running sums of sign*exp(log) down axis 0, in scaled form.
+def _scan_scaled(negative, pos):
+    """Running sums of +-exp(pos) down axis 0, minus where negative, in scaled form.
 
-    term_signs may hold any values with the terms' signs; only which are
-    negative is read.  Positive and negative terms are summed apart in log space by
+    Positive and negative terms are summed apart in log space by
     np.logaddexp.accumulate, an associative prefix scan.  Returns arrays
     (acc, scale) where the partial sum through row k is
     acc[k] * exp(scale[k]); scale is the larger of the two log-sums, so
     |acc| <= 1 and the scan never overflows.  Until the first nonzero
-    term, acc is 0 and scale is -inf.
+    term, acc is 0 and scale is -inf.  acc is pos, overwritten.
     """
-    negative = term_signs < 0
     # zero terms carry log -inf, so they can join either part; a NaN term
     # joins the positive one and makes every later partial sum NaN
-    pos = np.where(negative, -np.inf, term_logs)
-    neg = np.where(negative, term_logs, -np.inf)
+    neg = np.where(negative, pos, -np.inf)
+    np.copyto(pos, -np.inf, where=negative)
     np.logaddexp.accumulate(pos, axis=0, out=pos)
     np.logaddexp.accumulate(neg, axis=0, out=neg)
     scale = np.maximum(pos, neg)
-    # a finite shift makes the empty rows exp(-inf) - exp(-inf) = 0, not NaN
-    shift = np.maximum(scale, _MOST_NEGATIVE)
-    pos -= shift
-    neg -= shift
+    pos -= scale
+    neg -= scale
     acc = np.exp(pos, out=pos)
     acc -= np.exp(neg, out=neg)
+    # before the first nonzero term the shift is -inf - -inf, NaN; the sum is 0
+    np.copyto(acc, 0.0, where=scale == -np.inf)
     return acc, scale
 
 
@@ -275,8 +278,8 @@ def _scan_two_level(weights, top, cols, col_top):
     index: shape (k, chunks, _CHUNK).  For each chunk c, top[c] is the
     largest row log and ``weights``, of shape (chunks, _CHUNK), holds the
     row factors divided by exp(top[c]), 0 on the padding; col_top, of shape
-    (k, chunks), is max|rhs| per column and chunk.  Returns (acc, scale)
-    of the shape of cols, as _scan_scaled does, with |acc| <= _CHUNK + 1.
+    (k, chunks), is max|rhs| per column and chunk.  Returns (acc, scale),
+    acc written over cols and scale per column and chunk, |acc| <= _CHUNK + 1.
 
     This is Blelloch's reduce-then-scan with one exponent per chunk and
     column.  Inside a chunk the terms are divided by exp(top + log max|rhs|),
@@ -287,92 +290,94 @@ def _scan_two_level(weights, top, cols, col_top):
     k, chunks, _ = cols.shape
     chunk_scale = top + np.log(col_top)
     # divided by max|rhs| first: a tiny rhs times a small weight underflows
-    acc = cols / np.where(col_top > 0, col_top, 1.0)[:, :, None]
+    acc = np.divide(cols, np.where(col_top > 0, col_top, 1.0)[:, :, None], out=cols)
     acc *= weights
     np.cumsum(acc, axis=2, out=acc)
 
     # entry c + 1 holds the total of chunk c, so the scan of the totals
     # gives in entry c the carry into chunk c, the sum of the chunks before it
-    tot_acc = np.zeros((k, chunks + 1))
-    tot_acc[:, 1:] = acc[:, :, -1]
-    tot_scale = np.empty((k, chunks + 1))
-    tot_scale[:, 0] = -np.inf
-    tot_scale[:, 1:] = chunk_scale
-    carry_acc, carry_scale = _scan_scaled(
-        tot_acc.T, (tot_scale + np.log(np.abs(tot_acc))).T
-    )
+    tot = np.concatenate((np.zeros((k, 1)), acc[:, :, -1]), axis=1)
+    tot_logs = np.concatenate((np.full((k, 1), -np.inf), chunk_scale), axis=1)
+    carry_acc, carry_scale = _scan_scaled((tot < 0).T, (tot_logs + np.log(np.abs(tot))).T)
     carry_acc, carry_scale = carry_acc[:-1].T, carry_scale[:-1].T
 
     scale = np.maximum(carry_scale, chunk_scale)
     shift = np.maximum(scale, _MOST_NEGATIVE)
     acc *= np.exp(chunk_scale - shift)[:, :, None]
     acc += (carry_acc * np.exp(carry_scale - shift))[:, :, None]
-    scale = np.repeat(scale, _CHUNK, axis=1).reshape(acc.shape)
     return acc, scale
 
 
-def _scan(signs, logs, cols):
-    """Running sums of signs * exp(logs) * cols down axis 0, in scaled form.
+def _scan(signs, logs, cols, row_logs):
+    """Rows of exp(row_logs) times the running sums of signs * exp(logs) * cols.
 
-    Returns (acc, scale) of the shape of cols, as _scan_scaled does.  From
-    _CHUNKED_MIN_N rows on, a column takes the two-level scan when in every
-    chunk its terms (row factors times entries) span at most _CHUNK_LOG_SPAN
-    e-folds, on rows padded to whole chunks and laid out column after column
-    so that each chunk is contiguous.  Every other column takes the
-    log-space scan whole; a block with both kinds is split, so that each
-    column gives what it gives alone.
+    The sums run down axis 0, and rows past the end of row_logs get no term;
+    returns the (n, k) terms or a view, refusing overflow as _scaled_terms
+    does.  From _CHUNKED_MIN_N rows on, a column takes the two-level scan
+    when in every chunk its terms (row factors times entries) span at most
+    _CHUNK_LOG_SPAN e-folds, on rows padded to whole chunks, column after
+    column.  Every other column takes the log-space scan whole; a block
+    with both kinds is split, so that each column gives what it alone gives.
     """
     n, k = cols.shape
     if n >= _CHUNKED_MIN_N:
         starts = np.arange(0, n, _CHUNK)
         top = np.maximum.reduceat(logs, starts)
-        grid = np.zeros((k, starts.size * _CHUNK))
-        grid[:, :n] = cols.T
-        grid = grid.reshape(k, -1, _CHUNK)
-        mags = np.abs(grid)
-        col_top = mags.max(axis=2)
+        # a row factor of log -inf (an exact zero) makes the span inf
+        row_span = top - np.minimum.reduceat(logs, starts)
+    # with every chunk's row factors too wide, the log-space scan gives all
+    # columns what they would get, zero columns included, without the grid
+    if n >= _CHUNKED_MIN_N and (row_span <= _CHUNK_LOG_SPAN).any():
+        grid = np.zeros((k, starts.size, _CHUNK))
+        grid.reshape(k, -1)[:, :n] = cols.T
+        # |rhs|, then the row factors, then the log-magnitudes of the terms
+        scratch = np.abs(grid)
+        col_top = scratch.max(axis=2)
         # log(max|rhs| / min|rhs|) over the nonzero entries; -inf for a zero chunk
         col_span = np.log(col_top) - np.log(
-            np.min(mags, axis=2, where=mags > 0, initial=np.inf))
-        del mags
-        # a row factor of log -inf (an exact zero) makes the span inf, a NaN
-        # or an infinite entry makes it NaN or inf: such a chunk is wide
-        span = top - np.minimum.reduceat(logs, starts) + col_span
-        linear = (span <= _CHUNK_LOG_SPAN).all(axis=1)
+            np.min(scratch, axis=2, where=scratch > 0, initial=np.inf))
+        # a NaN or an infinite entry makes the span NaN or inf: such a chunk is wide
+        linear = (row_span + col_span <= _CHUNK_LOG_SPAN).all(axis=1)
         if linear.all():
-            weights = np.full((starts.size, _CHUNK), -np.inf)
+            weights = scratch[0]
             flat = weights.reshape(-1)
             flat[:n] = logs
+            flat[n:] = -np.inf
             weights -= top[:, None]
             np.exp(weights, out=weights)
             flat[:n] *= signs
             acc, scale = _scan_two_level(weights, top, grid, col_top)
-            return acc.reshape(k, -1)[:, :n].T, scale.reshape(k, -1)[:, :n].T
+            flat = scratch.reshape(k, -1)
+            flat[:, : row_logs.size] = row_logs
+            flat[:, row_logs.size :] = -np.inf
+            scratch += scale[:, :, None]
+            return _scaled_terms(scratch, acc).reshape(k, -1)[:, :n].T
+        del grid, scratch
         if linear.any():
-            acc, scale = np.empty((n, k)), np.empty((n, k))
+            terms = np.empty((n, k))
             for part in (linear, ~linear):
-                acc[:, part], scale[:, part] = _scan(signs, logs, cols[:, part])
-            return acc, scale
-        del grid
-    return _scan_scaled(signs[:, None] * cols, logs[:, None] + np.log(np.abs(cols)))
+                terms[:, part] = _scan(signs, logs, cols[:, part], row_logs)
+            return terms
+    terms = np.log(np.abs(cols))
+    terms += logs[:, None]
+    acc, scale = _scan_scaled(signs[:, None] * cols < 0, terms)
+    scale[: row_logs.size] += row_logs[:, None]
+    scale[row_logs.size :] = -np.inf
+    return _scaled_terms(scale, acc)
 
 
-def _scaled_terms(row_signs, row_logs, acc, scale):
-    """Rows of row_sign * exp(row_log) * acc * exp(scale), one per rhs column.
+def _scaled_terms(log_mag, acc):
+    """acc * exp(log_mag), written over acc; log_mag is overwritten.
 
     Overflow is decided on each term's whole log-magnitude, log|acc|
     included, so a term is refused exactly when its value would leave the
     float range, as in inverse_entry and inverse_dense.
     """
-    log_mag = row_logs[:, None] + scale
     log_acc = np.abs(acc)
     log_mag += np.log(log_acc, out=log_acc)
-    del log_acc
     if (log_mag > _LOG_MAX).any():
         raise OverflowError("some solution terms exceed the float range")
-    terms = np.copysign(np.exp(log_mag, out=log_mag), acc, out=log_mag)
-    terms *= row_signs[:, None]
-    return terms
+    return np.copysign(np.exp(log_mag, out=log_mag), acc, out=acc)
 
 
 def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
@@ -401,33 +406,38 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
         )
     cols = rhs[:, None] if rhs.ndim == 1 else rhs
     q = kernel.q
-    q_logs = np.arange(1, n + 1) * math.log(abs(q))
-    # signs of -(-q)^i: the minus cancels in x and only signs its exact zeros
-    q_signs = np.full(n, -1.0)
-    if q > 0:
-        q_signs[::2] = 1.0
     # U_(i-1), read forwards; read backwards it is U_(n-i)
     u_signs, u_logs = kernel.u_signs[1 : n + 1], kernel.u_logs[1 : n + 1]
-    pre_signs = u_signs * q_signs
-    # the suffix reads q_signs backwards, which is q_signs times (-sign q)^(n-1)
-    suf_signs = -pre_signs if q > 0 and n % 2 == 0 else pre_signs
+    # signs of -(-q)^i U_(i-1): the minus cancels in x and only signs its exact zeros
+    signs = np.negative(u_signs)
+    if q > 0:
+        signs[::2] = u_signs[::2]
     # row i is p_i P_i + s_i S_(i+1) with p_i = U_(n-i) (-q)^i / (s U_n) and
-    # s_i = U_(i-1) (-q)^i / (s U_n); the q-power signs cancel, so theirs
-    # are those of suf_signs[n-i] and pre_signs[i-1] times the sign of U_n
-    base_logs = q_logs - math.log(kernel.s) - kernel.wronskian.log_mag
-    p_signs, s_signs = suf_signs[::-1], pre_signs[:-1]
-    if kernel.wronskian.sign < 0:
-        p_signs, s_signs = -p_signs, -s_signs
-
+    # s_i = U_(i-1) (-q)^i / (s U_n); the q-power signs cancel, so theirs are
+    # the suffix's signs[n-i] and signs[i-1] times the sign of U_n, and the
+    # suffix reads the q-power signs backwards: flipped for q > 0, n even
+    flip = -1.0 if q > 0 and n % 2 == 0 else 1.0
+    row_sign = flip * kernel.wronskian.sign
+    # log|q|^i, then the prefix scan's row factors and the row logs of its terms
+    q_logs = np.arange(1.0, n + 1.0) * math.log(abs(q))
+    logs = u_logs - q_logs
+    rows = q_logs - math.log(kernel.s) - kernel.wronskian.log_mag
+    rows += u_logs[::-1]
     # an infinite rhs entry meets inf - inf in the scans, and the NaN it
     # makes reaches every row, as a NaN entry does
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        x = _scaled_terms(p_signs, u_logs[::-1] + base_logs,
-                          *_scan(pre_signs, u_logs - q_logs, cols))
-        # S_n, S_(n-1), ..., S_1: the suffix sums, scanned from the last row up
-        s_acc, s_scale = _scan(suf_signs, u_logs - q_logs[::-1], cols[::-1])
-        x[:-1] += _scaled_terms(s_signs, u_logs[:-1] + base_logs[:-1],
-                                s_acc[-2::-1], s_scale[-2::-1])
+        x = _scan(signs, logs, cols, rows)
+        x *= signs[::-1, None] * row_sign
+        # S_n, S_(n-1), ..., S_1: the suffix sums, scanned from the last row
+        # up; S_1 gives no term
+        np.subtract(u_logs, q_logs[::-1], out=logs)
+        rows[:-1] = q_logs[-2::-1] - math.log(kernel.s) - kernel.wronskian.log_mag
+        rows[:-1] += u_logs[-2::-1]
+        del q_logs
+        signs *= flip
+        terms = _scan(signs, logs, cols[::-1], rows[:-1])[-2::-1]
+        terms *= signs[:-1, None] * row_sign
+        x[:-1] += terms
     if np.isinf(x).any():
         raise OverflowError("some solution entries exceed the float range")
     return x.reshape(rhs.shape)
@@ -496,11 +506,14 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
             f"non-finite solution to a finite rhs: backward error exceeds {_BACKWARD_TOL:g}"
         )
 
-    resid = b * x - rhs
-    resid[1:] += a * x[:-1]
-    resid[:-1] += c * x[1:]
+    # where b * x could overflow, on x and rhs times 2^-e, e the exponent of max|x|
+    e = math.frexp(x_max)[1] if x_max > 2.0**1000 / row_scale else 0
+    xs, rs = (np.ldexp(x, -e), np.ldexp(rhs, -e)) if e else (x, rhs)
+    resid = b * xs - rs
+    resid[1:] += a * xs[:-1]
+    resid[:-1] += c * xs[1:]
     resid_norm = float(abs(resid).max())
-    x_max, rhs_max = float(x_max), float(abs(rhs).max())
+    x_max, rhs_max = math.ldexp(x_max, -e), float(abs(rs).max())
     # on Python floats a scale past the float range is inf, with no warning;
     # there the tolerance goes on each term first, so that a finite solution
     # near the range keeps a finite bound
@@ -509,7 +522,7 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
         bound = _BACKWARD_TOL * scale
     else:
         bound = _BACKWARD_TOL * row_scale * x_max + _BACKWARD_TOL * rhs_max
-    bound += _SUBNORMAL_FLOOR * row_scale
+    bound += math.ldexp(_SUBNORMAL_FLOOR * row_scale, -e)
     # an infinite bound fails too: inf <= inf would pass
     if not resid_norm <= bound or bound == math.inf:
         if np.isfinite(rhs).all():

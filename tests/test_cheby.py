@@ -42,7 +42,7 @@ class TestEvalU:
             eval_U(-1, 0.5)
 
     @pytest.mark.parametrize("func", [eval_U, eval_U_scaled, u_sequence_scaled,
-                                      _u_sequence_arrays])
+                                      _u_sequence_arrays, eval_U_recurrence])
     def test_nonfinite_argument_refused(self, func):
         for x in (math.inf, -math.inf):
             with pytest.raises(OverflowError):

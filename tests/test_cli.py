@@ -99,6 +99,19 @@ class TestRun:
         assert out == ""
         assert f"error: {error}: Chebyshev argument" in err
 
+    def test_offdiagonal_product_outside_the_float_range(self, capsys):
+        # a*c overflows for eig and underflows for det: both answer
+        code, out, _ = run_cli(capsys, "eig", "-a", "1e200", "-b", "1", "-c", "1e200",
+                               "-n", "3", "--format", "json")
+        assert code == 0
+        lam = json.loads(out)["result"]["eigenvalues"]
+        assert lam == pytest.approx([SQRT2 * 1e200, 0.0, -SQRT2 * 1e200],
+                                    abs=1e-15 * SQRT2 * 1e200)
+        code, out, _ = run_cli(capsys, "det", "-a", "1e-200", "-b", "1", "-c", "1e-200",
+                               "-n", "3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == pytest.approx(1.0, rel=1e-15)
+
     def test_decay_regime_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "decay", "-a", "1", "-b", "2", "-c", "1",
                                "-n", "3", "-i", "1", "-j", "2")

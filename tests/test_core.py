@@ -74,6 +74,28 @@ class TestSymmetrise:
         with pytest.raises(NotSymmetrisable):
             symmetrise(make_spec(-1, 0, 3, 2))
 
+    @pytest.mark.parametrize("a, c, s, q", [
+        # a*c overflows to inf, or underflows to 0 or to a subnormal
+        (1e200, 1e200, 1e200, 1.0),
+        (-1e200, -1e200, 1e200, -1.0),
+        (1e-200, 1e-200, 1e-200, 1.0),
+        (4e-160, 1e-160, 2e-160, 2.0),
+    ])
+    def test_product_outside_the_normal_range(self, a, c, s, q):
+        spec = make_spec(a, 1.0, c, 3)
+        assert spec.symmetrisable
+        form = symmetrise(spec)
+        assert form.s == pytest.approx(s, rel=1e-15)
+        assert form.q == pytest.approx(q, rel=1e-15)
+        assert form.x == pytest.approx(0.5 / s, rel=1e-15)
+
+    def test_signs_decide_symmetrisability(self):
+        # a*c underflows to -0.0: still refused
+        spec = make_spec(1e-200, 1.0, -1e-200, 3)
+        assert not spec.symmetrisable
+        with pytest.raises(NotSymmetrisable):
+            symmetrise(spec)
+
 
 class TestWeightVector:
     def test_examples(self):

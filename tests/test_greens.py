@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -325,6 +326,19 @@ class TestTwoLevelScan:
         with pytest.raises(OverflowError):
             apply_inverse(kernel, np.random.default_rng(233).standard_normal(n))
 
+    def test_wide_row_factors_skip_the_chunk_grid(self, two_level_calls):
+        # at x = 100 every chunk's row factors span over 1300 e-folds, so no
+        # nonzero column can take the two-level scan and no chunk grid is
+        # built: the zero column takes the log scan too, with the same zeros
+        n = 5000
+        kernel = build_kernel(_growth_spec(100.0, 1.0, 0.0, n))
+        block = np.random.default_rng(263).standard_normal((n, 2))
+        block[:, 1] = 0.0
+        got = apply_inverse(kernel, block)
+        assert two_level_calls == []
+        assert np.array_equal(got[:, 0], apply_inverse(kernel, block[:, 0]))
+        assert np.array_equal(got[:, 1], np.zeros(n))
+
     def test_rhs_spread_inside_one_chunk(self, two_level_calls):
         # 1e+-300 neighbours put 1380 e-folds into one chunk, so the column
         # takes the log scan whole.  Far from row 301 the 1e300 source has
@@ -410,6 +424,34 @@ class TestTwoLevelScan:
         got = apply_inverse(kernel, block)
         for col in range(5):
             assert np.array_equal(got[:, col], apply_inverse(kernel, block[:, col]))
+
+
+def _peak_arrays(fn, n):
+    """tracemalloc peak of fn(), in arrays of n floats, over what was traced before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / (8 * n)
+
+
+def test_allocation_budget():
+    # the kernel arrays plus two scratch arrays for build_kernel; for
+    # apply_inverse four row arrays plus, per column, the chunk grid, its
+    # scratch, one term buffer and the solution.  A temporary per numpy
+    # operation would go past these (9 arrays of n for build_kernel and 11
+    # for one column before the in-place rewrite).
+    n = 20_000
+    spec = _growth_spec(1.25, 1.0, 30.0, n)
+    kernel = build_kernel(spec)
+    rng = np.random.default_rng(269)
+    rhs, block = rng.standard_normal(n), rng.standard_normal((n, 8))
+    assert _peak_arrays(lambda: build_kernel(spec), n) <= 4.5
+    assert _peak_arrays(lambda: apply_inverse(kernel, rhs), n) <= 8.0
+    assert _peak_arrays(lambda: apply_inverse(kernel, block), n) <= 4.0 + 4.5 * 8
 
 
 def _backward_error(spec, x, rhs):
@@ -528,6 +570,18 @@ class TestThomas:
         assert resid <= 4 * spec.row_scale() * 2.0**-1074
         exact = np.linalg.solve(dense_from_spec(spec), np.array(rhs) * 2.0**600)
         assert np.max(np.abs(x - exact * 2.0**-600)) <= 2 * 2.0**-1074
+
+    def test_residual_of_a_finite_solution_near_the_float_range_is_finite(self):
+        # b * x overflows for x = (8e307, 8e307); the residual runs on x and
+        # rhs scaled by 2^-1024, exactly
+        spec = make_spec(-1, 2.5, -1, 2)
+        rhs = [1.2e308, 1.2e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = thomas_solve(spec, rhs)
+            via_kernel = apply_inverse(build_kernel(spec), rhs)
+        np.testing.assert_allclose(x, [8e307, 8e307], rtol=1e-15)
+        np.testing.assert_allclose(x, via_kernel, rtol=1e-12)
 
     def test_nan_rhs_gives_nan_solution(self):
         x = thomas_solve(make_spec(1, 2.5, 1, 4), [1.0, np.nan, 0.0, 0.0])

@@ -47,6 +47,13 @@ class TestEigenvalues:
         with pytest.raises(NotSymmetrisable):
             eigenvalues(make_spec(1, 2, -1, 3))
 
+    def test_offdiagonal_product_beyond_the_float_range(self):
+        # a*c = 1e400 overflows; the eigenvalues are 1 + 2e200 cos(k pi/4)
+        lam = eigenvalues(make_spec(1e200, 1, 1e200, 3))
+        assert np.all(np.isfinite(lam))
+        np.testing.assert_allclose(lam, [1 + SQRT2 * 1e200, 1.0, 1 - SQRT2 * 1e200],
+                                   rtol=1e-15, atol=1e-15 * SQRT2 * 1e200)
+
 
 class TestEigenvector:
     def test_symmetric_case(self):
@@ -179,6 +186,11 @@ class TestDeterminant:
             d = determinant(spec)
             assert abs(d.log_mag - float(np.sum(np.log(np.abs(lam))))) <= 1e-9
             assert d.sign == (1 if np.prod(np.sign(lam)) > 0 else -1)
+
+    def test_offdiagonal_product_below_the_float_range(self):
+        # a*c = 1e-400 underflows to 0; the determinant is 1 - 2e-400
+        d = determinant(make_spec(1e-200, 1, 1e-200, 3))
+        assert d.to_float() == pytest.approx(1.0, rel=1e-15)
 
     def test_infinite_chebyshev_argument_raises_overflow(self):
         # about 1e308 * I, but x = b/(2s) = 1e308/2e-150 overflows to inf;
