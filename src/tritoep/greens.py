@@ -317,7 +317,7 @@ def _scan(signs, logs, cols, row_logs):
     when in every chunk its terms (row factors times entries) span at most
     _CHUNK_LOG_SPAN e-folds, on rows padded to whole chunks, column after
     column.  Every other column takes the log-space scan whole; a block
-    with both kinds is split, so that each column gives what it alone gives.
+    with both kinds is split, so that each column gives what it gives alone.
     """
     n, k = cols.shape
     if n >= _CHUNKED_MIN_N:
