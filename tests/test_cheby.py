@@ -54,6 +54,11 @@ class TestEvalU:
         with pytest.raises(OverflowError):
             eval_U(2000, 5.0)
 
+    @pytest.mark.parametrize("x", [5.0, -5.0])
+    def test_overflow_names_the_value(self, x):
+        with pytest.raises(OverflowError):
+            eval_U(2001, x)
+
 
 class TestEvalUScaled:
     def test_matches_plain(self):
@@ -160,6 +165,14 @@ class TestScaledValue:
         with pytest.raises(OverflowError):
             ScaledValue(1, 1e4).to_float()
         assert ScaledValue(1, 1e4).try_float() is None
+
+    def test_to_float_edges(self):
+        # zero is exact, and the sign survives up to the end of the range
+        assert ScaledValue(0, -math.inf).to_float() == 0.0
+        big = math.log(1.7e308)
+        assert ScaledValue(-1, big).to_float() == -math.exp(big)
+        with pytest.raises(OverflowError):
+            ScaledValue(-1, 710.0).to_float()
 
     def test_mul(self):
         a = ScaledValue.from_float(-3.0)

@@ -270,6 +270,14 @@ class TestSpecFile:
         assert code == 0
         assert json.loads(out)["spec"]["n"] == 2
 
+    def test_list_refused(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps([1, 2, 1, 3]))
+        code, out, err = run_cli(capsys, "eig", "--spec-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "--spec-file must contain a JSON object" in err
+
 
 def test_cross_process_determinism():
     argv = [sys.executable, "-m", "tritoep", "eig", "-a", "1", "-b", "2",

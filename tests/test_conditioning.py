@@ -40,6 +40,10 @@ class TestInnerAndNorm:
         with pytest.raises(DimensionMismatch):
             weighted_norm([1, 1, 1], [1, 2])
 
+    def test_matrix_input_rejected(self):
+        with pytest.raises(DimensionMismatch, match="expected a vector"):
+            weighted_inner([1, 1], [[1, 0], [0, 1]], [1, 1])
+
 
 class TestWeightedCondition:
     def test_examples(self):

@@ -7,6 +7,7 @@ from helpers import random_symmetrisable_spec
 from tritoep import (
     DimensionMismatch,
     InvalidOrder,
+    InvalidParameter,
     NotSymmetrisable,
     TriToeplitzSpec,
     ZeroOffDiagonal,
@@ -40,6 +41,17 @@ class TestMakeSpec:
     def test_direct_construction_validates_too(self):
         with pytest.raises(ZeroOffDiagonal):
             TriToeplitzSpec(0.0, 1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", True])
+    @pytest.mark.parametrize("field", ["a", "b", "c"])
+    def test_coefficient_not_a_finite_real_rejected(self, field, value):
+        coeffs = {"a": 1.0, "b": 2.0, "c": 1.0, field: value}
+        with pytest.raises(InvalidParameter, match=f"^{field} must be"):
+            make_spec(coeffs["a"], coeffs["b"], coeffs["c"], 3)
+
+    def test_float_order_rejected(self):
+        with pytest.raises(InvalidOrder):
+            make_spec(1, 2, 1, 3.0)
 
 
 class TestSymmetrise:
@@ -151,6 +163,12 @@ class TestWeightedSelfAdjointness:
     def test_not_symmetrisable(self):
         with pytest.raises(NotSymmetrisable):
             weighted_selfadjoint_residual(make_spec(1, 2, -1, 3))
+
+    def test_order_one(self):
+        # no off-diagonal, so no residual; symmetrisability is still required
+        assert weighted_selfadjoint_residual(make_spec(4, 5, 1, 1)) == 0.0
+        with pytest.raises(NotSymmetrisable):
+            weighted_selfadjoint_residual(make_spec(1, 2, -1, 1))
 
     def test_cross_ratio_identity(self):
         # a * w_{i+1} = c * w_i row by row

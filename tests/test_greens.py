@@ -105,6 +105,12 @@ class TestInverseEntry:
         with pytest.raises(IndexOutOfRange):
             inverse_entry(k, 1, 5)
 
+    def test_entry_beyond_the_float_range(self):
+        # q = 1000 and x = 1.5: entry (400, 1) carries q^399
+        kernel = build_kernel(make_spec(1e3, 3, 1e-3, 400))
+        with pytest.raises(OverflowError):
+            inverse_entry(kernel, 400, 1)
+
     def test_dense_materialisation_agrees(self):
         rng = np.random.default_rng(61)
         for _ in range(10):
@@ -682,6 +688,16 @@ class TestDecay:
         with pytest.raises(NotInGappedRegime):
             decay_envelope(make_spec(1, 0.5, 1, 3))
 
+    def test_prefactor_beyond_the_float_range(self):
+        # s = 1e-306 and x just above 1: 2 / (s (eta - 1/eta)) is about 6e308
+        with pytest.raises(OverflowError):
+            decay_envelope(make_spec(1e-306, 2.0000001e-306, 1e-306, 3))
+
+    def test_bound_beyond_the_float_range(self):
+        # q = 1000: the bound on entry (400, 1) carries q^399 eta^-399
+        with pytest.raises(OverflowError):
+            decay_bound(make_spec(1e3, 3, 1e-3, 400), 400, 1)
+
     def test_dominates_inverse_entries(self):
         rng = np.random.default_rng(73)
         for _ in range(15):
@@ -721,6 +737,11 @@ class TestHyperbolicEntries:
     def test_regime_gate(self):
         with pytest.raises(NotInGappedRegime):
             hyperbolic_inverse_entry(SymmetrisedForm(1.0, 1.0, 1.0, 3), 1, 1)
+
+    def test_entry_beyond_the_float_range(self):
+        # n = 1: the entry is 1 / (2 x s) = 3.3e308
+        with pytest.raises(OverflowError):
+            hyperbolic_inverse_entry(SymmetrisedForm(1e-309, 1.0, 1.5, 1), 1, 1)
 
     def test_agrees_with_kernel_when_symmetric(self):
         rng = np.random.default_rng(79)

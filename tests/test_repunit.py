@@ -46,6 +46,11 @@ class TestRepunitValue:
         with pytest.raises(InvalidBase):
             repunit(3, -2)
 
+    @pytest.mark.parametrize("d", [1 + 2j, "2", True, None])
+    def test_non_real_base(self, d):
+        with pytest.raises(InvalidBase, match="positive real"):
+            repunit(3, d)
+
     def test_float_agrees_with_exact(self):
         for d in (1, 2, 3, 10, 16):
             for m in (1, 2, 7, 40):
@@ -111,6 +116,11 @@ class TestCosineProduct:
         assert lv == pytest.approx(log_repunit(401, 10), rel=1e-12)
         with pytest.raises(OverflowError):
             cosine_product(10, 400)
+
+    def test_overflow_refused_before_exp(self):
+        # R_401(10) has about 401 digits
+        with pytest.raises(OverflowError):
+            cosine_product(10.0, 400)
 
 
 class TestRepunitCondition:
