@@ -11,20 +11,19 @@ Evaluation is regime-dispatched on |x|, times the parity (-1)^m when x < 0:
 * ``|x| > 1`` -- hyperbolic form sinh((m+1)*gamma)/sinh(gamma) with
   gamma = arccosh(|x|), carried in log space so eta^m never overflows.
 
-A non-finite x is refused.  The three-term recursion U_{m+1} = 2x U_m -
-U_{m-1} (U_0 = 1, U_1 = 2x) is retained as an independent cross-check path,
-not as the production route.
+A non-finite x is refused; plain values leave log space by the one exit,
+``core._exp_signed``.  The three-term recursion U_{m+1} = 2x U_m - U_{m-1}
+(U_0 = 1, U_1 = 2x) is kept as an independent cross-check, not in production.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_int
+from .core import _check_int, _exp_signed
 from .errors import InvalidParameter
 
 __all__ = [
@@ -34,9 +33,6 @@ __all__ = [
     "u_sequence_scaled",
     "eval_U_recurrence",
 ]
-
-_LOG_MAX = math.log(sys.float_info.max)
-
 
 @dataclass(frozen=True)
 class ScaledValue:
@@ -59,13 +55,7 @@ class ScaledValue:
 
     def to_float(self) -> float:
         """Plain float value; raises OverflowError when unrepresentable."""
-        if self.sign == 0:
-            return 0.0
-        if self.log_mag > _LOG_MAX:
-            raise OverflowError(
-                f"value with log-magnitude {self.log_mag!r} exceeds the float range"
-            )
-        return self.sign * math.exp(self.log_mag)
+        return _exp_signed(self.sign, self.log_mag, "value")
 
     def try_float(self):
         """Plain float value, or None when it would overflow."""
@@ -128,13 +118,7 @@ def eval_U(m: int, x: float) -> float:
     (x > 1, large m); use :func:`eval_U_scaled` there instead.
     """
     u = _eval_u(m, x)
-    if isinstance(u, float):
-        return u
-    if u.log_mag > _LOG_MAX:
-        raise OverflowError(
-            f"U_{m}({x!r}) has log-magnitude {u.log_mag:.6g}, beyond the float range"
-        )
-    return u.sign * math.exp(u.log_mag)
+    return u if isinstance(u, float) else _exp_signed(u.sign, u.log_mag, "U_%d(%r)", m, x)
 
 
 def eval_U_scaled(m: int, x: float) -> ScaledValue:

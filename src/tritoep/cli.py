@@ -39,9 +39,10 @@ import numpy as np
 from . import __version__
 from .cheby import ScaledValue
 from .conditioning import weighted_condition
-from .core import _check_singular_tol, make_spec, symmetrise
+from .core import _SINGULAR_TOL, _check_singular_tol, make_spec, symmetrise
 from .errors import SingularMatrix, TriToeplitzError
 from .greens import (
+    _WRONSKIAN_TOL,
     apply_inverse,
     build_kernel,
     decay_bound,
@@ -60,6 +61,7 @@ from .repunit import (
     repunit_inverse_entry,
 )
 from .spectral import (
+    _CHARPOLY_ZERO_TOL,
     char_poly_eval,
     determinant,
     determinant_continuant,
@@ -68,7 +70,7 @@ from .spectral import (
 )
 
 ORACLE_ENVELOPE = 200
-DEFAULT_SINGULAR_TOL = 1e-12
+DEFAULT_SINGULAR_TOL = _SINGULAR_TOL
 DEFAULT_DENSE_LIMIT = 1024
 
 _VERIFY_TOLS = {
@@ -76,7 +78,7 @@ _VERIFY_TOLS = {
     "eigen": 1e-11,
     "determinant": 1e-9,
     "inverse": 1e-9,
-    "wronskian": 1e-9,
+    "wronskian": _WRONSKIAN_TOL,
     "conditioning": 1e-10,
     "repunit": 1e-10,
 }
@@ -118,14 +120,6 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    raise TypeError(f"not JSON serialisable: {obj!r}")
-
-
 def _sanitize(obj):
     """Replace non-finite floats with null so the JSON stays strict."""
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -146,7 +140,7 @@ def _emit(fmt: str, echo: dict, tolerances: dict, answer: _Answer) -> None:
             "meta": {"version": __version__, **(answer.meta or {}),
                      "tolerances": tolerances},
         }
-        print(json.dumps(doc, indent=2, default=_json_default))
+        print(json.dumps(doc, indent=2))
     elif fmt == "plain" and answer.plain is not None:
         for line in answer.plain:
             print(line)
@@ -258,7 +252,7 @@ def _cmd_det(args, spec) -> _Answer:
 def _cmd_charpoly(args, spec) -> _Answer:
     result, line = _signed_log(char_poly_eval(spec, args.t), f"charpoly({_fmt(args.t)})",
                                "chi", " (within tolerance)")
-    return _Answer({"t": args.t, **result}, [line], {"charpoly_zero_tol": 1e-10})
+    return _Answer({"t": args.t, **result}, [line], {"charpoly_zero_tol": _CHARPOLY_ZERO_TOL})
 
 
 def _cmd_inverse(args, spec) -> _Answer:
@@ -419,13 +413,15 @@ def _verify_checks(spec, singular_tol):
         checks.append(_skip("inverse", "singular"))
         checks.append(_skip("wronskian", "singular"))
     else:
+        side = "kernel"
         try:
             kinv = inverse_dense(kernel)
+            side = "dense oracle"
             dinv = dense_inverse(dense)
             iresid = float(np.max(np.abs(kinv - dinv)) / np.max(np.abs(dinv)))
             checks.append(_check("inverse", iresid, _VERIFY_TOLS["inverse"]))
         except (SingularMatrix, OverflowError) as exc:
-            checks.append(_skip("inverse", type(exc).__name__))
+            checks.append(_skip("inverse", f"{side}: {type(exc).__name__}"))
         checks.append(_check("wronskian", kernel.wronskian_residual,
                              _VERIFY_TOLS["wronskian"]))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TriToeplitzSpec, _check_singular_tol, symmetrise
+from .core import _SINGULAR_TOL, TriToeplitzSpec, _check_singular_tol, symmetrise
 from .errors import DimensionMismatch, SingularMatrix
 from .spectral import _eigenvalues_at, extremal_eigenvalues
 
@@ -72,7 +72,8 @@ def weighted_operator_norm(spec: TriToeplitzSpec) -> float:
     return max(abs(ext.lambda_max), abs(ext.lambda_min))
 
 
-def weighted_condition(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> ConditionReport:
+def weighted_condition(spec: TriToeplitzSpec,
+                       singular_tol: float = _SINGULAR_TOL) -> ConditionReport:
     """Weighted condition number with the closed formula on the PD branch.
 
     Raises SingularMatrix when some eigenvalue magnitude falls below

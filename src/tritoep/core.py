@@ -37,6 +37,9 @@ __all__ = [
 
 
 _MIN_NORMAL = sys.float_info.min
+_LOG_MAX = math.log(sys.float_info.max)
+# the default singularity tolerance of build_kernel, weighted_condition and the CLI
+_SINGULAR_TOL = 1e-12
 
 
 def _check_int(value, name: str, lo: int, hi: int | None = None,
@@ -61,6 +64,21 @@ def _check_singular_tol(singular_tol) -> None:
     """Refuse a singularity tolerance that is not a positive number (NaN too)."""
     if not singular_tol > 0:
         raise TriToeplitzError(f"singular_tol must be positive, got {singular_tol!r}")
+
+
+def _check_log_mag(log_mag, what: str, *args) -> None:
+    """The one overflow rule: refuse exp(log_mag) past the float range, naming what % args."""
+    if log_mag > _LOG_MAX:
+        raise OverflowError(
+            f"{what % args} has log-magnitude {log_mag:.6g}, beyond the float range")
+
+
+def _exp_signed(sign, log_mag, what: str, *args) -> float:
+    """sign * exp(log_mag), 0.0 for sign 0: the one exit from log space."""
+    if sign == 0:
+        return 0.0
+    _check_log_mag(log_mag, what, *args)
+    return sign * math.exp(log_mag)
 
 
 @dataclass(frozen=True)
@@ -160,11 +178,13 @@ def symmetrise(spec: TriToeplitzSpec) -> SymmetrisedForm:
 def weight_vector(spec: TriToeplitzSpec) -> np.ndarray:
     """Entries w_j = q^(-2(j-1)) of the diagonal weight W = D^(-2).
 
-    The weights are strictly positive (even exponents) with w_1 = 1; in
-    the inner product <u, v>_W = sum_j w_j u_j v_j the matrix is
-    self-adjoint.
+    The weights are positive (even exponents) with w_1 = 1; in the inner
+    product <u, v>_W = sum_j w_j u_j v_j the matrix is self-adjoint.  For
+    |q| > 1 the later weights may underflow to 0.0; for |q| < 1 an
+    OverflowError is raised when w_n leaves the float range.
     """
     form = symmetrise(spec)
+    _check_log_mag(-2.0 * (spec.n - 1) * math.log(abs(form.q)), "weight w_n")
     j = np.arange(spec.n, dtype=float)
     # q^2 > 0 regardless of the sign of q; even exponents keep every entry positive
     return np.power(form.q * form.q, -j)
@@ -188,10 +208,13 @@ def weighted_selfadjoint_residual(spec: TriToeplitzSpec) -> float:
     The residual lives only on the two off-diagonals, where it equals
     a*w_{i+1} - c*w_i, so it is computed entrywise in O(n).  Zero in exact
     arithmetic; a small multiple of machine epsilon times the scale
-    max(|a|,|b|,|c|)*max_j w_j in floating point.
+    max(|a|,|b|,|c|)*max_j w_j in floating point.  Raises OverflowError
+    when a term leaves the float range.
     """
     _require_symmetrisable(spec)
     if spec.n == 1:
         return 0.0
     w = weight_vector(spec)
+    # a*w_(i+1) = c*w_i in exact arithmetic, largest at i = n - 1 for |q| < 1, at i = 1 else
+    _check_log_mag(math.log(abs(spec.c)) + math.log(max(1.0, w[-2])), "term c*w_(n-1)")
     return float(np.max(np.abs(spec.a * w[1:] - spec.c * w[:-1])))

@@ -23,12 +23,12 @@ e-folds; a column with a wider chunk, a NaN or an inf, and every column
 below 1280 rows, takes the log-space scan whole.  An (n, k) block gives,
 column for column, what its columns give alone.  Entry, dense and apply
 paths follow one overflow policy: a nonzero value whose log-magnitude
-exceeds the float range raises OverflowError.  ``build_kernel`` and
-``apply_inverse`` do their n-length work in place in a few buffers per
-call, which saves page faults on fresh memory, not flops, with the float
-operations of the plain expressions in their order.  ``thomas_solve`` is
-the classical elimination baseline and the only routine here that does
-not need a*c > 0.
+exceeds the float range raises OverflowError, by ``core._exp_signed`` in
+the scalar closed forms.  ``build_kernel`` and ``apply_inverse`` do their
+n-length work in place in a few buffers per call, which saves page faults
+on fresh memory, not flops, with the float operations of the plain
+expressions in their order.  ``thomas_solve``, the classical elimination
+baseline, is the only routine here that does not need a*c > 0.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cheby import ScaledValue, _LOG_MAX, _log1mexp, _u_sequence_into
-from .core import (SymmetrisedForm, TriToeplitzSpec, _check_int, _check_singular_tol,
-                   symmetrise)
+from .cheby import ScaledValue, _log1mexp, _u_sequence_into
+from .core import (_LOG_MAX, _SINGULAR_TOL, SymmetrisedForm, TriToeplitzSpec, _check_int,
+                   _check_singular_tol, _exp_signed, symmetrise)
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -122,7 +122,7 @@ class DecayEnvelope:
     prefactor: float
 
 
-def build_kernel(spec: TriToeplitzSpec, singular_tol: float = 1e-12) -> GreenKernel:
+def build_kernel(spec: TriToeplitzSpec, singular_tol: float = _SINGULAR_TOL) -> GreenKernel:
     """Assemble the scaled sequence U_{-1..n}, Wronskian and invertibility flag.
 
     The matrix counts as invertible when |U_n(x)| exceeds
@@ -218,14 +218,7 @@ def inverse_entry(kernel: GreenKernel, i: int, j: int) -> float:
     i = _check_int(i, "index", 1, kernel.n, IndexOutOfRange)
     j = _check_int(j, "index", 1, kernel.n, IndexOutOfRange)
     sign, log_mag = _entry_sign_log(kernel, min(i, j), max(i, j), i - j)
-    if sign == 0.0:
-        return 0.0
-    if log_mag > _LOG_MAX:
-        raise OverflowError(
-            f"inverse entry ({i},{j}) has log-magnitude {log_mag:.6g}, "
-            "beyond the float range"
-        )
-    return float(sign * math.exp(log_mag))
+    return float(_exp_signed(sign, log_mag, "inverse entry (%d,%d)", i, j))
 
 
 def inverse_dense(kernel: GreenKernel) -> np.ndarray:
@@ -539,35 +532,36 @@ def _logsinh(t: float) -> float:
     return t + _log1mexp(2.0 * t) - math.log(2.0)
 
 
+def _gapped(form: SymmetrisedForm) -> float:
+    """gamma = arccosh(x); raises NotInGappedRegime unless x = b/(2s) > 1."""
+    if not form.x > 1.0:
+        raise NotInGappedRegime(f"x = b/(2s) = {form.x!r} is not > 1")
+    return math.acosh(form.x)
+
+
+def _log_prefactor(form: SymmetrisedForm, gamma: float) -> float:
+    """log of the envelope prefactor 2/(s*(eta - 1/eta)) = 1/(s sinh(gamma))."""
+    return math.log(2.0 / form.s) - math.log(2.0) - _logsinh(gamma)
+
+
 def decay_envelope(spec: TriToeplitzSpec) -> DecayEnvelope:
     """Decay base eta = x + sqrt(x^2 - 1) and the envelope prefactor 2/(s*(eta - 1/eta))."""
     form = symmetrise(spec)
-    if not form.x > 1.0:
-        raise NotInGappedRegime(f"x = b/(2s) = {form.x!r} is not > 1")
+    gamma = _gapped(form)
     eta = form.x + math.sqrt((form.x - 1.0) * (form.x + 1.0))
-    gamma = math.acosh(form.x)
-    prefactor = math.exp(math.log(2.0 / form.s) - math.log(2.0) - _logsinh(gamma))
+    prefactor = _exp_signed(1, _log_prefactor(form, gamma), "decay prefactor")
     return DecayEnvelope(eta=eta, prefactor=prefactor)
 
 
 def decay_bound(spec: TriToeplitzSpec, i: int, j: int) -> float:
     """Envelope bound (2/s) (eta - 1/eta)^-1 |q|^(i-j) eta^-|i-j| on |A^-1_(i,j)|."""
     form = symmetrise(spec)
-    if not form.x > 1.0:
-        raise NotInGappedRegime(f"x = b/(2s) = {form.x!r} is not > 1")
+    gamma = _gapped(form)
     i = _check_int(i, "index", 1, spec.n, IndexOutOfRange)
     j = _check_int(j, "index", 1, spec.n, IndexOutOfRange)
-    gamma = math.acosh(form.x)
-    log_bound = (
-        math.log(2.0 / form.s)
-        - math.log(2.0)
-        - _logsinh(gamma)
-        + (i - j) * math.log(abs(form.q))
-        - abs(i - j) * gamma
-    )
-    if log_bound > _LOG_MAX:
-        raise OverflowError(f"decay bound ({i},{j}) exceeds the float range")
-    return math.exp(log_bound)
+    log_bound = (_log_prefactor(form, gamma) + (i - j) * math.log(abs(form.q))
+                 - abs(i - j) * gamma)
+    return _exp_signed(1, log_bound, "decay bound (%d,%d)", i, j)
 
 
 def hyperbolic_inverse_entry(form: SymmetrisedForm, i: int, j: int) -> float:
@@ -577,12 +571,10 @@ def hyperbolic_inverse_entry(form: SymmetrisedForm, i: int, j: int) -> float:
     (-1)^(i+j) sinh(i g) sinh((n+1-j) g) / (s sinh((n+1) g) sinh(g));
     indices mirror for i > j.  Computed entirely in log space.
     """
-    if not form.x > 1.0:
-        raise NotInGappedRegime(f"x = {form.x!r} is not > 1")
+    gamma = _gapped(form)
     i = _check_int(i, "index", 1, form.n, IndexOutOfRange)
     j = _check_int(j, "index", 1, form.n, IndexOutOfRange)
     lo, hi = (i, j) if i <= j else (j, i)
-    gamma = math.acosh(form.x)
     log_mag = (
         _logsinh(lo * gamma)
         + _logsinh((form.n + 1 - hi) * gamma)
@@ -591,6 +583,4 @@ def hyperbolic_inverse_entry(form: SymmetrisedForm, i: int, j: int) -> float:
         - math.log(form.s)
     )
     sign = 1.0 if (i + j) % 2 == 0 else -1.0
-    if log_mag > _LOG_MAX:
-        raise OverflowError(f"entry ({i},{j}) exceeds the float range")
-    return sign * math.exp(log_mag)
+    return _exp_signed(sign, log_mag, "inverse entry (%d,%d)", i, j)

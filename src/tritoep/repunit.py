@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cheby import _log1mexp, eval_U_scaled
-from .core import TriToeplitzSpec, _check_int, make_spec
+from .core import TriToeplitzSpec, _check_int, _exp_signed, make_spec
 from .errors import IndexOutOfRange, InvalidBase
 from .spectral import eigenvalues, extremal_eigenvalues
 
@@ -184,7 +184,7 @@ def cosine_product(d, n: int) -> float:
     accumulated as a sum of logarithms; raises OverflowError when the
     plain value is unrepresentable (see :func:`cosine_product_log`).
     """
-    return math.exp(cosine_product_log(d, n))
+    return _exp_signed(1, cosine_product_log(d, n), "cosine product")
 
 
 def cosine_product_log(d, n: int) -> float:

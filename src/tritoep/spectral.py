@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cheby import ScaledValue, _LOG_MAX, eval_U_scaled
-from .core import TriToeplitzSpec, _check_int, symmetrise
-from .errors import IndexOutOfRange
+from .cheby import ScaledValue, eval_U_scaled
+from .core import TriToeplitzSpec, _check_int, _check_log_mag, symmetrise
+from .errors import IndexOutOfRange, InvalidParameter
 
 __all__ = [
     "EigenPair",
@@ -81,16 +81,12 @@ def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np
     ``unit_weighted`` rescales to unit W-norm, ``unit_euclidean`` to unit
     Euclidean norm with the first nonzero entry positive.  Raises
     OverflowError when |q|^(n-1) leaves the float range, whatever the
-    normalization.
+    normalization, and InvalidParameter for another normalization.
     """
-    form = symmetrise(spec)
-    k = _check_int(k, "index", 1, spec.n, IndexOutOfRange)
     if normalization not in _NORMALIZATIONS:
-        raise ValueError(f"normalization must be one of {_NORMALIZATIONS}, got {normalization!r}")
-    theta = k * math.pi / (spec.n + 1)
-    j = np.arange(1, spec.n + 1)
-    sines = np.sin(j * theta)
-    vec = _right_vector(form.q, j, sines)
+        raise InvalidParameter(
+            f"normalization must be one of {_NORMALIZATIONS}, got {normalization!r}")
+    _, _, _, sines, vec = _eigvec_parts(spec, k)
     if normalization == "raw":
         return vec
     if normalization == "unit_weighted":
@@ -108,15 +104,15 @@ def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np
     return vec if first > 0 else -vec
 
 
-def _right_vector(q: float, j: np.ndarray, sines: np.ndarray) -> np.ndarray:
-    """Entries q^(j-1) * sines_j; OverflowError when |q|^(n-1) overflows."""
-    growth = (len(j) - 1) * math.log(abs(q))
-    if growth > _LOG_MAX:
-        raise OverflowError(
-            f"eigenvector entry q^(n-1) has log-magnitude {growth:.6g}, "
-            "beyond the float range"
-        )
-    return np.power(q, j - 1) * sines
+def _eigvec_parts(spec: TriToeplitzSpec, k: int):
+    """form, k, theta_k, sin(j*theta_k) and q^(j-1) sin(j*theta_k), j = 1..n, all checked."""
+    form = symmetrise(spec)
+    k = _check_int(k, "index", 1, spec.n, IndexOutOfRange)
+    theta = k * math.pi / (spec.n + 1)
+    j = np.arange(1, spec.n + 1)
+    sines = np.sin(j * theta)
+    _check_log_mag((spec.n - 1) * math.log(abs(form.q)), "eigenvector entry q^(n-1)")
+    return form, k, theta, sines, np.power(form.q, j - 1) * sines
 
 
 def eigen_pair(spec: TriToeplitzSpec, k: int) -> EigenPair:
@@ -124,18 +120,9 @@ def eigen_pair(spec: TriToeplitzSpec, k: int) -> EigenPair:
 
     Raises OverflowError as eigenvector does.
     """
-    form = symmetrise(spec)
-    k = _check_int(k, "index", 1, spec.n, IndexOutOfRange)
-    theta = k * math.pi / (spec.n + 1)
-    j = np.arange(1, spec.n + 1)
-    sines = np.sin(j * theta)
-    return EigenPair(
-        k=k,
-        theta=theta,
-        value=spec.b + 2.0 * form.s * math.cos(theta),
-        right_vector=_right_vector(form.q, j, sines),
-        symmetric_vector=sines,
-    )
+    form, k, theta, sines, vec = _eigvec_parts(spec, k)
+    return EigenPair(k=k, theta=theta, value=spec.b + 2.0 * form.s * math.cos(theta),
+                     right_vector=vec, symmetric_vector=sines)
 
 
 def extremal_eigenvalues(spec: TriToeplitzSpec) -> SpectrumSummary:

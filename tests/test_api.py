@@ -1,0 +1,26 @@
+import importlib
+import inspect
+
+import tritoep
+from tritoep import errors
+
+# the package attribute ``repunit`` is the function, so the modules come by path
+MODULES = [importlib.import_module(f"tritoep.{name}") for name in
+           ("core", "cheby", "spectral", "greens", "conditioning", "repunit")]
+
+
+def test_package_exports_exactly_the_submodules_public_names():
+    # every public name is declared in its module's __all__, imported in the
+    # package and listed in the package's __all__: the three must agree
+    error_classes = {name for name, obj in vars(errors).items()
+                     if inspect.isclass(obj) and issubclass(obj, errors.TriToeplitzError)}
+    expected = {"__version__"} | error_classes
+    for module in MODULES:
+        expected |= set(module.__all__)
+    assert len(tritoep.__all__) == len(set(tritoep.__all__))
+    assert set(tritoep.__all__) == expected
+    for name in tritoep.__all__:
+        assert hasattr(tritoep, name)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(tritoep, name) is getattr(module, name)

@@ -7,6 +7,7 @@ import pytest
 
 from tritoep import build_kernel
 from tritoep.cli import _VERIFY_TOLS, main
+from tritoep.oracle import dense_from_spec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -192,6 +193,26 @@ class TestVerify:
         assert any(line.startswith("eigen") and line.endswith("FAIL")
                    for line in out.splitlines())
         assert out.splitlines()[-1] == "overall: FAIL"
+
+    def test_badly_scaled_q(self, capsys, monkeypatch):
+        # q = 0.1 and n = 200: q^199 is below 1e-280, so the eigen check runs
+        # on the symmetrised matrix, as the conditioning check always does;
+        # the dense oracle's pivots fail on the raw scaling, the kernel's do not
+        symmetric = []
+
+        def spy(spec):
+            symmetric.append(spec.a == spec.c)
+            return dense_from_spec(spec)
+
+        monkeypatch.setattr("tritoep.cli.dense_from_spec", spy)
+        code, out, _ = run_cli(capsys, "verify", "-a", "1000", "-b", "100", "-c", "1",
+                               "-n", "200")
+        assert code == 0
+        assert symmetric.count(True) == 2
+        lines = out.splitlines()
+        assert lines[1].startswith("eigen ") and lines[1].endswith("PASS")
+        assert lines[3] == "inverse       SKIP (dense oracle: SingularMatrix)"
+        assert lines[-1] == "overall: PASS"
 
     def test_negative_q_branch_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "-a", "-1", "-b", "0.5", "-c", "-2",

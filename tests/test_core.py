@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,23 @@ class TestWeightVector:
             weight_vector(make_spec(-1, 0, -2, 2)), [1.0, 2.0], rtol=1e-14
         )
 
+    def test_overflow_refused(self):
+        # q = 0.1 and n = 201: w_n = 1e400 leaves the float range
+        spec = make_spec(1, 2, 100, 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^weight w_n has log-magnitude 921"):
+                weight_vector(spec)
+            with pytest.raises(OverflowError, match="^weight w_n has log-magnitude"):
+                weighted_selfadjoint_residual(spec)
+
+    def test_underflow_to_zero(self):
+        # q = 10 and n = 201: the weights from w_164 on are below the subnormals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = weight_vector(make_spec(100, 2, 1, 201))
+        assert w[0] == 1.0 and w[-1] == 0.0 and np.all(w >= 0.0)
+
     def test_first_entry_is_one_and_positive(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -163,6 +181,15 @@ class TestWeightedSelfAdjointness:
     def test_not_symmetrisable(self):
         with pytest.raises(NotSymmetrisable):
             weighted_selfadjoint_residual(make_spec(1, 2, -1, 3))
+
+    def test_term_overflow_refused(self):
+        # q = 0.1 and n = 155: w_n = 1e308 is finite, but a*w_n = 1e309 is not
+        spec = make_spec(10, 2, 1000, 155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weight_vector(spec)[-1] == pytest.approx(1e308, rel=1e-12)
+            with pytest.raises(OverflowError, match=r"^term c\*w_\(n-1\) has log-magnitude 711"):
+                weighted_selfadjoint_residual(spec)
 
     def test_order_one(self):
         # no off-diagonal, so no residual; symmetrisability is still required

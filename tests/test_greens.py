@@ -108,7 +108,7 @@ class TestInverseEntry:
     def test_entry_beyond_the_float_range(self):
         # q = 1000 and x = 1.5: entry (400, 1) carries q^399
         kernel = build_kernel(make_spec(1e3, 3, 1e-3, 400))
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"^inverse entry \(400,1\) has log-magnitude"):
             inverse_entry(kernel, 400, 1)
 
     def test_dense_materialisation_agrees(self):
@@ -690,13 +690,20 @@ class TestDecay:
 
     def test_prefactor_beyond_the_float_range(self):
         # s = 1e-306 and x just above 1: 2 / (s (eta - 1/eta)) is about 6e308
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="^decay prefactor has log-magnitude"):
             decay_envelope(make_spec(1e-306, 2.0000001e-306, 1e-306, 3))
 
     def test_bound_beyond_the_float_range(self):
         # q = 1000: the bound on entry (400, 1) carries q^399 eta^-399
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"^decay bound \(400,1\) has log-magnitude"):
             decay_bound(make_spec(1e3, 3, 1e-3, 400), 400, 1)
+
+    def test_one_regime_gate_wording(self):
+        spec = make_spec(1, 2, 1, 3)
+        for call in (lambda: decay_envelope(spec), lambda: decay_bound(spec, 1, 1),
+                     lambda: hyperbolic_inverse_entry(symmetrise(spec), 1, 1)):
+            with pytest.raises(NotInGappedRegime, match=r"^x = b/\(2s\) = 1.0 is not > 1$"):
+                call()
 
     def test_dominates_inverse_entries(self):
         rng = np.random.default_rng(73)
@@ -740,7 +747,7 @@ class TestHyperbolicEntries:
 
     def test_entry_beyond_the_float_range(self):
         # n = 1: the entry is 1 / (2 x s) = 3.3e308
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"^inverse entry \(1,1\) has log-magnitude"):
             hyperbolic_inverse_entry(SymmetrisedForm(1e-309, 1.0, 1.5, 1), 1, 1)
 
     def test_agrees_with_kernel_when_symmetric(self):

@@ -86,6 +86,10 @@ class TestEigenvector:
         with pytest.raises(ValueError):
             eigenvector(spec, 1, "fancy")
 
+    def test_unknown_normalization_is_a_typed_error(self):
+        with pytest.raises(InvalidParameter, match="normalization must be one of"):
+            eigenvector(make_spec(1, 2, 1, 3), 1, "fancy")
+
     @pytest.mark.parametrize("norm", ["raw", "unit_weighted", "unit_euclidean"])
     def test_overflowing_q_power_raises(self, norm):
         # q = 100 and n = 200: q^(n-1) = 1e398 leaves the float range
