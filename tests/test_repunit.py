@@ -114,13 +114,8 @@ class TestCosineProduct:
     def test_log_accessor_survives_overflow(self):
         lv = cosine_product_log(10, 400)
         assert lv == pytest.approx(log_repunit(401, 10), rel=1e-12)
-        with pytest.raises(OverflowError):
-            cosine_product(10, 400)
-
-    def test_overflow_refused_before_exp(self):
-        # R_401(10) has about 401 digits
         with pytest.raises(OverflowError, match="^cosine product has log-magnitude 92"):
-            cosine_product(10.0, 400)
+            cosine_product(10, 400)
 
 
 class TestRepunitCondition:
