@@ -131,7 +131,7 @@ class TestWeightVector:
                 weighted_selfadjoint_residual(spec)
 
     def test_underflow_to_zero(self):
-        # q = 10 and n = 201: the weights from w_164 on are below the subnormals
+        # q = 10 and n = 201: w_j = 1e-2(j-1) rounds to 0.0 from w_163 on
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w = weight_vector(make_spec(100, 2, 1, 201))
