@@ -69,8 +69,23 @@ def _check_singular_tol(singular_tol) -> None:
 def _check_log_mag(log_mag, what: str, *args) -> None:
     """The one overflow rule: refuse exp(log_mag) past the float range, naming what % args."""
     if log_mag > _LOG_MAX:
-        raise OverflowError(
-            f"{what % args} has log-magnitude {log_mag:.6g}, beyond the float range")
+        raise _beyond_range(what % args, log_mag)
+
+
+def _beyond_range(name: str, log_mag) -> OverflowError:
+    return OverflowError(f"{name} has log-magnitude {log_mag:.6g}, beyond the float range")
+
+
+def _check_log_mags(log_mag, what: str, beyond=None) -> None:
+    """The array form for an (n, k) log_mag: name the largest entry past the range.
+
+    ``beyond`` marks the entries known to be past it (default: log_mag >
+    _LOG_MAX); the refusal names the largest of them as "what (i,j)", 1-based.
+    """
+    beyond = log_mag > _LOG_MAX if beyond is None else beyond
+    if beyond.any():
+        i, j = np.unravel_index(np.argmax(np.where(beyond, log_mag, -np.inf)), log_mag.shape)
+        raise _beyond_range(f"{what} ({i + 1},{j + 1})", log_mag[i, j])
 
 
 def _exp_signed(sign, log_mag, what: str, *args) -> float:

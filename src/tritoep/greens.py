@@ -12,22 +12,18 @@ is built.  Everything is carried as sign plus log-magnitude, which keeps
 entries computable for orders in the thousands even when the Chebyshev
 values themselves would overflow.
 
-``apply_inverse`` exploits the rank-one triangles with a prefix and a
-suffix sum (O(n)), each run by one of two scans, chosen per right-hand
-side column.  The log-space scan sums the positive and the negative
-terms apart by ``np.logaddexp.accumulate``.  The two-level scan scales
-chunks of 256 rows by one exponent each, sums them by ``np.cumsum`` and
-runs only the chunk totals through the log-space scan.  From 1280 rows
-on, a column takes it when in every chunk its terms span at most 650
-e-folds; a column with a wider chunk, a NaN or an inf, and every column
-below 1280 rows, takes the log-space scan whole.  An (n, k) block gives,
-column for column, what its columns give alone.  Entry, dense and apply
-paths follow one overflow policy: a nonzero value whose log-magnitude
-exceeds the float range raises OverflowError, by ``core._exp_signed`` in
-the scalar closed forms.  ``build_kernel`` and ``apply_inverse`` do their
-n-length work in place in a few buffers per call, which saves page faults
-on fresh memory, not flops, with the float operations of the plain
-expressions in their order.  ``thomas_solve``, the classical elimination
+``apply_inverse`` runs the rank-one triangles as a prefix and a suffix
+sum (O(n)); the suffix sums are prefix sums of the reversed right-hand
+side.  From 1280 rows on, both run in linear space on one grid of 256-row
+chunks, one exponent per chunk (reduce-then-scan in block floating
+point); a column with a NaN, an inf or a chunk that may span more than
+650 e-folds, and every column below 1280 rows, takes log-space scans
+whole.  An (n, k) block gives, column for column, what its columns give
+alone.  One overflow policy holds for entry, dense and apply paths: a
+nonzero value whose log-magnitude exceeds the float range raises
+OverflowError (``core._exp_signed``, ``core._check_log_mags``).
+``build_kernel`` and ``apply_inverse`` work in a few buffers per call,
+which saves page faults.  ``thomas_solve``, the classical elimination
 baseline, is the only routine here that does not need a*c > 0.
 """
 
@@ -39,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheby import ScaledValue, _log1mexp, _u_sequence_into
-from .core import (_LOG_MAX, _SINGULAR_TOL, SymmetrisedForm, TriToeplitzSpec, _check_int,
-                   _check_singular_tol, _exp_signed, symmetrise)
+from .core import (_LOG_MAX, _MIN_NORMAL, _SINGULAR_TOL, SymmetrisedForm, TriToeplitzSpec,
+                   _check_int, _check_log_mags, _check_singular_tol, _exp_signed, symmetrise)
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -72,19 +68,17 @@ _SUBNORMAL_FLOOR = 4 * 2.0**-1074
 # a non-finite Thomas solution to a finite rhs is named an overflow when no
 # pivot fell below this share of the row scale, a near-singular pivot else
 _WELL_PIVOTED = 1e-8
-_MOST_NEGATIVE = np.finfo(float).min
-# rows per chunk of the two-level scan in apply_inverse
+# rows per chunk of the linear-space apply
 _CHUNK = 256
 # a column with a chunk whose nonzero terms may span more e-folds than this
-# takes the log-space scan: a term this far below the chunk's largest is
+# takes the log-space scans: a term this far below the chunk's largest is
 # still a normal float (the normal range ends about 708 e-folds below 1)
 _CHUNK_LOG_SPAN = 650.0
-# orders from here on take the two-level scan; below, its fixed cost of
-# about 50 numpy calls per scan outweighs the per-row log-space scan it
-# replaces (build plus apply on one CPU, two-level over log-space in four
-# runs: 0.94-1.12x at 4 chunks, 0.85-1.04x at 5)
+# orders from here on take the linear-space apply; below, its fixed cost of
+# about 70 numpy calls outweighs the per-row log-space scans
 _CHUNKED_MIN_N = 5 * _CHUNK
-
+# log of half the smallest subnormal: a value below it rounds to 0
+_LOG_SUBNORMAL = -1075 * math.log(2.0)
 
 @dataclass(frozen=True, eq=False)
 class GreenKernel:
@@ -93,9 +87,8 @@ class GreenKernel:
     ``u_signs/u_logs`` hold U_{k-1}(x) for k = 0..n+1 in scaled form, with
     U_{-1} = 0 (sign 0, log -inf) in front; sign arrays contain -1, 0, +1
     as floats.  Entry (i, j) reads indices lo and n+1-hi.
-    ``wronskian`` equals U_n(x); ``invertible`` is a queried
-    flag, entry and solve operations raise SingularMatrix when it is
-    False.
+    ``wronskian`` equals U_n(x); ``invertible`` is a queried flag, entry
+    and solve operations raise SingularMatrix when it is False.
     """
 
     n: int
@@ -160,18 +153,9 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = _SINGULAR_TOL) -> 
                 f"exceeds {_WRONSKIAN_TOL:g}; log|U_n(x)| = "
                 f"{wronskian.log_mag:.6g} against the threshold {log_threshold:.6g}"
             )
-    return GreenKernel(
-        n=n,
-        s=form.s,
-        q=form.q,
-        x=form.x,
-        u_signs=u_signs,
-        u_logs=u_logs,
-        wronskian=wronskian,
-        invertible=invertible,
-        wronskian_residual=residual,
-        singular_tol=singular_tol,
-    )
+    return GreenKernel(n=n, s=form.s, q=form.q, x=form.x, u_signs=u_signs, u_logs=u_logs,
+                       wronskian=wronskian, invertible=invertible,
+                       wronskian_residual=residual, singular_tol=singular_tol)
 
 
 def _require_invertible(kernel: GreenKernel) -> None:
@@ -190,19 +174,9 @@ def _entry_sign_log(kernel: GreenKernel, lo, hi, diff):
     """
     sign_neg_q = -1.0 if kernel.q > 0 else 1.0
     back = kernel.n + 1 - hi
-    sign = (
-        kernel.u_signs[lo]
-        * kernel.u_signs[back]
-        * kernel.wronskian.sign
-        * sign_neg_q**diff
-    )
-    log_mag = (
-        kernel.u_logs[lo]
-        + kernel.u_logs[back]
-        - kernel.wronskian.log_mag
-        - math.log(kernel.s)
-        + diff * math.log(abs(kernel.q))
-    )
+    sign = kernel.u_signs[lo] * kernel.u_signs[back] * kernel.wronskian.sign * sign_neg_q**diff
+    log_mag = (kernel.u_logs[lo] + kernel.u_logs[back] - kernel.wronskian.log_mag
+               - math.log(kernel.s) + diff * math.log(abs(kernel.q)))
     return sign, log_mag
 
 
@@ -226,16 +200,10 @@ def inverse_dense(kernel: GreenKernel) -> np.ndarray:
     _require_invertible(kernel)
     n = kernel.n
     idx = np.arange(1, n + 1)
-    signs, logs = _entry_sign_log(
-        kernel,
-        np.minimum.outer(idx, idx),
-        np.maximum.outer(idx, idx),
-        np.subtract.outer(idx, idx),
-    )
-    if np.any((signs != 0.0) & (logs > _LOG_MAX)):
-        raise OverflowError("some inverse entries exceed the float range")
-    with np.errstate(under="ignore"):
-        return signs * np.exp(np.where(signs == 0.0, -np.inf, logs))
+    signs, logs = _entry_sign_log(kernel, np.minimum.outer(idx, idx),
+                                  np.maximum.outer(idx, idx), np.subtract.outer(idx, idx))
+    with np.errstate(divide="ignore", under="ignore"):
+        return _exp_terms(logs, signs, "inverse entry")
 
 
 def _scan_scaled(negative, pos):
@@ -264,141 +232,39 @@ def _scan_scaled(negative, pos):
     return acc, scale
 
 
-def _scan_two_level(weights, top, cols, col_top):
-    """Running sums of weights * cols along the rows of the chunk grid, in scaled form.
-
-    cols is the right-hand side on the chunk grid, one column per leading
-    index: shape (k, chunks, _CHUNK).  For each chunk c, top[c] is the
-    largest row log and ``weights``, of shape (chunks, _CHUNK), holds the
-    row factors divided by exp(top[c]), 0 on the padding; col_top, of shape
-    (k, chunks), is max|rhs| per column and chunk.  Returns (acc, scale),
-    acc written over cols and scale per column and chunk, |acc| <= _CHUNK + 1.
-
-    This is Blelloch's reduce-then-scan with one exponent per chunk and
-    column.  Inside a chunk the terms are divided by exp(top + log max|rhs|),
-    a bound on the largest of them, and summed by np.cumsum; the chunk
-    totals run through _scan_scaled, and each chunk adds the total of the
-    chunks before it.  The caller keeps every scaled term a normal float.
-    """
-    k, chunks, _ = cols.shape
-    chunk_scale = top + np.log(col_top)
-    # divided by max|rhs| first: a tiny rhs times a small weight underflows
-    acc = np.divide(cols, np.where(col_top > 0, col_top, 1.0)[:, :, None], out=cols)
-    acc *= weights
-    np.cumsum(acc, axis=2, out=acc)
-
-    # entry c + 1 holds the total of chunk c, so the scan of the totals
-    # gives in entry c the carry into chunk c, the sum of the chunks before it
-    tot = np.concatenate((np.zeros((k, 1)), acc[:, :, -1]), axis=1)
-    tot_logs = np.concatenate((np.full((k, 1), -np.inf), chunk_scale), axis=1)
-    carry_acc, carry_scale = _scan_scaled((tot < 0).T, (tot_logs + np.log(np.abs(tot))).T)
-    carry_acc, carry_scale = carry_acc[:-1].T, carry_scale[:-1].T
-
-    scale = np.maximum(carry_scale, chunk_scale)
-    shift = np.maximum(scale, _MOST_NEGATIVE)
-    acc *= np.exp(chunk_scale - shift)[:, :, None]
-    acc += (carry_acc * np.exp(carry_scale - shift))[:, :, None]
-    return acc, scale
+def _exp_terms(log_mag, acc, what, rows=slice(None)):
+    """acc * exp(log_mag), over both; refused on log_mag + log|acc| at row i of log_mag[rows]."""
+    log_acc = np.abs(acc)
+    log_mag += np.log(log_acc, out=log_acc)
+    _check_log_mags(log_mag[rows], what)
+    return np.copysign(np.exp(log_mag, out=log_mag), acc, out=acc)
 
 
-def _scan(signs, logs, cols, row_logs):
-    """Rows of exp(row_logs) times the running sums of signs * exp(logs) * cols.
-
-    The sums run down axis 0, and rows past the end of row_logs get no term;
-    returns the (n, k) terms or a view, refusing overflow as _scaled_terms
-    does.  From _CHUNKED_MIN_N rows on, a column takes the two-level scan
-    when in every chunk its terms (row factors times entries) span at most
-    _CHUNK_LOG_SPAN e-folds, on rows padded to whole chunks, column after
-    column.  Every other column takes the log-space scan whole; a block
-    with both kinds is split, so that each column gives what it gives alone.
-    """
-    n, k = cols.shape
-    if n >= _CHUNKED_MIN_N:
-        starts = np.arange(0, n, _CHUNK)
-        top = np.maximum.reduceat(logs, starts)
-        # a row factor of log -inf (an exact zero) makes the span inf
-        row_span = top - np.minimum.reduceat(logs, starts)
-    # with every chunk's row factors too wide, the log-space scan gives all
-    # columns what they would get, zero columns included, without the grid
-    if n >= _CHUNKED_MIN_N and (row_span <= _CHUNK_LOG_SPAN).any():
-        grid = np.zeros((k, starts.size, _CHUNK))
-        grid.reshape(k, -1)[:, :n] = cols.T
-        # |rhs|, then the row factors, then the log-magnitudes of the terms
-        scratch = np.abs(grid)
-        col_top = scratch.max(axis=2)
-        # log(max|rhs| / min|rhs|) over the nonzero entries; -inf for a zero chunk
-        col_span = np.log(col_top) - np.log(
-            np.min(scratch, axis=2, where=scratch > 0, initial=np.inf))
-        # a NaN or an infinite entry makes the span NaN or inf: such a chunk is wide
-        linear = (row_span + col_span <= _CHUNK_LOG_SPAN).all(axis=1)
-        if linear.all():
-            weights = scratch[0]
-            flat = weights.reshape(-1)
-            flat[:n] = logs
-            flat[n:] = -np.inf
-            weights -= top[:, None]
-            np.exp(weights, out=weights)
-            flat[:n] *= signs
-            acc, scale = _scan_two_level(weights, top, grid, col_top)
-            flat = scratch.reshape(k, -1)
-            flat[:, : row_logs.size] = row_logs
-            flat[:, row_logs.size :] = -np.inf
-            scratch += scale[:, :, None]
-            return _scaled_terms(scratch, acc).reshape(k, -1)[:, :n].T
-        del grid, scratch
-        if linear.any():
-            terms = np.empty((n, k))
-            for part in (linear, ~linear):
-                terms[:, part] = _scan(signs, logs, cols[:, part], row_logs)
-            return terms
+def _scan_log(signs, logs, cols, row_logs):
+    """Terms exp(row_logs) * running sums of signs exp(logs) cols, as (log_mag, acc)."""
     terms = np.log(np.abs(cols))
     terms += logs[:, None]
     acc, scale = _scan_scaled(signs[:, None] * cols < 0, terms)
     scale[: row_logs.size] += row_logs[:, None]
     scale[row_logs.size :] = -np.inf
-    return _scaled_terms(scale, acc)
+    return scale, acc
 
 
-def _scaled_terms(log_mag, acc):
-    """acc * exp(log_mag), written over acc; log_mag is overwritten.
-
-    Overflow is decided on each term's whole log-magnitude, log|acc|
-    included, so a term is refused exactly when its value would leave the
-    float range, as in inverse_entry and inverse_dense.
-    """
-    log_acc = np.abs(acc)
-    log_mag += np.log(log_acc, out=log_acc)
-    if (log_mag > _LOG_MAX).any():
-        raise OverflowError("some solution terms exceed the float range")
-    return np.copysign(np.exp(log_mag, out=log_mag), acc, out=acc)
+def _sum_parts(p, s):
+    """The solution rows p + s, s one row short; refuses an entry past the float range."""
+    x = p.copy()
+    x[:-1] += s
+    if np.isinf(x).any():
+        # both parts are finite, so their halves add without overflow
+        halves = p / 2.0
+        halves[:-1] += s / 2.0
+        _check_log_mags(np.log(np.abs(halves)) + math.log(2.0), "solution entry", np.isinf(x))
+    return x
 
 
-def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
-    """Solve A x = rhs through the semiseparable kernel in O(n).
-
-    rhs is a vector of length n or an (n, k) block of k right-hand sides;
-    the result has the shape of rhs, and a block gives, column for column,
-    exactly what the columns give one by one.  Row i of the solution is
-
-        (-q)^i / (s U_n) * (U_(n-i) P_i + U_(i-1) S_(i+1)),
-
-    with the prefix sums P_i = sum_(j<=i) U_(j-1) (-q)^(-j) rhs_j and the
-    suffix sums S_i = sum_(j>=i) U_(n-j) (-q)^(-j) rhs_j, both run by
-    _scan down all columns at once.  Deterministic for fixed input.  Raises
-    OverflowError when a term of the solution, or the solution itself,
-    leaves the float range.  A NaN or an infinite entry of a column makes
-    that whole column of the solution NaN, with no RuntimeWarning
-    (thomas_solve gives +-inf entries for an infinite one).
-    """
-    _require_invertible(kernel)
-    n = kernel.n
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-        raise DimensionMismatch(
-            f"expected rhs of shape ({n},) or ({n}, k), got shape {rhs.shape}"
-        )
-    cols = rhs[:, None] if rhs.ndim == 1 else rhs
-    q = kernel.q
+def _solve_log(kernel: GreenKernel, cols):
+    """The solution by two log-space scans, the prefix and the suffix sums."""
+    n, q = kernel.n, kernel.q
     # U_(i-1), read forwards; read backwards it is U_(n-i)
     u_signs, u_logs = kernel.u_signs[1 : n + 1], kernel.u_logs[1 : n + 1]
     # signs of -(-q)^i U_(i-1): the minus cancels in x and only signs its exact zeros
@@ -411,28 +277,163 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
     # suffix reads the q-power signs backwards: flipped for q > 0, n even
     flip = -1.0 if q > 0 and n % 2 == 0 else 1.0
     row_sign = flip * kernel.wronskian.sign
-    # log|q|^i, then the prefix scan's row factors and the row logs of its terms
     q_logs = np.arange(1.0, n + 1.0) * math.log(abs(q))
-    logs = u_logs - q_logs
-    rows = q_logs - math.log(kernel.s) - kernel.wronskian.log_mag
-    rows += u_logs[::-1]
+    log_s, log_w = math.log(kernel.s), kernel.wronskian.log_mag
+    x = _exp_terms(*_scan_log(signs, u_logs - q_logs, cols, q_logs - log_s - log_w
+                              + u_logs[::-1]), "solution term")
+    x *= signs[::-1, None] * row_sign
+    # S_n, ..., S_2 for rows n - 1, ..., 1, scanned from the last row up
+    signs *= flip
+    s = _exp_terms(*_scan_log(signs, u_logs - q_logs[::-1], cols[::-1],
+                              q_logs[-2::-1] - log_s - log_w + u_logs[-2::-1]),
+                   "solution term", slice(-2, None, -1))[-2::-1]
+    s *= signs[:-1, None] * row_sign
+    return _sum_parts(x, s)
+
+
+def _fused(kernel: GreenKernel, terms, top, gamma, slopes):
+    """Both sums of the solution on one chunk grid, in linear space.
+
+    terms[0] holds the rhs as (k, chunks, _CHUNK), padded with at least one
+    zero row, and top its max|rhs| per chunk.  Row f's prefix term is v_f
+    rhs_f e^(f slope_0), its suffix term on the reversed grid v_f
+    rhs_(n-1-f) e^(f slope_1); v_f = U_f e^(-f gamma) times the sign of
+    (-q)^(f+1) is bounded.  Row f of a part is (sum alpha + carry beta)
+    times v backwards times e^(off - tau slope), per chunk alpha and beta.
+    """
+    _, k, chunks, _ = terms.shape
+    n, q, size = kernel.n, kernel.q, chunks * _CHUNK
+    pad = size - n
+    # v at buf[pad:size] between zeros: the prefix terms read buf[pad:] and
+    # the suffix terms buf[:size]; the rows read it backwards
+    buf = np.zeros(size + pad)
+    # f = 0..n-1 in the suffix grid, scratch until it is filled
+    f = np.add(np.arange(0.0, size, _CHUNK)[:, None], np.arange(_CHUNK), out=terms[1, 0])
+    v = np.multiply(f.reshape(-1)[:n], -gamma, out=buf[pad:size])
+    v += kernel.u_logs[1 : n + 1]
+    log_vmax = math.log(np.exp(v, out=v).max())
+    v *= kernel.u_signs[1 : n + 1]
+    if q > 0:
+        v[::2] *= -1.0
+    rows = tuple(buf[::-1][a : a + size].reshape(chunks, _CHUNK) for a in (pad, 1))
+    tau_slopes = np.outer(slopes, np.arange(_CHUNK))
+    off = np.minimum(tau_slopes[:, -1:], 0.0)
+    back_weights = np.exp(off - tau_slopes)
+    terms[0] /= np.where(top > 0, top, 1.0)[:, :, None]
+    np.multiply(terms[0, :, ::-1, ::-1], buf[:size].reshape(chunks, _CHUNK), out=terms[1])
+    terms[0] *= buf[pad:][:size].reshape(chunks, _CHUNK)
+    terms *= np.exp(tau_slopes - off)[:, None, None]
+    np.cumsum(terms, axis=3, out=terms)
+
+    # log alpha: log max|rhs| plus the log of the part's constant row factor;
+    # a chunk's sum times e^(log alpha - base) is the sum itself
+    g = (n - 1) * gamma - math.log(kernel.s) - kernel.wronskian.log_mag
+    log_alpha = np.log(np.stack((top, top[:, ::-1])))
+    log_alpha += (g - np.array([0.0, slopes[1]]))[:, None, None]
+    base = ((g + np.array([0.0, (pad - 1) * slopes[1]]) - off[:, 0])[:, None]
+            - np.outer(slopes, np.arange(0, size, _CHUNK)))[:, None, :]
+    # entry c + 1 holds the total of chunk c, so the scan of the totals
+    # gives in entry c the carry into chunk c, the sum of the chunks before it
+    tot = terms[..., -1]
+    tot_logs = (np.log(np.abs(tot)) + log_alpha - base).reshape(2 * k, chunks).T
+    carry, log_beta = (a[:-1].T.reshape(2, k, chunks) for a in _scan_scaled(
+        np.concatenate((np.zeros((1, 2 * k), bool), (tot < 0).reshape(2 * k, chunks).T)),
+        np.concatenate((np.full((1, 2 * k), -np.inf), tot_logs))))
+    log_beta += base
+    log_beta[carry == 0.0] = -np.inf
+
+    # a row of a part is at most e^(peak + spread): under half the float range
+    # below the top limit, rounded to 0 below the bottom one; a rounding below
+    # the normal floats is multiplied by max|v| at most
+    peak = np.maximum(log_alpha, log_beta)
+    lowest = np.minimum(np.where(log_alpha > -np.inf, log_alpha, np.inf),
+                        np.where(log_beta > -np.inf, log_beta, np.inf))
+    spread = (math.log(2 * _CHUNK + 2) + 2 * log_vmax + (_CHUNK - 1) * np.abs(slopes))[:, None, None]
+    exact = (((lowest < math.log(_MIN_NORMAL) + log_vmax) & (peak + spread > _LOG_SUBNORMAL))
+             | (peak + spread > _LOG_MAX))
+    row_sign = (-1.0 if q > 0 and n % 2 == 0 else 1.0) * kernel.wronskian.sign
+    if exact.any():
+        part, _, chunk = np.nonzero(exact)
+        top_log = peak[exact][:, None]
+        sums = (terms[exact] * np.exp(log_alpha[exact][:, None] - top_log)
+                + carry[exact][:, None] * np.exp(log_beta[exact][:, None] - top_log))
+        factors = np.stack(rows)[part, chunk] * back_weights[part]
+        log_mag = np.log(np.abs(sums)) + np.log(np.abs(factors)) + top_log
+        exact_rows = np.copysign(np.exp(log_mag), sums * factors * row_sign)
+    terms *= (row_sign * np.exp(log_alpha))[..., None]
+    terms += (row_sign * carry * np.exp(log_beta))[..., None]
+    for part, row in enumerate(rows):
+        terms[part] *= row
+    terms *= back_weights[:, None, None]
+    # the suffix part of row i is at padded row size - 1 - i; S_(n+1) = 0
+    parts = terms.reshape(2, k, size)
+    p, s = parts[0, :, :n].T, parts[1, :, ::-1][:, 1:n].T
+    if not exact.any():
+        p[:-1] += s
+        return p
+    if (log_mag > _LOG_MAX).any():
+        terms[...] = -np.inf
+        terms[exact] = log_mag
+        _check_log_mags(p, "solution term")
+        _check_log_mags(s, "solution term")
+    terms[exact] = exact_rows
+    return _sum_parts(p, s)
+
+
+def _solve(kernel: GreenKernel, cols):
+    """The (n, k) solution, column by column in linear space where the column allows."""
+    n, k = cols.shape
+    gamma = math.acosh(abs(kernel.x)) if abs(kernel.x) > 1.0 else 0.0
+    # the e-folds per row of the prefix and the suffix terms, past v
+    width = (_CHUNK - 1) * (gamma + abs(math.log(abs(kernel.q))))
+    if n >= _CHUNKED_MIN_N and width <= _CHUNK_LOG_SPAN and k:
+        terms = np.zeros((2, k, n // _CHUNK + 1, _CHUNK))
+        terms[0].reshape(k, -1)[:, :n] = cols.T
+        mags = np.abs(terms[0], out=terms[1])
+        top = mags.max(axis=2)
+        # log(max|rhs| / min|rhs|) over the nonzero entries; -inf for a zero
+        # chunk, NaN or inf for a chunk with a NaN or an infinite entry
+        span = np.log(top) - np.log(np.min(mags, axis=2, where=mags > 0, initial=np.inf))
+        linear = (width + span <= _CHUNK_LOG_SPAN).all(axis=1)
+        if linear.all():
+            return _fused(kernel, terms, top, gamma,
+                          gamma + np.array([-1.0, 1.0]) * math.log(abs(kernel.q)))
+        del terms, mags
+        if linear.any():
+            x = np.empty((n, k))
+            x[:, linear] = _solve(kernel, cols[:, linear])
+            x[:, ~linear] = _solve_log(kernel, cols[:, ~linear])
+            return x
+    return _solve_log(kernel, cols)
+
+
+def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
+    """Solve A x = rhs through the semiseparable kernel in O(n).
+
+    rhs is a vector of length n or an (n, k) block of k right-hand sides;
+    the result has the shape of rhs, and a block gives, column for column,
+    exactly what the columns give one by one.  Row i of the solution is
+
+        (-q)^i / (s U_n) * (U_(n-i) P_i + U_(i-1) S_(i+1)),
+
+    with the prefix sums P_i = sum_(j<=i) U_(j-1) (-q)^(-j) rhs_j and the
+    suffix sums S_i = sum_(j>=i) U_(n-j) (-q)^(-j) rhs_j.  Deterministic
+    for fixed input.  Raises OverflowError when a term of the solution, or
+    the solution itself, leaves the float range.  A NaN or an infinite
+    entry of a column makes that whole column of the solution NaN, with no
+    RuntimeWarning (thomas_solve gives +-inf entries for an infinite one).
+    """
+    _require_invertible(kernel)
+    n = kernel.n
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise DimensionMismatch(
+            f"expected rhs of shape ({n},) or ({n}, k), got shape {rhs.shape}"
+        )
     # an infinite rhs entry meets inf - inf in the scans, and the NaN it
     # makes reaches every row, as a NaN entry does
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        x = _scan(signs, logs, cols, rows)
-        x *= signs[::-1, None] * row_sign
-        # S_n, S_(n-1), ..., S_1: the suffix sums, scanned from the last row
-        # up; S_1 gives no term
-        np.subtract(u_logs, q_logs[::-1], out=logs)
-        rows[:-1] = q_logs[-2::-1] - math.log(kernel.s) - kernel.wronskian.log_mag
-        rows[:-1] += u_logs[-2::-1]
-        del q_logs
-        signs *= flip
-        terms = _scan(signs, logs, cols[::-1], rows[:-1])[-2::-1]
-        terms *= signs[:-1, None] * row_sign
-        x[:-1] += terms
-    if np.isinf(x).any():
-        raise OverflowError("some solution entries exceed the float range")
+        x = _solve(kernel, rhs[:, None] if rhs.ndim == 1 else rhs)
     return x.reshape(rhs.shape)
 
 
@@ -444,11 +445,10 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     1e-300 times the row scale; there is no pivoting fallback.  It also
     raises it when the answer misses the backward-error bound
     ||A x - rhs|| <= 1e-9 (row_scale ||x|| + ||rhs||) + 4 row_scale 2^-1074
-    in max norms.  A
-    non-finite answer to a finite rhs raises OverflowError when every
-    pivot is at least 1e-8 times the row scale (the solution itself
-    leaves the float range), NearSingularPivot otherwise.  A NaN in rhs
-    gives a NaN solution.
+    in max norms.  A non-finite answer to a finite rhs raises
+    OverflowError when every pivot is at least 1e-8 times the row scale
+    (the solution itself leaves the float range), NearSingularPivot
+    otherwise.  A NaN in rhs gives a NaN solution.
     """
     n = spec.n
     rhs = np.asarray(rhs, dtype=float)

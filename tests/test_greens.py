@@ -254,35 +254,37 @@ def _growth_spec(x, q_sign, log_growth, n):
 
 
 @pytest.fixture
-def two_level_calls(monkeypatch):
-    """The column-grid shapes _scan_two_level is called with, in order."""
+def fused_calls(monkeypatch):
+    """The term-grid shapes _fused is called with, in order."""
     calls = []
-    scan = greens._scan_two_level
+    fused = greens._fused
 
-    def spy(weights, top, cols, col_top):
-        calls.append(cols.shape)
-        return scan(weights, top, cols, col_top)
+    def spy(kernel, terms, *args):
+        calls.append(terms.shape)
+        return fused(kernel, terms, *args)
 
-    monkeypatch.setattr(greens, "_scan_two_level", spy)
+    monkeypatch.setattr(greens, "_fused", spy)
     return calls
 
 
 class TestTwoLevelScan:
-    """The chunked scan of apply_inverse, from _CHUNKED_MIN_N rows on."""
+    """The fused linear-space apply of apply_inverse, from _CHUNKED_MIN_N rows on."""
 
-    # the largest log-space order, the smallest chunked one (whole chunks),
-    # one row into a new chunk, and a last chunk one row short of full
+    # the largest log-space order, the smallest chunked one, then n = 0, 1,
+    # 254 and 255 (mod _CHUNK), odd and even: whole chunks, one row into a
+    # new chunk, and a last chunk two and one rows short of full
     @pytest.mark.parametrize("n", [
         _CHUNKED_MIN_N - 1, _CHUNKED_MIN_N, _CHUNKED_MIN_N + 1,
-        _CHUNKED_MIN_N + 2 * _CHUNK - 1,
+        _CHUNKED_MIN_N + 2 * _CHUNK - 1, _CHUNKED_MIN_N + _CHUNK - 2,
+        _CHUNKED_MIN_N + _CHUNK, _CHUNKED_MIN_N + _CHUNK + 1,
     ])
     @pytest.mark.parametrize("x, q_sign", [(0.35, 1.0), (1.25, -1.0), (2.9, 1.0)])
-    def test_chunk_edges(self, n, x, q_sign, two_level_calls):
+    def test_chunk_edges(self, n, x, q_sign, fused_calls):
         spec = _growth_spec(x, q_sign, 30.0, n)
         kernel = build_kernel(spec)
         rhs = np.random.default_rng(n).standard_normal(n)
         got = apply_inverse(kernel, rhs)
-        assert len(two_level_calls) == (0 if n < _CHUNKED_MIN_N else 2)
+        assert len(fused_calls) == (0 if n < _CHUNKED_MIN_N else 1)
         assert _backward_error(spec, got, rhs) <= 1e-11
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -303,7 +305,7 @@ class TestTwoLevelScan:
         (100.0, 0.0), (100.0, 1500.0), (100.0, -1500.0), (-100.0, 1500.0),
     ])
     @pytest.mark.parametrize("q_sign", [1.0, -1.0])
-    def test_wide_chunks_take_the_log_scan(self, x, log_growth, q_sign, two_level_calls):
+    def test_wide_chunks_take_the_log_scan(self, x, log_growth, q_sign, fused_calls):
         # each row moves the scan terms by e^4 or more, so every chunk spans
         # far more than _CHUNK_LOG_SPAN e-folds and the column takes the log
         # scan whole
@@ -312,7 +314,7 @@ class TestTwoLevelScan:
         kernel = build_kernel(spec)
         rhs = np.random.default_rng(229).standard_normal(n)
         got = apply_inverse(kernel, rhs)
-        assert two_level_calls == []
+        assert fused_calls == []
         assert _backward_error(spec, got, rhs) <= 1e-11
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -323,10 +325,58 @@ class TestTwoLevelScan:
         # oscillatory x does not damp |q|^(i-j): the far corner is e^1500
         n = _CHUNKED_MIN_N + _CHUNK
         kernel = build_kernel(_growth_spec(0.5, q_sign, log_growth, n))
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"^solution term \(\d+,1\) has log-magnitude"):
             apply_inverse(kernel, np.random.default_rng(233).standard_normal(n))
 
-    def test_wide_row_factors_skip_the_chunk_grid(self, two_level_calls):
+    @pytest.mark.parametrize("x, q_sign", [(1.25, 1.0), (-1.5, -1.0)])
+    def test_finite_solution_near_the_float_range(self, x, q_sign):
+        # a rhs near 1e306 puts every chunk's bound past the float range, so
+        # the rows leave log space one by one; they are still finite
+        n = _CHUNKED_MIN_N + _CHUNK + 1
+        kernel = build_kernel(_growth_spec(x, q_sign, 10.0, n))
+        j = n // 2
+        col = apply_inverse(kernel, np.eye(n)[j - 1] * 1e306)
+        for i in (1, j - 1, j, j + 300, n):
+            assert col[i - 1] == pytest.approx(1e306 * inverse_entry(kernel, i, j), rel=1e-11)
+        rhs = np.random.default_rng(271).standard_normal(n)
+        got = apply_inverse(kernel, 1e305 * rhs)
+        assert np.all(np.isfinite(got)) and np.max(np.abs(got)) > 1e304
+        np.testing.assert_allclose(got, 1e305 * apply_inverse(kernel, rhs), rtol=1e-11,
+                                   atol=1e-11 * np.max(np.abs(got)))
+
+    @pytest.mark.parametrize("log_growth, last", [(-1400.0, False), (1400.0, True)])
+    @pytest.mark.parametrize("x, q_sign", [(0.5, 1.0), (0.5, -1.0), (1.25, 1.0)])
+    def test_far_rows_underflow(self, x, q_sign, log_growth, last):
+        # |log q| (n-1) = 1400: column 1 of the inverse falls through the
+        # subnormals to 0 for log|q| < 0, column n rises out of them for
+        # log|q| > 0; each agrees with inverse_entry, zeros and subnormals
+        # included
+        n = _CHUNKED_MIN_N + 3 * _CHUNK + 5
+        kernel = build_kernel(_growth_spec(x, q_sign, log_growth, n))
+        j = n if last else 1
+        col = apply_inverse(kernel, np.eye(n)[j - 1])
+        want = np.array([inverse_entry(kernel, i, j) for i in range(1, n + 1)])
+        assert np.all(np.abs(col - want) <= 1e-11 * np.abs(want) + 2.0**-1070)
+        assert (want == 0.0).any() and ((want != 0.0) & (np.abs(want) < 1e-308)).any()
+
+    @pytest.mark.parametrize("q_sign", [1.0, -1.0])
+    def test_subnormal_rhs_under_growing_rows(self, q_sign):
+        # log|q| = 2, s = 3 and x = 0.5: rows grow by e^2 below a source, so
+        # a subnormal rhs entry yields normal solution rows.  Its chunk's
+        # alpha, about 1e-320 / 3, has too few bits to scale by, so the rows
+        # leave log space one by one; they match inverse_entry to rounding
+        n = _CHUNKED_MIN_N + 2 * _CHUNK
+        q = q_sign * math.exp(2.0)
+        kernel = build_kernel(make_spec(3.0 * q, 3.0, 3.0 / q, n))
+        j = n - 150
+        tiny = 1e-320
+        col = apply_inverse(kernel, np.eye(n)[j - 1] * tiny)
+        for i in (j - 1, j, j + 75, j + 120, n):
+            want = tiny * inverse_entry(kernel, i, j)
+            assert abs(want) > 1e-300 or i <= j
+            assert col[i - 1] == pytest.approx(want, rel=1e-11, abs=2.0**-1070)
+
+    def test_wide_row_factors_skip_the_chunk_grid(self, fused_calls):
         # at x = 100 every chunk's row factors span over 1300 e-folds, so no
         # nonzero column can take the two-level scan and no chunk grid is
         # built: the zero column takes the log scan too, with the same zeros
@@ -335,11 +385,11 @@ class TestTwoLevelScan:
         block = np.random.default_rng(263).standard_normal((n, 2))
         block[:, 1] = 0.0
         got = apply_inverse(kernel, block)
-        assert two_level_calls == []
+        assert fused_calls == []
         assert np.array_equal(got[:, 0], apply_inverse(kernel, block[:, 0]))
         assert np.array_equal(got[:, 1], np.zeros(n))
 
-    def test_rhs_spread_inside_one_chunk(self, two_level_calls):
+    def test_rhs_spread_inside_one_chunk(self, fused_calls):
         # 1e+-300 neighbours put 1380 e-folds into one chunk, so the column
         # takes the log scan whole.  Far from row 301 the 1e300 source has
         # decayed to the size of the other entries' part, so each row is
@@ -353,13 +403,13 @@ class TestTwoLevelScan:
         rhs = rest.copy()
         rhs[300:303] = [1e300, -1e-300, 2e-300]
         got = apply_inverse(kernel, rhs)
-        assert two_level_calls == []
+        assert fused_calls == []
         e_301 = np.zeros(n)
         e_301[300] = 1.0
         near, far = 1e300 * apply_inverse(kernel, e_301), apply_inverse(kernel, rest)
         assert np.all(np.abs(got - (near + far)) <= 1e-9 * (np.abs(near) + np.abs(far)))
 
-    def test_rhs_spread_in_every_chunk(self, two_level_calls):
+    def test_rhs_spread_in_every_chunk(self, fused_calls):
         # entries 10^u with u uniform in [-300, 300] span over 650 e-folds in
         # every chunk: the column takes the log scan whole, not chunk by chunk
         n = _CHUNKED_MIN_N + _CHUNK
@@ -367,7 +417,7 @@ class TestTwoLevelScan:
         rng = np.random.default_rng(243)
         rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
         got = apply_inverse(build_kernel(spec), rhs)
-        assert two_level_calls == []
+        assert fused_calls == []
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -440,18 +490,19 @@ def _peak_arrays(fn, n):
 
 def test_allocation_budget():
     # the kernel arrays plus two scratch arrays for build_kernel; for
-    # apply_inverse four row arrays plus, per column, the chunk grid, its
-    # scratch, one term buffer and the solution.  A temporary per numpy
-    # operation would go past these (9 arrays of n for build_kernel and 11
-    # for one column before the in-place rewrite).
+    # apply_inverse the padded row weights plus, per column, the two-part
+    # term grid, whose prefix part holds the solution, and its |rhs| > 0
+    # mask.  A temporary per numpy operation would go past these (9 arrays
+    # of n for build_kernel and 11 for one column before the in-place
+    # rewrite, 7.2 and 36.5 for the two-level scan).
     n = 20_000
     spec = _growth_spec(1.25, 1.0, 30.0, n)
     kernel = build_kernel(spec)
     rng = np.random.default_rng(269)
     rhs, block = rng.standard_normal(n), rng.standard_normal((n, 8))
     assert _peak_arrays(lambda: build_kernel(spec), n) <= 4.5
-    assert _peak_arrays(lambda: apply_inverse(kernel, rhs), n) <= 8.0
-    assert _peak_arrays(lambda: apply_inverse(kernel, block), n) <= 4.0 + 4.5 * 8
+    assert _peak_arrays(lambda: apply_inverse(kernel, rhs), n) <= 4.0
+    assert _peak_arrays(lambda: apply_inverse(kernel, block), n) <= 2.0 + 2.1 * 8
 
 
 def _backward_error(spec, x, rhs):
