@@ -13,15 +13,14 @@ entries computable for orders in the thousands even when the Chebyshev
 values themselves would overflow.
 
 ``apply_inverse`` runs the rank-one triangles as a prefix and a suffix
-sum (O(n)); the suffix sums are prefix sums of the reversed right-hand
-side.  From 1280 rows on, both run in linear space on one grid of 256-row
-chunks, one exponent per chunk (reduce-then-scan in block floating
-point); a column with a NaN, an inf or a chunk that may span more than
-650 e-folds, and every column below 1280 rows, takes log-space scans
-whole.  An (n, k) block gives, column for column, what its columns give
-alone.  One overflow policy holds for entry, dense and apply paths: a
-nonzero value whose log-magnitude exceeds the float range raises
-OverflowError (``core._exp_signed``, ``core._check_log_mags``).
+sum (O(n)), the suffix sums as prefix sums of the reversed right-hand
+side.  From 1280 rows on both run in linear space on one grid of 256-row
+chunks, one exponent per chunk (reduce-then-scan in block floating point);
+a column with a NaN, an inf or a chunk that may span more than 650
+e-folds, and every column below 1280 rows, takes log-space scans whole.  A
+block gives, column for column, what its columns give alone.  Entry, dense
+and apply paths refuse a nonzero value whose log-magnitude exceeds the
+float range with OverflowError (``core._exp_signed``, ``_check_log_mags``).
 ``build_kernel`` and ``apply_inverse`` work in a few buffers per call,
 which saves page faults.  ``thomas_solve``, the classical elimination
 baseline, is the only routine here that does not need a*c > 0.
@@ -70,15 +69,11 @@ _SUBNORMAL_FLOOR = 4 * 2.0**-1074
 _WELL_PIVOTED = 1e-8
 # rows per chunk of the linear-space apply
 _CHUNK = 256
-# a column with a chunk whose nonzero terms may span more e-folds than this
-# takes the log-space scans: a term this far below the chunk's largest is
-# still a normal float (the normal range ends about 708 e-folds below 1)
+# a column whose terms may span more e-folds in a chunk takes the log-space scans:
+# this far below the chunk's largest a term is still normal (708 e-folds below 1)
 _CHUNK_LOG_SPAN = 650.0
-# orders from here on take the linear-space apply; below, its fixed cost of
-# about 70 numpy calls outweighs the per-row log-space scans
+# from here on the linear-space apply; below, its 70 numpy calls cost more than log scans
 _CHUNKED_MIN_N = 5 * _CHUNK
-# log of half the smallest subnormal: a value below it rounds to 0
-_LOG_SUBNORMAL = -1075 * math.log(2.0)
 
 @dataclass(frozen=True, eq=False)
 class GreenKernel:
@@ -236,7 +231,8 @@ def _exp_terms(log_mag, acc, what, rows=slice(None)):
     """acc * exp(log_mag), over both; refused on log_mag + log|acc| at row i of log_mag[rows]."""
     log_acc = np.abs(acc)
     log_mag += np.log(log_acc, out=log_acc)
-    _check_log_mags(log_mag[rows], what)
+    if (log_mag > _LOG_MAX).any():
+        _check_log_mags(log_mag[rows], what)
     return np.copysign(np.exp(log_mag, out=log_mag), acc, out=acc)
 
 
@@ -278,15 +274,19 @@ def _solve_log(kernel: GreenKernel, cols):
     flip = -1.0 if q > 0 and n % 2 == 0 else 1.0
     row_sign = flip * kernel.wronskian.sign
     q_logs = np.arange(1.0, n + 1.0) * math.log(abs(q))
-    log_s, log_w = math.log(kernel.s), kernel.wronskian.log_mag
-    x = _exp_terms(*_scan_log(signs, u_logs - q_logs, cols, q_logs - log_s - log_w
-                              + u_logs[::-1]), "solution term")
+    logs = u_logs - q_logs
+    rows = q_logs - math.log(kernel.s) - kernel.wronskian.log_mag
+    rows += u_logs[::-1]
+    x = _exp_terms(*_scan_log(signs, logs, cols, rows), "solution term")
     x *= signs[::-1, None] * row_sign
     # S_n, ..., S_2 for rows n - 1, ..., 1, scanned from the last row up
+    np.subtract(u_logs, q_logs[::-1], out=logs)
+    rows[:-1] = q_logs[-2::-1] - math.log(kernel.s) - kernel.wronskian.log_mag
+    rows[:-1] += u_logs[-2::-1]
+    del q_logs
     signs *= flip
-    s = _exp_terms(*_scan_log(signs, u_logs - q_logs[::-1], cols[::-1],
-                              q_logs[-2::-1] - log_s - log_w + u_logs[-2::-1]),
-                   "solution term", slice(-2, None, -1))[-2::-1]
+    s = _exp_terms(*_scan_log(signs, logs, cols[::-1], rows[:-1]), "solution term",
+                   slice(-2, None, -1))[-2::-1]
     s *= signs[:-1, None] * row_sign
     return _sum_parts(x, s)
 
@@ -304,10 +304,9 @@ def _fused(kernel: GreenKernel, terms, top, gamma, slopes):
     _, k, chunks, _ = terms.shape
     n, q, size = kernel.n, kernel.q, chunks * _CHUNK
     pad = size - n
-    # v at buf[pad:size] between zeros: the prefix terms read buf[pad:] and
-    # the suffix terms buf[:size]; the rows read it backwards
+    # v at buf[pad:size] between zeros: the prefix terms read buf[pad:], the suffix
+    # terms buf[:size], the rows buf backwards; f = 0..n-1 fills the scratch suffix grid
     buf = np.zeros(size + pad)
-    # f = 0..n-1 in the suffix grid, scratch until it is filled
     f = np.add(np.arange(0.0, size, _CHUNK)[:, None], np.arange(_CHUNK), out=terms[1, 0])
     v = np.multiply(f.reshape(-1)[:n], -gamma, out=buf[pad:size])
     v += kernel.u_logs[1 : n + 1]
@@ -328,8 +327,7 @@ def _fused(kernel: GreenKernel, terms, top, gamma, slopes):
     # log alpha: log max|rhs| plus the log of the part's constant row factor;
     # a chunk's sum times e^(log alpha - base) is the sum itself
     g = (n - 1) * gamma - math.log(kernel.s) - kernel.wronskian.log_mag
-    log_alpha = np.log(np.stack((top, top[:, ::-1])))
-    log_alpha += (g - np.array([0.0, slopes[1]]))[:, None, None]
+    log_alpha = np.log(np.stack((top, top[:, ::-1]))) + (g - slopes * [0.0, 1.0])[:, None, None]
     base = ((g + np.array([0.0, (pad - 1) * slopes[1]]) - off[:, 0])[:, None]
             - np.outer(slopes, np.arange(0, size, _CHUNK)))[:, None, :]
     # entry c + 1 holds the total of chunk c, so the scan of the totals
@@ -343,13 +341,14 @@ def _fused(kernel: GreenKernel, terms, top, gamma, slopes):
     log_beta[carry == 0.0] = -np.inf
 
     # a row of a part is at most e^(peak + spread): under half the float range
-    # below the top limit, rounded to 0 below the bottom one; a rounding below
+    # below the top limit, and rounded to 0 below 2^-1075; a rounding below
     # the normal floats is multiplied by max|v| at most
     peak = np.maximum(log_alpha, log_beta)
     lowest = np.minimum(np.where(log_alpha > -np.inf, log_alpha, np.inf),
                         np.where(log_beta > -np.inf, log_beta, np.inf))
-    spread = (math.log(2 * _CHUNK + 2) + 2 * log_vmax + (_CHUNK - 1) * np.abs(slopes))[:, None, None]
-    exact = (((lowest < math.log(_MIN_NORMAL) + log_vmax) & (peak + spread > _LOG_SUBNORMAL))
+    spread = (math.log(2 * _CHUNK + 2) + 2 * log_vmax + (_CHUNK - 1) * abs(slopes))[:, None, None]
+    exact = (((lowest < math.log(_MIN_NORMAL) + log_vmax)
+              & (peak + spread > -1075 * math.log(2.0)))
              | (peak + spread > _LOG_MAX))
     row_sign = (-1.0 if q > 0 and n % 2 == 0 else 1.0) * kernel.wronskian.sign
     if exact.any():
@@ -366,8 +365,7 @@ def _fused(kernel: GreenKernel, terms, top, gamma, slopes):
         terms[part] *= row
     terms *= back_weights[:, None, None]
     # the suffix part of row i is at padded row size - 1 - i; S_(n+1) = 0
-    parts = terms.reshape(2, k, size)
-    p, s = parts[0, :, :n].T, parts[1, :, ::-1][:, 1:n].T
+    p, s = terms[0].reshape(k, size)[:, :n].T, terms[1].reshape(k, size)[:, ::-1][:, 1:n].T
     if not exact.any():
         p[:-1] += s
         return p
@@ -383,10 +381,12 @@ def _fused(kernel: GreenKernel, terms, top, gamma, slopes):
 def _solve(kernel: GreenKernel, cols):
     """The (n, k) solution, column by column in linear space where the column allows."""
     n, k = cols.shape
+    if n < _CHUNKED_MIN_N or not k:
+        return _solve_log(kernel, cols)
     gamma = math.acosh(abs(kernel.x)) if abs(kernel.x) > 1.0 else 0.0
-    # the e-folds per row of the prefix and the suffix terms, past v
+    # the e-folds that the in-chunk weights of the two sums span, at most
     width = (_CHUNK - 1) * (gamma + abs(math.log(abs(kernel.q))))
-    if n >= _CHUNKED_MIN_N and width <= _CHUNK_LOG_SPAN and k:
+    if width <= _CHUNK_LOG_SPAN:
         terms = np.zeros((2, k, n // _CHUNK + 1, _CHUNK))
         terms[0].reshape(k, -1)[:, :n] = cols.T
         mags = np.abs(terms[0], out=terms[1])

@@ -18,6 +18,7 @@ from tritoep import (
     weight_vector,
     weighted_selfadjoint_residual,
 )
+from tritoep.core import _check_log_mags
 from tritoep.oracle import dense_from_spec
 
 
@@ -229,3 +230,15 @@ def test_residual_contract_scales_with_weights():
         w = weight_vector(spec)
         bound = 64 * np.finfo(float).eps * spec.row_scale() * float(np.max(w))
         assert weighted_selfadjoint_residual(spec) <= bound
+
+
+def test_array_overflow_exit_names_the_largest_entry():
+    log_mag = np.array([[0.0, 720.0], [-np.inf, np.nan], [800.0, 1.0]])
+    with pytest.raises(OverflowError, match=r"^solution term \(3,1\) has log-magnitude 800, "):
+        _check_log_mags(log_mag, "solution term")
+    # entries marked as past the range are named even at the range's edge
+    beyond = np.zeros(log_mag.shape, dtype=bool)
+    beyond[0, 0] = True
+    with pytest.raises(OverflowError, match=r"^entry \(1,1\) has log-magnitude 0, beyond"):
+        _check_log_mags(log_mag, "entry", beyond)
+    _check_log_mags(np.array([[709.0, -np.inf, np.nan]]), "solution term")

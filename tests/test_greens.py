@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_invertible_spec, random_symmetrisable_spec, thomas_reference
 from tritoep import (
@@ -203,7 +205,11 @@ class TestApplyInverse:
         kernel = build_kernel(make_spec(1e3, 3, 1e-3, 400))
         with pytest.raises(OverflowError, match=r"^inverse entry \(400,1\) has log-magnitude"):
             inverse_entry(kernel, 400, 1)
-        with pytest.raises(OverflowError):
+        # the array exits name their largest entry the same way
+        beyond = r"\(400,1\) has log-magnitude 2371\.\d+, beyond the float range$"
+        with pytest.raises(OverflowError, match="^inverse entry " + beyond):
+            inverse_dense(kernel)
+        with pytest.raises(OverflowError, match="^solution term " + beyond):
             apply_inverse(kernel, np.ones(400))
 
     def test_overflowing_sum_of_finite_terms_raises(self):
@@ -212,7 +218,8 @@ class TestApplyInverse:
         rhs = np.array([1.79e308, -0.5e308])
         assert np.all(np.isfinite(apply_inverse(kernel, rhs * [1, 0])))
         assert np.all(np.isfinite(apply_inverse(kernel, rhs * [0, 1])))
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError,
+                           match=r"^solution entry \(1,1\) has log-magnitude 709\.787, beyond"):
             apply_inverse(kernel, rhs)
 
     def test_finite_solution_near_overflow_is_returned(self):
@@ -525,6 +532,58 @@ def test_apply_inverse_regimes(x, q_sign, log_growth):
     assert _backward_error(spec, xk, rhs) <= 1e-9
     xt = thomas_solve(spec, rhs)
     assert np.max(np.abs(xk - xt)) <= 1e-9 * np.max(np.abs(xt))
+
+
+_EDGE_ORDERS = [_CHUNKED_MIN_N - 1, _CHUNKED_MIN_N, _CHUNKED_MIN_N + 1,
+                _CHUNKED_MIN_N + _CHUNK - 1, 3 * _CHUNKED_MIN_N + _CHUNK, 4 * _CHUNKED_MIN_N + 1]
+
+
+@st.composite
+def _apply_cases(draw):
+    """A spec and a right-hand side from every regime apply_inverse serves."""
+    n = draw(st.one_of(st.sampled_from(_EDGE_ORDERS), st.integers(2, 6000)))
+    x = draw(st.one_of(
+        st.floats(-0.999, 0.999),
+        st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1e-9, 1e-9)).map(
+            lambda t: t[0] * (1.0 + t[1])),
+        st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-3, 50.0)).map(
+            lambda t: t[0] * (1.0 + t[1]))))
+    # log|q| (n - 1) up to +-1500, at most 50 e-folds per row
+    growth = draw(st.floats(-1500.0, 1500.0))
+    growth = max(-50.0 * (n - 1), min(growth, 50.0 * (n - 1)))
+    spec = _growth_spec(x, draw(st.sampled_from([1.0, -1.0])), growth, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rhs = rng.standard_normal(n) * draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    if draw(st.booleans()):
+        rhs[rng.random(n) < 0.5] = 0.0
+    for entry in draw(st.lists(st.sampled_from([1e300, 1e-300, 0.0, np.nan, np.inf, -np.inf]),
+                               max_size=2)):
+        rhs[rng.integers(n)] = entry
+    return spec, rhs
+
+
+@given(_apply_cases())
+def test_apply_inverse_property(case):
+    # each answer meets the backward-error bound against apply_matvec or is a
+    # typed refusal; a NaN or inf entry gives an all-NaN solution; no warnings
+    spec, rhs = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = apply_inverse(build_kernel(spec), rhs)
+        except (TriToeplitzError, OverflowError):
+            return
+    if not np.isfinite(rhs).all() or not rhs.any():
+        assert np.all(np.isnan(got)) if rhs.any() else not got.any()
+        return
+    # on x and rhs times 2^-e, so that A x cannot overflow (a power of two
+    # scales exactly), with Thomas's floor for rounding among the subnormals
+    e = math.frexp(max(np.max(np.abs(got)), np.max(np.abs(rhs))))[1]
+    xs, rs = np.ldexp(got, -e), np.ldexp(rhs, -e)
+    a_norm = abs(spec.a) + abs(spec.b) + abs(spec.c)
+    resid = np.max(np.abs(apply_matvec(spec, xs) - rs))
+    assert resid <= (1e-9 * (a_norm * np.max(np.abs(xs)) + np.max(np.abs(rs)))
+                     + 4 * a_norm * 2.0 ** (-1074 - e))
 
 
 class TestThomas:
