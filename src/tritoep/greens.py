@@ -13,17 +13,16 @@ entries computable for orders in the thousands even when the Chebyshev
 values themselves would overflow.
 
 ``apply_inverse`` runs the rank-one triangles as a prefix and a suffix
-sum (O(n)), the suffix sums as prefix sums of the reversed right-hand
-side.  From 1280 rows on both run in linear space on one grid of 256-row
-chunks, one exponent per chunk (reduce-then-scan in block floating point);
-a column with a NaN, an inf or a chunk that may span more than 650
-e-folds, and every column below 1280 rows, takes log-space scans whole.  A
-block gives, column for column, what its columns give alone.  Entry, dense
-and apply paths refuse a nonzero value whose log-magnitude exceeds the
-float range with OverflowError (``core._exp_signed``, ``_check_log_mags``).
-``build_kernel`` and ``apply_inverse`` work in a few buffers per call,
-which saves page faults.  ``thomas_solve``, the classical elimination
-baseline, is the only routine here that does not need a*c > 0.
+sum (O(n)), the suffix sums as prefix sums of the reversed right-hand side.
+From 1280 rows on both run in linear space on one grid of 256-row chunks,
+one exponent per chunk (reduce-then-scan in block floating point); a column
+with a NaN, an inf or a chunk spanning over 650 e-folds, and every column
+below 1280 rows, takes log-space scans whole.  A block gives, column for
+column, what its columns give alone.  A nonzero value past the float range
+raises OverflowError (``core._exp_signed``, ``core._check_log_mags``).
+``build_kernel`` and ``apply_inverse`` work in a few buffers per call, which
+saves page faults.  ``thomas_solve``, the classical elimination baseline,
+is the only routine here that does not need a*c > 0.
 """
 
 from __future__ import annotations
@@ -198,7 +197,7 @@ def inverse_dense(kernel: GreenKernel) -> np.ndarray:
     signs, logs = _entry_sign_log(kernel, np.minimum.outer(idx, idx),
                                   np.maximum.outer(idx, idx), np.subtract.outer(idx, idx))
     with np.errstate(divide="ignore", under="ignore"):
-        return _exp_terms(logs, signs, "inverse entry")
+        return _exp_terms(logs, signs, "inverse entry")[0]
 
 
 def _scan_scaled(negative, pos):
@@ -228,12 +227,13 @@ def _scan_scaled(negative, pos):
 
 
 def _exp_terms(log_mag, acc, what, rows=slice(None)):
-    """acc * exp(log_mag), over both; refused on log_mag + log|acc| at row i of log_mag[rows]."""
+    """acc * exp(log_mag) over acc, with the top log-magnitude; log_mag[rows] names an overflow."""
     log_acc = np.abs(acc)
     log_mag += np.log(log_acc, out=log_acc)
-    if (log_mag > _LOG_MAX).any():
+    top = np.fmax.reduce(log_mag, axis=None, initial=-np.inf)
+    if top > _LOG_MAX:
         _check_log_mags(log_mag[rows], what)
-    return np.copysign(np.exp(log_mag, out=log_mag), acc, out=acc)
+    return np.copysign(np.exp(log_mag, out=log_mag), acc, out=acc), top
 
 
 def _scan_log(signs, logs, cols, row_logs):
@@ -246,8 +246,11 @@ def _scan_log(signs, logs, cols, row_logs):
     return scale, acc
 
 
-def _sum_parts(p, s):
-    """The solution rows p + s, s one row short; refuses an entry past the float range."""
+def _sum_parts(p, s, safe):
+    """Rows p + s, s one row short: over p when safe, else on a copy, refusing an overflow."""
+    if safe:
+        p[:-1] += s
+        return p
     x = p.copy()
     x[:-1] += s
     if np.isinf(x).any():
@@ -277,7 +280,7 @@ def _solve_log(kernel: GreenKernel, cols):
     logs = u_logs - q_logs
     rows = q_logs - math.log(kernel.s) - kernel.wronskian.log_mag
     rows += u_logs[::-1]
-    x = _exp_terms(*_scan_log(signs, logs, cols, rows), "solution term")
+    x, top = _exp_terms(*_scan_log(signs, logs, cols, rows), "solution term")
     x *= signs[::-1, None] * row_sign
     # S_n, ..., S_2 for rows n - 1, ..., 1, scanned from the last row up
     np.subtract(u_logs, q_logs[::-1], out=logs)
@@ -285,21 +288,20 @@ def _solve_log(kernel: GreenKernel, cols):
     rows[:-1] += u_logs[-2::-1]
     del q_logs
     signs *= flip
-    s = _exp_terms(*_scan_log(signs, logs, cols[::-1], rows[:-1]), "solution term",
-                   slice(-2, None, -1))[-2::-1]
+    s, s_top = _exp_terms(*_scan_log(signs, logs, cols[::-1], rows[:-1]), "solution term",
+                          slice(-2, None, -1))
+    s = s[-2::-1]
     s *= signs[:-1, None] * row_sign
-    return _sum_parts(x, s)
+    return _sum_parts(x, s, max(top, s_top) < _LOG_MAX - math.log(2.0))
 
 
 def _fused(kernel: GreenKernel, terms, top, gamma, slopes):
-    """Both sums of the solution on one chunk grid, in linear space.
+    """Both sums on one chunk grid in linear space; terms[0] holds the padded rhs.
 
-    terms[0] holds the rhs as (k, chunks, _CHUNK), padded with at least one
-    zero row, and top its max|rhs| per chunk.  Row f's prefix term is v_f
-    rhs_f e^(f slope_0), its suffix term on the reversed grid v_f
-    rhs_(n-1-f) e^(f slope_1); v_f = U_f e^(-f gamma) times the sign of
-    (-q)^(f+1) is bounded.  Row f of a part is (sum alpha + carry beta)
-    times v backwards times e^(off - tau slope), per chunk alpha and beta.
+    Row f's prefix term is v_f rhs_f e^(f slope_0), its suffix term on the
+    reversed grid v_f rhs_(n-1-f) e^(f slope_1), v_f = U_f e^(-f gamma)
+    times the sign of (-q)^(f+1), bounded; top is max|rhs| per chunk.  Row
+    f of a part is (sum alpha + carry beta) v_backwards e^(off - tau slope).
     """
     _, k, chunks, _ = terms.shape
     n, q, size = kernel.n, kernel.q, chunks * _CHUNK
@@ -366,16 +368,14 @@ def _fused(kernel: GreenKernel, terms, top, gamma, slopes):
     terms *= back_weights[:, None, None]
     # the suffix part of row i is at padded row size - 1 - i; S_(n+1) = 0
     p, s = terms[0].reshape(k, size)[:, :n].T, terms[1].reshape(k, size)[:, ::-1][:, 1:n].T
-    if not exact.any():
-        p[:-1] += s
-        return p
-    if (log_mag > _LOG_MAX).any():
-        terms[...] = -np.inf
-        terms[exact] = log_mag
-        _check_log_mags(p, "solution term")
-        _check_log_mags(s, "solution term")
-    terms[exact] = exact_rows
-    return _sum_parts(p, s)
+    if exact.any():
+        if (log_mag > _LOG_MAX).any():
+            terms[...] = -np.inf
+            terms[exact] = log_mag
+            _check_log_mags(p, "solution term")
+            _check_log_mags(s, "solution term")
+        terms[exact] = exact_rows
+    return _sum_parts(p, s, not exact.any() or log_mag.max() < _LOG_MAX - math.log(2.0))
 
 
 def _solve(kernel: GreenKernel, cols):
