@@ -27,9 +27,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import json
 import math
-import statistics
+import os
 import sys
 import time
 from typing import NamedTuple
@@ -37,29 +36,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .cheby import ScaledValue
-from .conditioning import weighted_condition
-from .core import _SINGULAR_TOL, _check_singular_tol, make_spec, symmetrise
+from .cheby import ScaledValue, _check_x
+from .core import _SINGULAR_TOL, _WRONSKIAN_TOL, _check_singular_tol, make_spec, symmetrise
 from .errors import SingularMatrix, TriToeplitzError
-from .greens import (
-    _WRONSKIAN_TOL,
-    apply_inverse,
-    build_kernel,
-    decay_bound,
-    decay_envelope,
-    inverse_dense,
-    inverse_entry,
-    thomas_solve,
-)
-from .oracle import _logabsdet, dense_from_spec, dense_inverse, lu_solve
-from .repunit import (
-    cheb_repunit_identity_residual,
-    cosine_product_log,
-    repunit,
-    repunit_condition,
-    repunit_det_exact,
-    repunit_inverse_entry,
-)
 from .spectral import (
     _CHARPOLY_ZERO_TOL,
     char_poly_eval,
@@ -68,6 +47,10 @@ from .spectral import (
     eigenvalues,
     eigenvector,
 )
+
+# The other library modules (greens, conditioning, repunit, oracle) and the
+# stdlib modules that only some paths need (json, statistics) are imported
+# where they are used, so a process loads only what its subcommand needs.
 
 ORACLE_ENVELOPE = 200
 DEFAULT_SINGULAR_TOL = _SINGULAR_TOL
@@ -134,6 +117,8 @@ def _sanitize(obj):
 def _emit(fmt: str, echo: dict, tolerances: dict, answer: _Answer) -> None:
     """Print one answer in ``fmt`` (rules in the module docstring)."""
     if fmt == "json":
+        import json
+
         doc = {
             "spec": echo,
             "result": _sanitize(answer.result),
@@ -194,6 +179,8 @@ def _resolve_spec(args):
     with_n = hasattr(args, "n")
     data = {}
     if args.spec_file:
+        import json
+
         try:
             with open(args.spec_file) as fh:
                 data = json.load(fh)
@@ -256,6 +243,8 @@ def _cmd_charpoly(args, spec) -> _Answer:
 
 
 def _cmd_inverse(args, spec) -> _Answer:
+    from .greens import apply_inverse, build_kernel, inverse_entry
+
     entry_mode = args.i is not None or args.j is not None
     if entry_mode and args.rhs is not None:
         raise _UsageError("give either -i/-j or --rhs, not both")
@@ -272,6 +261,8 @@ def _cmd_inverse(args, spec) -> _Answer:
 
 
 def _cmd_solve(args, spec) -> _Answer:
+    from .greens import apply_inverse, build_kernel, thomas_solve
+
     rhs = _parse_rhs(args.rhs, spec.n)
     if args.method == "thomas":
         x = thomas_solve(spec, rhs)
@@ -281,6 +272,8 @@ def _cmd_solve(args, spec) -> _Answer:
 
 
 def _cmd_cond(args, spec) -> _Answer:
+    from .conditioning import weighted_condition
+
     result = dataclasses.asdict(weighted_condition(spec, singular_tol=args.tol))
     plain = [f"{k} = {str(v).lower() if isinstance(v, bool) else _fmt(v)}"
              for k, v in result.items() if v is not None]
@@ -288,6 +281,8 @@ def _cmd_cond(args, spec) -> _Answer:
 
 
 def _cmd_decay(args, spec) -> _Answer:
+    from .greens import decay_bound, decay_envelope
+
     env = decay_envelope(spec)
     bound = decay_bound(spec, args.i, args.j)
     result = {"i": args.i, "j": args.j, "eta": env.eta,
@@ -298,6 +293,9 @@ def _cmd_decay(args, spec) -> _Answer:
 
 
 def _cmd_repunit(args, _spec) -> _Answer:
+    from .repunit import (cheb_repunit_identity_residual, cosine_product_log, repunit,
+                          repunit_condition, repunit_det_exact, repunit_inverse_entry)
+
     base = args.base
     if args.action == "value":
         rv = repunit(args.m, base)
@@ -362,8 +360,15 @@ def _skip(name, reason):
 
 
 def _verify_checks(spec, singular_tol):
+    from .conditioning import weighted_condition
+    from .greens import build_kernel, inverse_dense, inverse_entry
+    from .oracle import _logabsdet, dense_from_spec, dense_inverse
+    from .repunit import repunit, repunit_det_exact, repunit_inverse_entry
+
     checks = []
     form = symmetrise(spec)
+    # an x past the float range is refused before any check computes with it
+    _check_x(form.x)
     n, s, q = spec.n, form.s, form.q
     dense = dense_from_spec(spec)
     scale = spec.row_scale()
@@ -481,6 +486,8 @@ def _cmd_verify(args, spec) -> _Answer:
 # bench
 
 def _median_ms(fn, reps: int) -> float:
+    import statistics
+
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -490,6 +497,9 @@ def _median_ms(fn, reps: int) -> float:
 
 
 def _cmd_bench(args, abc) -> _Answer:
+    from .greens import apply_inverse, build_kernel, thomas_solve
+    from .oracle import dense_from_spec, lu_solve
+
     a, b, c = abc
     try:
         grid = [int(t) for t in args.grid.split(",")]
@@ -644,7 +654,14 @@ def main(argv=None) -> int:
         tolerances = answer.tolerances
     else:
         tolerances = {"singular_tol": args.tol} if hasattr(args, "tol") else {}
-    _emit(args.format, echo, tolerances, answer)
+    try:
+        _emit(args.format, echo, tolerances, answer)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): send what is left to devnull,
+        # so that the flush at exit cannot raise again, and fail quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 1 if answer.result.get("overall") == "FAIL" else 0
 
 

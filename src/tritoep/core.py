@@ -40,6 +40,8 @@ _MIN_NORMAL = sys.float_info.min
 _LOG_MAX = math.log(sys.float_info.max)
 # the default singularity tolerance of build_kernel, weighted_condition and the CLI
 _SINGULAR_TOL = 1e-12
+# the Wronskian residual above which build_kernel refuses, as the CLI's verify tests it
+_WRONSKIAN_TOL = 1e-9
 
 
 def _check_int(value, name: str, lo: int, hi: int | None = None,

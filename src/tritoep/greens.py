@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cheby import ScaledValue, _log1mexp, _u_sequence_into
-from .core import (_LOG_MAX, _MIN_NORMAL, _SINGULAR_TOL, SymmetrisedForm, TriToeplitzSpec,
-                   _check_int, _check_log_mags, _check_singular_tol, _exp_signed, symmetrise)
+from .cheby import ScaledValue, _check_x, _log1mexp, _u_sequence_into
+from .core import (_LOG_MAX, _MIN_NORMAL, _SINGULAR_TOL, _WRONSKIAN_TOL, SymmetrisedForm,
+                   TriToeplitzSpec, _beyond_range, _check_int, _check_log_mags,
+                   _check_singular_tol, _exp_signed, symmetrise)
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -56,7 +57,6 @@ __all__ = [
     "hyperbolic_inverse_entry",
 ]
 
-_WRONSKIAN_TOL = 1e-9
 _BACKWARD_TOL = 1e-9
 _PIVOT_TOL = 1e-300
 # rounding in the subnormal range is absolute, not relative to the values:
@@ -421,7 +421,7 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
     for fixed input.  Raises OverflowError when a term of the solution, or
     the solution itself, leaves the float range.  A NaN or an infinite
     entry of a column makes that whole column of the solution NaN, with no
-    RuntimeWarning (thomas_solve gives +-inf entries for an infinite one).
+    RuntimeWarning, as thomas_solve does.
     """
     _require_invertible(kernel)
     n = kernel.n
@@ -448,7 +448,8 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     in max norms.  A non-finite answer to a finite rhs raises
     OverflowError when every pivot is at least 1e-8 times the row scale
     (the solution itself leaves the float range), NearSingularPivot
-    otherwise.  A NaN in rhs gives a NaN solution.
+    otherwise.  A NaN or an infinite entry of rhs makes every entry of the
+    solution NaN, with no RuntimeWarning, as in apply_inverse.
     """
     n = spec.n
     rhs = np.asarray(rhs, dtype=float)
@@ -486,11 +487,17 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
         z[k] = zk = z[k] - w[k] * zk
     x = np.array(z, dtype=float)
     x_max = abs(x).max()
-    # a NaN or infinite x: refused before the residual unless rhs is not finite
-    if not x_max < math.inf and np.isfinite(rhs).all():
+    # a NaN or infinite x: returned or refused before the residual
+    if not x_max < math.inf:
+        if not np.isfinite(rhs).all():
+            # a non-finite rhs entry reaches every row: the answer is all NaN,
+            # as from apply_inverse (an infinite one would leave +-inf entries)
+            return x if np.isnan(x).all() else np.full(n, math.nan)
         # pivot k was c / w[k] to rounding, so |c| / max|w| is the smallest;
-        # read back from w, it costs the elimination loop nothing
-        if abs(c) >= _WELL_PIVOTED * row_scale * np.abs(w).max():
+        # read back from w, it costs the elimination loop nothing.  On Python
+        # floats a product past the float range is inf, with no warning, and
+        # |c| < inf is then the right decision
+        if abs(c) >= _WELL_PIVOTED * row_scale * float(np.abs(w).max()):
             raise OverflowError(
                 "the solution leaves the float range; every pivot is at least "
                 f"{_WELL_PIVOTED:g} times the row scale {row_scale!r}"
@@ -518,12 +525,9 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     bound += math.ldexp(_SUBNORMAL_FLOOR * row_scale, -e)
     # an infinite bound fails too: inf <= inf would pass
     if not resid_norm <= bound or bound == math.inf:
-        if np.isfinite(rhs).all():
-            backward = (resid_norm / scale if scale < math.inf
-                        else resid_norm / bound * _BACKWARD_TOL)
-            raise NearSingularPivot(
-                f"backward error {backward:.3e} exceeds {_BACKWARD_TOL:g}"
-            )
+        backward = (resid_norm / scale if scale < math.inf
+                    else resid_norm / bound * _BACKWARD_TOL)
+        raise NearSingularPivot(f"backward error {backward:.3e} exceeds {_BACKWARD_TOL:g}")
     return x
 
 
@@ -533,9 +537,14 @@ def _logsinh(t: float) -> float:
 
 
 def _gapped(form: SymmetrisedForm) -> float:
-    """gamma = arccosh(x); raises NotInGappedRegime unless x = b/(2s) > 1."""
+    """gamma = arccosh(x); raises NotInGappedRegime unless x = b/(2s) > 1.
+
+    An x past the float range (b/(2s) overflows) raises OverflowError, as
+    every Chebyshev evaluation does.
+    """
     if not form.x > 1.0:
         raise NotInGappedRegime(f"x = b/(2s) = {form.x!r} is not > 1")
+    _check_x(form.x)
     return math.acosh(form.x)
 
 
@@ -545,10 +554,20 @@ def _log_prefactor(form: SymmetrisedForm, gamma: float) -> float:
 
 
 def decay_envelope(spec: TriToeplitzSpec) -> DecayEnvelope:
-    """Decay base eta = x + sqrt(x^2 - 1) and the envelope prefactor 2/(s*(eta - 1/eta))."""
+    """Decay base eta = x + sqrt(x^2 - 1) and the envelope prefactor 2/(s*(eta - 1/eta)).
+
+    Raises OverflowError when eta = e^gamma itself is past the float range
+    (x above about 9e307).
+    """
     form = symmetrise(spec)
     gamma = _gapped(form)
-    eta = form.x + math.sqrt((form.x - 1.0) * (form.x + 1.0))
+    x = form.x
+    root = math.sqrt((x - 1.0) * (x + 1.0))
+    if root == math.inf:  # the product overflows from x ~ 1.3e154
+        root = x * math.sqrt((1.0 - 1.0 / x) * (1.0 + 1.0 / x))
+    eta = x + root
+    if eta == math.inf:
+        raise _beyond_range("decay base eta", gamma)
     prefactor = _exp_signed(1, _log_prefactor(form, gamma), "decay prefactor")
     return DecayEnvelope(eta=eta, prefactor=prefactor)
 

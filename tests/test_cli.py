@@ -91,6 +91,10 @@ class TestRun:
         (["inverse", "-a", "1e-150", "-b", "1e308", "-c", "1e-150", "-n", "3",
           "--rhs", "1,2,3"], "OverflowError"),
         (["verify", "-a", "1e-150", "-b", "1e308", "-c", "1e-150", "-n", "3"], "OverflowError"),
+        # refused before the eigen residual, which overflows for this spec
+        (["verify", "-a", "1e-200", "-b", "1e308", "-c", "1e-300", "-n", "3"], "OverflowError"),
+        (["decay", "-a", "1e-150", "-b", "1e308", "-c", "1e-150", "-n", "3", "-i", "1",
+          "-j", "3"], "OverflowError"),
         (["charpoly", "-a", "1", "-b", "2.5", "-c", "1", "-n", "3", "-t", "nan"],
          "InvalidParameter"),
     ])
@@ -113,6 +117,23 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["result"]["value"] == pytest.approx(1.0, rel=1e-15)
 
+    def test_decay_eta_whose_square_overflows(self, capsys):
+        # x = 1.5e299: (x - 1)(x + 1) overflows, eta = x + sqrt(x^2 - 1) does not
+        code, out, _ = run_cli(capsys, "decay", "-a", "1e-300", "-b", "0.3", "-c", "1e-300",
+                               "-n", "3", "-i", "1", "-j", "3")
+        assert code == 0
+        name, value = out.splitlines()[0].split(" = ")
+        assert name == "eta"
+        assert float(value) == pytest.approx(3e299, rel=1e-15)
+
+    @pytest.mark.parametrize("method", ["thomas", "kernel"])
+    def test_infinite_rhs_gives_nan_solution(self, capsys, method):
+        code, out, err = run_cli(capsys, "solve", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5",
+                                 "--rhs", "1,inf,0,0,0", "--method", method)
+        assert code == 0
+        assert err == ""
+        assert out.splitlines() == [f"x_{i} = nan" for i in range(1, 6)]
+
     def test_decay_regime_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "decay", "-a", "1", "-b", "2", "-c", "1",
                                "-n", "3", "-i", "1", "-j", "2")
@@ -133,7 +154,7 @@ class TestRun:
         def no_kernel(*args, **kwargs):
             raise AssertionError("kernel built before the usage check")
 
-        monkeypatch.setattr("tritoep.cli.build_kernel", no_kernel)
+        monkeypatch.setattr("tritoep.greens.build_kernel", no_kernel)
         code, out, err = run_cli(capsys, "inverse", "-a", "1", "-b", "2.5", "-c", "1",
                                  "-n", "3", "-i", "1")
         assert code == 2
@@ -205,7 +226,7 @@ class TestVerify:
             symmetric.append(spec.a == spec.c)
             return dense_from_spec(spec)
 
-        monkeypatch.setattr("tritoep.cli.dense_from_spec", spy)
+        monkeypatch.setattr("tritoep.oracle.dense_from_spec", spy)
         code, out, _ = run_cli(capsys, "verify", "-a", "1000", "-b", "100", "-c", "1",
                                "-n", "200")
         assert code == 0
@@ -253,7 +274,7 @@ class TestBench:
             builds.append(args)
             return build_kernel(*args, **kwargs)
 
-        monkeypatch.setattr("tritoep.cli.build_kernel", counting_build)
+        monkeypatch.setattr("tritoep.greens.build_kernel", counting_build)
         code, out, _ = run_cli(capsys, "bench", "--grid", "8,16", "-a", "1",
                                "-b", "2.5", "-c", "1", "--reps", "3")
         assert code == 0
@@ -308,3 +329,55 @@ def test_cross_process_determinism():
     r2 = subprocess.run(argv, capture_output=True)
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+def test_closed_pipe_exits_one_quietly():
+    # 10^4 eigenvalues are far more than a pipe holds, so the writes meet
+    # the closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "tritoep", "eig", "-a", "1", "-b", "2.5",
+                             "-c", "1", "-n", "10000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"lambda_1 = ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+_IMPORT_SETS = """
+import contextlib, io, json, sys, types
+import tritoep
+from tritoep import cli
+
+listed = set(tritoep.__all__) <= set(dir(tritoep))
+watched = ("tritoep.greens", "tritoep.repunit", "tritoep.conditioning", "tritoep.oracle",
+           "statistics", "fractions")
+loaded = []
+for argv in (["det", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5"],
+             ["solve", "-a", "1", "-b", "2.5", "-c", "1", "-n", "3", "--rhs", "1,2,3",
+              "--method", "thomas"],
+             ["repunit", "det", "--base", "10", "-n", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    loaded.append([name for name in watched if name in sys.modules])
+import tritoep.repunit
+function = (isinstance(tritoep.repunit, types.FunctionType)
+            and tritoep.repunit is sys.modules["tritoep.repunit"].repunit)
+print(json.dumps({"listed": listed, "loaded": loaded, "function": function}))
+"""
+
+
+def test_each_subcommand_loads_only_its_modules():
+    # a fresh interpreter: the library modules, statistics and fractions
+    # come with the subcommands that use them; the repunit subcommand
+    # imports the submodule tritoep.repunit before anything reads the
+    # package attribute, which must stay the function
+    run = subprocess.run([sys.executable, "-c", _IMPORT_SETS], capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {
+        "listed": True,
+        "loaded": [[], ["tritoep.greens"], ["tritoep.greens", "tritoep.repunit", "fractions"]],
+        "function": True,
+    }

@@ -246,7 +246,7 @@ class TestApplyInverse:
 
     @pytest.mark.parametrize("entry", [np.inf, -np.inf])
     def test_infinite_rhs_gives_all_nan_without_warnings(self, entry):
-        # thomas_solve gives +-inf entries for the same input
+        # thomas_solve gives the same all-NaN answer (TestThomas)
         k = build_kernel(make_spec(1, 2.5, 1, 5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -697,6 +697,28 @@ class TestThomas:
         x = thomas_solve(make_spec(1, 2.5, 1, 4), [1.0, np.nan, 0.0, 0.0])
         assert np.all(np.isnan(x))
 
+    @pytest.mark.parametrize("rhs", [[1.0, np.inf, 0.0, 0.0, 0.0],
+                                     [1.0, -np.inf, 0.0, 0.0, 0.0],
+                                     [np.inf, 0.0, 0.0, 0.0, -np.inf],
+                                     [1.0, np.inf, 0.0, np.nan, 0.0]])
+    def test_infinite_rhs_gives_all_nan_as_apply_inverse_does(self, rhs):
+        # elimination alone leaves +-inf entries, whose residual would warn
+        spec = make_spec(1, 2.5, 1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = thomas_solve(spec, rhs)
+            via_kernel = apply_inverse(build_kernel(spec), rhs)
+        assert np.all(np.isnan(x))
+        assert np.all(np.isnan(via_kernel))
+
+    def test_pivot_classification_cannot_overflow(self):
+        # pivots about 0.3, below 1e-8 times the row scale 1e200; the test
+        # |c| >= 1e-8 row_scale max|w| has a product past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NearSingularPivot, match="non-finite solution"):
+                thomas_solve(make_spec(1e-300, 0.3, 1e200, 3), [1.0, 2.0, 3.0])
+
     def test_finite_solution_near_the_float_range_is_accepted(self):
         # row_scale max|x| + max|rhs| is past the float range, the bound is
         # not; (5e307, -6.25e307, 6.5625e307) is the exact solution, which
@@ -801,6 +823,26 @@ class TestDecay:
         # q = 1000: the bound on entry (400, 1) carries q^399 eta^-399
         with pytest.raises(OverflowError, match=r"^decay bound \(400,1\) has log-magnitude"):
             decay_bound(make_spec(1e3, 3, 1e-3, 400), 400, 1)
+
+    @pytest.mark.parametrize("x", [1e10, 1.2e154, 1.4e154, 1.5e299, 4e307])
+    def test_eta_for_x_whose_square_overflows(self, x):
+        # (x - 1)(x + 1) overflows from x ~ 1.3e154; eta is then about 2x
+        env = decay_envelope(make_spec(0.5, x, 0.5, 3))
+        assert env.eta == 2.0 * x
+        assert env.prefactor == pytest.approx(2.0 / x, rel=1e-13, abs=0.0)
+
+    def test_eta_beyond_the_float_range(self):
+        # x = 9e307: eta = 2x is past the float range
+        with pytest.raises(OverflowError, match="^decay base eta has log-magnitude"):
+            decay_envelope(make_spec(0.5, 9e307, 0.5, 3))
+
+    def test_x_beyond_the_float_range(self):
+        # b/(2s) overflows: refused as every Chebyshev evaluation refuses it
+        spec = make_spec(1e-150, 1e308, 1e-150, 3)
+        for call in (lambda: decay_envelope(spec), lambda: decay_bound(spec, 1, 1),
+                     lambda: hyperbolic_inverse_entry(symmetrise(spec), 1, 1)):
+            with pytest.raises(OverflowError, match="^Chebyshev argument x = inf"):
+                call()
 
     def test_one_regime_gate_wording(self):
         spec = make_spec(1, 2, 1, 3)
