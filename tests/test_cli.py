@@ -85,18 +85,18 @@ class TestRun:
         assert out == ""
         assert "TriToeplitzError: singular_tol must be positive" in err
 
-    # x = b/(2s) overflows to inf for the first spec; t = nan for charpoly
+    # x = b/(2s) overflows to inf for every spec but the charpoly one, whose t = nan
     @pytest.mark.parametrize("argv, error", [
         (["det", "-a", "1e-150", "-b", "1e308", "-c", "1e-150", "-n", "3"], "OverflowError"),
         (["inverse", "-a", "1e-150", "-b", "1e308", "-c", "1e-150", "-n", "3",
           "--rhs", "1,2,3"], "OverflowError"),
         (["verify", "-a", "1e-150", "-b", "1e308", "-c", "1e-150", "-n", "3"], "OverflowError"),
+        (["charpoly", "-a", "1", "-b", "2.5", "-c", "1", "-n", "3", "-t", "nan"],
+         "InvalidParameter"),
         # refused before the eigen residual, which overflows for this spec
         (["verify", "-a", "1e-200", "-b", "1e308", "-c", "1e-300", "-n", "3"], "OverflowError"),
         (["decay", "-a", "1e-150", "-b", "1e308", "-c", "1e-150", "-n", "3", "-i", "1",
           "-j", "3"], "OverflowError"),
-        (["charpoly", "-a", "1", "-b", "2.5", "-c", "1", "-n", "3", "-t", "nan"],
-         "InvalidParameter"),
     ])
     def test_nonfinite_chebyshev_argument_exit_one(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
