@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import _check_int, _exp_signed
 from .errors import InvalidParameter
 
@@ -135,6 +133,8 @@ def u_sequence_scaled(m_max: int, x: float) -> list[ScaledValue]:
 
 def _u_sequence_arrays(m_max: int, x: float):
     """Signs and log-magnitudes of U_0..U_{m_max} as numpy arrays."""
+    import numpy as np
+
     signs, logs = np.empty((2, _check_int(m_max, "degree m", 0) + 1))
     _u_sequence_into(signs, logs, x)
     return signs, logs
@@ -142,6 +142,8 @@ def _u_sequence_arrays(m_max: int, x: float):
 
 def _u_sequence_into(signs, logs, x: float) -> None:
     """Write U_0..U_m(x), m = logs.size - 1, into signs and logs, in place."""
+    import numpy as np
+
     _check_x(x)
     t = np.arange(1.0, logs.size + 1.0)  # m + 1, the one scratch array
     signs.fill(1.0)

@@ -31,9 +31,7 @@ import math
 import os
 import sys
 import time
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .cheby import ScaledValue, _check_x
@@ -48,9 +46,13 @@ from .spectral import (
     eigenvector,
 )
 
-# The other library modules (greens, conditioning, repunit, oracle) and the
-# stdlib modules that only some paths need (json, statistics) are imported
-# where they are used, so a process loads only what its subcommand needs.
+if TYPE_CHECKING:
+    import numpy as np
+
+# The other library modules (greens, conditioning, repunit, oracle), numpy
+# and the stdlib modules that only some paths need (json, statistics) are
+# imported where they are used, so a process loads only what its subcommand
+# needs: det, charpoly and every repunit action but product run without numpy.
 
 ORACLE_ENVELOPE = 200
 DEFAULT_SINGULAR_TOL = _SINGULAR_TOL
@@ -91,6 +93,22 @@ class _Answer(NamedTuple):
 def _fmt(v) -> str:
     """Shortest round-trip float formatting; None (past the float range) is "overflow"."""
     return "overflow" if v is None else repr(float(v))
+
+
+def _decimal(value) -> str:
+    """The decimal string of an exact int or Fraction, however many digits.
+
+    The interpreter's limit on int-to-str digits (4300 by default) is lifted
+    for this one conversion and restored, since ``main`` also runs in process.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cell(v) -> str:
@@ -207,6 +225,8 @@ def _spec_echo(spec) -> dict:
 
 
 def _parse_rhs(text: str, n: int) -> np.ndarray:
+    import numpy as np
+
     try:
         vals = [float(t) for t in text.split(",")]
     except ValueError as exc:
@@ -301,14 +321,14 @@ def _cmd_repunit(args, _spec) -> _Answer:
         rv = repunit(args.m, base)
         if args.exact and rv.exact_value is None:
             raise _UsageError("--exact needs a positive integer base")
-        exact = None if rv.exact_value is None else str(rv.exact_value)
+        exact = None if rv.exact_value is None else _decimal(rv.exact_value)
         result = {"m": args.m, "base": base, "exact": exact,
                   "value": rv.float_value}
         answer = _Answer(result, [exact if args.exact else _fmt(rv.float_value)])
     elif args.action == "det":
         exact = None
         if float(base).is_integer() and base >= 1:
-            exact = str(repunit_det_exact(int(base), args.n))
+            exact = _decimal(repunit_det_exact(int(base), args.n))
         elif args.exact:
             raise _UsageError("--exact needs a positive integer base")
         fv = repunit(args.n + 1, base).float_value
@@ -325,7 +345,7 @@ def _cmd_repunit(args, _spec) -> _Answer:
                          [f"cond = {_fmt(value)}"])
     elif args.action == "inverse":
         entry = repunit_inverse_entry(base, args.n, args.i, args.j)
-        rational = str(entry.value)
+        rational = _decimal(entry.value)
         result = {"n": args.n, "base": base, "i": args.i, "j": args.j,
                   "sign": entry.sign, "rational": rational,
                   "value": entry.float_value}
@@ -360,6 +380,8 @@ def _skip(name, reason):
 
 
 def _verify_checks(spec, singular_tol):
+    import numpy as np
+
     from .conditioning import weighted_condition
     from .greens import build_kernel, inverse_dense, inverse_entry
     from .oracle import _logabsdet, dense_from_spec, dense_inverse
@@ -497,6 +519,8 @@ def _median_ms(fn, reps: int) -> float:
 
 
 def _cmd_bench(args, abc) -> _Answer:
+    import numpy as np
+
     from .greens import apply_inverse, build_kernel, thomas_solve
     from .oracle import dense_from_spec, lu_solve
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DimensionMismatch,
@@ -24,6 +23,9 @@ from .errors import (
     TriToeplitzError,
     ZeroOffDiagonal,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TriToeplitzSpec",
@@ -44,6 +46,20 @@ _SINGULAR_TOL = 1e-12
 _WRONSKIAN_TOL = 1e-9
 
 
+def _is_real(value, integral: bool = False) -> bool:
+    """True for an int or float (bool excluded) or a numpy integer or floating
+    scalar; ``integral`` admits the integer kinds alone.
+
+    numpy is looked up, never imported: before it is loaded no numpy scalar
+    can exist, so the scalar paths run without it.
+    """
+    if isinstance(value, int if integral else (int, float)):
+        return not isinstance(value, bool)
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(
+        value, np.integer if integral else (np.integer, np.floating))
+
+
 def _check_int(value, name: str, lo: int, hi: int | None = None,
                error: type[TriToeplitzError] = InvalidOrder) -> int:
     """``value`` as a plain int, checked to be an integer in lo..hi.
@@ -52,7 +68,7 @@ def _check_int(value, name: str, lo: int, hi: int | None = None,
     ``hi=None`` leaves the range open above, and each caller names the
     error class it raises.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_real(value, integral=True):
         raise error(f"{name} must be an integer, got {value!r}")
     if hi is not None and not lo <= value <= hi:
         raise error(f"{name} {value} outside {lo}..{hi}")
@@ -84,6 +100,8 @@ def _check_log_mags(log_mag, what: str, beyond=None) -> None:
     ``beyond`` marks the entries known to be past it (default: log_mag >
     _LOG_MAX); the refusal names the largest of them as "what (i,j)", 1-based.
     """
+    import numpy as np
+
     beyond = log_mag > _LOG_MAX if beyond is None else beyond
     if beyond.any():
         i, j = np.unravel_index(np.argmax(np.where(beyond, log_mag, -np.inf)), log_mag.shape)
@@ -114,9 +132,7 @@ class TriToeplitzSpec:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(
-                v, (int, float, np.integer, np.floating)
-            ):
+            if not _is_real(v):
                 raise InvalidParameter(f"{name} must be a real number, got {v!r}")
             if not math.isfinite(v):
                 raise InvalidParameter(f"{name} must be finite, got {v!r}")
@@ -200,6 +216,8 @@ def weight_vector(spec: TriToeplitzSpec) -> np.ndarray:
     |q| > 1 the later weights may underflow to 0.0; for |q| < 1 an
     OverflowError is raised when w_n leaves the float range.
     """
+    import numpy as np
+
     form = symmetrise(spec)
     _check_log_mag(-2.0 * (spec.n - 1) * math.log(abs(form.q)), "weight w_n")
     j = np.arange(spec.n, dtype=float)
@@ -208,10 +226,38 @@ def weight_vector(spec: TriToeplitzSpec) -> np.ndarray:
 
 
 def apply_matvec(spec: TriToeplitzSpec, v) -> np.ndarray:
-    """Multiply the tridiagonal matrix onto v in O(n) without materialising it."""
+    """Multiply the tridiagonal matrix onto v in O(n) without materialising it.
+
+    A finite v gets a finite product, or OverflowError naming the largest
+    entry past the float range.
+    """
+    import numpy as np
+
     v = np.asarray(v, dtype=float)
     if v.shape != (spec.n,):
         raise DimensionMismatch(f"expected vector of length {spec.n}, got shape {v.shape}")
+    v_max = float(max(v.max(), -v.min()))
+    if not math.inf > v_max > 2.0**1000 / spec.row_scale():
+        return _matvec(spec, v)
+    # a term may overflow: the entries it makes non-finite are taken again on
+    # v times 2^-e, e the exponent of 4 max|v|, where no term can, and scaled
+    # back; every other entry keeps its plain rounding
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _matvec(spec, v)
+    lost = ~np.isfinite(out)
+    if lost.any():
+        e = math.frexp(v_max)[1] + 2
+        scaled = _matvec(spec, np.ldexp(v, -e))
+        beyond = lost & (np.abs(scaled) >= math.ldexp(1.0, 1024 - e))
+        if beyond.any():
+            with np.errstate(divide="ignore"):
+                log_mag = np.log(np.abs(scaled)) + e * math.log(2.0)
+            _check_log_mags(log_mag[:, None], "product entry", beyond[:, None])
+        out[lost] = np.ldexp(scaled[lost], e)
+    return out
+
+
+def _matvec(spec: TriToeplitzSpec, v):
     out = spec.b * v
     if spec.n > 1:
         out[1:] += spec.a * v[:-1]
@@ -228,6 +274,8 @@ def weighted_selfadjoint_residual(spec: TriToeplitzSpec) -> float:
     max(|a|,|b|,|c|)*max_j w_j in floating point.  Raises OverflowError
     when a term leaves the float range.
     """
+    import numpy as np
+
     _require_symmetrisable(spec)
     if spec.n == 1:
         return 0.0

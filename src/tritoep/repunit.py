@@ -21,10 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cheby import _log1mexp, eval_U_scaled
-from .core import TriToeplitzSpec, _check_int, _exp_signed, make_spec
+from .core import TriToeplitzSpec, _check_int, _exp_signed, _is_real, make_spec
 from .errors import IndexOutOfRange, InvalidBase
 from .spectral import eigenvalues, extremal_eigenvalues
 
@@ -87,7 +85,7 @@ class RepunitInverseEntry:
 
 
 def _check_base(d) -> float:
-    if isinstance(d, bool) or not isinstance(d, (int, float, np.integer, np.floating)):
+    if not _is_real(d):
         raise InvalidBase(f"base d must be a positive real, got {d!r}")
     if not math.isfinite(d) or d <= 0:
         raise InvalidBase(f"base d must be positive and finite, got {d!r}")
@@ -96,7 +94,7 @@ def _check_base(d) -> float:
 
 def _integer_base(d) -> int | None:
     """The exact integer base, or None when d is not a positive integer."""
-    if isinstance(d, (int, np.integer)) and not isinstance(d, bool):
+    if _is_real(d, integral=True):
         return int(d) if d >= 1 else None
     if isinstance(d, float) and d.is_integer() and d >= 1:
         return int(d)
@@ -148,12 +146,14 @@ def log_repunit(m: int, d) -> float:
         return math.log(_repunit_int(m, di))
     if dv == 1.0:
         return math.log(m)
-    e = dv - 1.0
-    log_d = math.log1p(e)
     if dv > 1.0:
         # (d^m - 1)/(d - 1) = d^m (1 - d^-m)/(d - 1)
+        e = dv - 1.0
+        log_d = math.log1p(e)
         return m * log_d + _log1mexp(m * log_d) - math.log(e)
-    return _log1mexp(-m * log_d) - math.log(-e)
+    # R_m = 1 + d (1 - d^(m-1))/(1 - d), d^(m-1) from log d: exact 0 at m = 1,
+    # and no log of d - 1, which rounds to -1 for a tiny d
+    return math.log1p(dv * -math.expm1((m - 1) * math.log(dv)) / (1.0 - dv))
 
 
 def repunit_matrix_spec(d, n: int) -> TriToeplitzSpec:
@@ -192,6 +192,8 @@ def cosine_product_log(d, n: int) -> float:
 
     The factors are the eigenvalues of the repunit matrix.
     """
+    import numpy as np
+
     return math.fsum(np.log(eigenvalues(repunit_matrix_spec(d, n))))
 
 

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cheby import ScaledValue, eval_U_scaled
 from .core import TriToeplitzSpec, _check_int, _check_log_mag, symmetrise
 from .errors import IndexOutOfRange, InvalidParameter
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EigenPair",
@@ -65,11 +67,15 @@ class SpectrumSummary:
 
 def eigenvalues(spec: TriToeplitzSpec) -> np.ndarray:
     """All n eigenvalues b + 2s*cos(k*pi/(n+1)), k = 1..n (decreasing)."""
+    import numpy as np
+
     return _eigenvalues_at(spec, np.arange(1, spec.n + 1))
 
 
 def _eigenvalues_at(spec: TriToeplitzSpec, k: np.ndarray) -> np.ndarray:
     """Eigenvalues b + 2s*cos(k*pi/(n+1)) for an array of 1-based indices k."""
+    import numpy as np
+
     form = symmetrise(spec)
     return spec.b + 2.0 * form.s * np.cos(k * math.pi / (spec.n + 1))
 
@@ -83,6 +89,8 @@ def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np
     OverflowError when |q|^(n-1) leaves the float range, whatever the
     normalization, and InvalidParameter for another normalization.
     """
+    import numpy as np
+
     if normalization not in _NORMALIZATIONS:
         raise InvalidParameter(
             f"normalization must be one of {_NORMALIZATIONS}, got {normalization!r}")
@@ -106,6 +114,8 @@ def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np
 
 def _eigvec_parts(spec: TriToeplitzSpec, k: int):
     """form, k, theta_k, sin(j*theta_k) and q^(j-1) sin(j*theta_k), j = 1..n, all checked."""
+    import numpy as np
+
     form = symmetrise(spec)
     k = _check_int(k, "index", 1, spec.n, IndexOutOfRange)
     theta = k * math.pi / (spec.n + 1)

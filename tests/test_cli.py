@@ -53,6 +53,36 @@ class TestRun:
         doc = json.loads(out)
         assert doc["result"]["rational"] == "-1/111"
 
+    @pytest.mark.parametrize("action, argv", [
+        ("value", ["-m", "5000", "--exact"]),
+        ("det", ["-n", "20000", "--format", "json"]),
+        ("inverse", ["-n", "5000", "-i", "1", "-j", "1", "--format", "csv"]),
+    ])
+    def test_exact_output_past_the_digit_limit(self, capsys, action, argv):
+        # past the interpreter's 4300-digit limit on int-to-str, which the
+        # CLI lifts for its conversion alone
+        limit = sys.get_int_max_str_digits()
+        base = "2" if action == "det" else "10"
+        code, out, err = run_cli(capsys, "repunit", action, "--base", base, *argv)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        if action == "value":
+            assert out == "1" * 5000 + "\n"
+        elif action == "det":
+            # R_20001(2) = 2^20001 - 1: 6021 digits, checked by its last 18
+            exact = json.loads(out)["result"]["exact"]
+            assert len(exact) == 6021
+            assert int(exact[-18:]) == (2**20001 - 1) % 10**18
+        else:
+            # R_1 R_5000 / R_5001, coprime as gcd(R_5000, R_5001) = R_1
+            assert out.splitlines()[1] == f"1,1,1,{'1' * 5000}/{'1' * 5001},0.1"
+
+    def test_repunit_identity_at_a_tiny_base(self, capsys):
+        # d - 1 rounds to -1 at d = 1e-300; log R_m(d) must not take its log
+        code, out, _ = run_cli(capsys, "repunit", "identity", "--base", "1e-300", "-m", "5")
+        assert code == 0
+        assert out.startswith("residual = ")
+
     def test_not_symmetrisable_exit_one(self, capsys):
         code, out, err = run_cli(capsys, "det", "-a", "1", "-b", "0", "-c", "-1",
                                  "-n", "2")
@@ -352,12 +382,14 @@ from tritoep import cli
 
 listed = set(tritoep.__all__) <= set(dir(tritoep))
 watched = ("tritoep.greens", "tritoep.repunit", "tritoep.conditioning", "tritoep.oracle",
-           "statistics", "fractions")
-loaded = []
+           "statistics", "fractions", "numpy")
+loaded = [[name for name in watched if name in sys.modules]]
 for argv in (["det", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5"],
+             ["charpoly", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5", "-t", "0.5"],
+             ["repunit", "det", "--base", "10", "-n", "3"],
+             ["repunit", "inverse", "--base", "10", "-n", "3", "-i", "1", "-j", "2"],
              ["solve", "-a", "1", "-b", "2.5", "-c", "1", "-n", "3", "--rhs", "1,2,3",
-              "--method", "thomas"],
-             ["repunit", "det", "--base", "10", "-n", "3"]):
+              "--method", "thomas"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     loaded.append([name for name in watched if name in sys.modules])
@@ -369,15 +401,17 @@ print(json.dumps({"listed": listed, "loaded": loaded, "function": function}))
 
 
 def test_each_subcommand_loads_only_its_modules():
-    # a fresh interpreter: the library modules, statistics and fractions
-    # come with the subcommands that use them; the repunit subcommand
-    # imports the submodule tritoep.repunit before anything reads the
-    # package attribute, which must stay the function
+    # a fresh interpreter: the library modules, statistics, fractions and
+    # numpy come with the subcommands that use them (the scalar ones never
+    # load numpy); the repunit subcommand imports the submodule
+    # tritoep.repunit before anything reads the package attribute, which
+    # must stay the function
     run = subprocess.run([sys.executable, "-c", _IMPORT_SETS], capture_output=True,
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
+    repunit = ["tritoep.repunit", "fractions"]
     assert json.loads(run.stdout) == {
         "listed": True,
-        "loaded": [[], ["tritoep.greens"], ["tritoep.greens", "tritoep.repunit", "fractions"]],
+        "loaded": [[], [], [], repunit, repunit, ["tritoep.greens", *repunit, "numpy"]],
         "function": True,
     }

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -171,6 +174,17 @@ class TestApplyMatvec:
             assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
+    def test_finite_product_near_the_float_range(self):
+        # 2.5 * 8e307 overflows, the product (1.2e308, 1.2e308) does not
+        got = apply_matvec(make_spec(-1, 2.5, -1, 2), [8e307, 8e307])
+        np.testing.assert_array_equal(got, [1.5 * 8e307, 1.5 * 8e307])
+
+    def test_product_past_the_float_range_refused(self):
+        # rows 2 and 3 are 3.3e308 and 2.8e308: the larger is named
+        with pytest.raises(OverflowError, match=r"^product entry \(2,1\) has log-magnitude 710.39,"):
+            apply_matvec(make_spec(1, 2.5, 1.5, 3), [1e307, 8e307, 8e307])
+
+
 class TestWeightedSelfAdjointness:
     def test_symmetric_case_exact_zero(self):
         assert weighted_selfadjoint_residual(make_spec(1, 2, 1, 3)) == 0.0
@@ -242,3 +256,43 @@ def test_array_overflow_exit_names_the_largest_entry():
     with pytest.raises(OverflowError, match=r"^entry \(1,1\) has log-magnitude 0, beyond"):
         _check_log_mags(log_mag, "entry", beyond)
     _check_log_mags(np.array([[709.0, -np.inf, np.nan]]), "solution term")
+
+
+_SCALAR_TYPES = """
+import json, sys
+from fractions import Fraction
+from tritoep import make_spec, repunit
+from tritoep.core import _check_int
+
+def verdicts(values):
+    out = []
+    for v in values:
+        for f in (lambda: make_spec(v, 3, 1, 2), lambda: _check_int(v, "n", 1),
+                  lambda: repunit(2, v)):
+            try:
+                f()
+                out.append("ok")
+            except ValueError as exc:
+                out.append(type(exc).__name__)
+    return out
+
+plain = [True, "1", Fraction(1, 2), 2, 2.0]
+before = ("numpy" in sys.modules, verdicts(plain))
+import numpy as np
+after = verdicts([*plain, np.float64(2.0), np.int64(2)])
+print(json.dumps({"before": before, "after": after}))
+"""
+
+
+def test_numpy_scalars_accepted_before_and_after_numpy_loads():
+    # the scalar paths run without numpy, and the type checks look it up
+    # only once it is loaded: the same values are accepted and refused
+    run = subprocess.run([sys.executable, "-c", _SCALAR_TYPES], capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    refused = ["InvalidParameter", "InvalidOrder", "InvalidBase"]
+    plain = [*refused * 3, "ok", "ok", "ok", "ok", "InvalidOrder", "ok"]
+    assert json.loads(run.stdout) == {
+        "before": [False, plain],
+        "after": [*plain, "ok", "InvalidOrder", "ok", "ok", "ok", "ok"],
+    }

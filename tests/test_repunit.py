@@ -66,6 +66,14 @@ class TestRepunitValue:
                 assert log_repunit(m, d) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+    @pytest.mark.parametrize("d", [1e-300, 1e-15, 0.5])
+    def test_log_repunit_small_base(self, d):
+        # d - 1 rounds to -1 below about 1.1e-16, and log R_m is about d there
+        for m in (1, 2, 3, 5, 40):
+            ref = math.log1p(float(repunit_fraction(m, Fraction(d)) - 1))
+            assert log_repunit(m, d) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
 class TestRepunitMatrixSpec:
     def test_examples(self):
         spec = repunit_matrix_spec(10, 3)
