@@ -173,7 +173,6 @@ class TestApplyMatvec:
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
-
     def test_finite_product_near_the_float_range(self):
         # 2.5 * 8e307 overflows, the product (1.2e308, 1.2e308) does not
         got = apply_matvec(make_spec(-1, 2.5, -1, 2), [8e307, 8e307])
