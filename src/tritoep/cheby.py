@@ -11,6 +11,7 @@ Evaluation is regime-dispatched on |x|, times the parity (-1)^m when x < 0:
 * ``|x| > 1`` -- hyperbolic form sinh((m+1)*gamma)/sinh(gamma) with
   gamma = arccosh(|x|), carried in log space so eta^m never overflows.
 
+Arrays hold v_m = U_m e^(-m gamma), gamma = 0 for |x| <= 1, so |v_m| <= m + 1.
 A non-finite x is refused; plain values leave log space by the one exit,
 ``core._exp_signed``.  The three-term recursion U_{m+1} = 2x U_m - U_{m-1}
 (U_0 = 1, U_1 = 2x) is kept as an independent cross-check, not in production.
@@ -77,11 +78,6 @@ def _log1mexp(t: float) -> float:
     return math.log(-math.expm1(-t))
 
 
-def _log_u_hyperbolic(m: int, gamma: float) -> float:
-    # sinh((m+1)g)/sinh(g) = e^(m*g) * (1 - e^(-2(m+1)g)) / (1 - e^(-2g))
-    return m * gamma + _log1mexp(2.0 * (m + 1) * gamma) - _log1mexp(2.0 * gamma)
-
-
 def _check_x(x: float) -> None:
     """Refuse a non-finite argument: U_m(+-inf) is infinite, U_m(nan) undefined."""
     if math.isnan(x):
@@ -106,7 +102,9 @@ def _eval_u(m: int, x: float):
         # at |x|, so theta stays away from pi, where acos loses pi - theta
         theta = math.acos(ax)
         return parity * (math.sin((m + 1) * theta) / math.sin(theta))
-    return ScaledValue(parity, _log_u_hyperbolic(m, math.acosh(ax)))
+    # sinh((m+1)g)/sinh(g) = e^(m*g) * (1 - e^(-2(m+1)g)) / (1 - e^(-2g))
+    g = math.acosh(ax)
+    return ScaledValue(parity, m * g + _log1mexp(2.0 * (m + 1) * g) - _log1mexp(2.0 * g))
 
 
 def eval_U(m: int, x: float) -> float:
@@ -135,38 +133,36 @@ def _u_sequence_arrays(m_max: int, x: float):
     """Signs and log-magnitudes of U_0..U_{m_max} as numpy arrays."""
     import numpy as np
 
-    signs, logs = np.empty((2, _check_int(m_max, "degree m", 0) + 1))
-    _u_sequence_into(signs, logs, x)
-    return signs, logs
+    v = np.empty(_check_int(m_max, "degree m", 0) + 2)
+    gamma, u = _u_sequence_into(v, x), v[1:]
+    with np.errstate(divide="ignore"):
+        return np.sign(u), np.log(np.abs(u)) + np.arange(u.size) * gamma
 
 
-def _u_sequence_into(signs, logs, x: float) -> None:
-    """Write U_0..U_m(x), m = logs.size - 1, into signs and logs, in place."""
+def _u_sequence_into(v, x: float) -> float:
+    """Write v[k] = U_(k-1)(x) e^(-(k-1) gamma), k = 0..v.size - 1, in place; return gamma.
+
+    v[0] = 0 stands for U_(-1); gamma = arccosh|x| for |x| > 1, else 0.
+    """
     import numpy as np
 
     _check_x(x)
-    t = np.arange(1.0, logs.size + 1.0)  # m + 1, the one scratch array
-    signs.fill(1.0)
-    if not x >= 0:
-        signs[1::2] = -1.0
     ax = abs(x)
+    gamma = math.acosh(ax) if ax > 1.0 else 0.0
+    v[0] = 0.0
+    u, t = v[1:], np.arange(1.0, v.size)  # m + 1, the one scratch array
     if ax == 1.0:
-        np.log(t, out=logs)
+        u[...] = t
     elif ax < 1.0:
-        # at |x| with the parity, as in _eval_u
-        theta = math.acos(ax)
-        np.sin(t * theta, out=t)
-        t /= math.sin(theta)
-        signs *= np.sign(t, out=logs)
-        with np.errstate(divide="ignore"):
-            np.log(np.abs(t, out=t), out=logs)
-    else:
-        # m * gamma + log(1 - e^(-2(m+1) gamma)) - log(1 - e^(-2 gamma))
-        gamma = math.acosh(ax)
-        np.multiply(np.multiply(t, -2.0, out=logs), gamma, out=logs)
-        np.log(np.negative(np.expm1(logs, out=logs), out=logs), out=logs)
-        logs += np.multiply(np.subtract(t, 1.0, out=t), gamma, out=t)
-        logs -= _log1mexp(2.0 * gamma)
+        theta = math.acos(ax)  # at |x| with the parity, as in _eval_u
+        np.sin(np.multiply(t, theta, out=u), out=u)
+        u /= math.sin(theta)
+    else:  # (1 - e^(-2(m+1) gamma)) / (1 - e^(-2 gamma))
+        np.expm1(np.multiply(t, -2.0 * gamma, out=u), out=u)
+        u /= math.expm1(-2.0 * gamma)
+    if not x >= 0:
+        u[1::2] *= -1.0
+    return gamma
 
 
 def eval_U_recurrence(m: int, x: float) -> float:

@@ -5,12 +5,12 @@ hi = max(i, j), entry (i, j) of the inverse equals
 
     (-q)^(i-j) * U_{lo-1}(x) * U_{n-hi}(x) / (s * U_n(x)),
 
-one Chebyshev sequence read forwards and backwards; a kernel holds
-U_{-1}..U_n once (U_{-1} = 0).  Its discrete Wronskian is constant,
-U_k U_{n-k} - U_{k-1} U_{n-k-1} = U_n, which is validated when a kernel
-is built.  Everything is carried as sign plus log-magnitude, which keeps
-entries computable for orders in the thousands even when the Chebyshev
-values themselves would overflow.
+one Chebyshev sequence read forwards and backwards, held once as the bounded
+v_m = U_m e^(-m gamma), m = -1..n (gamma = arccosh|x| for |x| > 1, else 0), so
+the e^(n gamma) of U_n cancels exactly.  The constant discrete Wronskian,
+v_k v_{n-k} - e^(-2 gamma) v_{k-1} v_{n-k-1} = v_n, is validated when a kernel
+is built.  Entries are assembled in log space, so they stay computable even
+where U_n itself would overflow.
 
 ``apply_inverse`` runs the rank-one triangles as a prefix and a suffix
 sum (O(n)), the suffix sums as prefix sums of the reversed right-hand side.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cheby import ScaledValue, _check_x, _log1mexp, _u_sequence_into
+from .cheby import ScaledValue, _check_x, _log1mexp, _u_sequence_into, eval_U_scaled
 from .core import (_LOG_MAX, _MIN_NORMAL, _SINGULAR_TOL, _WRONSKIAN_TOL, SymmetrisedForm,
                    TriToeplitzSpec, _beyond_range, _check_int, _check_log_mags,
                    _check_singular_tol, _exp_signed, symmetrise)
@@ -78,19 +78,19 @@ _CHUNKED_MIN_N = 5 * _CHUNK
 class GreenKernel:
     """Assembled inverse kernel of one matrix.
 
-    ``u_signs/u_logs`` hold U_{k-1}(x) for k = 0..n+1 in scaled form, with
-    U_{-1} = 0 (sign 0, log -inf) in front; sign arrays contain -1, 0, +1
-    as floats.  Entry (i, j) reads indices lo and n+1-hi.
-    ``wronskian`` equals U_n(x); ``invertible`` is a queried flag, entry
-    and solve operations raise SingularMatrix when it is False.
+    ``v[k]`` holds U_{k-1}(x) e^(-(k-1) gamma) for k = 0..n+1, with
+    U_{-1} = 0 in front and ``gamma`` = arccosh|x| for |x| > 1, else 0;
+    |v[k]| <= k.  Entry (i, j) reads indices lo and n+1-hi.  ``wronskian``
+    equals U_n(x); ``invertible`` is a queried flag, entry and solve
+    operations raise SingularMatrix when it is False.
     """
 
     n: int
     s: float
     q: float
     x: float
-    u_signs: np.ndarray
-    u_logs: np.ndarray
+    v: np.ndarray
+    gamma: float
     wronskian: ScaledValue
     invertible: bool
     wronskian_residual: float
@@ -120,56 +120,64 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = _SINGULAR_TOL) -> 
     _check_singular_tol(singular_tol)
     form = symmetrise(spec)
     n = spec.n
-    # index k holds U_{k-1}, k = 0..n+1; U_{-1} := 0 covers both boundaries
-    u_signs, u_logs = np.empty((2, n + 2))
-    u_signs[0], u_logs[0] = 0.0, -np.inf
-    _u_sequence_into(u_signs[1:], u_logs[1:], form.x)
-
-    wronskian = ScaledValue(int(u_signs[n + 1]), float(u_logs[n + 1]))
-    log_threshold = math.log(singular_tol) + max(0.0, float(u_logs[n]))
+    # index k holds v_(k-1), k = 0..n+1; v_(-1) := 0 covers both boundaries
+    v = np.empty(n + 2)
+    gamma = _u_sequence_into(v, form.x)
+    wronskian = ScaledValue.from_float(float(v[n + 1])) * ScaledValue(1, n * gamma)
+    log_threshold = _log_threshold(v, gamma, singular_tol)
     invertible = wronskian.sign != 0 and wronskian.log_mag > log_threshold
 
     residual = math.nan
     if invertible:
-        # U_k U_{n-k} - U_{k-1} U_{n-k-1} = U_n over |U_n|, k = 0..n; sign products
-        # are exact in any order, and |t1 - t2 - w| = |w (t1 - t2) - 1| for w = +-1
-        t1, t2 = u_logs[1:] + u_logs[:0:-1], u_logs[:-1] + u_logs[-2::-1]
-        for t, lo, hi in ((t1, u_signs[1:], u_signs[:0:-1]),
-                          (t2, u_signs[:-1], u_signs[-2::-1])):
-            np.exp(np.subtract(t, wronskian.log_mag, out=t), out=t)
-            t *= lo
-            t *= hi
-        t1 -= t2
-        residual = float(np.max(np.abs(np.subtract(t1, wronskian.sign, out=t1), out=t1)))
+        # v_k v_(n-k) - e^(-2 gamma) v_(k-1) v_(n-k-1) = v_n over |v_n|; both
+        # products are symmetric in k <-> n - k, so k = 0..n//2 covers k = 0..n
+        h = n // 2 + 1
+        t1 = np.multiply(v[1 : h + 1], v[n + 1 : n - h + 1 : -1])
+        t2 = np.multiply(v[:h], v[n : n - h : -1])
+        t1 -= np.multiply(t2, math.exp(-2.0 * gamma), out=t2)
+        residual = float(np.max(np.abs(np.subtract(t1, v[-1], out=t1), out=t1)) / abs(v[-1]))
         if residual > _WRONSKIAN_TOL:
             raise SingularMatrix(
                 f"kernel self-check failed: Wronskian residual {residual:.3e} "
                 f"exceeds {_WRONSKIAN_TOL:g}; log|U_n(x)| = "
                 f"{wronskian.log_mag:.6g} against the threshold {log_threshold:.6g}"
             )
-    return GreenKernel(n=n, s=form.s, q=form.q, x=form.x, u_signs=u_signs, u_logs=u_logs,
+        # the identity holds for any gamma; the scalar U_n checks gamma, to the rounding of n gamma
+        ref = eval_U_scaled(n, form.x)
+        if ref.sign != wronskian.sign or abs(ref.log_mag - wronskian.log_mag) > (
+                _WRONSKIAN_TOL + 4 * math.ulp(n * gamma)):
+            raise SingularMatrix(f"kernel self-check failed: log|U_n(x)| = {wronskian.log_mag!r}"
+                                 f" against {ref.log_mag!r} from eval_U_scaled")
+    return GreenKernel(n=n, s=form.s, q=form.q, x=form.x, v=v, gamma=gamma,
                        wronskian=wronskian, invertible=invertible,
                        wronskian_residual=residual, singular_tol=singular_tol)
+
+
+def _log_threshold(v, gamma: float, singular_tol: float) -> float:
+    """log of singular_tol * max(1, |U_(n-1)(x)|), n = v.size - 2."""
+    return math.log(singular_tol) + max(0.0, math.log(abs(v[-2])) + (v.size - 3) * gamma)
 
 
 def _require_invertible(kernel: GreenKernel) -> None:
     if not kernel.invertible:
         raise SingularMatrix(
-            f"|U_n(x)| = exp({kernel.wronskian.log_mag!r}) is below the "
-            f"singularity tolerance {kernel.singular_tol!r}"
+            f"|U_n(x)| = exp({kernel.wronskian.log_mag!r}) is not above the threshold "
+            f"exp({_log_threshold(kernel.v, kernel.gamma, kernel.singular_tol)!r}) = "
+            f"{kernel.singular_tol!r} * max(1, |U_(n-1)(x)|)"
         )
 
 
 def _entry_sign_log(kernel: GreenKernel, lo, hi, diff):
     """Sign and log-magnitude of (-q)^diff U_{lo-1} U_{n-hi} / (s U_n).
 
+    That is v_{lo-1} v_{n-hi} / v_n e^(-(hi-lo+1) gamma) (-q)^diff / s.
     Works on scalar indices and elementwise on index arrays; callers
     exponentiate the result themselves.
     """
     sign_neg_q = -1.0 if kernel.q > 0 else 1.0
-    back = kernel.n + 1 - hi
-    sign = kernel.u_signs[lo] * kernel.u_signs[back] * kernel.wronskian.sign * sign_neg_q**diff
-    log_mag = (kernel.u_logs[lo] + kernel.u_logs[back] - kernel.wronskian.log_mag
+    vv = kernel.v[lo] * kernel.v[kernel.n + 1 - hi]
+    sign = np.sign(vv) * kernel.wronskian.sign * sign_neg_q**diff
+    log_mag = (np.log(np.abs(vv)) - (hi - lo + 1) * kernel.gamma - math.log(abs(kernel.v[-1]))
                - math.log(kernel.s) + diff * math.log(abs(kernel.q)))
     return sign, log_mag
 
@@ -264,29 +272,34 @@ def _sum_parts(p, s, safe):
 def _solve_log(kernel: GreenKernel, cols):
     """The solution by two log-space scans, the prefix and the suffix sums."""
     n, q = kernel.n, kernel.q
-    # U_(i-1), read forwards; read backwards it is U_(n-i)
-    u_signs, u_logs = kernel.u_signs[1 : n + 1], kernel.u_logs[1 : n + 1]
+    # v_(i-1), read backwards v_(n-i); log|U_(i-1)| = log|v_(i-1)| + (i-1) gamma, and the
+    # rows read log|U_(n-i)| - n gamma = log|v_(n-i)| - i gamma: e^(n gamma) cancels exactly
+    v = kernel.v[1 : n + 1]
+    v_logs, idx = np.log(np.abs(v)), np.arange(0.0, n + 1.0)
+    i_gamma = idx * kernel.gamma
+    u_logs = v_logs + i_gamma[:-1]
+    back = np.subtract(v_logs[::-1], i_gamma[1:], out=i_gamma[1:])
     # signs of -(-q)^i U_(i-1): the minus cancels in x and only signs its exact zeros
-    signs = np.negative(u_signs)
+    signs = np.negative(np.sign(v))
     if q > 0:
-        signs[::2] = u_signs[::2]
+        signs[::2] *= -1.0
     # row i is p_i P_i + s_i S_(i+1) with p_i = U_(n-i) (-q)^i / (s U_n) and
     # s_i = U_(i-1) (-q)^i / (s U_n); the q-power signs cancel, so theirs are
     # the suffix's signs[n-i] and signs[i-1] times the sign of U_n, and the
     # suffix reads the q-power signs backwards: flipped for q > 0, n even
     flip = -1.0 if q > 0 and n % 2 == 0 else 1.0
     row_sign = flip * kernel.wronskian.sign
-    q_logs = np.arange(1.0, n + 1.0) * math.log(abs(q))
-    logs = u_logs - q_logs
-    rows = q_logs - math.log(kernel.s) - kernel.wronskian.log_mag
-    rows += u_logs[::-1]
+    q_logs = np.multiply(idx[1:], math.log(abs(q)), out=idx[1:])
+    logs = np.subtract(u_logs, q_logs, out=v_logs)
+    log_v_n = math.log(abs(kernel.v[-1]))
+    rows = q_logs - math.log(kernel.s) - log_v_n
+    rows += back
     x, top = _exp_terms(*_scan_log(signs, logs, cols, rows), "solution term")
     x *= signs[::-1, None] * row_sign
     # S_n, ..., S_2 for rows n - 1, ..., 1, scanned from the last row up
     np.subtract(u_logs, q_logs[::-1], out=logs)
-    rows[:-1] = q_logs[-2::-1] - math.log(kernel.s) - kernel.wronskian.log_mag
-    rows[:-1] += u_logs[-2::-1]
-    del q_logs
+    rows[:-1] = q_logs[-2::-1] - math.log(kernel.s) - log_v_n
+    rows[:-1] += back[1:]
     signs *= flip
     s, s_top = _exp_terms(*_scan_log(signs, logs, cols[::-1], rows[:-1]), "solution term",
                           slice(-2, None, -1))
@@ -295,7 +308,7 @@ def _solve_log(kernel: GreenKernel, cols):
     return _sum_parts(x, s, max(top, s_top) < _LOG_MAX - math.log(2.0))
 
 
-def _fused(kernel: GreenKernel, terms, top, gamma, slopes):
+def _fused(kernel: GreenKernel, terms, top, slopes):
     """Both sums on one chunk grid in linear space; terms[0] holds the padded rhs.
 
     Row f's prefix term is v_f rhs_f e^(f slope_0), its suffix term on the
@@ -307,15 +320,12 @@ def _fused(kernel: GreenKernel, terms, top, gamma, slopes):
     n, q, size = kernel.n, kernel.q, chunks * _CHUNK
     pad = size - n
     # v at buf[pad:size] between zeros: the prefix terms read buf[pad:], the suffix
-    # terms buf[:size], the rows buf backwards; f = 0..n-1 fills the scratch suffix grid
+    # terms buf[:size], the rows buf backwards
     buf = np.zeros(size + pad)
-    f = np.add(np.arange(0.0, size, _CHUNK)[:, None], np.arange(_CHUNK), out=terms[1, 0])
-    v = np.multiply(f.reshape(-1)[:n], -gamma, out=buf[pad:size])
-    v += kernel.u_logs[1 : n + 1]
-    log_vmax = math.log(np.exp(v, out=v).max())
-    v *= kernel.u_signs[1 : n + 1]
+    buf[pad:size] = kernel.v[1 : n + 1]
+    log_vmax = math.log(max(kernel.v.max(), -kernel.v.min()))
     if q > 0:
-        v[::2] *= -1.0
+        buf[pad:size:2] *= -1.0
     rows = tuple(buf[::-1][a : a + size].reshape(chunks, _CHUNK) for a in (pad, 1))
     tau_slopes = np.outer(slopes, np.arange(_CHUNK))
     off = np.minimum(tau_slopes[:, -1:], 0.0)
@@ -328,7 +338,7 @@ def _fused(kernel: GreenKernel, terms, top, gamma, slopes):
 
     # log alpha: log max|rhs| plus the log of the part's constant row factor;
     # a chunk's sum times e^(log alpha - base) is the sum itself
-    g = (n - 1) * gamma - math.log(kernel.s) - kernel.wronskian.log_mag
+    g = -kernel.gamma - math.log(kernel.s) - math.log(abs(kernel.v[-1]))
     log_alpha = np.log(np.stack((top, top[:, ::-1]))) + (g - slopes * [0.0, 1.0])[:, None, None]
     base = ((g + np.array([0.0, (pad - 1) * slopes[1]]) - off[:, 0])[:, None]
             - np.outer(slopes, np.arange(0, size, _CHUNK)))[:, None, :]
@@ -383,9 +393,8 @@ def _solve(kernel: GreenKernel, cols):
     n, k = cols.shape
     if n < _CHUNKED_MIN_N or not k:
         return _solve_log(kernel, cols)
-    gamma = math.acosh(abs(kernel.x)) if abs(kernel.x) > 1.0 else 0.0
     # the e-folds that the in-chunk weights of the two sums span, at most
-    width = (_CHUNK - 1) * (gamma + abs(math.log(abs(kernel.q))))
+    width = (_CHUNK - 1) * (kernel.gamma + abs(math.log(abs(kernel.q))))
     if width <= _CHUNK_LOG_SPAN:
         terms = np.zeros((2, k, n // _CHUNK + 1, _CHUNK))
         terms[0].reshape(k, -1)[:, :n] = cols.T
@@ -396,8 +405,8 @@ def _solve(kernel: GreenKernel, cols):
         span = np.log(top) - np.log(np.min(mags, axis=2, where=mags > 0, initial=np.inf))
         linear = (width + span <= _CHUNK_LOG_SPAN).all(axis=1)
         if linear.all():
-            return _fused(kernel, terms, top, gamma,
-                          gamma + np.array([-1.0, 1.0]) * math.log(abs(kernel.q)))
+            return _fused(kernel, terms, top,
+                          kernel.gamma + np.array([-1.0, 1.0]) * math.log(abs(kernel.q)))
         del terms, mags
         if linear.any():
             x = np.empty((n, k))

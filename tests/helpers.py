@@ -34,6 +34,40 @@ def u_exact(m: int, x: float) -> Fraction:
     return Fraction(cur, 2 ** (k * m))
 
 
+def inverse_exact(spec):
+    """The inverse of the float matrix in exact arithmetic, each entry rounded once.
+
+    With the leading minors theta_0 = 1, theta_1 = b and theta_k =
+    b theta_(k-1) - a c theta_(k-2), entry (i, j) is (-1)^(i+j) c^(j-i)
+    theta_(i-1) theta_(n-j) / theta_n for i <= j, and (-1)^(i+j) a^(i-j)
+    theta_(j-1) theta_(n-i) / theta_n below the diagonal (Usmani, 1994):
+    a row factor times a column factor.  An entry past the float range
+    reads +-inf; returns None when theta_n = 0.
+    """
+    a, b, c, n = Fraction(spec.a), Fraction(spec.b), Fraction(spec.c), spec.n
+    theta = [Fraction(1), b]
+    for _ in range(n - 1):
+        theta.append(b * theta[-1] - a * c * theta[-2])
+    if theta[n] == 0:
+        return None
+    # row and column factors of the upper (i <= j) and the lower triangle
+    upper = ([(-1) ** i * theta[i - 1] / c**i for i in range(1, n + 1)],
+             [(-1) ** j * c**j * theta[n - j] / theta[n] for j in range(1, n + 1)])
+    lower = ([(-1) ** i * a**i * theta[n - i] / theta[n] for i in range(1, n + 1)],
+             [(-1) ** j * theta[j - 1] / a**j for j in range(1, n + 1)])
+    inv = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            row, col = upper if i <= j else lower
+            num = row[i].numerator * col[j].numerator
+            den = row[i].denominator * col[j].denominator
+            try:
+                inv[i, j] = num / den  # Python int / int rounds correctly
+            except OverflowError:
+                inv[i, j] = math.inf if (num > 0) == (den > 0) else -math.inf
+    return inv
+
+
 def log_abs_fraction(fr: Fraction) -> float:
     """Natural log of |fr| using big-integer logs; fr must be nonzero."""
     return math.log(abs(fr.numerator)) - math.log(fr.denominator)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from tritoep import (
     eval_U_scaled,
     u_sequence_scaled,
 )
-from tritoep.cheby import _u_sequence_arrays
+from tritoep.cheby import _u_sequence_arrays, _u_sequence_into
+
+EPS = 2.0**-52
 
 
 class TestEvalU:
@@ -202,6 +205,25 @@ def test_parity(x, m):
     tl = lhs.sign * math.exp(lhs.log_mag - top)
     tr = parity * rhs.sign * math.exp(rhs.log_mag - top)
     assert abs(tl - tr) <= 1e-12
+
+
+@given(_X, st.integers(min_value=0, max_value=60))
+def test_bounded_sequence(x, m):
+    # v_m = U_m e^(-m gamma) stays within m + 1 (to rounding) in every regime,
+    # times e^(m gamma) it is U_m, and its sign and log agree with eval_U_scaled;
+    # eps bounds at the scale of the terms: (m + 1) e^(m gamma) for the value,
+    # m gamma and log(1 - e^(-2 gamma)) for the scalar path's logs
+    v = np.empty(m + 2)
+    gamma = _u_sequence_into(v, x)
+    v_m = float(v[-1])
+    assert v[0] == 0.0 and abs(v_m) <= (m + 1) * (1.0 + 4 * EPS)
+    scale = (m + 1) * math.exp(m * gamma)
+    assert abs(Fraction(v_m * math.exp(m * gamma)) - u_exact(m, x)) <= 8 * EPS * scale
+    ref = eval_U_scaled(m, x)
+    signs, logs = _u_sequence_arrays(m, x)
+    assert signs[m] == ref.sign == (v_m > 0) - (v_m < 0)
+    log_scale = 1.0 + m * gamma + (abs(math.log(-math.expm1(-2.0 * gamma))) if gamma else 0.0)
+    assert abs(logs[m] - ref.log_mag) <= 16 * EPS * log_scale
 
 
 @given(_X, st.integers(min_value=1, max_value=499))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_invertible_spec, random_symmetrisable_spec, thomas_reference
+from helpers import (inverse_exact, random_invertible_spec, random_symmetrisable_spec,
+                     thomas_reference)
 from tritoep import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -49,11 +50,10 @@ class TestBuildKernel:
     def test_boundary_sequences(self):
         # index k holds U_{k-1}: U_{-1} = 0, U_0 = 1, U_1 = 2x = 5 = U_n
         k = build_kernel(make_spec(1, 5, 1, 1))
-        assert k.u_signs.shape == k.u_logs.shape == (3,)
-        assert k.u_signs[0] == 0.0 and k.u_logs[0] == -math.inf
-        assert k.u_signs[1] == 1.0 and k.u_logs[1] == pytest.approx(0.0, abs=1e-15)
-        assert k.u_signs[2] == 1.0
-        assert math.exp(k.u_logs[2]) == pytest.approx(5.0, rel=1e-13)
+        assert k.v.shape == (3,) and k.gamma == math.acosh(2.5)
+        assert k.v[0] == 0.0
+        assert k.v[1] == pytest.approx(1.0, abs=1e-15)
+        assert k.v[2] * math.exp(k.gamma) == pytest.approx(5.0, rel=1e-13)
         assert k.wronskian.to_float() == pytest.approx(5.0, rel=1e-13)
 
     def test_failed_self_check_raises_singular(self):
@@ -496,18 +496,20 @@ def _peak_arrays(fn, n):
 
 
 def test_allocation_budget():
-    # the kernel arrays plus two scratch arrays for build_kernel; for
+    # the kernel array plus one scratch array for build_kernel (the m + 1 of
+    # the sequence, then the self-check's two half-length products); for
     # apply_inverse the padded row weights plus, per column, the two-part
     # term grid, whose prefix part holds the solution, and its |rhs| > 0
     # mask.  A temporary per numpy operation would go past these (9 arrays
     # of n for build_kernel and 11 for one column before the in-place
-    # rewrite, 7.2 and 36.5 for the two-level scan).
+    # rewrite, 7.2 and 36.5 for the two-level scan, 4.0 for build_kernel
+    # with sign and log arrays).
     n = 20_000
     spec = _growth_spec(1.25, 1.0, 30.0, n)
     kernel = build_kernel(spec)
     rng = np.random.default_rng(269)
     rhs, block = rng.standard_normal(n), rng.standard_normal((n, 8))
-    assert _peak_arrays(lambda: build_kernel(spec), n) <= 4.5
+    assert _peak_arrays(lambda: build_kernel(spec), n) <= 2.5
     assert _peak_arrays(lambda: apply_inverse(kernel, rhs), n) <= 4.0
     assert _peak_arrays(lambda: apply_inverse(kernel, block), n) <= 2.0 + 2.1 * 8
 
@@ -532,6 +534,22 @@ def test_apply_inverse_regimes(x, q_sign, log_growth):
     assert _backward_error(spec, xk, rhs) <= 1e-9
     xt = thomas_solve(spec, rhs)
     assert np.max(np.abs(xk - xt)) <= 1e-9 * np.max(np.abs(xt))
+
+
+@pytest.mark.parametrize("x, n", [(1.25, 10**5), (2.5, 10**5), (-2.5, 10**5), (100.0, 10**6)])
+def test_hyperbolic_wronskian_residual_at_rounding_level(x, n):
+    # the self-check multiplies the bounded v_m = U_m e^(-m gamma), so the
+    # exponents m gamma never enter it (2e-11 to 7e-10 with log-magnitudes)
+    assert build_kernel(make_spec(1.0, 2.0 * x, 1.0, n)).wronskian_residual <= 1e-14
+
+
+@pytest.mark.parametrize("b, n, bound", [(-5.0, 66_084, 4.0e-12), (5.0, 10**5, 1.2e-11)])
+def test_gapped_apply_backward_error(b, n, bound):
+    # the bounds are the log-magnitude kernel's errors; the v kernel gives
+    # 4.9e-13 and 9.7e-13, what is left being the chunk exponents' n gamma eps
+    spec = make_spec(1.0, b, 1.0, n)
+    rhs = np.random.default_rng(1).standard_normal(n)
+    assert _backward_error(spec, apply_inverse(build_kernel(spec), rhs), rhs) <= bound
 
 
 _EDGE_ORDERS = [_CHUNKED_MIN_N - 1, _CHUNKED_MIN_N, _CHUNKED_MIN_N + 1,
@@ -968,3 +986,51 @@ def test_kernel_inverse_matches_dense_oracle():
         want = dense_inverse(dense_from_spec(spec))
         scale = float(np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-9 * scale
+
+
+@st.composite
+def _small_specs(draw):
+    """Specs up to n = 40 in every regime, near the singular points too."""
+    n = draw(st.integers(1, 40))
+    s = 10.0 ** draw(st.floats(-3.0, 3.0))
+    q = draw(st.sampled_from([1.0, -1.0])) * math.exp(draw(st.floats(-1.0, 1.0)))
+    near_one = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-14.0, -4.0))
+    x = draw(st.one_of(
+        st.floats(-0.999, 0.999),
+        near_one.map(lambda t: 1.0 + t[0] * 10.0 ** t[1]),
+        st.floats(-3.0, 1.7).map(lambda e: 1.0 + 10.0**e),
+        st.tuples(st.integers(1, n), st.sampled_from([1.0, -1.0]), st.floats(-15.0, -6.0)).map(
+            lambda t: math.cos(t[0] * math.pi / (n + 1)) + t[1] * 10.0 ** t[2])))
+    return make_spec(q * s, 2.0 * s * draw(st.sampled_from([1.0, -1.0])) * x, s / q, n)
+
+
+@given(_small_specs())
+def test_entries_against_the_exact_inverse(spec):
+    # inverse_entry and inverse_dense meet an eps bound against the exact
+    # inverse of the float matrix, or raise; no NaN, inf or warning.  The
+    # bound is the rounding of the log-magnitudes (the exponents (|i-j|+1)
+    # gamma and |i-j| log|q|, log s, log|v|) plus a perturbation of the
+    # matrix by eps ||A|| in each band entry, to second order
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            kernel = build_kernel(spec)
+            dense = inverse_dense(kernel)
+            entries = np.array([[inverse_entry(kernel, i, j) for j in range(1, spec.n + 1)]
+                                for i in range(1, spec.n + 1)])
+        except (TriToeplitzError, OverflowError):
+            return
+    exact = inverse_exact(spec)
+    assert exact is not None and np.isfinite(exact).all()
+    n, form = spec.n, symmetrise(spec)
+    gamma = math.acosh(abs(form.x)) if abs(form.x) > 1.0 else 0.0
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    log_scale = (1.0 + (d + 1) * gamma + d * abs(math.log(abs(form.q)))
+                 + abs(math.log(form.s)) + 2.0 * math.log(n + 1))
+    band = (abs(spec.a) + abs(spec.b) + abs(spec.c)) * dense_from_spec(make_spec(1, 1, 1, n))
+    first = np.abs(exact) @ band @ np.abs(exact)
+    tol = 16 * 2.0**-52
+    bound = tol * (log_scale * np.abs(exact) + first) + tol**2 * (first @ band @ np.abs(exact))
+    for got in (dense, entries):
+        assert np.isfinite(got).all()
+        assert (np.abs(got - exact) <= bound).all()
