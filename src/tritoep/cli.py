@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .cheby import ScaledValue, _check_x
-from .core import _SINGULAR_TOL, _WRONSKIAN_TOL, _check_singular_tol, make_spec, symmetrise
+from .core import (_SINGULAR_TOL, _WRONSKIAN_TOL, _check_int, _check_singular_tol, make_spec,
+                   symmetrise)
 from .errors import SingularMatrix, TriToeplitzError
 from .spectral import (
     _CHARPOLY_ZERO_TOL,
@@ -328,7 +329,12 @@ def _cmd_repunit(args, _spec) -> _Answer:
     elif args.action == "det":
         exact = None
         if float(base).is_integer() and base >= 1:
-            exact = _decimal(repunit_det_exact(int(base), args.n))
+            # plain output shows the exact value only with --exact: skip the
+            # continuant, but not its check of n
+            if args.exact or args.format != "plain":
+                exact = _decimal(repunit_det_exact(int(base), args.n))
+            else:
+                _check_int(args.n, "n", 1)
         elif args.exact:
             raise _UsageError("--exact needs a positive integer base")
         fv = repunit(args.n + 1, base).float_value

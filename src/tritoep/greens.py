@@ -14,12 +14,15 @@ where U_n itself would overflow.
 
 ``apply_inverse`` runs the rank-one triangles as a prefix and a suffix
 sum (O(n)), the suffix sums as prefix sums of the reversed right-hand side.
-From 1280 rows on both run in linear space on one grid of 256-row chunks,
-one exponent per chunk (reduce-then-scan in block floating point); a column
-with a NaN, an inf or a chunk spanning over 650 e-folds, and every column
-below 1280 rows, takes log-space scans whole.  A block gives, column for
-column, what its columns give alone.  A nonzero value past the float range
-raises OverflowError (``core._exp_signed``, ``core._check_log_mags``).
+Both run in linear space on one grid of chunks, one exponent per chunk
+(reduce-then-scan in block floating point), at every n.  A chunk has at
+most 256 rows and at most 650 e-folds of row weights, so a kernel with
+n <= 256 is one chunk and needs no carry.  A chunk whose rows could leave
+the float range, or whose right-hand side spans too far, takes an exact
+path row by row; a column with a NaN or an inf is NaN.  A block gives,
+column for column, what its columns give alone.  A nonzero value past the
+float range raises OverflowError (``core._exp_signed``,
+``core._check_log_mags``).
 ``build_kernel`` and ``apply_inverse`` work in a few buffers per call, which
 saves page faults.  ``thomas_solve``, the classical elimination baseline,
 is the only routine here that does not need a*c > 0.
@@ -66,13 +69,13 @@ _SUBNORMAL_FLOOR = 4 * 2.0**-1074
 # a non-finite Thomas solution to a finite rhs is named an overflow when no
 # pivot fell below this share of the row scale, a near-singular pivot else
 _WELL_PIVOTED = 1e-8
-# rows per chunk of the linear-space apply
+# rows per chunk of the apply, at most
 _CHUNK = 256
-# a column whose terms may span more e-folds in a chunk takes the log-space scans:
+# the e-folds that the terms of one chunk may span, weights and rhs together:
 # this far below the chunk's largest a term is still normal (708 e-folds below 1)
 _CHUNK_LOG_SPAN = 650.0
-# from here on the linear-space apply; below, its 70 numpy calls cost more than log scans
-_CHUNKED_MIN_N = 5 * _CHUNK
+# the row offsets tau of a chunk
+_STEPS = np.arange(float(_CHUNK))
 
 @dataclass(frozen=True, eq=False)
 class GreenKernel:
@@ -204,12 +207,14 @@ def inverse_dense(kernel: GreenKernel) -> np.ndarray:
     idx = np.arange(1, n + 1)
     signs, logs = _entry_sign_log(kernel, np.minimum.outer(idx, idx),
                                   np.maximum.outer(idx, idx), np.subtract.outer(idx, idx))
-    with np.errstate(divide="ignore", under="ignore"):
-        return _exp_terms(logs, signs, "inverse entry")[0]
+    # an exact zero entry has log -inf already
+    _check_log_mags(logs, "inverse entry")
+    with np.errstate(under="ignore"):
+        return np.copysign(np.exp(logs, out=logs), signs, out=signs)
 
 
 def _scan_scaled(negative, pos):
-    """Running sums of +-exp(pos) down axis 0, minus where negative, in scaled form.
+    """Running sums of +-exp(pos) along the last axis, minus where negative, in scaled form.
 
     Positive and negative terms are summed apart in log space by
     np.logaddexp.accumulate, an associative prefix scan.  Returns arrays
@@ -218,12 +223,11 @@ def _scan_scaled(negative, pos):
     |acc| <= 1 and the scan never overflows.  Until the first nonzero
     term, acc is 0 and scale is -inf.  acc is pos, overwritten.
     """
-    # zero terms carry log -inf, so they can join either part; a NaN term
-    # joins the positive one and makes every later partial sum NaN
+    # zero terms carry log -inf, so they can join either part
     neg = np.where(negative, pos, -np.inf)
     np.copyto(pos, -np.inf, where=negative)
-    np.logaddexp.accumulate(pos, axis=0, out=pos)
-    np.logaddexp.accumulate(neg, axis=0, out=neg)
+    np.logaddexp.accumulate(pos, axis=-1, out=pos)
+    np.logaddexp.accumulate(neg, axis=-1, out=neg)
     scale = np.maximum(pos, neg)
     pos -= scale
     neg -= scale
@@ -234,186 +238,170 @@ def _scan_scaled(negative, pos):
     return acc, scale
 
 
-def _exp_terms(log_mag, acc, what, rows=slice(None)):
-    """acc * exp(log_mag) over acc, with the top log-magnitude; log_mag[rows] names an overflow."""
-    log_acc = np.abs(acc)
-    log_mag += np.log(log_acc, out=log_acc)
-    top = np.fmax.reduce(log_mag, axis=None, initial=-np.inf)
-    if top > _LOG_MAX:
-        _check_log_mags(log_mag[rows], what)
-    return np.copysign(np.exp(log_mag, out=log_mag), acc, out=acc), top
+def _fused(kernel: GreenKernel, terms):
+    """The (n, k) solution, both sums on one grid of chunks; terms[0] holds the padded rhs.
 
-
-def _scan_log(signs, logs, cols, row_logs):
-    """Terms exp(row_logs) * running sums of signs exp(logs) cols, as (log_mag, acc)."""
-    terms = np.log(np.abs(cols))
-    terms += logs[:, None]
-    acc, scale = _scan_scaled(signs[:, None] * cols < 0, terms)
-    scale[: row_logs.size] += row_logs[:, None]
-    scale[row_logs.size :] = -np.inf
-    return scale, acc
-
-
-def _sum_parts(p, s, safe):
-    """Rows p + s, s one row short: over p when safe, else on a copy, refusing an overflow."""
-    if safe:
-        p[:-1] += s
-        return p
-    x = p.copy()
-    x[:-1] += s
-    if np.isinf(x).any():
-        # both parts are finite, so their halves add without overflow
-        halves = p / 2.0
-        halves[:-1] += s / 2.0
-        _check_log_mags(np.log(np.abs(halves)) + math.log(2.0), "solution entry", np.isinf(x))
-    return x
-
-
-def _solve_log(kernel: GreenKernel, cols):
-    """The solution by two log-space scans, the prefix and the suffix sums."""
-    n, q = kernel.n, kernel.q
-    # v_(i-1), read backwards v_(n-i); log|U_(i-1)| = log|v_(i-1)| + (i-1) gamma, and the
-    # rows read log|U_(n-i)| - n gamma = log|v_(n-i)| - i gamma: e^(n gamma) cancels exactly
-    v = kernel.v[1 : n + 1]
-    v_logs, idx = np.log(np.abs(v)), np.arange(0.0, n + 1.0)
-    i_gamma = idx * kernel.gamma
-    u_logs = v_logs + i_gamma[:-1]
-    back = np.subtract(v_logs[::-1], i_gamma[1:], out=i_gamma[1:])
-    # signs of -(-q)^i U_(i-1): the minus cancels in x and only signs its exact zeros
-    signs = np.negative(np.sign(v))
-    if q > 0:
-        signs[::2] *= -1.0
-    # row i is p_i P_i + s_i S_(i+1) with p_i = U_(n-i) (-q)^i / (s U_n) and
-    # s_i = U_(i-1) (-q)^i / (s U_n); the q-power signs cancel, so theirs are
-    # the suffix's signs[n-i] and signs[i-1] times the sign of U_n, and the
-    # suffix reads the q-power signs backwards: flipped for q > 0, n even
-    flip = -1.0 if q > 0 and n % 2 == 0 else 1.0
-    row_sign = flip * kernel.wronskian.sign
-    q_logs = np.multiply(idx[1:], math.log(abs(q)), out=idx[1:])
-    logs = np.subtract(u_logs, q_logs, out=v_logs)
-    log_v_n = math.log(abs(kernel.v[-1]))
-    rows = q_logs - math.log(kernel.s) - log_v_n
-    rows += back
-    x, top = _exp_terms(*_scan_log(signs, logs, cols, rows), "solution term")
-    x *= signs[::-1, None] * row_sign
-    # S_n, ..., S_2 for rows n - 1, ..., 1, scanned from the last row up
-    np.subtract(u_logs, q_logs[::-1], out=logs)
-    rows[:-1] = q_logs[-2::-1] - math.log(kernel.s) - log_v_n
-    rows[:-1] += back[1:]
-    signs *= flip
-    s, s_top = _exp_terms(*_scan_log(signs, logs, cols[::-1], rows[:-1]), "solution term",
-                          slice(-2, None, -1))
-    s = s[-2::-1]
-    s *= signs[:-1, None] * row_sign
-    return _sum_parts(x, s, max(top, s_top) < _LOG_MAX - math.log(2.0))
-
-
-def _fused(kernel: GreenKernel, terms, top, slopes):
-    """Both sums on one chunk grid in linear space; terms[0] holds the padded rhs.
-
-    Row f's prefix term is v_f rhs_f e^(f slope_0), its suffix term on the
-    reversed grid v_f rhs_(n-1-f) e^(f slope_1), v_f = U_f e^(-f gamma)
-    times the sign of (-q)^(f+1), bounded; top is max|rhs| per chunk.  Row
-    f of a part is (sum alpha + carry beta) v_backwards e^(off - tau slope).
+    terms has shape (2, k, chunks, L).  Row f's prefix term is v_f rhs_f
+    e^(f slope_0), its suffix term on the reversed grid v_f rhs_(n-1-f)
+    e^(f slope_1), v_f = U_f e^(-f gamma) times the sign of (-q)^(f+1),
+    bounded; each chunk is divided by its max|rhs| (top).  Row f of a part
+    is (sum alpha + carry beta) v_backwards e^(off - tau slope).  The exact
+    path takes a chunk whose rows could leave the float range through log
+    space row by row, and first sums a wide chunk, whose rhs spans too far
+    for its terms to stay normal, in log space.
     """
-    _, k, chunks, _ = terms.shape
-    n, q, size = kernel.n, kernel.q, chunks * _CHUNK
+    _, k, chunks, length = terms.shape
+    n, q, size, grid = kernel.n, kernel.q, chunks * length, (chunks, length)
     pad = size - n
-    # v at buf[pad:size] between zeros: the prefix terms read buf[pad:], the suffix
-    # terms buf[:size], the rows buf backwards
-    buf = np.zeros(size + pad)
-    buf[pad:size] = kernel.v[1 : n + 1]
-    log_vmax = math.log(max(kernel.v.max(), -kernel.v.min()))
+    log_q = math.log(abs(q))
+    s0, s1 = kernel.gamma - log_q, kernel.gamma + log_q
+    mags = np.abs(terms[0], out=terms[1])
+    tops = np.empty((2, k, chunks))
+    top = np.maximum.reduce(mags, axis=2, out=tops[0])
+    # a column with a NaN or an inf is NaN throughout: it is solved as zeros, then set
+    bad = None
+    top_max = np.maximum.reduce(top, axis=None, initial=0.0)
+    if not top_max < math.inf:
+        bad = ~np.isfinite(top).all(axis=1)
+        terms[:, bad] = 0.0
+        top[bad] = 0.0
+        top_max = np.maximum.reduce(top, axis=None, initial=0.0)
+    tops[1] = top[:, ::-1]
+    # a wide chunk's weights, at most (L - 1)(gamma + |log|q||) e-folds, and rhs span
+    # more than _CHUNK_LOG_SPAN together; there is none where the least nonzero
+    # |rhs| of the grid (past its padding) is near enough to the largest
+    width = (length - 1) * (kernel.gamma + abs(log_q))
+    limit = math.exp(_CHUNK_LOG_SPAN - width)
+    low = np.minimum.reduce(mags.reshape(k, size)[:, :n], axis=None, initial=math.inf)
+    if low == 0.0:
+        low = np.minimum.reduce(mags, axis=None, where=mags > 0, initial=math.inf)
+    wide = None
+    if top_max > low * limit:
+        wide = top > np.minimum.reduce(mags, axis=2, where=mags > 0, initial=math.inf) * limit
+        wide = np.stack((wide, wide[:, ::-1])) if wide.any() else None
+    # v at buf[pad + 1 : size + 1] after v_(-1) = 0: the prefix terms read buf[pad + 1:],
+    # the suffix terms buf[1:], the rows buf backwards
+    buf = np.zeros(size + pad + 1)
+    buf[pad : size + 1] = kernel.v[: n + 1]
     if q > 0:
-        buf[pad:size:2] *= -1.0
-    rows = tuple(buf[::-1][a : a + size].reshape(chunks, _CHUNK) for a in (pad, 1))
-    tau_slopes = np.outer(slopes, np.arange(_CHUNK))
-    off = np.minimum(tau_slopes[:, -1:], 0.0)
-    back_weights = np.exp(off - tau_slopes)
-    terms[0] /= np.where(top > 0, top, 1.0)[:, :, None]
-    np.multiply(terms[0, :, ::-1, ::-1], buf[:size].reshape(chunks, _CHUNK), out=terms[1])
-    terms[0] *= buf[pad:][:size].reshape(chunks, _CHUNK)
-    terms *= np.exp(tau_slopes - off)[:, None, None]
-    np.cumsum(terms, axis=3, out=terms)
+        buf[pad + 1 : size + 1 : 2] *= -1.0
+    weights = buf[pad + 1 : pad + 1 + size].reshape(grid), buf[1 : size + 1].reshape(grid)
+    rows = buf[size:0:-1].reshape(grid), buf[size + pad - 1 :: -1][:size].reshape(grid)
+    # tau slope - off >= 0 in a chunk, with off = min(0, (L - 1) slope)
+    slopes = np.array((s0, s1))
+    off = min(0.0, (length - 1) * s0), min(0.0, (length - 1) * s1)
+    tau_slopes = slopes[:, None] * _STEPS[:length]
+    for part in (0, 1):
+        if off[part]:
+            tau_slopes[part] -= off[part]
+    back_weights = np.exp(-tau_slopes)
+    if wide is not None:
+        # the wide chunks' running sums in log space, in units of their alpha
+        part, _, chunk = np.nonzero(wide)
+        raw = np.stack((terms[0], terms[0, :, ::-1, ::-1]))[wide]
+        w = np.stack(weights)[part, chunk]
+        logs = np.log(np.abs(raw)) + np.log(np.abs(w))
+        logs += tau_slopes[part] - np.log(tops[wide])[:, None]
+        wide_acc, wide_scale = _scan_scaled((raw < 0) != (w < 0), logs)
+    # a zero chunk is divided by the smallest float and stays zero
+    terms[0] /= np.maximum(top, math.ulp(0.0))[:, :, None]
+    np.multiply(terms[0, :, ::-1, ::-1], weights[1], out=terms[1])
+    terms[0] *= weights[0]
+    terms *= np.exp(tau_slopes)[:, None, None]
+    np.add.accumulate(terms, axis=3, out=terms)
 
     # log alpha: log max|rhs| plus the log of the part's constant row factor;
     # a chunk's sum times e^(log alpha - base) is the sum itself
     g = -kernel.gamma - math.log(kernel.s) - math.log(abs(kernel.v[-1]))
-    log_alpha = np.log(np.stack((top, top[:, ::-1]))) + (g - slopes * [0.0, 1.0])[:, None, None]
-    base = ((g + np.array([0.0, (pad - 1) * slopes[1]]) - off[:, 0])[:, None]
-            - np.outer(slopes, np.arange(0, size, _CHUNK)))[:, None, :]
-    # entry c + 1 holds the total of chunk c, so the scan of the totals
-    # gives in entry c the carry into chunk c, the sum of the chunks before it
-    tot = terms[..., -1]
-    tot_logs = (np.log(np.abs(tot)) + log_alpha - base).reshape(2 * k, chunks).T
-    carry, log_beta = (a[:-1].T.reshape(2, k, chunks) for a in _scan_scaled(
-        np.concatenate((np.zeros((1, 2 * k), bool), (tot < 0).reshape(2 * k, chunks).T)),
-        np.concatenate((np.full((1, 2 * k), -np.inf), tot_logs))))
-    log_beta += base
-    log_beta[carry == 0.0] = -np.inf
+    log_alpha = np.log(tops, out=tops)
+    log_alpha += np.array((g, g - s1))[:, None, None]
+    if chunks > 1:
+        base = (np.array((g - off[0], g + (pad - 1) * s1 - off[1]))[:, None, None]
+                - np.multiply.outer(slopes, np.arange(0, size, length))[:, None, :])
+        # entry c + 1 holds the total of chunk c, so the scan of the totals
+        # gives in entry c the carry into chunk c, the sum of the chunks before it
+        tot = terms[..., :-1, -1]
+        negative = np.zeros(log_alpha.shape, bool)
+        np.less(tot, 0.0, out=negative[..., 1:])
+        tot_logs = np.full(log_alpha.shape, -np.inf)
+        np.log(np.abs(tot), out=tot_logs[..., 1:])
+        tot_logs[..., 1:] += log_alpha[..., :-1]
+        tot_logs[..., 1:] -= base[..., :-1]
+        carry, log_beta = _scan_scaled(negative, tot_logs)
+        log_beta += base
+        log_beta[carry == 0.0] = -np.inf
+        # the smaller nonzero factor of the two, or -inf when both are 0
+        peak, lowest = np.maximum(log_alpha, log_beta), np.minimum(log_alpha, log_beta)
+        np.copyto(lowest, peak, where=lowest == -np.inf)
+        extremes = (np.maximum.reduce(peak, axis=None, initial=-math.inf),
+                    np.minimum.reduce(lowest, axis=None, initial=math.inf))
+    else:
+        # one chunk, no carry: log alpha is log max|rhs| plus one constant per
+        # part, bounded by the grid's largest and least nonzero |rhs|
+        carry, log_beta = 0.0, -math.inf
+        peak = lowest = log_alpha
+        extremes = (math.log(top_max) + max(g, g - s1) if top_max else -math.inf,
+                    math.log(low) + min(g, g - s1))
 
     # a row of a part is at most e^(peak + spread): under half the float range
     # below the top limit, and rounded to 0 below 2^-1075; a rounding below
-    # the normal floats is multiplied by max|v| at most
-    peak = np.maximum(log_alpha, log_beta)
-    lowest = np.minimum(np.where(log_alpha > -np.inf, log_alpha, np.inf),
-                        np.where(log_beta > -np.inf, log_beta, np.inf))
-    spread = (math.log(2 * _CHUNK + 2) + 2 * log_vmax + (_CHUNK - 1) * abs(slopes))[:, None, None]
-    exact = (((lowest < math.log(_MIN_NORMAL) + log_vmax)
-              & (peak + spread > -1075 * math.log(2.0)))
-             | (peak + spread > _LOG_MAX))
+    # the normal floats is multiplied by max|v| <= n + 1 at most.  The
+    # extremes show the grids with no such chunk, which are most
+    log_vmax = math.log(n + 1.0)
+    spread = math.log(2 * length + 2) + 2 * log_vmax + width
+    subnormal = math.log(_MIN_NORMAL) + log_vmax
+    exact = None
+    if wide is not None or extremes[0] + spread > _LOG_MAX or extremes[1] < subnormal:
+        high = peak + spread
+        exact = ((lowest < subnormal) & (high > -1075 * math.log(2.0))) | (high > _LOG_MAX)
+        if wide is not None:
+            exact |= wide
+        exact = exact if exact.any() else None
     row_sign = (-1.0 if q > 0 and n % 2 == 0 else 1.0) * kernel.wronskian.sign
-    if exact.any():
+    if exact is not None:
         part, _, chunk = np.nonzero(exact)
-        top_log = peak[exact][:, None]
-        sums = (terms[exact] * np.exp(log_alpha[exact][:, None] - top_log)
-                + carry[exact][:, None] * np.exp(log_beta[exact][:, None] - top_log))
+        carry, log_beta = (np.broadcast_to(a, exact.shape) for a in (carry, log_beta))
+        sums, la, lb = terms[exact], log_alpha[exact][:, None], log_beta[exact][:, None]
+        if wide is not None:
+            sel = wide[exact]
+            la = np.repeat(la, length, axis=1)
+            sums[sel] = wide_acc
+            la[sel] += wide_scale
+        top_log = np.maximum(la, lb)
+        top_log[top_log == -np.inf] = 0.0  # a zero sum: any finite shift
+        sums = sums * np.exp(la - top_log) + carry[exact][:, None] * np.exp(lb - top_log)
         factors = np.stack(rows)[part, chunk] * back_weights[part]
         log_mag = np.log(np.abs(sums)) + np.log(np.abs(factors)) + top_log
         exact_rows = np.copysign(np.exp(log_mag), sums * factors * row_sign)
-    terms *= (row_sign * np.exp(log_alpha))[..., None]
-    terms += (row_sign * carry * np.exp(log_beta))[..., None]
-    for part, row in enumerate(rows):
-        terms[part] *= row
+    alpha = np.exp(log_alpha, out=log_alpha)
+    alpha *= row_sign
+    terms *= alpha[..., None]
+    if chunks > 1:
+        terms += (row_sign * carry * np.exp(log_beta))[..., None]
+    terms[0] *= rows[0]
+    terms[1] *= rows[1]
     terms *= back_weights[:, None, None]
     # the suffix part of row i is at padded row size - 1 - i; S_(n+1) = 0
     p, s = terms[0].reshape(k, size)[:, :n].T, terms[1].reshape(k, size)[:, ::-1][:, 1:n].T
-    if exact.any():
-        if (log_mag > _LOG_MAX).any():
+    safe = exact is None or log_mag.max() < _LOG_MAX - math.log(2.0)
+    if exact is not None:
+        if not safe and (log_mag > _LOG_MAX).any():
             terms[...] = -np.inf
             terms[exact] = log_mag
             _check_log_mags(p, "solution term")
             _check_log_mags(s, "solution term")
         terms[exact] = exact_rows
-    return _sum_parts(p, s, not exact.any() or log_mag.max() < _LOG_MAX - math.log(2.0))
-
-
-def _solve(kernel: GreenKernel, cols):
-    """The (n, k) solution, column by column in linear space where the column allows."""
-    n, k = cols.shape
-    if n < _CHUNKED_MIN_N or not k:
-        return _solve_log(kernel, cols)
-    # the e-folds that the in-chunk weights of the two sums span, at most
-    width = (_CHUNK - 1) * (kernel.gamma + abs(math.log(abs(kernel.q))))
-    if width <= _CHUNK_LOG_SPAN:
-        terms = np.zeros((2, k, n // _CHUNK + 1, _CHUNK))
-        terms[0].reshape(k, -1)[:, :n] = cols.T
-        mags = np.abs(terms[0], out=terms[1])
-        top = mags.max(axis=2)
-        # log(max|rhs| / min|rhs|) over the nonzero entries; -inf for a zero
-        # chunk, NaN or inf for a chunk with a NaN or an infinite entry
-        span = np.log(top) - np.log(np.min(mags, axis=2, where=mags > 0, initial=np.inf))
-        linear = (width + span <= _CHUNK_LOG_SPAN).all(axis=1)
-        if linear.all():
-            return _fused(kernel, terms, top,
-                          kernel.gamma + np.array([-1.0, 1.0]) * math.log(abs(kernel.q)))
-        del terms, mags
-        if linear.any():
-            x = np.empty((n, k))
-            x[:, linear] = _solve(kernel, cols[:, linear])
-            x[:, ~linear] = _solve_log(kernel, cols[:, ~linear])
-            return x
-    return _solve_log(kernel, cols)
+    # the rows p + s, over p when no sum can overflow, else on a copy
+    x = p if safe else p.copy()
+    x[:-1] += s
+    if not safe and np.isinf(x).any():
+        # both parts are finite, so their halves add without overflow
+        halves = p / 2.0
+        halves[:-1] += s / 2.0
+        _check_log_mags(np.log(np.abs(halves)) + math.log(2.0), "solution entry", np.isinf(x))
+    if bad is not None:
+        x[:, bad] = np.nan
+    return x
 
 
 def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
@@ -439,10 +427,18 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
         raise DimensionMismatch(
             f"expected rhs of shape ({n},) or ({n}, k), got shape {rhs.shape}"
         )
-    # an infinite rhs entry meets inf - inf in the scans, and the NaN it
-    # makes reaches every row, as a NaN entry does
+    # L rows per chunk: at most _CHUNK and n, and at most _CHUNK_LOG_SPAN e-folds of weights
+    per_row = kernel.gamma + abs(math.log(abs(kernel.q)))
+    length = min(_CHUNK, n)
+    if length * per_row > _CHUNK_LOG_SPAN:
+        length = max(1, int(_CHUNK_LOG_SPAN / per_row))
+    cols = rhs[:, None] if rhs.ndim == 1 else rhs
+    k, chunks = cols.shape[1], -(-n // length)
+    # zero chunks, padding and the exact path meet log 0, exp overflows and 0 * inf
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        x = _solve(kernel, rhs[:, None] if rhs.ndim == 1 else rhs)
+        terms = np.zeros((2, k, chunks, length))
+        terms[0].reshape(k, chunks * length)[:, :n] = cols.T
+        x = _fused(kernel, terms)
     return x.reshape(rhs.shape)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import subprocess
@@ -45,6 +46,19 @@ class TestRun:
                                "-n", "3", "--exact")
         assert code == 0
         assert out.strip() == "1111"
+
+    def test_plain_repunit_det_skips_the_continuant(self, capsys, monkeypatch):
+        # plain output without --exact prints the float alone, so the exact
+        # continuant (about 125 ms at this n) is not computed
+        def refuse(*args):
+            raise RuntimeError("repunit_det_exact called")
+
+        # the module, not the package attribute of the same name (the function)
+        module = importlib.import_module("tritoep.repunit")
+        monkeypatch.setattr(module, "repunit_det_exact", refuse)
+        argv = ("repunit", "det", "--base", "12", "-n")
+        assert run_cli(capsys, *argv, "20000") == (0, "inf\n", "")
+        assert run_cli(capsys, *argv, "20") == (0, "4.182283628124518e+21\n", "")
 
     def test_repunit_inverse_rational(self, capsys):
         code, out, _ = run_cli(capsys, "repunit", "inverse", "--base", "10",

@@ -30,7 +30,7 @@ from tritoep import (
     thomas_solve,
 )
 from tritoep import greens
-from tritoep.greens import _CHUNK, _CHUNKED_MIN_N
+from tritoep.greens import _CHUNK, _CHUNK_LOG_SPAN
 from tritoep.oracle import dense_from_spec, dense_inverse, lu_solve
 
 
@@ -255,9 +255,14 @@ class TestApplyInverse:
 
 
 def _growth_spec(x, q_sign, log_growth, n):
-    """s = 1, b = 2x and log|q|*(n-1) = log_growth."""
-    q = q_sign * math.exp(log_growth / (n - 1))
+    """s = 1, b = 2x and log|q|*(n-1) = log_growth (log|q| = log_growth for n = 1)."""
+    q = q_sign * math.exp(log_growth / max(n - 1, 1))
     return make_spec(q, 2.0 * x, 1.0 / q, n)
+
+
+def _grid(n, length):
+    """The term-grid shape of one column: n rows in chunks of length rows, padded."""
+    return (2, 1, -(-n // length), length)
 
 
 @pytest.fixture
@@ -274,16 +279,30 @@ def fused_calls(monkeypatch):
     return calls
 
 
-class TestTwoLevelScan:
-    """The fused linear-space apply of apply_inverse, from _CHUNKED_MIN_N rows on."""
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """The shapes of the log-space scans, the chunk carries' and the wide chunks', in order."""
+    calls = []
+    scan = greens._scan_scaled
 
-    # the largest log-space order, the smallest chunked one, then n = 0, 1,
-    # 254 and 255 (mod _CHUNK), odd and even: whole chunks, one row into a
-    # new chunk, and a last chunk two and one rows short of full
+    def spy(negative, pos):
+        calls.append(pos.shape)
+        return scan(negative, pos)
+
+    monkeypatch.setattr(greens, "_scan_scaled", spy)
+    return calls
+
+
+class TestTwoLevelScan:
+    """The chunked linear-space apply of apply_inverse, at every n."""
+
+    # chunk edges at L = _CHUNK: n = 0, 1, 254 and 255 (mod _CHUNK), odd and
+    # even: whole chunks, one row into a new chunk, and a last chunk two and
+    # one rows short of full
     @pytest.mark.parametrize("n", [
-        _CHUNKED_MIN_N - 1, _CHUNKED_MIN_N, _CHUNKED_MIN_N + 1,
-        _CHUNKED_MIN_N + 2 * _CHUNK - 1, _CHUNKED_MIN_N + _CHUNK - 2,
-        _CHUNKED_MIN_N + _CHUNK, _CHUNKED_MIN_N + _CHUNK + 1,
+        5 * _CHUNK - 1, 5 * _CHUNK, 5 * _CHUNK + 1,
+        7 * _CHUNK - 1, 6 * _CHUNK - 2,
+        6 * _CHUNK, 6 * _CHUNK + 1,
     ])
     @pytest.mark.parametrize("x, q_sign", [(0.35, 1.0), (1.25, -1.0), (2.9, 1.0)])
     def test_chunk_edges(self, n, x, q_sign, fused_calls):
@@ -291,7 +310,29 @@ class TestTwoLevelScan:
         kernel = build_kernel(spec)
         rhs = np.random.default_rng(n).standard_normal(n)
         got = apply_inverse(kernel, rhs)
-        assert len(fused_calls) == (0 if n < _CHUNKED_MIN_N else 1)
+        assert fused_calls == [_grid(n, _CHUNK)]
+        assert _backward_error(spec, got, rhs) <= 1e-11
+        want = thomas_solve(spec, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    # L = min(256, n, floor(650 / (gamma + |log|q||))): 256 rows for the
+    # first three kernels, 122 at x = 100 (gamma = 5.298); at n <= L one
+    # chunk with no padding and no carry scan
+    @pytest.mark.parametrize("edge", ["1", "2", "L-1", "L", "L+1", "2L-1", "2L+1"])
+    @pytest.mark.parametrize("x, q_sign, log_growth, length", [
+        (0.35, 1.0, 30.0, _CHUNK), (1.25, -1.0, 30.0, _CHUNK), (2.9, 1.0, 30.0, _CHUNK),
+        (100.0, -1.0, 0.0, 122),
+    ])
+    def test_chunk_rule(self, edge, x, q_sign, log_growth, length, fused_calls, scan_calls):
+        n = {"1": 1, "2": 2, "L-1": length - 1, "L": length, "L+1": length + 1,
+             "2L-1": 2 * length - 1, "2L+1": 2 * length + 1}[edge]
+        spec = _growth_spec(x, q_sign, log_growth, n)
+        kernel = build_kernel(spec)
+        rhs = np.random.default_rng(n).standard_normal(n)
+        got = apply_inverse(kernel, rhs)
+        rows = min(length, n)
+        assert fused_calls == [_grid(n, rows)]
+        assert scan_calls == ([] if n <= rows else [_grid(n, rows)[:3]])
         assert _backward_error(spec, got, rhs) <= 1e-11
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -299,7 +340,7 @@ class TestTwoLevelScan:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(227)
         for _ in range(4):
-            n = int(rng.integers(_CHUNKED_MIN_N, 2001))
+            n = int(rng.integers(1, 2001))
             x = float(rng.choice([rng.uniform(-0.95, 0.95), rng.uniform(1.05, 3.0)]))
             spec = _growth_spec(x, float(rng.choice([-1.0, 1.0])),
                                 float(rng.uniform(-40.0, 40.0)), n)
@@ -313,15 +354,17 @@ class TestTwoLevelScan:
     ])
     @pytest.mark.parametrize("q_sign", [1.0, -1.0])
     def test_wide_chunks_take_the_log_scan(self, x, log_growth, q_sign, fused_calls):
-        # each row moves the scan terms by e^4 or more, so every chunk spans
-        # far more than _CHUNK_LOG_SPAN e-folds and the column takes the log
-        # scan whole
-        n = _CHUNKED_MIN_N + _CHUNK // 2
+        # each row moves the scan terms by e^4 or more, so a chunk of 256
+        # rows would span far more than _CHUNK_LOG_SPAN e-folds: the chunks
+        # are cut to at most 650 e-folds, and more of the sum runs through
+        # the log-space scan of the chunk carries
+        n = 5 * _CHUNK + _CHUNK // 2
         spec = _growth_spec(x, q_sign, log_growth, n)
         kernel = build_kernel(spec)
         rhs = np.random.default_rng(229).standard_normal(n)
         got = apply_inverse(kernel, rhs)
-        assert fused_calls == []
+        per_row = math.acosh(abs(x)) + abs(log_growth) / (n - 1)
+        assert fused_calls == [_grid(n, int(_CHUNK_LOG_SPAN / per_row))]
         assert _backward_error(spec, got, rhs) <= 1e-11
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -330,7 +373,7 @@ class TestTwoLevelScan:
     @pytest.mark.parametrize("q_sign", [1.0, -1.0])
     def test_growth_beyond_the_float_range_overflows(self, log_growth, q_sign):
         # oscillatory x does not damp |q|^(i-j): the far corner is e^1500
-        n = _CHUNKED_MIN_N + _CHUNK
+        n = 6 * _CHUNK
         kernel = build_kernel(_growth_spec(0.5, q_sign, log_growth, n))
         with pytest.raises(OverflowError, match=r"^solution term \(\d+,1\) has log-magnitude"):
             apply_inverse(kernel, np.random.default_rng(233).standard_normal(n))
@@ -339,7 +382,7 @@ class TestTwoLevelScan:
     def test_finite_solution_near_the_float_range(self, x, q_sign):
         # a rhs near 1e306 puts every chunk's bound past the float range, so
         # the rows leave log space one by one; they are still finite
-        n = _CHUNKED_MIN_N + _CHUNK + 1
+        n = 6 * _CHUNK + 1
         kernel = build_kernel(_growth_spec(x, q_sign, 10.0, n))
         j = n // 2
         col = apply_inverse(kernel, np.eye(n)[j - 1] * 1e306)
@@ -358,7 +401,7 @@ class TestTwoLevelScan:
         # subnormals to 0 for log|q| < 0, column n rises out of them for
         # log|q| > 0; each agrees with inverse_entry, zeros and subnormals
         # included
-        n = _CHUNKED_MIN_N + 3 * _CHUNK + 5
+        n = 8 * _CHUNK + 5
         kernel = build_kernel(_growth_spec(x, q_sign, log_growth, n))
         j = n if last else 1
         col = apply_inverse(kernel, np.eye(n)[j - 1])
@@ -372,7 +415,7 @@ class TestTwoLevelScan:
         # a subnormal rhs entry yields normal solution rows.  Its chunk's
         # alpha, about 1e-320 / 3, has too few bits to scale by, so the rows
         # leave log space one by one; they match inverse_entry to rounding
-        n = _CHUNKED_MIN_N + 2 * _CHUNK
+        n = 7 * _CHUNK
         q = q_sign * math.exp(2.0)
         kernel = build_kernel(make_spec(3.0 * q, 3.0, 3.0 / q, n))
         j = n - 150
@@ -383,26 +426,27 @@ class TestTwoLevelScan:
             assert abs(want) > 1e-300 or i <= j
             assert col[i - 1] == pytest.approx(want, rel=1e-11, abs=2.0**-1070)
 
-    def test_wide_row_factors_skip_the_chunk_grid(self, fused_calls):
-        # at x = 100 every chunk's row factors span over 1300 e-folds, so no
-        # nonzero column can take the two-level scan and no chunk grid is
-        # built: the zero column takes the log scan too, with the same zeros
+    def test_wide_row_factors_shorten_the_chunks(self, fused_calls):
+        # at x = 100 a chunk of 256 rows would span over 1300 e-folds of row
+        # factors, so the chunks hold 122 rows (646 e-folds); the zero column
+        # runs on the same grid, with the same zeros
         n = 5000
         kernel = build_kernel(_growth_spec(100.0, 1.0, 0.0, n))
         block = np.random.default_rng(263).standard_normal((n, 2))
         block[:, 1] = 0.0
         got = apply_inverse(kernel, block)
-        assert fused_calls == []
+        assert fused_calls[0] == (2, 2, -(-n // 122), 122)
         assert np.array_equal(got[:, 0], apply_inverse(kernel, block[:, 0]))
         assert np.array_equal(got[:, 1], np.zeros(n))
 
-    def test_rhs_spread_inside_one_chunk(self, fused_calls):
-        # 1e+-300 neighbours put 1380 e-folds into one chunk, so the column
-        # takes the log scan whole.  Far from row 301 the 1e300 source has
-        # decayed to the size of the other entries' part, so each row is
-        # checked against the superposition of the two parts, to rounding of
-        # each.
-        n = _CHUNKED_MIN_N + 100
+    def test_rhs_spread_inside_one_chunk(self, fused_calls, scan_calls):
+        # 1e+-300 neighbours put 1380 e-folds into one chunk, so that chunk,
+        # and its mirror in the suffix sums, sum in log space and leave it
+        # row by row; the column's other chunks stay linear.  Far from row
+        # 301 the 1e300 source has decayed to the size of the other entries'
+        # part, so each row is checked against the superposition of the two
+        # parts, to rounding of each.
+        n = 5 * _CHUNK + 100
         spec = _growth_spec(1.25, 1.0, 20.0, n)
         kernel = build_kernel(spec)
         rest = np.random.default_rng(239).standard_normal(n)
@@ -410,27 +454,29 @@ class TestTwoLevelScan:
         rhs = rest.copy()
         rhs[300:303] = [1e300, -1e-300, 2e-300]
         got = apply_inverse(kernel, rhs)
-        assert fused_calls == []
+        assert fused_calls == [_grid(n, _CHUNK)]
+        assert scan_calls == [(2, _CHUNK), _grid(n, _CHUNK)[:3]]
         e_301 = np.zeros(n)
         e_301[300] = 1.0
         near, far = 1e300 * apply_inverse(kernel, e_301), apply_inverse(kernel, rest)
         assert np.all(np.abs(got - (near + far)) <= 1e-9 * (np.abs(near) + np.abs(far)))
 
-    def test_rhs_spread_in_every_chunk(self, fused_calls):
+    def test_rhs_spread_in_every_chunk(self, fused_calls, scan_calls):
         # entries 10^u with u uniform in [-300, 300] span over 650 e-folds in
-        # every chunk: the column takes the log scan whole, not chunk by chunk
-        n = _CHUNKED_MIN_N + _CHUNK
+        # every chunk: every chunk of both sums takes the log-space path
+        n = 6 * _CHUNK
         spec = _growth_spec(1.25, 1.0, 20.0, n)
         rng = np.random.default_rng(243)
         rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
         got = apply_inverse(build_kernel(spec), rhs)
-        assert fused_calls == []
+        assert fused_calls == [_grid(n, _CHUNK)]
+        assert scan_calls == [(2 * 6, _CHUNK), (2, 1, 6)]
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_rhs_with_exact_zeros(self):
         # zero chunks, a single nonzero row, and zeros inside live chunks
-        n = _CHUNKED_MIN_N + 2 * _CHUNK + 7
+        n = 7 * _CHUNK + 7
         spec = _growth_spec(0.6, -1.0, -25.0, n)
         kernel = build_kernel(spec)
         rhs = np.random.default_rng(241).standard_normal(n)
@@ -447,7 +493,7 @@ class TestTwoLevelScan:
         assert np.array_equal(apply_inverse(kernel, np.zeros(n)), np.zeros(n))
 
     def test_nan_rhs_gives_all_nan(self):
-        n = _CHUNKED_MIN_N + 3
+        n = 5 * _CHUNK + 3
         kernel = build_kernel(_growth_spec(1.25, 1.0, 10.0, n))
         rhs = np.random.default_rng(251).standard_normal(n)
         rhs[n // 2] = np.nan
@@ -456,7 +502,7 @@ class TestTwoLevelScan:
         assert np.all(np.isnan(got))
 
     def test_infinite_rhs_gives_an_all_nan_column_without_warnings(self):
-        n = _CHUNKED_MIN_N + 3
+        n = 5 * _CHUNK + 3
         kernel = build_kernel(_growth_spec(1.25, 1.0, 10.0, n))
         block = np.random.default_rng(253).standard_normal((n, 3))
         block[n // 2, 0] = np.inf
@@ -469,7 +515,7 @@ class TestTwoLevelScan:
         assert np.array_equal(got[:, 2], finite)
 
     def test_block_equals_columns_bit_for_bit(self):
-        n = _CHUNKED_MIN_N + _CHUNK + 9
+        n = 6 * _CHUNK + 9
         spec = _growth_spec(0.8, -1.0, 15.0, n)
         kernel = build_kernel(spec)
         rng = np.random.default_rng(257)
@@ -552,14 +598,16 @@ def test_gapped_apply_backward_error(b, n, bound):
     assert _backward_error(spec, apply_inverse(build_kernel(spec), rhs), rhs) <= bound
 
 
-_EDGE_ORDERS = [_CHUNKED_MIN_N - 1, _CHUNKED_MIN_N, _CHUNKED_MIN_N + 1,
-                _CHUNKED_MIN_N + _CHUNK - 1, 3 * _CHUNKED_MIN_N + _CHUNK, 4 * _CHUNKED_MIN_N + 1]
+# one and two rows, the edges of one and two full chunks, and larger grids
+_EDGE_ORDERS = [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK + 1,
+                5 * _CHUNK, 16 * _CHUNK + 1]
 
 
 @st.composite
 def _apply_cases(draw):
     """A spec and a right-hand side from every regime apply_inverse serves."""
-    n = draw(st.one_of(st.sampled_from(_EDGE_ORDERS), st.integers(2, 6000)))
+    n = draw(st.one_of(st.sampled_from(_EDGE_ORDERS), st.integers(1, 300),
+                       st.integers(2, 6000)))
     x = draw(st.one_of(
         st.floats(-0.999, 0.999),
         st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1e-9, 1e-9)).map(
@@ -568,7 +616,7 @@ def _apply_cases(draw):
             lambda t: t[0] * (1.0 + t[1]))))
     # log|q| (n - 1) up to +-1500, at most 50 e-folds per row
     growth = draw(st.floats(-1500.0, 1500.0))
-    growth = max(-50.0 * (n - 1), min(growth, 50.0 * (n - 1)))
+    growth = max(-50.0 * max(n - 1, 1), min(growth, 50.0 * max(n - 1, 1)))
     spec = _growth_spec(x, draw(st.sampled_from([1.0, -1.0])), growth, n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rhs = rng.standard_normal(n) * draw(st.sampled_from([1.0, 1e300, 1e-300]))
@@ -602,6 +650,79 @@ def test_apply_inverse_property(case):
     resid = np.max(np.abs(apply_matvec(spec, xs) - rs))
     assert resid <= (1e-9 * (a_norm * np.max(np.abs(xs)) + np.max(np.abs(rs)))
                      + 4 * a_norm * 2.0 ** (-1074 - e))
+
+
+# the extreme grid of |a| and |c|, or moderate magnitudes
+_OFF_DIAGONALS = st.one_of(
+    st.sampled_from([1e-300, 1e-200, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e200, 1e300]),
+    st.floats(0.05, 20.0))
+
+
+@st.composite
+def _thomas_cases(draw):
+    """Any spec, symmetrisable or not, with a rhs like apply_inverse's cases."""
+    n = draw(st.integers(1, 200))
+    a = draw(st.sampled_from([1.0, -1.0])) * draw(_OFF_DIAGONALS)
+    c = draw(st.sampled_from([1.0, -1.0])) * draw(_OFF_DIAGONALS)
+    # b = 2 x sqrt|ac|: oscillatory, near |x| = 1, gapped, or b = 1e-200
+    x = draw(st.one_of(
+        st.floats(-0.999, 0.999),
+        st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1e-9, 1e-9)).map(
+            lambda t: t[0] * (1.0 + t[1])),
+        st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-3, 50.0)).map(
+            lambda t: t[0] * (1.0 + t[1])),
+        st.just(None)))
+    b = 1e-200 if x is None else 2.0 * x * math.sqrt(abs(a)) * math.sqrt(abs(c))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rhs = rng.standard_normal(n) * draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    if draw(st.booleans()):
+        rhs[rng.random(n) < 0.5] = 0.0
+    for entry in draw(st.lists(st.sampled_from([1e300, 1e-300, 0.0, np.nan, np.inf, -np.inf]),
+                               max_size=2)):
+        rhs[rng.integers(n)] = entry
+    return make_spec(a, b, c, n), rhs
+
+
+@given(_thomas_cases())
+def test_thomas_solve_property(case):
+    # each answer meets thomas_solve's stated backward-error bound against
+    # apply_matvec or is a typed refusal; a NaN or inf entry gives an all-NaN
+    # solution; no warnings; where apply_inverse answers too, the two differ
+    # by at most ||A^-1|| times the sum of their residual bounds
+    spec, rhs = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = thomas_solve(spec, rhs)
+        except (TriToeplitzError, OverflowError):
+            return
+    if not np.isfinite(rhs).all():
+        assert np.all(np.isnan(got))
+        return
+    assert np.all(np.isfinite(got))
+    # on x and rhs times 2^-e, as thomas_solve checks itself: A x cannot overflow
+    row_scale = spec.row_scale()
+    e = math.frexp(max(np.max(np.abs(got)), np.max(np.abs(rhs))))[1]
+    xs, rs = np.ldexp(got, -e), np.ldexp(rhs, -e)
+
+    def bound(x):
+        return (1e-9 * (row_scale * np.max(np.abs(x)) + np.max(np.abs(rs)))
+                + 4 * row_scale * 2.0 ** (-1074 - e))
+
+    assert np.max(np.abs(apply_matvec(spec, xs) - rs)) <= bound(xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            other = np.ldexp(apply_inverse(build_kernel(spec), rhs), -e)
+        except (TriToeplitzError, OverflowError):
+            return
+    with np.errstate(all="ignore"):
+        try:
+            inv_norm = np.max(np.sum(np.abs(np.linalg.inv(dense_from_spec(spec))), axis=1))
+        except np.linalg.LinAlgError:
+            return
+    if np.isfinite(inv_norm):
+        assert np.max(np.abs(xs - other)) <= 2 * inv_norm * (bound(xs) + bound(other))
 
 
 class TestThomas:
