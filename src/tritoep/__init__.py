@@ -9,29 +9,11 @@ all cross-checked against a naive dense oracle.
 import sys as _sys
 from types import ModuleType as _ModuleType
 
-from .core import (
-    SymmetrisedForm,
-    TriToeplitzSpec,
-    apply_matvec,
-    make_spec,
-    symmetrise,
-    weight_vector,
-    weighted_selfadjoint_residual,
-)
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidBase,
-    InvalidOrder,
-    InvalidParameter,
-    NearSingularPivot,
-    NotInGappedRegime,
-    NotSymmetrisable,
-    SingularMatrix,
-    TriToeplitzError,
-    ZeroOffDiagonal,
-    ZeroVector,
-)
+# core and errors load with the package; their __all__ are its first public names
+from .core import *  # noqa: F403
+from .core import __all__ as _CORE
+from .errors import *  # noqa: F403
+from .errors import __all__ as _ERRORS
 
 # The public names of the other submodules, by submodule.  They are
 # resolved on first access (PEP 562), so a process loads only the
@@ -93,32 +75,4 @@ _sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "TriToeplitzSpec", "SymmetrisedForm", "make_spec", "symmetrise",
-    "weight_vector", "apply_matvec", "weighted_selfadjoint_residual",
-    # cheby
-    "ScaledValue", "eval_U", "eval_U_scaled", "u_sequence_scaled",
-    "eval_U_recurrence",
-    # spectral
-    "EigenPair", "SpectrumSummary", "eigenvalues", "eigenvector", "eigen_pair",
-    "extremal_eigenvalues", "determinant", "determinant_continuant",
-    "char_poly_eval",
-    # greens
-    "GreenKernel", "DecayEnvelope", "build_kernel", "inverse_entry",
-    "inverse_dense", "apply_inverse", "thomas_solve", "decay_envelope",
-    "decay_bound", "hyperbolic_inverse_entry",
-    # conditioning
-    "ConditionReport", "weighted_inner", "weighted_norm", "weighted_condition",
-    "weighted_operator_norm",
-    # repunit
-    "RepunitValue", "RepunitInverseEntry", "ALT_SCALING_NOTE", "repunit",
-    "log_repunit", "repunit_matrix_spec", "repunit_det_exact", "cosine_product",
-    "cosine_product_log", "repunit_condition", "repunit_inverse_entry",
-    "inverse_entry_alt_scaling", "cheb_repunit_identity_residual",
-    # errors
-    "TriToeplitzError", "ZeroOffDiagonal", "InvalidOrder", "InvalidParameter",
-    "NotSymmetrisable", "DimensionMismatch", "IndexOutOfRange", "SingularMatrix",
-    "NearSingularPivot", "NotInGappedRegime", "InvalidBase", "ZeroVector",
-]
+__all__ = ["__version__", *_CORE, *_ERRORS, *_MODULE_OF]

@@ -12,10 +12,12 @@ indices are 1-based, field order is fixed, so identical invocations
 produce byte-identical output (bench timing columns excepted; pass
 ``--reps 0`` to suppress timing and keep bench deterministic too).
 
-Every subcommand takes the parsed arguments and the spec that ``main``
-resolved, and returns one ``_Answer``: the result dict, its plain lines
-and, where needed, tolerances, a csv table, json meta or a spec echo.
-``main`` alone prints it with ``_emit`` and sets the exit status.  json is
+The module parses arguments and prints answers; ``verify``'s
+cross-checks are ``oracle.verify_checks``.  Every subcommand takes the
+parsed arguments and the spec that ``main`` resolved, and returns one
+``_Answer``: the result dict, its plain lines and, where needed,
+tolerances, a csv table, json meta or a spec echo.  ``main`` alone
+prints it with ``_emit`` and sets the exit status.  json is
 the spec echo, the result (non-finite floats as null) and a meta block;
 csv is the result's fields as a header and one row, or a table for 1-based
 vectors (one row per index), ``repunit inverse``, ``verify`` and
@@ -34,18 +36,10 @@ import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .cheby import ScaledValue, _check_x
-from .core import (_SINGULAR_TOL, _WRONSKIAN_TOL, _check_int, _check_singular_tol, make_spec,
-                   symmetrise)
+from .cheby import ScaledValue
+from .core import _SINGULAR_TOL, _check_int, _check_singular_tol, make_spec, symmetrise
 from .errors import SingularMatrix, TriToeplitzError
-from .spectral import (
-    _CHARPOLY_ZERO_TOL,
-    char_poly_eval,
-    determinant,
-    determinant_continuant,
-    eigenvalues,
-    eigenvector,
-)
+from .spectral import _CHARPOLY_ZERO_TOL, char_poly_eval, determinant, eigenvalues, eigenvector
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,19 +49,8 @@ if TYPE_CHECKING:
 # imported where they are used, so a process loads only what its subcommand
 # needs: det, charpoly and every repunit action but product run without numpy.
 
-ORACLE_ENVELOPE = 200
 DEFAULT_SINGULAR_TOL = _SINGULAR_TOL
 DEFAULT_DENSE_LIMIT = 1024
-
-_VERIFY_TOLS = {
-    "similarity": 1e-12,
-    "eigen": 1e-11,
-    "determinant": 1e-9,
-    "inverse": 1e-9,
-    "wronskian": _WRONSKIAN_TOL,
-    "conditioning": 1e-10,
-    "repunit": 1e-10,
-}
 
 
 class _UsageError(Exception):
@@ -310,7 +293,7 @@ def _cmd_decay(args, spec) -> _Answer:
               "prefactor": env.prefactor, "bound": bound}
     plain = [f"eta = {_fmt(env.eta)}", f"prefactor = {_fmt(env.prefactor)}",
              f"bound[{args.i},{args.j}] = {_fmt(bound)}"]
-    return _Answer(result, plain, {})
+    return _Answer(result, plain)
 
 
 def _cmd_repunit(args, _spec) -> _Answer:
@@ -368,136 +351,15 @@ def _cmd_repunit(args, _spec) -> _Answer:
         echo = {"base": base, "m": args.m}
     else:
         echo = {**_spec_echo(make_spec(base, base + 1.0, 1.0, args.n)), "base": base}
-    return answer._replace(tolerances={}, echo=echo)
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-def _check(name, residual, tolerance):
-    status = "PASS" if residual <= tolerance else "FAIL"
-    return {"name": name, "residual": residual, "tolerance": tolerance,
-            "status": status}
-
-
-def _skip(name, reason):
-    return {"name": name, "residual": None, "tolerance": None,
-            "status": f"SKIP ({reason})"}
-
-
-def _verify_checks(spec, singular_tol):
-    import numpy as np
-
-    from .conditioning import weighted_condition
-    from .greens import build_kernel, inverse_dense, inverse_entry
-    from .oracle import _logabsdet, dense_from_spec, dense_inverse
-    from .repunit import repunit, repunit_det_exact, repunit_inverse_entry
-
-    checks = []
-    form = symmetrise(spec)
-    # an x past the float range is refused before any check computes with it
-    _check_x(form.x)
-    n, s, q = spec.n, form.s, form.q
-    dense = dense_from_spec(spec)
-    scale = spec.row_scale()
-
-    # similarity: the conjugated off-diagonals must both equal s
-    sim = max(abs(spec.c * q - s), abs(spec.a / q - s)) / s
-    checks.append(_check("similarity", sim, _VERIFY_TOLS["similarity"]))
-
-    # eigen residuals, on A when the raw q powers are representable,
-    # otherwise on the symmetrised matrix
-    k = np.arange(1, n + 1)
-    theta = k * math.pi / (n + 1)
-    lam = spec.b + 2.0 * s * np.cos(theta)
-    sines = np.sin(np.outer(np.arange(1, n + 1), theta))
-    with np.errstate(over="ignore"):
-        qpow = np.power(q, np.arange(n, dtype=float))
-    if np.all(np.isfinite(qpow)) and np.max(np.abs(qpow)) < 1e280:
-        vecs = qpow[:, None] * sines
-        mat = dense
-    else:
-        vecs = sines
-        mat = dense_from_spec(make_spec(s, spec.b, s, n))
-    resid = mat @ vecs - vecs * lam[None, :]
-    eig_resid = float(
-        np.max(np.max(np.abs(resid), axis=0)
-               / (scale * np.max(np.abs(vecs), axis=0)))
-    )
-    checks.append(_check("eigen", eig_resid, _VERIFY_TOLS["eigen"]))
-
-    # determinant: closed form vs continuant vs dense elimination
-    det_closed = determinant(spec)
-    det_cont = determinant_continuant(spec)
-    osign, olog = _logabsdet(dense)
-    if det_closed.sign == 0 or det_cont.sign == 0 or osign == 0.0:
-        checks.append(_skip("determinant", "singular"))
-    elif det_closed.sign != det_cont.sign or float(osign) != float(det_closed.sign):
-        checks.append(_check("determinant", math.inf, _VERIFY_TOLS["determinant"]))
-    else:
-        anchor = max(1.0, abs(det_closed.log_mag))
-        dresid = max(abs(det_closed.log_mag - det_cont.log_mag),
-                     abs(det_closed.log_mag - olog)) / anchor
-        checks.append(_check("determinant", dresid, _VERIFY_TOLS["determinant"]))
-
-    # inverse kernel vs dense inverse, plus the Wronskian constancy
-    kernel = build_kernel(spec, singular_tol=singular_tol)
-    if not kernel.invertible:
-        checks.append(_skip("inverse", "singular"))
-        checks.append(_skip("wronskian", "singular"))
-    else:
-        side = "kernel"
-        try:
-            kinv = inverse_dense(kernel)
-            side = "dense oracle"
-            try:
-                dinv = dense_inverse(dense)
-            except SingularMatrix:
-                # the raw q^(i-j) scaling defeats the oracle's pivots, so compare
-                # on the symmetrised matrix, whose inverse is kinv times q^(j-i)
-                dinv = dense_inverse(dense_from_spec(make_spec(s, spec.b, s, n)))
-                d = np.subtract.outer(k, k)
-                with np.errstate(divide="ignore"):
-                    kinv = (np.sign(kinv) * np.sign(q) ** d
-                            * np.exp(np.log(np.abs(kinv)) - d * math.log(abs(q))))
-            iresid = float(np.max(np.abs(kinv - dinv)) / np.max(np.abs(dinv)))
-            checks.append(_check("inverse", iresid, _VERIFY_TOLS["inverse"]))
-        except (SingularMatrix, OverflowError) as exc:
-            checks.append(_skip("inverse", f"{side}: {type(exc).__name__}"))
-        checks.append(_check("wronskian", kernel.wronskian_residual,
-                             _VERIFY_TOLS["wronskian"]))
-
-    # weighted conditioning vs a dense symmetric eigensolve
-    try:
-        rep = weighted_condition(spec, singular_tol=singular_tol)
-    except SingularMatrix:
-        checks.append(_skip("conditioning", "singular"))
-    else:
-        lam_dense = np.linalg.eigvalsh(dense_from_spec(make_spec(s, spec.b, s, n)))
-        dense_ratio = float(np.max(np.abs(lam_dense)) / np.min(np.abs(lam_dense)))
-        cresid = abs(rep.cond_weighted / dense_ratio - 1.0)
-        checks.append(_check("conditioning", cresid, _VERIFY_TOLS["conditioning"]))
-
-    # repunit identities when the spec is the repunit matrix with integer base
-    if spec.c == 1.0 and float(spec.a).is_integer() and spec.a >= 1.0 \
-            and spec.b == spec.a + 1.0:
-        d = int(spec.a)
-        exact_ok = repunit_det_exact(d, n) == repunit(n + 1, d).exact_value
-        rresid = 0.0 if exact_ok else math.inf
-        if kernel.invertible:
-            for (ii, jj) in {(1, 1), (1, n), (n, 1)}:
-                exact = repunit_inverse_entry(d, n, ii, jj).float_value
-                got = inverse_entry(kernel, ii, jj)
-                rresid = max(rresid, abs(got - exact) / max(abs(exact), 1e-300))
-        checks.append(_check("repunit", rresid, _VERIFY_TOLS["repunit"]))
-
-    return checks
+    return answer._replace(echo=echo)
 
 
 def _cmd_verify(args, spec) -> _Answer:
+    from .oracle import ORACLE_ENVELOPE, verify_checks
+
     if spec.n > ORACLE_ENVELOPE:
         raise _UsageError(f"verify is limited to the oracle envelope n <= {ORACLE_ENVELOPE}")
-    checks = _verify_checks(spec, args.tol)
+    checks = verify_checks(spec, args.tol)
     failed = any(c["status"] == "FAIL" for c in checks)
     result = {"checks": checks, "overall": "FAIL" if failed else "PASS"}
     width = max(len(c["name"]) for c in checks)
@@ -693,6 +555,14 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 1 if answer.result.get("overall") == "FAIL" else 0
+
+
+def __getattr__(name):
+    # the benchmark harness calls the checks by their former name here
+    if name == "_verify_checks":
+        from .oracle import verify_checks
+        return verify_checks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -78,7 +78,10 @@ def weighted_condition(spec: TriToeplitzSpec,
 
     Raises SingularMatrix when some eigenvalue magnitude falls below
     singular_tol times the spectral scale.  O(1): only the eigenvalues
-    that can be extreme in magnitude are evaluated.
+    that can be extreme in magnitude are evaluated.  They are accurate
+    normwise (see ``eigenvalues``), to a few eps of |b| + 2s, so a smallest
+    magnitude far below s, and the condition number built on it, carries
+    a large relative error.
     """
     _check_singular_tol(singular_tol)
     x = symmetrise(spec).x

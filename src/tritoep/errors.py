@@ -6,6 +6,12 @@ base.  Plain-value overflow is signalled with the builtin
 ``OverflowError`` rather than a custom class.
 """
 
+__all__ = [
+    "TriToeplitzError", "ZeroOffDiagonal", "InvalidOrder", "InvalidParameter",
+    "NotSymmetrisable", "DimensionMismatch", "IndexOutOfRange", "SingularMatrix",
+    "NearSingularPivot", "NotInGappedRegime", "InvalidBase", "ZeroVector",
+]
+
 
 class TriToeplitzError(ValueError):
     """Base class for all domain errors raised by this package."""

@@ -1,17 +1,24 @@
-"""Dense brute-force reference implementations.
+"""Dense brute-force reference implementations, and the verify cross-checks.
 
 Deliberately naive: row-pivoted Gaussian elimination with no structure
 exploitation, O(n^3), trusted because there is nothing clever to get
-wrong.  Used by the test suites and the CLI verify mode, never on the
-library's fast paths.  Dense matrices are plain (n, n) float arrays;
-n up to a few hundred is the intended envelope.
+wrong.  Used by the test suites and by :func:`verify_checks` (the CLI's
+verify mode), never on the library's fast paths.  Dense matrices are plain
+(n, n) float arrays; n up to a few hundred is the intended envelope.
+
+:func:`verify_checks` compares the library's closed forms (eigenpairs,
+determinant, Green kernel, weighted condition number, repunit identities)
+with these routines.  The dense routines import nothing from the production
+modules; ``verify_checks`` imports those it checks when it runs.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import TriToeplitzSpec
+from .core import _WRONSKIAN_TOL, TriToeplitzSpec
 from .errors import DimensionMismatch, SingularMatrix, ZeroVector
 
 __all__ = [
@@ -20,7 +27,21 @@ __all__ = [
     "lu_det",
     "dense_inverse",
     "eigen_check",
+    "verify_checks",
 ]
+
+# the largest order verify_checks is meant for
+ORACLE_ENVELOPE = 200
+
+_VERIFY_TOLS = {
+    "similarity": 1e-12,
+    "eigen": 1e-11,
+    "determinant": 1e-9,
+    "inverse": 1e-9,
+    "wronskian": _WRONSKIAN_TOL,
+    "conditioning": 1e-10,
+    "repunit": 1e-10,
+}
 
 
 def dense_from_spec(spec: TriToeplitzSpec) -> np.ndarray:
@@ -130,3 +151,128 @@ def eigen_check(m, value: float, vector) -> float:
     if scale == 0.0:
         raise ZeroVector("eigenvector candidate must be nonzero")
     return float(np.max(np.abs(m @ v - value * v))) / scale
+
+
+def _check(name, residual, tolerance):
+    status = "PASS" if residual <= tolerance else "FAIL"
+    return {"name": name, "residual": residual, "tolerance": tolerance,
+            "status": status}
+
+
+def _skip(name, reason):
+    return {"name": name, "residual": None, "tolerance": None,
+            "status": f"SKIP ({reason})"}
+
+
+def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
+    """Cross-check the library's closed forms for ``spec`` against the dense routines.
+
+    Returns one dict per check, in a fixed order, with its name, residual,
+    tolerance and status ("PASS", "FAIL" or "SKIP (reason)", the last with
+    residual and tolerance None): the similarity, the eigenpairs, the
+    determinant, the kernel inverse and its Wronskian, the weighted
+    condition number and, for a repunit matrix of integer base, the exact
+    repunit identities.  Meant for n up to ``ORACLE_ENVELOPE``.
+    """
+    from .cheby import _check_x
+    from .conditioning import weighted_condition
+    from .core import make_spec, symmetrise
+    from .greens import build_kernel, inverse_dense, inverse_entry
+    from .repunit import repunit, repunit_det_exact, repunit_inverse_entry
+    from .spectral import determinant, determinant_continuant, eigen_pair, eigenvalues
+
+    checks = []
+    form = symmetrise(spec)
+    # an x past the float range is refused before any check computes with it
+    _check_x(form.x)
+    n, s, q = spec.n, form.s, form.q
+    dense = dense_from_spec(spec)
+    # the symmetrised matrix, for the checks that the raw q powers defeat
+    sym_spec = make_spec(s, spec.b, s, n)
+    sym_dense = dense_from_spec(sym_spec)
+    scale = spec.row_scale()
+
+    # similarity: the conjugated off-diagonals must both equal s
+    sim = max(abs(spec.c * q - s), abs(spec.a / q - s)) / s
+    checks.append(_check("similarity", sim, _VERIFY_TOLS["similarity"]))
+
+    # eigen residuals, on A while its eigenvectors' q powers stay below
+    # 1e280, otherwise on the symmetrised matrix
+    if (n - 1) * math.log(abs(q)) < math.log(1e280):
+        vec_spec, mat = spec, dense
+    else:
+        vec_spec, mat = sym_spec, sym_dense
+    vecs = np.column_stack([eigen_pair(vec_spec, k).right_vector for k in range(1, n + 1)])
+    resid = mat @ vecs - vecs * eigenvalues(spec)[None, :]
+    eig_resid = float(
+        np.max(np.max(np.abs(resid), axis=0)
+               / (scale * np.max(np.abs(vecs), axis=0)))
+    )
+    checks.append(_check("eigen", eig_resid, _VERIFY_TOLS["eigen"]))
+
+    # determinant: closed form vs continuant vs dense elimination
+    det_closed = determinant(spec)
+    det_cont = determinant_continuant(spec)
+    osign, olog = _logabsdet(dense)
+    if det_closed.sign == 0 or det_cont.sign == 0 or osign == 0.0:
+        checks.append(_skip("determinant", "singular"))
+    elif det_closed.sign != det_cont.sign or float(osign) != float(det_closed.sign):
+        checks.append(_check("determinant", math.inf, _VERIFY_TOLS["determinant"]))
+    else:
+        anchor = max(1.0, abs(det_closed.log_mag))
+        dresid = max(abs(det_closed.log_mag - det_cont.log_mag),
+                     abs(det_closed.log_mag - olog)) / anchor
+        checks.append(_check("determinant", dresid, _VERIFY_TOLS["determinant"]))
+
+    # inverse kernel vs dense inverse, plus the Wronskian constancy
+    kernel = build_kernel(spec, singular_tol=singular_tol)
+    if not kernel.invertible:
+        checks.append(_skip("inverse", "singular"))
+        checks.append(_skip("wronskian", "singular"))
+    else:
+        side = "kernel"
+        try:
+            kinv = inverse_dense(kernel)
+            side = "dense oracle"
+            try:
+                dinv = dense_inverse(dense)
+            except SingularMatrix:
+                # the raw q^(i-j) scaling defeats the oracle's pivots, so compare
+                # on the symmetrised matrix, whose inverse is kinv times q^(j-i)
+                dinv = dense_inverse(sym_dense)
+                d = np.subtract.outer(np.arange(n), np.arange(n))
+                with np.errstate(divide="ignore"):
+                    kinv = (np.sign(kinv) * np.sign(q) ** d
+                            * np.exp(np.log(np.abs(kinv)) - d * math.log(abs(q))))
+            iresid = float(np.max(np.abs(kinv - dinv)) / np.max(np.abs(dinv)))
+            checks.append(_check("inverse", iresid, _VERIFY_TOLS["inverse"]))
+        except (SingularMatrix, OverflowError) as exc:
+            checks.append(_skip("inverse", f"{side}: {type(exc).__name__}"))
+        checks.append(_check("wronskian", kernel.wronskian_residual,
+                             _VERIFY_TOLS["wronskian"]))
+
+    # weighted conditioning vs a dense symmetric eigensolve
+    try:
+        rep = weighted_condition(spec, singular_tol=singular_tol)
+    except SingularMatrix:
+        checks.append(_skip("conditioning", "singular"))
+    else:
+        lam_dense = np.linalg.eigvalsh(sym_dense)
+        dense_ratio = float(np.max(np.abs(lam_dense)) / np.min(np.abs(lam_dense)))
+        cresid = abs(rep.cond_weighted / dense_ratio - 1.0)
+        checks.append(_check("conditioning", cresid, _VERIFY_TOLS["conditioning"]))
+
+    # repunit identities when the spec is the repunit matrix with integer base
+    if spec.c == 1.0 and float(spec.a).is_integer() and spec.a >= 1.0 \
+            and spec.b == spec.a + 1.0:
+        d = int(spec.a)
+        exact_ok = repunit_det_exact(d, n) == repunit(n + 1, d).exact_value
+        rresid = 0.0 if exact_ok else math.inf
+        if kernel.invertible:
+            for (ii, jj) in {(1, 1), (1, n), (n, 1)}:
+                exact = repunit_inverse_entry(d, n, ii, jj).float_value
+                got = inverse_entry(kernel, ii, jj)
+                rresid = max(rresid, abs(got - exact) / max(abs(exact), 1e-300))
+        checks.append(_check("repunit", rresid, _VERIFY_TOLS["repunit"]))
+
+    return checks

@@ -66,7 +66,14 @@ class SpectrumSummary:
 
 
 def eigenvalues(spec: TriToeplitzSpec) -> np.ndarray:
-    """All n eigenvalues b + 2s*cos(k*pi/(n+1)), k = 1..n (decreasing)."""
+    """All n eigenvalues b + 2s*cos(k*pi/(n+1)), k = 1..n (decreasing).
+
+    The accuracy is normwise, as for a dense symmetric eigensolver: each
+    value is within a few eps of |b| + 2s, not of itself, so an eigenvalue
+    much smaller than s carries a large relative error (for
+    ``make_spec(1e200, 1, 1e200, 3)`` the middle one, exactly 1, comes out
+    near 1.2e184).
+    """
     import numpy as np
 
     return _eigenvalues_at(spec, np.arange(1, spec.n + 1))

@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from tritoep import build_kernel
-from tritoep.cli import _VERIFY_TOLS, main
-from tritoep.oracle import dense_from_spec
+from tritoep import build_kernel, cli, make_spec, oracle
+from tritoep.cli import main
+from tritoep.oracle import _VERIFY_TOLS, dense_from_spec, dense_inverse
 
 SQRT2 = math.sqrt(2.0)
 
@@ -260,25 +260,31 @@ class TestVerify:
         assert out.splitlines()[-1] == "overall: FAIL"
 
     def test_badly_scaled_q(self, capsys, monkeypatch):
-        # q = 0.1 and n = 200: q^199 is below 1e-280, so the eigen check runs
-        # on the symmetrised matrix, as the conditioning check always does;
+        # q = sqrt(1000) and n = 200: q^199 is above 1e280, so the eigen check
+        # runs on the symmetrised matrix, as the conditioning check always does;
         # the dense oracle's pivots fail on the raw scaling, so the inverse
         # check compares on the symmetrised matrix too
         symmetric = []
 
-        def spy(spec):
-            symmetric.append(spec.a == spec.c)
-            return dense_from_spec(spec)
+        def spy(m):
+            symmetric.append(bool((m == m.T).all()))
+            return dense_inverse(m)
 
-        monkeypatch.setattr("tritoep.oracle.dense_from_spec", spy)
+        monkeypatch.setattr("tritoep.oracle.dense_inverse", spy)
         code, out, _ = run_cli(capsys, "verify", "-a", "1000", "-b", "100", "-c", "1",
                                "-n", "200")
         assert code == 0
-        assert symmetric.count(True) == 3
+        assert symmetric == [False, True]
         lines = out.splitlines()
         assert lines[1].startswith("eigen ") and lines[1].endswith("PASS")
         assert lines[3].startswith("inverse ") and lines[3].endswith("PASS")
         assert lines[-1] == "overall: PASS"
+
+    def test_former_name_is_the_oracle_checks(self):
+        spec = make_spec(10.0, 11.0, 1.0, 8)
+        assert cli._verify_checks is oracle.verify_checks
+        assert (cli._verify_checks(spec, cli.DEFAULT_SINGULAR_TOL)
+                == oracle.verify_checks(spec, cli.DEFAULT_SINGULAR_TOL))
 
     def test_negative_q_branch_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "-a", "-1", "-b", "0.5", "-c", "-2",

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import eigenvalues_by_bisection, random_symmetrisable_spec
 from tritoep import (
@@ -23,6 +25,7 @@ from tritoep import (
     weighted_condition,
     weighted_inner,
 )
+from tritoep.oracle import dense_from_spec
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -273,3 +276,49 @@ def test_matches_dense_bisection_oracle(spec):
     assert len(oracle) == spec.n
     scale = max(1.0, float(np.max(np.abs(closed))))
     np.testing.assert_allclose(closed, oracle, atol=1e-9 * scale)
+
+
+# The normwise contract of the closed forms (also in the docstrings of
+# eigenvalues and weighted_condition): an eigenvalue carries an absolute
+# error of a few eps times |b| + 2s, the norm of the matrix, not a relative
+# one; LAPACK's eigvalsh has the same.  So the middle eigenvalue of
+# make_spec(1e200, 1, 1e200, 3), exactly 1, may come out near 1.2e184.
+# Draws: n <= 60, s in 10^(+-3), x = b/(2s) in [-3, 3],
+# |log q|(n-1) <= 600, q < 0 on some draws.
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def _eigen_specs(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    s = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    log_q = draw(st.floats(min_value=-600.0, max_value=600.0)) / max(n - 1, 1)
+    q = math.exp(log_q) * draw(st.sampled_from([1.0, -1.0]))
+    x = draw(st.floats(min_value=-3.0, max_value=3.0))
+    return make_spec(s * q, 2.0 * s * x, s / q, n)
+
+
+@given(_eigen_specs())
+def test_eigenvalues_match_eigvalsh_normwise(spec):
+    # the closed form rounds theta_k, the cosine and b + 2s cos to a few eps
+    # of |b| + 2s, and eigvalsh is backward stable with a small multiple of
+    # eps times the norm at n <= 60: C = 32
+    s = symmetrise(spec).s
+    dense = np.linalg.eigvalsh(dense_from_spec(make_spec(s, spec.b, s, spec.n)))
+    err = np.max(np.abs(np.sort(eigenvalues(spec)) - dense))
+    assert err <= 32 * EPS * (abs(spec.b) + 2.0 * s)
+
+
+@given(_eigen_specs())
+def test_eigen_pair_residual_normwise(spec):
+    # theta_k is rounded, so sin((n+1) theta_k) is about k pi eps, not 0: the
+    # row n+1 term the matrix leaves out makes the residual up to about
+    # (n+1)^2 eps of row_scale times max|v| when the last entry dominates
+    # (|q| >= 2, k = n); C = 4096 covers (n+1)^2 at n <= 60
+    dense = dense_from_spec(spec)
+    for k in range(1, spec.n + 1):
+        pair = eigen_pair(spec, k)
+        v = pair.right_vector
+        # divided by max|v| first: row_scale times max|v| can pass the float range
+        resid = np.max(np.abs(dense @ v - pair.value * v)) / np.max(np.abs(v))
+        assert resid <= 4096 * EPS * spec.row_scale()
