@@ -85,8 +85,8 @@ _PER_FORMAT = [
     # singular: SKIP rows with n/a residuals
     (["verify", "-a", "1", "-b", "0", "-c", "1", "-n", "3"], FORMATS),
     (["verify", *NEG_Q, "-n", "12"], FORMATS),
-    # q = 0.1 at n = 200: the eigen and the inverse checks both run on the
-    # symmetrised matrix
+    # q = sqrt(1000) at n = 200: the eigen and the inverse checks both run
+    # on the symmetrised matrix
     (["verify", "-a", "1000", "-b", "100", "-c", "1", "-n", "200"], FORMATS),
     (["bench", "--grid", "8,16", *GAPPED, "--reps", "0"], FORMATS),
     # x = 1: apply_inverse is not offered
