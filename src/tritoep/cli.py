@@ -297,32 +297,23 @@ def _cmd_decay(args, spec) -> _Answer:
 
 
 def _cmd_repunit(args, _spec) -> _Answer:
-    from .repunit import (cheb_repunit_identity_residual, cosine_product_log, repunit,
-                          repunit_condition, repunit_det_exact, repunit_inverse_entry)
+    from .repunit import (_integer_base, cheb_repunit_identity_residual, cosine_product_log,
+                          repunit, repunit_condition, repunit_inverse_entry)
 
     base = args.base
-    if args.action == "value":
-        rv = repunit(args.m, base)
-        if args.exact and rv.exact_value is None:
+    if args.action in ("value", "det"):
+        if args.exact and _integer_base(base) is None:
             raise _UsageError("--exact needs a positive integer base")
-        exact = None if rv.exact_value is None else _decimal(rv.exact_value)
-        result = {"m": args.m, "base": base, "exact": exact,
+        # the order-n repunit matrix has det R_(n+1)(d), the repunit theorem
+        key = "m" if args.action == "value" else "n"
+        m = args.m if key == "m" else _check_int(args.n, "n", 1) + 1
+        rv = repunit(m, base)
+        # the exact decimal only where it is printed
+        shown = rv.exact_value is not None and (args.exact or args.format != "plain")
+        exact = _decimal(rv.exact_value) if shown else None
+        result = {key: getattr(args, key), "base": base, "exact": exact,
                   "value": rv.float_value}
         answer = _Answer(result, [exact if args.exact else _fmt(rv.float_value)])
-    elif args.action == "det":
-        exact = None
-        if float(base).is_integer() and base >= 1:
-            # plain output shows the exact value only with --exact: skip the
-            # continuant, but not its check of n
-            if args.exact or args.format != "plain":
-                exact = _decimal(repunit_det_exact(int(base), args.n))
-            else:
-                _check_int(args.n, "n", 1)
-        elif args.exact:
-            raise _UsageError("--exact needs a positive integer base")
-        fv = repunit(args.n + 1, base).float_value
-        result = {"n": args.n, "base": base, "exact": exact, "value": fv}
-        answer = _Answer(result, [exact if (args.exact and exact is not None) else _fmt(fv)])
     elif args.action == "product":
         lv = cosine_product_log(base, args.n)
         value = ScaledValue(1, lv).try_float()

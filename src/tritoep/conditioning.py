@@ -6,7 +6,8 @@ a positive definite instance collapses to the closed ratio
 
     (b + 2s cos(pi/(n+1))) / (b - 2s cos(pi/(n+1))).
 
-Invertible indefinite instances fall back to max|lambda| / min|lambda|.
+Invertible indefinite instances fall back to max|lambda| / min|lambda|;
+min|lambda| <= singular_tol (|b| + 2s), a scale-free rule, counts as singular.
 """
 
 from __future__ import annotations
@@ -76,16 +77,16 @@ def weighted_condition(spec: TriToeplitzSpec,
                        singular_tol: float = _SINGULAR_TOL) -> ConditionReport:
     """Weighted condition number with the closed formula on the PD branch.
 
-    Raises SingularMatrix when some eigenvalue magnitude falls below
-    singular_tol times the spectral scale.  O(1): only the eigenvalues
-    that can be extreme in magnitude are evaluated.  They are accurate
-    normwise (see ``eigenvalues``), to a few eps of |b| + 2s, so a smallest
-    magnitude far below s, and the condition number built on it, carries
-    a large relative error.
+    Raises SingularMatrix when the smallest eigenvalue magnitude is at
+    most singular_tol times |b| + 2s, which scales with the matrix.  O(1):
+    only the eigenvalues that can be extreme in magnitude are evaluated.
+    They are accurate normwise (see ``eigenvalues``), to a few eps of
+    |b| + 2s, so a smallest magnitude far below s, and the condition
+    number built on it, carries a large relative error.
     """
     _check_singular_tol(singular_tol)
-    x = symmetrise(spec).x
-    n = spec.n
+    form = symmetrise(spec)
+    x, n = form.x, spec.n
     # |lambda_k| = 2s |x + cos(k pi/(n+1))| falls up to k = phi, where the
     # cosine equals -x, and rises after it, so max|lambda| sits at k = 1 or
     # k = n and min|lambda| there or at one of the two indices around phi
@@ -95,7 +96,8 @@ def weighted_condition(spec: TriToeplitzSpec,
         k += [min(max(math.floor(phi), 1), n), min(max(math.ceil(phi), 1), n)]
     lam = np.abs(_eigenvalues_at(spec, np.array(k))).tolist()
     abs_min, abs_max = min(lam), max(lam)
-    if abs_min <= singular_tol * max(1.0, abs_max):
+    # not max|lambda|: at n = 1, b = 0 it is 2s cos(pi/2) = 1.2e-16 s, not 0
+    if abs_min <= singular_tol * (abs(spec.b) + 2.0 * form.s):
         raise SingularMatrix(
             f"smallest eigenvalue magnitude {abs_min!r} is below tolerance"
         )

@@ -38,7 +38,7 @@ import numpy as np
 from .cheby import ScaledValue, _check_x, _log1mexp, _u_sequence_into, eval_U_scaled
 from .core import (_LOG_MAX, _MIN_NORMAL, _SINGULAR_TOL, _WRONSKIAN_TOL, SymmetrisedForm,
                    TriToeplitzSpec, _beyond_range, _check_int, _check_log_mags,
-                   _check_singular_tol, _exp_signed, symmetrise)
+                   _check_singular_tol, _exp_signed, _matvec, symmetrise)
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -514,9 +514,7 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     # where b * x could overflow, on x and rhs times 2^-e, e the exponent of max|x|
     e = math.frexp(x_max)[1] if x_max > 2.0**1000 / row_scale else 0
     xs, rs = (np.ldexp(x, -e), np.ldexp(rhs, -e)) if e else (x, rhs)
-    resid = b * xs - rs
-    resid[1:] += a * xs[:-1]
-    resid[:-1] += c * xs[1:]
+    resid = _matvec(spec, xs) - rs
     resid_norm = float(abs(resid).max())
     x_max, rhs_max = math.ldexp(x_max, -e), float(abs(rs).max())
     # on Python floats a scale past the float range is inf, with no warning;
@@ -536,11 +534,6 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     return x
 
 
-def _logsinh(t: float) -> float:
-    """log(sinh(t)) for t > 0, stable for both tiny and huge t."""
-    return t + _log1mexp(2.0 * t) - math.log(2.0)
-
-
 def _gapped(form: SymmetrisedForm) -> float:
     """gamma = arccosh(x); raises NotInGappedRegime unless x = b/(2s) > 1.
 
@@ -554,8 +547,12 @@ def _gapped(form: SymmetrisedForm) -> float:
 
 
 def _log_prefactor(form: SymmetrisedForm, gamma: float) -> float:
-    """log of the envelope prefactor 2/(s*(eta - 1/eta)) = 1/(s sinh(gamma))."""
-    return math.log(2.0 / form.s) - math.log(2.0) - _logsinh(gamma)
+    """log of the envelope prefactor 2/(s*(eta - 1/eta)) = 1/(s sinh(gamma)).
+
+    -log s, as 2/s overflows below s ~ 1.1e-308; log sinh(gamma) = gamma +
+    log(1 - e^(-2 gamma)) - log 2 holds for tiny and huge gamma alike.
+    """
+    return -math.log(form.s) - (gamma + _log1mexp(2.0 * gamma) - math.log(2.0))
 
 
 def decay_envelope(spec: TriToeplitzSpec) -> DecayEnvelope:
@@ -589,22 +586,16 @@ def decay_bound(spec: TriToeplitzSpec, i: int, j: int) -> float:
 
 
 def hyperbolic_inverse_entry(form: SymmetrisedForm, i: int, j: int) -> float:
-    """Symmetric-case inverse entry through ratios of hyperbolic sines.
+    """Symmetric-case inverse entry of the Green kernel, for x > 1.
 
-    For x > 1 and gamma = arccosh(x), entry (i, j) with i <= j equals
-    (-1)^(i+j) sinh(i g) sinh((n+1-j) g) / (s sinh((n+1) g) sinh(g));
-    indices mirror for i > j.  Computed entirely in log space.
+    Entry (i, j) with lo = min(i, j) and hi = max(i, j) equals
+    (-1)^(i+j) U_(lo-1)(x) U_(n-hi)(x) / (s U_n(x)), every U_m > 0 here,
+    each taken in log space from ``eval_U_scaled``.
     """
-    gamma = _gapped(form)
+    _gapped(form)
     i = _check_int(i, "index", 1, form.n, IndexOutOfRange)
     j = _check_int(j, "index", 1, form.n, IndexOutOfRange)
-    lo, hi = (i, j) if i <= j else (j, i)
-    log_mag = (
-        _logsinh(lo * gamma)
-        + _logsinh((form.n + 1 - hi) * gamma)
-        - _logsinh((form.n + 1) * gamma)
-        - _logsinh(gamma)
-        - math.log(form.s)
-    )
-    sign = 1.0 if (i + j) % 2 == 0 else -1.0
-    return _exp_signed(sign, log_mag, "inverse entry (%d,%d)", i, j)
+    lo, hi, n, x = min(i, j), max(i, j), form.n, form.x
+    log_mag = (eval_U_scaled(lo - 1, x).log_mag + eval_U_scaled(n - hi, x).log_mag
+               - eval_U_scaled(n, x).log_mag - math.log(form.s))
+    return _exp_signed((-1.0) ** (i + j), log_mag, "inverse entry (%d,%d)", i, j)

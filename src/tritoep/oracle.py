@@ -8,7 +8,8 @@ verify mode), never on the library's fast paths.  Dense matrices are plain
 
 :func:`verify_checks` compares the library's closed forms (eigenpairs,
 determinant, Green kernel, weighted condition number, repunit identities)
-with these routines.  The dense routines import nothing from the production
+with these routines, and R_(n+1)(d) with the continuant, which production
+does not run.  The dense routines import nothing from the production
 modules; ``verify_checks`` imports those it checks when it runs.
 """
 
@@ -153,8 +154,10 @@ def eigen_check(m, value: float, vector) -> float:
     return float(np.max(np.abs(m @ v - value * v))) / scale
 
 
-def _check(name, residual, tolerance):
-    status = "PASS" if residual <= tolerance else "FAIL"
+def _check(name, residual, tolerance, rounding=None):
+    # a miss that the spec's rounding bound reaches too is a SKIP; a NaN fails
+    ill = rounding is not None and residual > tolerance and rounding >= tolerance
+    status = "PASS" if residual <= tolerance else "SKIP (ill-conditioned)" if ill else "FAIL"
     return {"name": name, "residual": residual, "tolerance": tolerance,
             "status": status}
 
@@ -169,10 +172,13 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
 
     Returns one dict per check, in a fixed order, with its name, residual,
     tolerance and status ("PASS", "FAIL" or "SKIP (reason)", the last with
-    residual and tolerance None): the similarity, the eigenpairs, the
-    determinant, the kernel inverse and its Wronskian, the weighted
-    condition number and, for a repunit matrix of integer base, the exact
-    repunit identities.  Meant for n up to ``ORACLE_ENVELOPE``.
+    residual and tolerance None but for "ill-conditioned"): the similarity,
+    the eigenpairs, the determinant, the kernel inverse and its Wronskian,
+    the weighted condition number and, for a repunit matrix of integer
+    base, the exact repunit identities.  Meant for n up to
+    ``ORACLE_ENVELOPE``.  A determinant, inverse or conditioning residual
+    that misses its tolerance where the spec's rounding bound n eps
+    (|b| + 2s) / min|lambda| reaches it too is "SKIP (ill-conditioned)".
     """
     from .cheby import _check_x
     from .conditioning import weighted_condition
@@ -202,13 +208,18 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
         vec_spec, mat = spec, dense
     else:
         vec_spec, mat = sym_spec, sym_dense
+    lam = eigenvalues(spec)
     vecs = np.column_stack([eigen_pair(vec_spec, k).right_vector for k in range(1, n + 1)])
-    resid = mat @ vecs - vecs * eigenvalues(spec)[None, :]
+    resid = mat @ vecs - vecs * lam[None, :]
     eig_resid = float(
         np.max(np.max(np.abs(resid), axis=0)
                / (scale * np.max(np.abs(vecs), axis=0)))
     )
     checks.append(_check("eigen", eig_resid, _VERIFY_TOLS["eigen"]))
+    # the closed forms are accurate to a few eps of |b| + 2s, not of max|lambda|
+    # (at n = 1, 2s cos(pi/2) rounds to 1.2e-16 s)
+    lam_min = float(np.min(np.abs(lam)))
+    rounding = n * 2.0**-52 * (abs(spec.b) + 2.0 * s) / lam_min if lam_min else math.inf
 
     # determinant: closed form vs continuant vs dense elimination
     det_closed = determinant(spec)
@@ -217,18 +228,22 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
     if det_closed.sign == 0 or det_cont.sign == 0 or osign == 0.0:
         checks.append(_skip("determinant", "singular"))
     elif det_closed.sign != det_cont.sign or float(osign) != float(det_closed.sign):
-        checks.append(_check("determinant", math.inf, _VERIFY_TOLS["determinant"]))
+        checks.append(_check("determinant", math.inf, _VERIFY_TOLS["determinant"], rounding))
     else:
         anchor = max(1.0, abs(det_closed.log_mag))
         dresid = max(abs(det_closed.log_mag - det_cont.log_mag),
                      abs(det_closed.log_mag - olog)) / anchor
-        checks.append(_check("determinant", dresid, _VERIFY_TOLS["determinant"]))
+        checks.append(_check("determinant", dresid, _VERIFY_TOLS["determinant"], rounding))
 
     # inverse kernel vs dense inverse, plus the Wronskian constancy
-    kernel = build_kernel(spec, singular_tol=singular_tol)
-    if not kernel.invertible:
-        checks.append(_skip("inverse", "singular"))
-        checks.append(_skip("wronskian", "singular"))
+    try:
+        kernel = build_kernel(spec, singular_tol=singular_tol)
+        kernel_skip = None if kernel.invertible else "singular"
+    except SingularMatrix:  # refused by the Wronskian self-check; the other checks run
+        kernel_skip = "kernel: SingularMatrix"
+    if kernel_skip:
+        checks.append(_skip("inverse", kernel_skip))
+        checks.append(_skip("wronskian", kernel_skip))
     else:
         side = "kernel"
         try:
@@ -245,7 +260,7 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
                     kinv = (np.sign(kinv) * np.sign(q) ** d
                             * np.exp(np.log(np.abs(kinv)) - d * math.log(abs(q))))
             iresid = float(np.max(np.abs(kinv - dinv)) / np.max(np.abs(dinv)))
-            checks.append(_check("inverse", iresid, _VERIFY_TOLS["inverse"]))
+            checks.append(_check("inverse", iresid, _VERIFY_TOLS["inverse"], rounding))
         except (SingularMatrix, OverflowError) as exc:
             checks.append(_skip("inverse", f"{side}: {type(exc).__name__}"))
         checks.append(_check("wronskian", kernel.wronskian_residual,
@@ -260,7 +275,7 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
         lam_dense = np.linalg.eigvalsh(sym_dense)
         dense_ratio = float(np.max(np.abs(lam_dense)) / np.min(np.abs(lam_dense)))
         cresid = abs(rep.cond_weighted / dense_ratio - 1.0)
-        checks.append(_check("conditioning", cresid, _VERIFY_TOLS["conditioning"]))
+        checks.append(_check("conditioning", cresid, _VERIFY_TOLS["conditioning"], rounding))
 
     # repunit identities when the spec is the repunit matrix with integer base
     if spec.c == 1.0 and float(spec.a).is_integer() and spec.a >= 1.0 \
@@ -268,7 +283,7 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
         d = int(spec.a)
         exact_ok = repunit_det_exact(d, n) == repunit(n + 1, d).exact_value
         rresid = 0.0 if exact_ok else math.inf
-        if kernel.invertible:
+        if not kernel_skip:
             for (ii, jj) in {(1, 1), (1, n), (n, 1)}:
                 exact = repunit_inverse_entry(d, n, ii, jj).float_value
                 got = inverse_entry(kernel, ii, jj)

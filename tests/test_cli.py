@@ -9,6 +9,7 @@ import pytest
 from tritoep import build_kernel, cli, make_spec, oracle
 from tritoep.cli import main
 from tritoep.oracle import _VERIFY_TOLS, dense_from_spec, dense_inverse
+from tritoep.repunit import repunit_det_exact
 
 SQRT2 = math.sqrt(2.0)
 
@@ -59,6 +60,15 @@ class TestRun:
         argv = ("repunit", "det", "--base", "12", "-n")
         assert run_cli(capsys, *argv, "20000") == (0, "inf\n", "")
         assert run_cli(capsys, *argv, "20") == (0, "4.182283628124518e+21\n", "")
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_repunit_det_is_the_continuant(self, capsys, d):
+        # the CLI prints R_(n+1)(d); the continuant is the determinant it
+        # names, so this is the repunit theorem at the command line
+        for n in (1, 2, 17, 3000):
+            code, out, err = run_cli(capsys, "repunit", "det", "--base", str(d),
+                                     "-n", str(n), "--exact")
+            assert (code, out, err) == (0, f"{repunit_det_exact(d, n)}\n", "")
 
     def test_repunit_inverse_rational(self, capsys):
         code, out, _ = run_cli(capsys, "repunit", "inverse", "--base", "10",

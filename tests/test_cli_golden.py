@@ -65,9 +65,14 @@ _PER_FORMAT = [
     (["cond", "-a", "4", "-b", "5", "-c", "1", "-n", "2"], FORMATS),
     # indefinite: formula_value is null / n/a / absent
     (["cond", "-a", "1", "-b", "0.5", "-c", "1", "-n", "5"], FORMATS),
+    # every eigenvalue is below 1e-19, but min|lambda| is 0.13 of |b| + 2s
+    (["cond", "-a", "1e-20", "-b", "2.5e-20", "-c", "1e-20", "-n", "10"], FORMATS),
     (["decay", *GAPPED, "-n", "9", "-i", "2", "-j", "7"], FORMATS),
     (["decay", "-a", "-1", "-b", "5", "-c", "-2", "-n", "9", "-i", "7", "-j", "2"],
      FORMATS),
+    # s = 1e-308: 2/s overflows, the prefactor 8.94e307 does not
+    (["decay", "-a", "1e-308", "-b", "3e-308", "-c", "1e-308", "-n", "5", "-i", "1",
+      "-j", "1"], FORMATS),
     (["repunit", "value", "--base", "10", "-m", "5"], FORMATS),
     (["repunit", "value", "--base", "10", "-m", "5", "--exact"], FORMATS),
     (["repunit", "value", "--base", "2.5", "-m", "4"], FORMATS),
@@ -84,6 +89,11 @@ _PER_FORMAT = [
     (["verify", "-a", "10", "-b", "11", "-c", "1", "-n", "8"], FORMATS),
     # singular: SKIP rows with n/a residuals
     (["verify", "-a", "1", "-b", "0", "-c", "1", "-n", "3"], FORMATS),
+    # x 1.5e-12 from -cos(pi/4): the kernel's self-check refuses it, and the
+    # determinant's residual is within the rounding bound
+    (["verify", "-a", "1", "-b", "-1.41421356237", "-c", "1", "-n", "3"], FORMATS),
+    # x 4.8e-14 from it: the kernel flag calls it singular
+    (["verify", "-a", "1", "-b", "-1.414213562373", "-c", "1", "-n", "3"], FORMATS),
     (["verify", *NEG_Q, "-n", "12"], FORMATS),
     # q = sqrt(1000) at n = 200: the eigen and the inverse checks both run
     # on the symmetrised matrix
@@ -135,12 +145,14 @@ _ERRORS = [
     ["repunit"],
     ["repunit", "value", "--base", "-1", "-m", "3"],
     ["repunit", "value", "--base", "-1", "-m", "0"],
+    ["repunit", "value", "--base", "-1", "-m", "3", "--exact"],
     ["repunit", "value", "--base", "2.5", "-m", "3", "--exact"],
     ["repunit", "value", "--base", "10", "-m", "0"],
     ["repunit", "det", "--base", "-1", "-n", "3"],
     ["repunit", "det", "--base", "-1", "-n", "3", "--exact"],
     ["repunit", "det", "--base", "2.5", "-n", "3", "--exact"],
     ["repunit", "det", "--base", "10", "-n", "0"],
+    ["repunit", "det", "--base", "2.5", "-n", "0"],
     ["repunit", "product", "--base", "-1", "-n", "3"],
     ["repunit", "product", "--base", "-1", "-n", "0"],
     ["repunit", "cond", "--base", "0", "-n", "3"],

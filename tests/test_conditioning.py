@@ -1,11 +1,15 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_symmetrisable_spec
 from tritoep import (
+    ConditionReport,
     DimensionMismatch,
     SingularMatrix,
     TriToeplitzError,
@@ -114,7 +118,7 @@ class TestWeightedCondition:
             spec = make_spec(a, 2.0 * math.sqrt(a * c) * x, c, n)
             lam = np.abs(eigenvalues(spec))
             lam_min, lam_max = float(np.min(lam)), float(np.max(lam))
-            if lam_min <= 1e-12 * max(1.0, lam_max):
+            if lam_min <= 1e-12 * (abs(spec.b) + 2.0 * math.sqrt(a * c)):
                 with pytest.raises(SingularMatrix, match=re.escape(repr(lam_min))):
                     weighted_condition(spec)
                 continue
@@ -144,6 +148,50 @@ class TestWeightedCondition:
                 assert weighted_condition(scaled).cond_weighted == pytest.approx(
                     base, rel=1e-12
                 )
+
+
+    def test_small_matrix_is_not_singular(self):
+        # every eigenvalue is below 1e-19, but min|lambda| is 0.13 of |b| + 2s
+        rep = weighted_condition(make_spec(1e-20, 2.5e-20, 1e-20, 10))
+        assert rep.cond_weighted == pytest.approx(7.605643832801831, rel=1e-14)
+        # the zero 1 x 1 matrix, whose closed-form eigenvalue is 2s cos(pi/2) = 1.2e-36
+        with pytest.raises(SingularMatrix, match="1.2246467991473531e-36"):
+            weighted_condition(make_spec(1e-20, 0.0, 1e-20, 1))
+
+
+@st.composite
+def _scaled_specs(draw):
+    """A spec in every regime, near-singular ones included, and k with a c 4^k normal."""
+    n = draw(st.integers(1, 300))
+    s = 10.0 ** draw(st.floats(-5.0, 5.0))
+    q = draw(st.sampled_from([1.0, -1.0])) * math.exp(draw(st.floats(-2.0, 2.0)))
+    k_sing = draw(st.integers(1, n))
+    x = draw(st.one_of(
+        st.floats(-3.0, 3.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-1e-12, 1e-12).map(lambda d: d - math.cos(k_sing * math.pi / (n + 1)))))
+    spec = make_spec(s * q, 2.0 * s * x, s / q, n)
+    return spec, draw(st.integers(-450, 450))
+
+
+@given(_scaled_specs())
+def test_scaling_by_a_power_of_two_keeps_the_report(case):
+    # the refusal compares min|lambda| with |b| + 2s, and a spec times 2^k,
+    # where a c 4^k stays normal, scales both exactly: it gets the same
+    # decision and its eigenvalues times 2^k, bit for bit
+    spec, k = case
+    assert sys.float_info.min <= math.ldexp(spec.a * spec.c, 2 * k) < math.inf
+    scaled = make_spec(math.ldexp(spec.a, k), math.ldexp(spec.b, k),
+                       math.ldexp(spec.c, k), spec.n)
+    try:
+        rep = weighted_condition(spec)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            weighted_condition(scaled)
+        return
+    assert weighted_condition(scaled) == ConditionReport(
+        math.ldexp(rep.lambda_max, k), math.ldexp(rep.lambda_min, k),
+        rep.positive_definite, rep.cond_weighted, rep.formula_value)
 
 
 class TestOperatorNorm:

@@ -958,6 +958,14 @@ class TestDecay:
         with pytest.raises(OverflowError, match="^decay prefactor has log-magnitude"):
             decay_envelope(make_spec(1e-306, 2.0000001e-306, 1e-306, 3))
 
+    def test_prefactor_for_s_below_the_reciprocal_of_the_float_range(self):
+        # s = 1e-308, x = 1.5: 2/s overflows, but the prefactor
+        # 1/(s sinh(gamma)) = 2/(sqrt(5) s) is 8.94e307
+        spec = make_spec(1e-308, 3e-308, 1e-308, 5)
+        want = 2.0 / math.sqrt(5.0) * 1e308
+        assert decay_envelope(spec).prefactor == pytest.approx(want, rel=1e-14)
+        assert decay_bound(spec, 1, 1) == pytest.approx(want, rel=1e-14)
+
     def test_bound_beyond_the_float_range(self):
         # q = 1000: the bound on entry (400, 1) carries q^399 eta^-399
         with pytest.raises(OverflowError, match=r"^decay bound \(400,1\) has log-magnitude"):
@@ -1048,6 +1056,37 @@ class TestHyperbolicEntries:
                     assert hyperbolic_inverse_entry(form, i, j) == pytest.approx(
                         inverse_entry(kernel, i, j), rel=1e-11
                     )
+
+
+@st.composite
+def _gapped_entries(draw):
+    """A symmetric gapped spec, n <= 2000 and x in (1, 1e3], and one entry (i, j)."""
+    n = draw(st.integers(1, 2000))
+    x = draw(st.one_of(st.floats(1.0, 1e3, exclude_min=True),
+                       st.floats(-15.5, 0.0).map(lambda e: 1.0 + 10.0**e)))
+    s = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return make_spec(s, 2.0 * s * x, s, n), draw(st.integers(1, n)), draw(st.integers(1, n))
+
+
+@given(_gapped_entries())
+def test_hyperbolic_entry_matches_the_kernel(case):
+    # Both forms leave log space once, so their relative error is the absolute
+    # error of a log-magnitude that sums rounded terms, each within a few ulps
+    # of its size: the hyperbolic form three log U_m = m gamma + log(1 -
+    # e^(-2(m+1) gamma)) - log(1 - e^(-2 gamma)) and log s, the kernel three
+    # log v_m <= log(n + 1), (hi - lo + 1) gamma and log s.  In units of
+    # n gamma + |log(1 - e^(-2 gamma))| + log(n + 1) + |log s| + 1, each form is
+    # within about 12 eps (2n gamma, six log(1 - e^(-t)) terms, two ulps
+    # each), so the two differ by about 24 at most: C = 32.  The exp that
+    # leaves log space adds half an ulp, or half a subnormal step, to each
+    spec, i, j = case
+    form = symmetrise(spec)
+    gamma = math.acosh(form.x)
+    units = (spec.n * gamma + abs(math.log(-math.expm1(-2.0 * gamma)))
+             + math.log(spec.n + 1) + abs(math.log(form.s)) + 1.0)
+    want = inverse_entry(build_kernel(spec), i, j)
+    got = hyperbolic_inverse_entry(form, i, j)
+    assert abs(got - want) <= 32 * 2.0**-52 * units * abs(want) + 2.0**-1074
 
 
 def test_wronskian_constancy_sampled():
