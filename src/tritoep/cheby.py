@@ -13,8 +13,9 @@ Evaluation is regime-dispatched on |x|, times the parity (-1)^m when x < 0:
 
 Arrays hold v_m = U_m e^(-m gamma), gamma = 0 for |x| <= 1, so |v_m| <= m + 1.
 A non-finite x is refused; plain values leave log space by the one exit,
-``core._exp_signed``.  The three-term recursion U_{m+1} = 2x U_m - U_{m-1}
-(U_0 = 1, U_1 = 2x) is kept as an independent cross-check, not in production.
+``core._exp_signed``.  The three-term recursion, rescaled by exact powers
+of two, is kept as an independent cross-check of U_m and of the determinant
+(the continuant), not in production.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import _check_int, _exp_signed
+from .core import _beyond_range, _check_int, _check_log_mag, _exp_signed
 from .errors import InvalidParameter
 
 __all__ = [
@@ -165,15 +166,27 @@ def _u_sequence_into(v, x: float) -> float:
     return gamma
 
 
+def _three_term(m: int, c: float) -> tuple[float, int]:
+    """(u, e), u_m = u * 2^e of u_(k+1) = c u_k - u_(k-1), u_0 = 1, u_1 = c: U_m(c/2).
+
+    Before a step would overflow, both terms are divided by a power of two.
+    """
+    u_prev, u, e = 1.0, c, 0
+    for _ in range(m - 1):
+        if not abs(c * u - u_prev) < math.inf:
+            f = math.frexp(max(abs(u), abs(u_prev)))[1]
+            u_prev, u, e = math.ldexp(u_prev, -f), math.ldexp(u, -f), e + f
+        u_prev, u = u, c * u - u_prev
+    return (u if m else 1.0), e
+
+
 def eval_U_recurrence(m: int, x: float) -> float:
     """Forward three-term recursion; the independent cross-check path."""
     m = _check_int(m, "degree m", 0)
     _check_x(x)
-    u_prev, u = 1.0, 2.0 * x
-    if m == 0:
-        return u_prev
-    for _ in range(m - 1):
-        u_prev, u = u, 2.0 * x * u - u_prev
-        if not math.isfinite(u):
-            raise OverflowError("recursion left the float range; use eval_U_scaled")
-    return u
+    if m and abs(x) >= 2.0**1023:  # 2x, so |U_m(x)| >= |2x|, is past the float range
+        raise _beyond_range(f"U_{m}({x!r})", m * (math.log(abs(x)) + math.log(2.0)))
+    u, e = _three_term(m, 2.0 * x)
+    if e:
+        _check_log_mag(math.log(abs(u)) + e * math.log(2.0), "U_%d(%r)", m, x)
+    return math.ldexp(u, e)

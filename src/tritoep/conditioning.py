@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _SINGULAR_TOL, TriToeplitzSpec, _check_singular_tol, symmetrise
+from .core import (_SINGULAR_TOL, TriToeplitzSpec, _check_singular_tol, _times_spread,
+                   symmetrise)
 from .errors import DimensionMismatch, SingularMatrix
-from .spectral import _eigenvalues_at, extremal_eigenvalues
+from .spectral import _eigenvalues_at, _extremes, extremal_eigenvalues
 
 __all__ = [
     "ConditionReport",
@@ -97,13 +98,12 @@ def weighted_condition(spec: TriToeplitzSpec,
     lam = np.abs(_eigenvalues_at(spec, np.array(k))).tolist()
     abs_min, abs_max = min(lam), max(lam)
     # not max|lambda|: at n = 1, b = 0 it is 2s cos(pi/2) = 1.2e-16 s, not 0
-    if abs_min <= singular_tol * (abs(spec.b) + 2.0 * form.s):
+    if abs_min <= _times_spread(singular_tol, spec.b, form.s):
         raise SingularMatrix(
             f"smallest eigenvalue magnitude {abs_min!r} is below tolerance"
         )
-    ext = extremal_eigenvalues(spec)
-    lam_max, lam_min = ext.lambda_max, ext.lambda_min
-    if ext.positive_definite:
+    lam_max, lam_min, edge = _extremes(spec, form.s)
+    if spec.b > edge:  # positive definite
         value = lam_max / lam_min
         return ConditionReport(lam_max, lam_min, True, value, value)
     return ConditionReport(lam_max, lam_min, False, abs_max / abs_min, None)

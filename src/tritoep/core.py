@@ -204,8 +204,25 @@ def symmetrise(spec: TriToeplitzSpec) -> SymmetrisedForm:
         _require_symmetrisable(spec)
         s = math.sqrt(abs(spec.a)) * math.sqrt(abs(spec.c))
     q = s / spec.c
-    x = spec.b / (2.0 * s)
+    x = _half_ratio(spec.b, s)
     return SymmetrisedForm(s=s, q=q, x=x, n=spec.n)
+
+
+def _half_ratio(num: float, s: float) -> float:
+    """num / (2s) without forming a 2s past the float range (s >= 2^1023)."""
+    return num / (2.0 * s) if s < 2.0**1023 else 0.5 * num / s
+
+
+def _times_spread(factor: float, b: float, s: float) -> float:
+    """factor * (|b| + 2s), the normwise scale of the spectrum.
+
+    Formed as 4 * (factor * (|b|/4 + s/2)) where |b| + 2s is past the float
+    range, so it is inf only when the product is.
+    """
+    spread = abs(b) + 2.0 * s
+    if spread < math.inf:
+        return factor * spread
+    return 4.0 * (factor * (0.25 * abs(b) + 0.5 * s))
 
 
 def weight_vector(spec: TriToeplitzSpec) -> np.ndarray:

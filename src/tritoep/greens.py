@@ -454,13 +454,20 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     OverflowError when every pivot is at least 1e-8 times the row scale
     (the solution itself leaves the float range), NearSingularPivot
     otherwise.  A NaN or an infinite entry of rhs makes every entry of the
-    solution NaN, with no RuntimeWarning, as in apply_inverse.
+    solution NaN, with no RuntimeWarning, as in apply_inverse.  Where the
+    row scale |a| + |b| + |c| is past the float range, it solves with A/4,
+    exact but for a subnormal a or c, and returns a quarter of that
+    solution; a refusal then quotes the pivots and the row scale of A/4.
     """
     n = spec.n
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise DimensionMismatch(f"expected rhs of length {n}, got shape {rhs.shape}")
     row_scale = spec.row_scale()
+    if row_scale == math.inf:
+        # a or c below 2^-1072 would quarter to 0, which no spec may hold
+        a, c = (v / 4 or math.copysign(2.0**-1074, v) for v in (spec.a, spec.c))
+        return thomas_solve(TriToeplitzSpec(a, spec.b / 4, c, n), rhs) / 4
     threshold = _PIVOT_TOL * row_scale
     a, b, c = spec.a, spec.b, spec.c
 

@@ -2,15 +2,19 @@
 
 Deliberately naive: row-pivoted Gaussian elimination with no structure
 exploitation, O(n^3), trusted because there is nothing clever to get
-wrong.  Used by the test suites and by :func:`verify_checks` (the CLI's
-verify mode), never on the library's fast paths.  Dense matrices are plain
-(n, n) float arrays; n up to a few hundred is the intended envelope.
+wrong.  ``lu_solve`` is the one checked solve (``dense_inverse`` runs it on
+the identity); it refuses a pivot of at most n eps max|m|, relative to the
+matrix alone, so m times 2^k solves as m does.  Used by the test suites
+and by :func:`verify_checks` (the CLI's verify mode), never on the
+library's fast paths.  Dense matrices are plain (n, n) float arrays; n up
+to a few hundred is the intended envelope.
 
 :func:`verify_checks` compares the library's closed forms (eigenpairs,
 determinant, Green kernel, weighted condition number, repunit identities)
 with these routines, and R_(n+1)(d) with the continuant, which production
-does not run.  The dense routines import nothing from the production
-modules; ``verify_checks`` imports those it checks when it runs.
+does not run.  None of its checks sees the matrix's scale: a spec times
+2^k gets the same verdicts.  The dense routines import nothing from the
+production modules; ``verify_checks`` imports those it checks when it runs.
 """
 
 from __future__ import annotations
@@ -83,34 +87,33 @@ def _lu_factor(m: np.ndarray):
 
 
 def _pivot_tolerance(m: np.ndarray) -> float:
-    return m.shape[0] * np.finfo(float).eps * max(1.0, float(np.max(np.abs(m))))
-
-
-def _substitute(lu: np.ndarray, swaps: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    y = np.array(b, dtype=float)
-    for k in range(n):
-        if swaps[k] != k:
-            y[[k, swaps[k]]] = y[[swaps[k], k]]
-    for k in range(1, n):
-        y[k] -= lu[k, :k] @ y[:k]
-    for k in range(n - 1, -1, -1):
-        y[k] = (y[k] - lu[k, k + 1 :] @ y[k + 1 :]) / lu[k, k]
-    return y
+    return m.shape[0] * np.finfo(float).eps * float(np.max(np.abs(m)))
 
 
 def lu_solve(m, rhs) -> np.ndarray:
-    """Solve m x = rhs by elimination with partial pivoting."""
+    """Solve m x = rhs, rhs of shape (n,) or (n, k), by elimination with partial pivoting.
+
+    Raises SingularMatrix for a pivot of at most n eps max|m|, and
+    OverflowError when a finite rhs has a solution past the float range.
+    """
     m = _as_square(m)
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (m.shape[0],):
-        raise DimensionMismatch(
-            f"rhs shape {rhs.shape} does not match matrix order {m.shape[0]}"
-        )
+    y = np.array(rhs, dtype=float)  # a copy, overwritten with the solution
+    if y.shape[:1] != m.shape[:1] or y.ndim > 2:
+        raise DimensionMismatch(f"rhs shape {y.shape} does not match matrix order {len(m)}")
     lu, swaps, _ = _lu_factor(m)
     if np.min(np.abs(np.diag(lu))) <= _pivot_tolerance(m):
         raise SingularMatrix("numerically zero pivot during elimination")
-    return _substitute(lu, swaps, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(m)):
+            if swaps[k] != k:
+                y[[k, swaps[k]]] = y[[swaps[k], k]]
+        for k in range(1, len(m)):
+            y[k] -= lu[k, :k] @ y[:k]
+        for k in range(len(m) - 1, -1, -1):
+            y[k] = (y[k] - lu[k, k + 1 :] @ y[k + 1 :]) / lu[k, k]
+    if np.isfinite(rhs).all() and not np.isfinite(y).all():
+        raise OverflowError("the solution leaves the float range")
+    return y
 
 
 def lu_det(m) -> float:
@@ -132,12 +135,9 @@ def _logabsdet(m) -> tuple[float, float]:
 
 
 def dense_inverse(m) -> np.ndarray:
-    """Columnwise solve against the basis vectors."""
+    """:func:`lu_solve` against the identity."""
     m = _as_square(m)
-    lu, swaps, _ = _lu_factor(m)
-    if np.min(np.abs(np.diag(lu))) <= _pivot_tolerance(m):
-        raise SingularMatrix("numerically zero pivot during elimination")
-    return _substitute(lu, swaps, np.eye(m.shape[0]))
+    return lu_solve(m, np.eye(m.shape[0]))
 
 
 def eigen_check(m, value: float, vector) -> float:
@@ -182,16 +182,18 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
     """
     from .cheby import _check_x
     from .conditioning import weighted_condition
-    from .core import make_spec, symmetrise
+    from .core import _times_spread, make_spec, symmetrise
     from .greens import build_kernel, inverse_dense, inverse_entry
     from .repunit import repunit, repunit_det_exact, repunit_inverse_entry
     from .spectral import determinant, determinant_continuant, eigen_pair, eigenvalues
 
     checks = []
     form = symmetrise(spec)
-    # an x past the float range is refused before any check computes with it
-    _check_x(form.x)
     n, s, q = spec.n, form.s, form.q
+    # a b/s (so an x) or an eigenvalue past the float range is refused
+    # before any check computes with it
+    _check_x(spec.b / s)
+    lam = eigenvalues(spec)
     dense = dense_from_spec(spec)
     # the symmetrised matrix, for the checks that the raw q powers defeat
     sym_spec = make_spec(s, spec.b, s, n)
@@ -208,7 +210,6 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
         vec_spec, mat = spec, dense
     else:
         vec_spec, mat = sym_spec, sym_dense
-    lam = eigenvalues(spec)
     vecs = np.column_stack([eigen_pair(vec_spec, k).right_vector for k in range(1, n + 1)])
     resid = mat @ vecs - vecs * lam[None, :]
     eig_resid = float(
@@ -219,7 +220,7 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
     # the closed forms are accurate to a few eps of |b| + 2s, not of max|lambda|
     # (at n = 1, 2s cos(pi/2) rounds to 1.2e-16 s)
     lam_min = float(np.min(np.abs(lam)))
-    rounding = n * 2.0**-52 * (abs(spec.b) + 2.0 * s) / lam_min if lam_min else math.inf
+    rounding = _times_spread(n * 2.0**-52, spec.b, s) / lam_min if lam_min else math.inf
 
     # determinant: closed form vs continuant vs dense elimination
     det_closed = determinant(spec)

@@ -116,7 +116,8 @@ def repunit(m: int, d) -> RepunitValue:
     """R_m(d) = 1 + d + ... + d^(m-1), with R_m(1) = m.
 
     Positive integer bases get an exact big-integer value; other bases use
-    the closed form (d^m - 1)/(d - 1) in floating point.
+    the closed form (d^m - 1)/(d - 1) in floating point, with d^m - 1 as
+    expm1(m log d) where |m log d| < 1 and m > 1.
     """
     m = _check_int(m, "m", 1)
     dv = _check_base(d)
@@ -130,8 +131,12 @@ def repunit(m: int, d) -> RepunitValue:
         return RepunitValue(d=dv, m=m, exact_value=exact, float_value=fv)
     if dv == 1.0:
         return RepunitValue(d=dv, m=m, exact_value=None, float_value=float(m))
+    # d^m - 1 cancels where d^m is near 1 and expm1(m log d) does not; at
+    # m = 1 it is d - 1 itself, so R_1 = 1 stays exact
+    log_d = math.log(dv)
+    near_one = m > 1 and abs(m * log_d) < 1.0
     try:
-        fv = (dv**m - 1.0) / (dv - 1.0)
+        fv = (math.expm1(m * log_d) if near_one else dv**m - 1.0) / (dv - 1.0)
     except OverflowError:
         fv = math.inf
     return RepunitValue(d=dv, m=m, exact_value=None, float_value=fv)

@@ -1,9 +1,11 @@
 """Closed-form spectrum, determinant and characteristic polynomial.
 
 Eigenvalues come out in decreasing order (index k = 1 gives the largest),
-matching theta_k = k*pi/(n+1).  Determinants are returned as sign plus
-log-magnitude so they stay usable far beyond the double range; an
-independent continuant-recursion path is provided as a cross-check.
+matching theta_k = k*pi/(n+1); one past the float range is refused with
+OverflowError, naming k.  No closed form forms 2s, which overflows from
+s = 2^1023 on.  Determinants are returned as sign plus log-magnitude so they
+stay usable far beyond the double range; an independent continuant path,
+run in units of s^k, is provided as a cross-check.
 
 Only right eigenvectors are provided.  Left eigenvectors are W * r by
 weighted self-adjointness (W the weight vector, r the right vector), so
@@ -16,8 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cheby import ScaledValue, eval_U_scaled
-from .core import TriToeplitzSpec, _check_int, _check_log_mag, symmetrise
+from .cheby import ScaledValue, _check_x, _three_term, eval_U_scaled
+from .core import (TriToeplitzSpec, _beyond_range, _check_int, _check_log_mag, _half_ratio,
+                   symmetrise)
 from .errors import IndexOutOfRange, InvalidParameter
 
 if TYPE_CHECKING:
@@ -72,19 +75,36 @@ def eigenvalues(spec: TriToeplitzSpec) -> np.ndarray:
     value is within a few eps of |b| + 2s, not of itself, so an eigenvalue
     much smaller than s carries a large relative error (for
     ``make_spec(1e200, 1, 1e200, 3)`` the middle one, exactly 1, comes out
-    near 1.2e184).
+    near 1.2e184).  Raises OverflowError as :func:`extremal_eigenvalues` does.
     """
     import numpy as np
 
     return _eigenvalues_at(spec, np.arange(1, spec.n + 1))
 
 
-def _eigenvalues_at(spec: TriToeplitzSpec, k: np.ndarray) -> np.ndarray:
-    """Eigenvalues b + 2s*cos(k*pi/(n+1)) for an array of 1-based indices k."""
+def _eigenvalues_at(spec: TriToeplitzSpec, k):
+    """Eigenvalues b + 2s*cos(k*pi/(n+1)) for 1-based indices k, an int or an array."""
     import numpy as np
 
-    form = symmetrise(spec)
-    return spec.b + 2.0 * form.s * np.cos(k * math.pi / (spec.n + 1))
+    s = symmetrise(spec).s
+    _extremes(spec, s)
+    return spec.b + s * (2.0 * np.cos(k * math.pi / (spec.n + 1)))
+
+
+def _extremes(spec: TriToeplitzSpec, s: float) -> tuple[float, float, float]:
+    """(lambda_1, lambda_n, edge = 2s*cos(pi/(n+1))); the largest |lambda_k| is one of them.
+
+    One past the float range is refused, naming k.  s*(2 cos) is 2s*cos bit
+    for bit wherever 2s is finite.
+    """
+    cos = math.cos(math.pi / (spec.n + 1))
+    edge = s * (2.0 * cos)
+    lam_1, lam_n = spec.b + edge, spec.b - edge
+    if not -math.inf < lam_n <= lam_1 < math.inf:
+        k, sign = (1, 1.0) if lam_1 == math.inf else (spec.n, -1.0)
+        quarter = 0.25 * spec.b + sign * (0.5 * s) * cos
+        raise _beyond_range(f"eigenvalue lambda_{k}", math.log(abs(quarter)) + math.log(4.0))
+    return lam_1, lam_n, edge
 
 
 def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np.ndarray:
@@ -135,10 +155,10 @@ def _eigvec_parts(spec: TriToeplitzSpec, k: int):
 def eigen_pair(spec: TriToeplitzSpec, k: int) -> EigenPair:
     """Bundle theta_k, lambda_k and both eigenvector forms for index k.
 
-    Raises OverflowError as eigenvector does.
+    Raises OverflowError as eigenvector and eigenvalues do.
     """
-    form, k, theta, sines, vec = _eigvec_parts(spec, k)
-    return EigenPair(k=k, theta=theta, value=spec.b + 2.0 * form.s * math.cos(theta),
+    _, k, theta, sines, vec = _eigvec_parts(spec, k)
+    return EigenPair(k=k, theta=theta, value=float(_eigenvalues_at(spec, k)),
                      right_vector=vec, symmetric_vector=sines)
 
 
@@ -147,15 +167,12 @@ def extremal_eigenvalues(spec: TriToeplitzSpec) -> SpectrumSummary:
 
     lambda_max = b + 2s*cos(pi/(n+1)), lambda_min = b - 2s*cos(pi/(n+1));
     the matrix is positive definite exactly when b exceeds
-    2s*cos(pi/(n+1)).
+    2s*cos(pi/(n+1)).  Raises OverflowError, naming k, when lambda_1 or
+    lambda_n is past the float range.
     """
-    form = symmetrise(spec)
-    edge = 2.0 * form.s * math.cos(math.pi / (spec.n + 1))
-    return SpectrumSummary(
-        lambda_min=spec.b - edge,
-        lambda_max=spec.b + edge,
-        positive_definite=spec.b > edge,
-    )
+    lam_max, lam_min, edge = _extremes(spec, symmetrise(spec).s)
+    return SpectrumSummary(lambda_min=lam_min, lambda_max=lam_max,
+                           positive_definite=spec.b > edge)
 
 
 def determinant(spec: TriToeplitzSpec) -> ScaledValue:
@@ -168,26 +185,20 @@ def determinant(spec: TriToeplitzSpec) -> ScaledValue:
 
 
 def determinant_continuant(spec: TriToeplitzSpec) -> ScaledValue:
-    """Determinant via the recursion D_k = b*D_{k-1} - s^2*D_{k-2}.
+    """Determinant via the continuant D_k = b*D_{k-1} - s^2*D_{k-2}.
 
-    Carried with running rescaling so intermediate values never leave the
-    float range; an independent cross-check of :func:`determinant`.
+    Run in units of s^k (b/s for b, 1 for s^2) by ``cheby``'s three-term
+    loop, so no s^2 is formed; an independent cross-check of
+    :func:`determinant`.  A b/s past the float range is refused as x is.
     """
     form = symmetrise(spec)
-    s2 = form.s * form.s
-    b = spec.b
-    d_prev, d_cur = 1.0, b
-    offset = 0.0
-    for _ in range(spec.n - 1):
-        d_prev, d_cur = d_cur, b * d_cur - s2 * d_prev
-        mag = max(abs(d_prev), abs(d_cur))
-        if mag > 1e150 or (0.0 < mag < 1e-150):
-            d_prev /= mag
-            d_cur /= mag
-            offset += math.log(mag)
-    if d_cur == 0.0:
+    c = spec.b / form.s
+    _check_x(c)
+    u, e = _three_term(spec.n, c)
+    if u == 0.0:
         return ScaledValue(0, -math.inf)
-    return ScaledValue(1 if d_cur > 0 else -1, math.log(abs(d_cur)) + offset)
+    log_u = math.log(abs(u)) + e * math.log(2.0)
+    return ScaledValue(1 if u > 0 else -1, log_u + spec.n * math.log(form.s))
 
 
 def char_poly_eval(spec: TriToeplitzSpec, t: float) -> ScaledValue:
@@ -197,7 +208,7 @@ def char_poly_eval(spec: TriToeplitzSpec, t: float) -> ScaledValue:
     t is an eigenvalue up to that tolerance.
     """
     form = symmetrise(spec)
-    u = eval_U_scaled(spec.n, (t - spec.b) / (2.0 * form.s))
+    u = eval_U_scaled(spec.n, _half_ratio(t - spec.b, form.s))
     if u.sign == 0 or u.log_mag <= math.log(_CHARPOLY_ZERO_TOL):
         return ScaledValue(0, -math.inf)
     return ScaledValue(u.sign, spec.n * math.log(form.s) + u.log_mag)

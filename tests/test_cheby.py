@@ -57,6 +57,18 @@ class TestEvalU:
         with pytest.raises(OverflowError):
             eval_U(2000, 5.0)
 
+    @pytest.mark.parametrize("m, x", [(2000, 5.0), (2001, -5.0), (600, 1e300), (1, 1e308)])
+    def test_recurrence_refuses_by_the_one_overflow_rule(self, m, x):
+        # the message and the log-magnitude of eval_U; at x = 1e308, 2x
+        # itself is past the float range
+        with pytest.raises(OverflowError) as want:
+            eval_U(m, x)
+        with pytest.raises(OverflowError, match=r"beyond the float range") as got:
+            eval_U_recurrence(m, x)
+        assert str(got.value).split(" has ")[0] == str(want.value).split(" has ")[0]
+        log_got = float(str(got.value).split("log-magnitude ")[1].split(",")[0])
+        assert log_got == pytest.approx(eval_U_scaled(m, x).log_mag, rel=1e-5)
+
     @pytest.mark.parametrize("x", [5.0, -5.0])
     def test_overflow_names_the_value(self, x):
         with pytest.raises(OverflowError, match=rf"^U_2001\({x!r}\) has log-magnitude 4"):

@@ -28,6 +28,8 @@ FORMATS = ("json", "csv", "plain")
 
 GAPPED = ["-a", "1", "-b", "2.5", "-c", "1"]
 NEG_Q = ["-a", "-1", "-b", "0.5", "-c", "-2"]
+HUGE_S = ["-a", "1e308", "-b", "1.7e308", "-c", "1e308"]
+HUGE_ROW = ["-a", "8e307", "-b", "1.7e308", "-c", "8e307"]
 
 # (argv, formats): each entry is run once per listed format, with
 # "--format <fmt>" appended; formats None runs the argv as it is
@@ -98,6 +100,21 @@ _PER_FORMAT = [
     # q = sqrt(1000) at n = 200: the eigen and the inverse checks both run
     # on the symmetrised matrix
     (["verify", "-a", "1000", "-b", "100", "-c", "1", "-n", "200"], FORMATS),
+    # entries below n eps: the oracle's pivot rule is relative to max|A| alone
+    (["verify", "-a", "1e-20", "-b", "2.5e-20", "-c", "1e-20", "-n", "10"], FORMATS),
+    # s^2 past the float range, and below it: the continuant runs in units of s^k
+    (["verify", "-a", "1e200", "-b", "3e200", "-c", "1e200", "-n", "4"], FORMATS),
+    (["verify", "-a", "1e-200", "-b", "3e-200", "-c", "1e-200", "-n", "4"], FORMATS),
+    # s = 1e308, where 2s is past the float range: x = 0.85, not 0
+    (["det", *HUGE_S, "-n", "3"], FORMATS),
+    (["charpoly", *HUGE_S, "-n", "3", "-t", "0"], FORMATS),
+    (["solve", *HUGE_S, "-n", "3", "--rhs", "1,2,3", "--method", "kernel"], FORMATS),
+    # |b| + 2s past the float range: the refusal scale is not inf
+    (["cond", "-a", "5e307", "-b", "1e308", "-c", "5e307", "-n", "3"], FORMATS),
+    # |a| + |b| + |c| past the float range: Thomas solves with A/4
+    (["solve", *HUGE_ROW, "-n", "3", "--rhs", "1,2,3"], FORMATS),
+    # d^m near 1, where (d^m - 1)/(d - 1) cancels
+    (["repunit", "value", "--base", "1.000000001", "-m", "10"], FORMATS),
     (["bench", "--grid", "8,16", *GAPPED, "--reps", "0"], FORMATS),
     # x = 1: apply_inverse is not offered
     (["bench", "--grid", "16", "-a", "1", "-b", "2", "-c", "1", "--reps", "0",
@@ -165,6 +182,11 @@ _ERRORS = [
     ["repunit", "identity", "--base", "-1", "-m", "-1"],
     ["repunit", "identity", "--base", "10", "-m", "-1"],
     ["verify", "-a", "1", "-b", "2", "-c", "1", "-n", "500"],
+    # an eigenvalue past the float range is refused, naming k
+    ["eig", *HUGE_S, "-n", "3"],
+    ["eig", *HUGE_ROW, "-n", "3"],
+    ["eig", *HUGE_ROW, "-n", "3", "--format", "json"],
+    ["verify", *HUGE_ROW, "-n", "3"],
     ["bench", "--grid", "8,x", *GAPPED, "--reps", "0"],
     ["bench", "--grid", "8", *GAPPED, "--reps", "-1"],
     ["bench", "--grid", "8", "-a", "1", "-b", "2.5"],

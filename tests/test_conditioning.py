@@ -158,6 +158,15 @@ class TestWeightedCondition:
         with pytest.raises(SingularMatrix, match="1.2246467991473531e-36"):
             weighted_condition(make_spec(1e-20, 0.0, 1e-20, 1))
 
+    def test_spread_past_the_float_range(self):
+        # |b| + 2s = 2e308 overflowed, so the refusal scale was inf and the
+        # spec read as singular; its condition number is 3 + 2 sqrt(2)
+        rep = weighted_condition(make_spec(5e307, 1e308, 5e307, 3))
+        assert rep.cond_weighted == pytest.approx(3.0 + 2.0 * math.sqrt(2.0), rel=1e-15)
+        assert rep.positive_definite
+        with pytest.raises(SingularMatrix):
+            weighted_condition(make_spec(5e307, 1e308, 5e307, 3), singular_tol=0.2)
+
 
 @st.composite
 def _scaled_specs(draw):

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +106,14 @@ class TestSymmetrise:
         assert form.s == pytest.approx(s, rel=1e-15)
         assert form.q == pytest.approx(q, rel=1e-15)
         assert form.x == pytest.approx(0.5 / s, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b", [
+        # 2s overflows from s = 2^1023 on, where x read 0; the last case is
+        # below it, and the subnormal x is one rounding of b/(2s) throughout
+        (1e308, 1.7e308), (-1e308, 1e-10), (2.0**1023, -1.0), (2.0**1022, 3e-300),
+    ])
+    def test_x_where_two_s_is_past_the_float_range(self, a, b):
+        assert symmetrise(make_spec(a, b, a, 3)).x == float(Fraction(b) / (2 * Fraction(abs(a))))
 
     def test_signs_decide_symmetrisability(self):
         # a*c underflows to -0.0: still refused

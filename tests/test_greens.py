@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -870,6 +871,36 @@ class TestThomas:
             via_kernel = apply_inverse(build_kernel(spec), rhs)
         np.testing.assert_allclose(x, [5e307, -6.25e307, 6.5625e307], rtol=1e-15)
         np.testing.assert_allclose(x, via_kernel, rtol=1e-12)
+
+    def test_row_scale_past_the_float_range(self):
+        # |a| + |b| + |c| = 3.3e308 made the pivot floor inf, so every pivot
+        # read as below tolerance; Thomas now gives the exact solution of the
+        # float matrix to the last place of its subnormal entries
+        spec = make_spec(8e307, 1.7e308, 8e307, 3)
+        rhs = np.array([1.0, 2.0, 3.0])
+        a, b, c = Fraction(spec.a), Fraction(spec.b), Fraction(spec.c)
+        # elimination in exact arithmetic: w_k = c / pivot_k, z_k as in Thomas
+        w, z = [c / b], [1 / b]
+        for r in rhs[1:]:
+            piv = b - a * w[-1]
+            w.append(c / piv)
+            z.append((Fraction(r) - a * z[-1]) / piv)
+        for k in (1, 0):
+            z[k] -= w[k] * z[k + 1]
+        x = thomas_solve(spec, rhs)
+        # each entry is subnormal, where the last place is 2^-1074
+        np.testing.assert_allclose(x, [float(v) for v in z], rtol=0.0, atol=2.0**-1074)
+        # the kernel's log-space assembly meets it normwise
+        via_kernel = apply_inverse(build_kernel(spec), rhs)
+        np.testing.assert_allclose(via_kernel, x, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
+        # a = 5e-324 quarters to 0, which no spec may hold; the exact
+        # solution is (2, -1, 3) / b to far below the last place
+        np.testing.assert_allclose(thomas_solve(make_spec(5e-324, 1.7e308, 1.7e308, 3), rhs),
+                                   [float(2 / b), float(-1 / b), float(3 / b)],
+                                   rtol=0.0, atol=2.0**-1074)
+        # a zero pivot is still refused, now for what it is
+        with pytest.raises(NearSingularPivot, match="pivot 0.0 at row 1"):
+            thomas_solve(make_spec(1e308, 0.0, 1e308, 3), rhs)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 300, 2000])
     def test_bit_identical_to_indexed_reference(self, n):

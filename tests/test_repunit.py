@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -50,6 +51,19 @@ class TestRepunitValue:
     def test_non_real_base(self, d):
         with pytest.raises(InvalidBase, match="positive real"):
             repunit(3, d)
+
+    def test_base_near_one(self):
+        # (d^m - 1)/(d - 1) cancelled where d^m is near 1: R_10(1 + 1e-9)
+        # printed as 10.0, with a relative error of 4.5e-9
+        with mpmath.workdps(40):
+            for d in (1 + 1e-9, 1 - 3e-13, 1 + 2.0**-52, 0.999, 1.0004):
+                for m in (2, 10, 1000, 10**4):
+                    dm = mpmath.mpf(d)
+                    ref = float((dm**m - 1) / (dm - 1))
+                    assert repunit(m, d).float_value == pytest.approx(ref, rel=1e-15)
+        assert repunit(10, 1.000000001).float_value == pytest.approx(10.000000045, rel=1e-15)
+        # R_1 = 1 exactly, whatever d
+        assert {repunit(1, d).float_value for d in (1 + 1e-9, 1.3, 0.7, 2.5)} == {1.0}
 
     def test_float_agrees_with_exact(self):
         for d in (1, 2, 3, 10, 16):

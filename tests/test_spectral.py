@@ -1,12 +1,13 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import eigenvalues_by_bisection, random_symmetrisable_spec
+from helpers import eigenvalues_by_bisection, log_abs_fraction, random_symmetrisable_spec
 from tritoep import (
     IndexOutOfRange,
     InvalidParameter,
@@ -144,6 +145,29 @@ class TestExtremal:
         assert s.lambda_min == pytest.approx(5.0, abs=1e-14)
         assert s.positive_definite is True
 
+    @pytest.mark.parametrize("b, k", [(1.7e308, 1), (-1.7e308, 3)])
+    def test_eigenvalue_past_the_float_range_refused(self, b, k):
+        # |lambda| = 1.7e308 + 1.6e308 cos(pi/4) = 2.83e308: it read inf, or
+        # nan/None in json, with a RuntimeWarning
+        spec = make_spec(8e307, b, 8e307, 3)
+        msg = rf"eigenvalue lambda_{k} has log-magnitude 710.237, beyond"
+        for call in (eigenvalues, extremal_eigenvalues, weighted_condition,
+                     lambda sp: eigen_pair(sp, 2)):
+            with pytest.raises(OverflowError, match=msg):
+                call(spec)
+
+    def test_two_s_past_the_float_range(self):
+        # s = 1e308: the largest eigenvalue, 1.7e308 + 1e308 sqrt(2), is
+        # past the float range; at b = 1e307 none is
+        with pytest.raises(OverflowError, match="lambda_1"):
+            extremal_eigenvalues(make_spec(1e308, 1.7e308, 1e308, 3))
+        s = extremal_eigenvalues(make_spec(1e308, 1e307, 1e308, 2))
+        assert s.lambda_max == pytest.approx(1.1e308, rel=1e-15)
+        assert s.lambda_min == pytest.approx(-9e307, rel=1e-15)
+        assert s.positive_definite is False
+        np.testing.assert_allclose(eigenvalues(make_spec(1e308, 1e307, 1e308, 2)),
+                                   [1.1e308, -9e307], rtol=1e-15)
+
     def test_matches_eigenvalue_array(self):
         rng = np.random.default_rng(37)
         for _ in range(25):
@@ -208,8 +232,45 @@ class TestDeterminant:
         np.testing.assert_array_equal(eigenvalues(spec), [1e308] * 3)
         assert weighted_condition(spec).cond_weighted == 1.0
 
+    @pytest.mark.parametrize("mag", [1e-300, 1e-200, 1e200, 1e300])
+    @pytest.mark.parametrize("x", [0.3, -0.8, 1.5, 1e5])
+    def test_continuant_at_extreme_scales(self, mag, x):
+        # run in units of s^k, the continuant forms no s^2 (1e+-400 or
+        # 1e+-600 here), so it agrees with the closed form at any scale
+        for n in (4, 50):
+            spec = make_spec(mag, 2.0 * mag * x, mag, n)
+            d1, d2 = determinant(spec), determinant_continuant(spec)
+            assert d1.sign == d2.sign
+            assert abs(d1.log_mag - d2.log_mag) <= 1e-13 * abs(d1.log_mag)
+
+    def test_continuant_refuses_b_over_s_past_the_float_range(self):
+        # b/s = 1e608, as determinant refuses x = b/(2s)
+        spec = make_spec(1e-300, 1e308, 1e-300, 3)
+        for det in (determinant, determinant_continuant):
+            with pytest.raises(OverflowError, match="Chebyshev argument"):
+                det(spec)
+
+    def test_two_s_past_the_float_range(self):
+        # s = 1e308: 2s overflowed, so x came out 0 instead of 0.85 and the
+        # determinant read sign -1, log 2091.64 instead of sign 1, 2128.0027
+        spec = make_spec(1e308, 1.7e308, 1e308, 3)
+        assert symmetrise(spec).x == 0.85
+        d = determinant(spec)
+        a, b = Fraction(1e308), Fraction(1.7e308)
+        want = b * (b * b - a * a) - a * a * b
+        assert d.sign == 1
+        assert d.log_mag == pytest.approx(log_abs_fraction(want), rel=1e-15)
+        assert determinant_continuant(spec).log_mag == pytest.approx(d.log_mag, rel=1e-15)
+
 
 class TestCharPoly:
+    def test_two_s_past_the_float_range(self):
+        # at t = 0, det(-A) = -det(A); with 2s overflowed it read as an exact 0
+        spec = make_spec(1e308, 1.7e308, 1e308, 3)
+        chi = char_poly_eval(spec, 0.0)
+        assert chi.sign == -1
+        assert chi.log_mag == pytest.approx(determinant(spec).log_mag, rel=1e-15)
+
     def test_nan_point_refused(self):
         with pytest.raises(InvalidParameter):
             char_poly_eval(make_spec(1, 2.5, 1, 3), math.nan)
