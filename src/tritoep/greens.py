@@ -16,10 +16,14 @@ where U_n itself would overflow.
 sum (O(n)), the suffix sums as prefix sums of the reversed right-hand side.
 Both run in linear space on one grid of chunks, one exponent per chunk
 (reduce-then-scan in block floating point), at every n.  A chunk has at
-most 256 rows and at most 650 e-folds of row weights, so a kernel with
-n <= 256 is one chunk and needs no carry.  A chunk whose rows could leave
-the float range, or whose right-hand side spans too far, takes an exact
-path row by row; a column with a NaN or an inf is NaN.  A block gives,
+most 4096 rows and at most 650 e-folds of row weights, in as few chunks
+of even length as that allows, so a kernel with n <= L is one chunk and
+needs no carry.  Each chunk's sums take their back-weights, at most 1,
+before its one factor, so a row's bound is that factor times the growth
+the rows themselves carry.  A chunk whose rows could leave the float
+range, whose carry outweighs its factor past it, or whose right-hand
+side spans too far, takes an exact path row by row; a column with a NaN
+or an inf is NaN.  A block gives,
 column for column, what its columns give alone.  A nonzero value past the
 float range raises OverflowError (``core._exp_signed``,
 ``core._check_log_mags``).
@@ -70,9 +74,10 @@ _SUBNORMAL_FLOOR = 4 * 2.0**-1074
 # pivot fell below this share of the row scale, a near-singular pivot else
 _WELL_PIVOTED = 1e-8
 # rows per chunk of the apply, at most
-_CHUNK = 256
-# the e-folds that the terms of one chunk may span, weights and rhs together:
-# this far below the chunk's largest a term is still normal (708 e-folds below 1)
+_CHUNK = 4096
+# the e-folds that the row weights of one chunk may span, and, apart, its
+# rhs: this far below the chunk's largest |rhs| a term is still normal
+# (708 e-folds below 1), since the weights e^(tau slope - off) >= 1 only lift it
 _CHUNK_LOG_SPAN = 650.0
 # the row offsets tau of a chunk
 _STEPS = np.arange(float(_CHUNK))
@@ -245,10 +250,12 @@ def _fused(kernel: GreenKernel, terms):
     e^(f slope_0), its suffix term on the reversed grid v_f rhs_(n-1-f)
     e^(f slope_1), v_f = U_f e^(-f gamma) times the sign of (-q)^(f+1),
     bounded; each chunk is divided by its max|rhs| (top).  Row f of a part
-    is (sum alpha + carry beta) v_backwards e^(off - tau slope).  The exact
-    path takes a chunk whose rows could leave the float range through log
-    space row by row, and first sums a wide chunk, whose rhs spans too far
-    for its terms to stay normal, in log space.
+    is alpha (sum + carry beta / alpha) e^(off - tau slope) v_backwards:
+    the back-weights, at most 1, go on the sum and the carry before the
+    chunk's factor alpha does.  The exact path takes a chunk whose rows
+    could leave the float range through log space row by row, and first
+    sums a wide chunk, whose rhs spans too far for its terms to stay
+    normal, in log space.
     """
     _, k, chunks, length = terms.shape
     n, q, size, grid = kernel.n, kernel.q, chunks * length, (chunks, length)
@@ -267,11 +274,10 @@ def _fused(kernel: GreenKernel, terms):
         top[bad] = 0.0
         top_max = np.maximum.reduce(top, axis=None, initial=0.0)
     tops[1] = top[:, ::-1]
-    # a wide chunk's weights, at most (L - 1)(gamma + |log|q||) e-folds, and rhs span
-    # more than _CHUNK_LOG_SPAN together; there is none where the least nonzero
-    # |rhs| of the grid (past its padding) is near enough to the largest
-    width = (length - 1) * (kernel.gamma + abs(log_q))
-    limit = math.exp(_CHUNK_LOG_SPAN - width)
+    # a wide chunk's rhs spans more than _CHUNK_LOG_SPAN e-folds; its weights
+    # e^(tau slope - off) >= 1 only lift its terms.  There is none where the
+    # least nonzero |rhs| of the grid (past its padding) is near enough to the largest
+    limit = math.exp(_CHUNK_LOG_SPAN)
     low = np.minimum.reduce(mags.reshape(k, size)[:, :n], axis=None, initial=math.inf)
     if low == 0.0:
         low = np.minimum.reduce(mags, axis=None, where=mags > 0, initial=math.inf)
@@ -294,7 +300,10 @@ def _fused(kernel: GreenKernel, terms):
     for part in (0, 1):
         if off[part]:
             tau_slopes[part] -= off[part]
+    # the back-weights carry the sign of the rows' constant factor
     back_weights = np.exp(-tau_slopes)
+    if (q > 0 and n % 2 == 0) != (kernel.wronskian.sign < 0):
+        np.negative(back_weights, out=back_weights)
     if wide is not None:
         # the wide chunks' running sums in log space, in units of their alpha
         part, _, chunk = np.nonzero(wide)
@@ -310,6 +319,15 @@ def _fused(kernel: GreenKernel, terms):
     terms *= np.exp(tau_slopes)[:, None, None]
     np.add.accumulate(terms, axis=3, out=terms)
 
+    # a row of a part is at most e^(log alpha + spread), since sum times back-weight
+    # carries at most (L - 1) max(0, -slope) e-folds, and it is rounded to 0
+    # below 2^-1075; a rounding below the normal floats is multiplied by
+    # max|v| <= n + 1 at most.  The quick test shows the grids with no such
+    # chunk, which are most
+    log_vmax = math.log(n + 1.0)
+    spread = math.log(2 * length + 2) + 2 * log_vmax
+    spreads = spread + (length - 1) * max(0.0, -s0), spread + (length - 1) * max(0.0, -s1)
+    subnormal = math.log(_MIN_NORMAL) + log_vmax
     # log alpha: log max|rhs| plus the log of the part's constant row factor;
     # a chunk's sum times e^(log alpha - base) is the sum itself
     g = -kernel.gamma - math.log(kernel.s) - math.log(abs(kernel.v[-1]))
@@ -329,58 +347,56 @@ def _fused(kernel: GreenKernel, terms):
         tot_logs[..., 1:] -= base[..., :-1]
         carry, log_beta = _scan_scaled(negative, tot_logs)
         log_beta += base
-        log_beta[carry == 0.0] = -np.inf
-        # the smaller nonzero factor of the two, or -inf when both are 0
-        peak, lowest = np.maximum(log_alpha, log_beta), np.minimum(log_alpha, log_beta)
-        np.copyto(lowest, peak, where=lowest == -np.inf)
-        extremes = (np.maximum.reduce(peak, axis=None, initial=-math.inf),
-                    np.minimum.reduce(lowest, axis=None, initial=math.inf))
+        # a zero chunk's sums are 0, so its alpha may be its carry's beta; the
+        # carry joins the sums in units of alpha, e^(log beta - log alpha), a
+        # ratio of 0 where a zero chunk has no carry either
+        np.copyto(log_alpha, log_beta, where=log_alpha == -np.inf)
+        log_ratio = np.fmax(log_beta - log_alpha, -np.inf)
+        peak = np.maximum(log_alpha, log_beta)
+        risky = (np.maximum.reduce(peak, axis=None, initial=-math.inf) + max(spreads) > _LOG_MAX
+                 or np.maximum.reduce(log_ratio, axis=None, initial=-math.inf) + max(spreads)
+                 > _LOG_MAX
+                 or np.minimum.reduce(log_alpha, axis=None, initial=math.inf) < subnormal)
     else:
         # one chunk, no carry: log alpha is log max|rhs| plus one constant per
         # part, bounded by the grid's largest and least nonzero |rhs|
-        carry, log_beta = 0.0, -math.inf
-        peak = lowest = log_alpha
-        extremes = (math.log(top_max) + max(g, g - s1) if top_max else -math.inf,
-                    math.log(low) + min(g, g - s1))
-
-    # a row of a part is at most e^(peak + spread): under half the float range
-    # below the top limit, and rounded to 0 below 2^-1075; a rounding below
-    # the normal floats is multiplied by max|v| <= n + 1 at most.  The
-    # extremes show the grids with no such chunk, which are most
-    log_vmax = math.log(n + 1.0)
-    spread = math.log(2 * length + 2) + 2 * log_vmax + width
-    subnormal = math.log(_MIN_NORMAL) + log_vmax
+        peak = log_alpha
+        risky = (top_max and math.log(top_max) + max(g + spreads[0], g - s1 + spreads[1])
+                 > _LOG_MAX) or math.log(low) + min(g, g - s1) < subnormal
     exact = None
-    if wide is not None or extremes[0] + spread > _LOG_MAX or extremes[1] < subnormal:
+    if wide is not None or risky:
+        # per chunk: rows past the float range, an alpha with too few bits for
+        # rows that are not 0, or a carry past the float range in units of alpha
+        spread = np.array(spreads)[:, None, None]
         high = peak + spread
-        exact = ((lowest < subnormal) & (high > -1075 * math.log(2.0))) | (high > _LOG_MAX)
+        exact = ((log_alpha < subnormal) & (high > -1075 * math.log(2.0))) | (high > _LOG_MAX)
+        if chunks > 1:
+            exact |= log_ratio + spread > _LOG_MAX
         if wide is not None:
             exact |= wide
         exact = exact if exact.any() else None
-    row_sign = (-1.0 if q > 0 and n % 2 == 0 else 1.0) * kernel.wronskian.sign
     if exact is not None:
         part, _, chunk = np.nonzero(exact)
-        carry, log_beta = (np.broadcast_to(a, exact.shape) for a in (carry, log_beta))
-        sums, la, lb = terms[exact], log_alpha[exact][:, None], log_beta[exact][:, None]
+        carry_x, log_beta_x = (np.broadcast_to(a, exact.shape)[exact][:, None]
+                               for a in ((carry, log_beta) if chunks > 1 else (0.0, -np.inf)))
+        sums, la = terms[exact], log_alpha[exact][:, None]
         if wide is not None:
             sel = wide[exact]
             la = np.repeat(la, length, axis=1)
             sums[sel] = wide_acc
             la[sel] += wide_scale
-        top_log = np.maximum(la, lb)
+        top_log = np.maximum(la, log_beta_x)
         top_log[top_log == -np.inf] = 0.0  # a zero sum: any finite shift
-        sums = sums * np.exp(la - top_log) + carry[exact][:, None] * np.exp(lb - top_log)
+        sums = sums * np.exp(la - top_log) + carry_x * np.exp(log_beta_x - top_log)
         factors = np.stack(rows)[part, chunk] * back_weights[part]
         log_mag = np.log(np.abs(sums)) + np.log(np.abs(factors)) + top_log
-        exact_rows = np.copysign(np.exp(log_mag), sums * factors * row_sign)
-    alpha = np.exp(log_alpha, out=log_alpha)
-    alpha *= row_sign
-    terms *= alpha[..., None]
+        exact_rows = np.copysign(np.exp(log_mag), sums * factors)
     if chunks > 1:
-        terms += (row_sign * carry * np.exp(log_beta))[..., None]
+        terms += (carry * np.exp(log_ratio))[..., None]
+    terms *= back_weights[:, None, None]
+    terms *= np.exp(log_alpha, out=log_alpha)[..., None]
     terms[0] *= rows[0]
     terms[1] *= rows[1]
-    terms *= back_weights[:, None, None]
     # the suffix part of row i is at padded row size - 1 - i; S_(n+1) = 0
     p, s = terms[0].reshape(k, size)[:, :n].T, terms[1].reshape(k, size)[:, ::-1][:, 1:n].T
     safe = exact is None or log_mag.max() < _LOG_MAX - math.log(2.0)
@@ -427,13 +443,16 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
         raise DimensionMismatch(
             f"expected rhs of shape ({n},) or ({n}, k), got shape {rhs.shape}"
         )
-    # L rows per chunk: at most _CHUNK and n, and at most _CHUNK_LOG_SPAN e-folds of weights
+    # at most _CHUNK rows and _CHUNK_LOG_SPAN e-folds of weights per chunk, in as
+    # few chunks as that allows, evened out: under one row of padding per chunk
     per_row = kernel.gamma + abs(math.log(abs(kernel.q)))
-    length = min(_CHUNK, n)
-    if length * per_row > _CHUNK_LOG_SPAN:
-        length = max(1, int(_CHUNK_LOG_SPAN / per_row))
+    cap = min(_CHUNK, n)
+    if cap * per_row > _CHUNK_LOG_SPAN:
+        cap = max(1, int(_CHUNK_LOG_SPAN / per_row))
+    chunks = -(-n // cap)
+    length = -(-n // chunks)
     cols = rhs[:, None] if rhs.ndim == 1 else rhs
-    k, chunks = cols.shape[1], -(-n // length)
+    k = cols.shape[1]
     # zero chunks, padding and the exact path meet log 0, exp overflows and 0 * inf
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         terms = np.zeros((2, k, chunks, length))

@@ -211,7 +211,12 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
     else:
         vec_spec, mat = sym_spec, sym_dense
     vecs = np.column_stack([eigen_pair(vec_spec, k).right_vector for k in range(1, n + 1)])
-    resid = mat @ vecs - vecs * lam[None, :]
+    # on A/4, lambda/4 and the row scale of A/4 where |a| + |b| + |c| is past
+    # the float range, as _times_spread does: a power of two scales exactly
+    lam_r = lam
+    if scale == math.inf:
+        mat, lam_r, scale = mat / 4, lam / 4, abs(spec.a) / 4 + abs(spec.b) / 4 + abs(spec.c) / 4
+    resid = mat @ vecs - vecs * lam_r[None, :]
     eig_resid = float(
         np.max(np.max(np.abs(resid), axis=0)
                / (scale * np.max(np.abs(vecs), axis=0)))

@@ -105,6 +105,8 @@ _PER_FORMAT = [
     # s^2 past the float range, and below it: the continuant runs in units of s^k
     (["verify", "-a", "1e200", "-b", "3e200", "-c", "1e200", "-n", "4"], FORMATS),
     (["verify", "-a", "1e-200", "-b", "3e-200", "-c", "1e-200", "-n", "4"], FORMATS),
+    # |a| + |b| + |c| past the float range: the eigen residual is taken on A/4
+    (["verify", "-a", "6e307", "-b", "6e307", "-c", "6e307", "-n", "3"], FORMATS),
     # s = 1e308, where 2s is past the float range: x = 0.85, not 0
     (["det", *HUGE_S, "-n", "3"], FORMATS),
     (["charpoly", *HUGE_S, "-n", "3", "-t", "0"], FORMATS),

@@ -261,9 +261,38 @@ def _growth_spec(x, q_sign, log_growth, n):
     return make_spec(q, 2.0 * x, 1.0 / q, n)
 
 
-def _grid(n, length):
-    """The term-grid shape of one column: n rows in chunks of length rows, padded."""
-    return (2, 1, -(-n // length), length)
+def _rate_spec(x, q_sign, log_q, n):
+    """s = 1, b = 2x and log|q| = log_q per row, so the rows per chunk do not depend on n."""
+    q = q_sign * math.exp(log_q)
+    return make_spec(q, 2.0 * x, 1.0 / q, n)
+
+
+def _cap(kernel):
+    """The most rows a chunk of kernel's apply may hold: _CHUNK, and under
+    _CHUNK_LOG_SPAN e-folds of row weights, gamma + |log|q|| each."""
+    per_row = kernel.gamma + abs(math.log(abs(kernel.q)))
+    if _CHUNK * per_row <= _CHUNK_LOG_SPAN:
+        return _CHUNK
+    return max(1, int(_CHUNK_LOG_SPAN / per_row))
+
+
+def _rate_cap(x, q_sign, log_q):
+    """_cap of the kernels _rate_spec(x, q_sign, log_q, n) gives, for every n."""
+    return _cap(build_kernel(_rate_spec(x, q_sign, log_q, 2)))
+
+
+def _grid(n, cap):
+    """The term-grid shape of one column: n rows in as few chunks of at most
+    cap rows as hold them, each ceil(n / chunks) rows, padded."""
+    chunks = -(-n // cap)
+    return (2, 1, chunks, -(-n // chunks))
+
+
+def _unit(n, j, scale=1.0):
+    """Column j (1-based) of scale times the n x n identity."""
+    e = np.zeros(n)
+    e[j - 1] = scale
+    return e
 
 
 @pytest.fixture
@@ -294,34 +323,56 @@ def scan_calls(monkeypatch):
     return calls
 
 
+# per-row log|q| of the chunk-rule kernels: about 30 e-folds over three chunks.
+# The caps are 4096 rows (x = 0.35), 924 (x = 1.25), 371 (x = 2.9) and 122 (x = 100)
+_RATE_KERNELS = [(0.35, 1.0, 0.0025), (1.25, -1.0, 0.01), (2.9, 1.0, 0.025), (100.0, -1.0, 0.0)]
+
+
 class TestTwoLevelScan:
     """The chunked linear-space apply of apply_inverse, at every n."""
 
-    # chunk edges at L = _CHUNK: n = 0, 1, 254 and 255 (mod _CHUNK), odd and
-    # even: whole chunks, one row into a new chunk, and a last chunk two and
-    # one rows short of full
-    @pytest.mark.parametrize("n", [
-        5 * _CHUNK - 1, 5 * _CHUNK, 5 * _CHUNK + 1,
-        7 * _CHUNK - 1, 6 * _CHUNK - 2,
-        6 * _CHUNK, 6 * _CHUNK + 1,
-    ])
+    # chunk edges at each kernel's cap L: 1, 2, L - 1 and L rows (one chunk,
+    # no padding, no carry scan), L + 1, 2L - 1, 2L + 1 and 3L + 1 rows (one
+    # row into a new chunk: the chunks are evened out), 2L and 3L rows (whole
+    # chunks), 3L - 1 and 3L - 2 rows (a last chunk one and two rows short)
+    @pytest.mark.parametrize("edge", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, -1), (2, 0),
+                                      (2, 1), (3, -2), (3, -1), (3, 0), (3, 1)],
+                             ids=lambda e: f"{e[0]}L{e[1]:+d}")
+    @pytest.mark.parametrize("x, q_sign, log_q", _RATE_KERNELS)
+    def test_cap_edges(self, edge, x, q_sign, log_q, fused_calls, scan_calls):
+        cap = _rate_cap(x, q_sign, log_q)
+        n = edge[0] * cap + edge[1]
+        spec = _rate_spec(x, q_sign, log_q, n)
+        rhs = np.random.default_rng(n).standard_normal(n)
+        got = apply_inverse(build_kernel(spec), rhs)
+        grid = _grid(n, cap)
+        assert fused_calls == [grid]
+        assert grid[2] == max(1, edge[0] + (edge[1] > 0)) and 0 <= grid[2] * grid[3] - n < grid[2]
+        assert scan_calls == ([] if n <= cap else [grid[:3]])
+        assert _backward_error(spec, got, rhs) <= 1e-11
+        want = thomas_solve(spec, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    # the chunk edges of the former 256-row cap, n = 0, 1, 254 and 255 (mod
+    # 256): all but one chunk of L rows or fewer now, evened out
+    @pytest.mark.parametrize("n", [1279, 1280, 1281, 1791, 1534, 1536, 1537])
     @pytest.mark.parametrize("x, q_sign", [(0.35, 1.0), (1.25, -1.0), (2.9, 1.0)])
     def test_chunk_edges(self, n, x, q_sign, fused_calls):
         spec = _growth_spec(x, q_sign, 30.0, n)
         kernel = build_kernel(spec)
         rhs = np.random.default_rng(n).standard_normal(n)
         got = apply_inverse(kernel, rhs)
-        assert fused_calls == [_grid(n, _CHUNK)]
+        assert fused_calls == [_grid(n, _cap(kernel))]
         assert _backward_error(spec, got, rhs) <= 1e-11
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    # L = min(256, n, floor(650 / (gamma + |log|q||))): 256 rows for the
-    # first three kernels, 122 at x = 100 (gamma = 5.298); at n <= L one
-    # chunk with no padding and no carry scan
+    # about the former cap of 256 rows, and 122 rows at x = 100 (gamma =
+    # 5.298), where the cap is still 122: at n <= L one chunk with no padding
+    # and no carry scan
     @pytest.mark.parametrize("edge", ["1", "2", "L-1", "L", "L+1", "2L-1", "2L+1"])
     @pytest.mark.parametrize("x, q_sign, log_growth, length", [
-        (0.35, 1.0, 30.0, _CHUNK), (1.25, -1.0, 30.0, _CHUNK), (2.9, 1.0, 30.0, _CHUNK),
+        (0.35, 1.0, 30.0, 256), (1.25, -1.0, 30.0, 256), (2.9, 1.0, 30.0, 256),
         (100.0, -1.0, 0.0, 122),
     ])
     def test_chunk_rule(self, edge, x, q_sign, log_growth, length, fused_calls, scan_calls):
@@ -331,12 +382,17 @@ class TestTwoLevelScan:
         kernel = build_kernel(spec)
         rhs = np.random.default_rng(n).standard_normal(n)
         got = apply_inverse(kernel, rhs)
-        rows = min(length, n)
+        rows = _cap(kernel)
+        assert rows == 122 if x == 100.0 else n <= 2 or rows > 256
         assert fused_calls == [_grid(n, rows)]
         assert scan_calls == ([] if n <= rows else [_grid(n, rows)[:3]])
         assert _backward_error(spec, got, rhs) <= 1e-11
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_caps_of_the_rule_kernels(self):
+        # 4096 rows where gamma + |log|q|| <= 650 / 4096, else floor(650 / (gamma + |log|q||))
+        assert [_rate_cap(*k) for k in _RATE_KERNELS] == [4096, 924, 371, 122]
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(227)
@@ -359,7 +415,7 @@ class TestTwoLevelScan:
         # rows would span far more than _CHUNK_LOG_SPAN e-folds: the chunks
         # are cut to at most 650 e-folds, and more of the sum runs through
         # the log-space scan of the chunk carries
-        n = 5 * _CHUNK + _CHUNK // 2
+        n = 1408
         spec = _growth_spec(x, q_sign, log_growth, n)
         kernel = build_kernel(spec)
         rhs = np.random.default_rng(229).standard_normal(n)
@@ -372,21 +428,23 @@ class TestTwoLevelScan:
 
     @pytest.mark.parametrize("log_growth", [1500.0, -1500.0])
     @pytest.mark.parametrize("q_sign", [1.0, -1.0])
-    def test_growth_beyond_the_float_range_overflows(self, log_growth, q_sign):
+    def test_growth_beyond_the_float_range_overflows(self, log_growth, q_sign, fused_calls):
         # oscillatory x does not damp |q|^(i-j): the far corner is e^1500
-        n = 6 * _CHUNK
+        n = 1536
         kernel = build_kernel(_growth_spec(0.5, q_sign, log_growth, n))
         with pytest.raises(OverflowError, match=r"^solution term \(\d+,1\) has log-magnitude"):
             apply_inverse(kernel, np.random.default_rng(233).standard_normal(n))
+        assert fused_calls == [(2, 1, 3, 512)]
 
     @pytest.mark.parametrize("x, q_sign", [(1.25, 1.0), (-1.5, -1.0)])
-    def test_finite_solution_near_the_float_range(self, x, q_sign):
+    def test_finite_solution_near_the_float_range(self, x, q_sign, fused_calls):
         # a rhs near 1e306 puts every chunk's bound past the float range, so
         # the rows leave log space one by one; they are still finite
-        n = 6 * _CHUNK + 1
+        n = 1537
         kernel = build_kernel(_growth_spec(x, q_sign, 10.0, n))
         j = n // 2
-        col = apply_inverse(kernel, np.eye(n)[j - 1] * 1e306)
+        col = apply_inverse(kernel, _unit(n, j, 1e306))
+        assert fused_calls[0][2] > 1
         for i in (1, j - 1, j, j + 300, n):
             assert col[i - 1] == pytest.approx(1e306 * inverse_entry(kernel, i, j), rel=1e-11)
         rhs = np.random.default_rng(271).standard_normal(n)
@@ -395,33 +453,48 @@ class TestTwoLevelScan:
         np.testing.assert_allclose(got, 1e305 * apply_inverse(kernel, rhs), rtol=1e-11,
                                    atol=1e-11 * np.max(np.abs(got)))
 
+    @pytest.mark.parametrize("scale", [1e20, 1e100, 1e240])
+    def test_scaled_rhs_gives_the_scaled_solution(self, scale, fused_calls):
+        # the chunk sums take their back-weights before alpha: alpha times the
+        # sums before them would overflow from about 1e10 on, on four chunks
+        n = 3000
+        kernel = build_kernel(make_spec(1.0, 2.5, 1.0, n))
+        rhs = np.random.default_rng(283).standard_normal(n)
+        got = apply_inverse(kernel, scale * rhs)
+        assert fused_calls[0] == (2, 1, 4, 750)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, scale * apply_inverse(kernel, rhs), rtol=1e-11,
+                                   atol=1e-11 * np.max(np.abs(got)))
+
     @pytest.mark.parametrize("log_growth, last", [(-1400.0, False), (1400.0, True)])
     @pytest.mark.parametrize("x, q_sign", [(0.5, 1.0), (0.5, -1.0), (1.25, 1.0)])
-    def test_far_rows_underflow(self, x, q_sign, log_growth, last):
+    def test_far_rows_underflow(self, x, q_sign, log_growth, last, fused_calls):
         # |log q| (n-1) = 1400: column 1 of the inverse falls through the
         # subnormals to 0 for log|q| < 0, column n rises out of them for
         # log|q| > 0; each agrees with inverse_entry, zeros and subnormals
-        # included
-        n = 8 * _CHUNK + 5
+        # included.  The chunks hold 685 rows at x = 0.5 and 411 at x = 1.25
+        n = 2053
         kernel = build_kernel(_growth_spec(x, q_sign, log_growth, n))
         j = n if last else 1
-        col = apply_inverse(kernel, np.eye(n)[j - 1])
+        col = apply_inverse(kernel, _unit(n, j))
+        assert fused_calls == [_grid(n, _cap(kernel))] and fused_calls[0][2] in (3, 5)
         want = np.array([inverse_entry(kernel, i, j) for i in range(1, n + 1)])
         assert np.all(np.abs(col - want) <= 1e-11 * np.abs(want) + 2.0**-1070)
         assert (want == 0.0).any() and ((want != 0.0) & (np.abs(want) < 1e-308)).any()
 
     @pytest.mark.parametrize("q_sign", [1.0, -1.0])
-    def test_subnormal_rhs_under_growing_rows(self, q_sign):
+    def test_subnormal_rhs_under_growing_rows(self, q_sign, fused_calls):
         # log|q| = 2, s = 3 and x = 0.5: rows grow by e^2 below a source, so
         # a subnormal rhs entry yields normal solution rows.  Its chunk's
         # alpha, about 1e-320 / 3, has too few bits to scale by, so the rows
         # leave log space one by one; they match inverse_entry to rounding
-        n = 7 * _CHUNK
+        n = 1792
         q = q_sign * math.exp(2.0)
         kernel = build_kernel(make_spec(3.0 * q, 3.0, 3.0 / q, n))
         j = n - 150
         tiny = 1e-320
-        col = apply_inverse(kernel, np.eye(n)[j - 1] * tiny)
+        col = apply_inverse(kernel, _unit(n, j, tiny))
+        assert fused_calls == [(2, 1, 6, 299)]
         for i in (j - 1, j, j + 75, j + 120, n):
             want = tiny * inverse_entry(kernel, i, j)
             assert abs(want) > 1e-300 or i <= j
@@ -447,7 +520,7 @@ class TestTwoLevelScan:
         # 301 the 1e300 source has decayed to the size of the other entries'
         # part, so each row is checked against the superposition of the two
         # parts, to rounding of each.
-        n = 5 * _CHUNK + 100
+        n = 1380
         spec = _growth_spec(1.25, 1.0, 20.0, n)
         kernel = build_kernel(spec)
         rest = np.random.default_rng(239).standard_normal(n)
@@ -455,8 +528,9 @@ class TestTwoLevelScan:
         rhs = rest.copy()
         rhs[300:303] = [1e300, -1e-300, 2e-300]
         got = apply_inverse(kernel, rhs)
-        assert fused_calls == [_grid(n, _CHUNK)]
-        assert scan_calls == [(2, _CHUNK), _grid(n, _CHUNK)[:3]]
+        grid = _grid(n, _cap(kernel))
+        assert fused_calls == [grid] and grid[2] == 2
+        assert scan_calls == [(2, grid[3]), grid[:3]]
         e_301 = np.zeros(n)
         e_301[300] = 1.0
         near, far = 1e300 * apply_inverse(kernel, e_301), apply_inverse(kernel, rest)
@@ -465,36 +539,38 @@ class TestTwoLevelScan:
     def test_rhs_spread_in_every_chunk(self, fused_calls, scan_calls):
         # entries 10^u with u uniform in [-300, 300] span over 650 e-folds in
         # every chunk: every chunk of both sums takes the log-space path
-        n = 6 * _CHUNK
+        n = 1536
         spec = _growth_spec(1.25, 1.0, 20.0, n)
+        kernel = build_kernel(spec)
         rng = np.random.default_rng(243)
         rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
-        got = apply_inverse(build_kernel(spec), rhs)
-        assert fused_calls == [_grid(n, _CHUNK)]
-        assert scan_calls == [(2 * 6, _CHUNK), (2, 1, 6)]
+        got = apply_inverse(kernel, rhs)
+        grid = _grid(n, _cap(kernel))
+        assert fused_calls == [grid] and grid[2] == 2
+        assert scan_calls == [(2 * grid[2], grid[3]), grid[:3]]
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    def test_rhs_with_exact_zeros(self):
+    def test_rhs_with_exact_zeros(self, fused_calls):
         # zero chunks, a single nonzero row, and zeros inside live chunks
-        n = 7 * _CHUNK + 7
+        n = 2 * _CHUNK + 7
         spec = _growth_spec(0.6, -1.0, -25.0, n)
         kernel = build_kernel(spec)
+        length = _grid(n, _cap(kernel))[3]
         rhs = np.random.default_rng(241).standard_normal(n)
-        rhs[: 2 * _CHUNK] = 0.0
+        rhs[: 2 * length] = 0.0
         rhs[::3] = 0.0
         got = apply_inverse(kernel, rhs)
+        assert fused_calls == [(2, 1, 3, length)]
         assert _backward_error(spec, got, rhs) <= 1e-11
-        e_j = np.zeros(n)
-        e_j[_CHUNK + 5] = 1.0
-        col = apply_inverse(kernel, e_j)
-        for i in (1, _CHUNK + 6, n):
-            assert col[i - 1] == pytest.approx(inverse_entry(kernel, i, _CHUNK + 6),
+        col = apply_inverse(kernel, _unit(n, length + 6))
+        for i in (1, length + 6, n):
+            assert col[i - 1] == pytest.approx(inverse_entry(kernel, i, length + 6),
                                                rel=1e-11)
         assert np.array_equal(apply_inverse(kernel, np.zeros(n)), np.zeros(n))
 
     def test_nan_rhs_gives_all_nan(self):
-        n = 5 * _CHUNK + 3
+        n = 1283
         kernel = build_kernel(_growth_spec(1.25, 1.0, 10.0, n))
         rhs = np.random.default_rng(251).standard_normal(n)
         rhs[n // 2] = np.nan
@@ -503,11 +579,12 @@ class TestTwoLevelScan:
         assert np.all(np.isnan(got))
 
     def test_infinite_rhs_gives_an_all_nan_column_without_warnings(self):
-        n = 5 * _CHUNK + 3
+        # -inf on the first rows of both chunks and the last row
+        n = 1283
         kernel = build_kernel(_growth_spec(1.25, 1.0, 10.0, n))
         block = np.random.default_rng(253).standard_normal((n, 3))
         block[n // 2, 0] = np.inf
-        block[[0, _CHUNK, n - 1], 1] = -np.inf
+        block[[0, _grid(n, _cap(kernel))[3], n - 1], 1] = -np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = apply_inverse(kernel, block)
@@ -515,17 +592,18 @@ class TestTwoLevelScan:
         assert np.all(np.isnan(got[:, :2]))
         assert np.array_equal(got[:, 2], finite)
 
-    def test_block_equals_columns_bit_for_bit(self):
-        n = 6 * _CHUNK + 9
+    def test_block_equals_columns_bit_for_bit(self, fused_calls):
+        n = 2 * _CHUNK + 9
         spec = _growth_spec(0.8, -1.0, 15.0, n)
         kernel = build_kernel(spec)
         rng = np.random.default_rng(257)
         block = rng.standard_normal((n, 5))
         block[:, 1] = 0.0
-        block[: 3 * _CHUNK, 2] = 0.0
+        block[: 2 * _CHUNK, 2] = 0.0
         block[40:42, 3] = [1e300, 1e-300]  # one column falls back in one chunk
         block[:, 4] *= 1e-300
         got = apply_inverse(kernel, block)
+        assert fused_calls[0] == (2, 5, 3, 2734)
         for col in range(5):
             assert np.array_equal(got[:, col], apply_inverse(kernel, block[:, col]))
 
@@ -599,16 +677,42 @@ def test_gapped_apply_backward_error(b, n, bound):
     assert _backward_error(spec, apply_inverse(build_kernel(spec), rhs), rhs) <= bound
 
 
-# one and two rows, the edges of one and two full chunks, and larger grids
-_EDGE_ORDERS = [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK + 1,
-                5 * _CHUNK, 16 * _CHUNK + 1]
+def _edge_order(x, growth, chunks, offset):
+    """n = chunks * L + offset, L the cap of the kernel _growth_spec(x, ., growth, n) gets.
+
+    The cap depends on n through log|q| = growth / (n - 1), so n is iterated
+    to a fixed point; where none is reached in a few steps, the last n is
+    within a few rows of an edge.
+    """
+    gamma = math.acosh(abs(x)) if abs(x) > 1.0 else 0.0
+    n = chunks * _CHUNK + offset
+    for _ in range(6):
+        per_row = gamma + abs(_clamped_growth(growth, n)) / max(n - 1, 1)
+        cap = (_CHUNK if _CHUNK * per_row <= _CHUNK_LOG_SPAN
+               else max(1, int(_CHUNK_LOG_SPAN / per_row)))
+        n, last = max(1, chunks * cap + offset), n
+        if n == last:
+            break
+    return n
+
+
+def _clamped_growth(growth, n):
+    """growth capped at 50 e-folds per row."""
+    return max(-50.0 * max(n - 1, 1), min(growth, 50.0 * max(n - 1, 1)))
+
+
+# right-hand side scales: the three extremes, and 10^u for u uniform in [-300, 300]
+_RHS_SCALES = st.one_of(st.sampled_from([1.0, 1e300, 1e-300]),
+                        st.floats(-300.0, 300.0).map(lambda u: 10.0**u))
 
 
 @st.composite
 def _apply_cases(draw):
-    """A spec and a right-hand side from every regime apply_inverse serves."""
-    n = draw(st.one_of(st.sampled_from(_EDGE_ORDERS), st.integers(1, 300),
-                       st.integers(2, 6000)))
+    """A spec and a right-hand side from every regime apply_inverse serves.
+
+    n is any order up to 6000, or one at the edge of one, two or five full
+    chunks (L - 1, L, L + 1, ...) of the kernel drawn.
+    """
     x = draw(st.one_of(
         st.floats(-0.999, 0.999),
         st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1e-9, 1e-9)).map(
@@ -617,10 +721,13 @@ def _apply_cases(draw):
             lambda t: t[0] * (1.0 + t[1]))))
     # log|q| (n - 1) up to +-1500, at most 50 e-folds per row
     growth = draw(st.floats(-1500.0, 1500.0))
-    growth = max(-50.0 * max(n - 1, 1), min(growth, 50.0 * max(n - 1, 1)))
-    spec = _growth_spec(x, draw(st.sampled_from([1.0, -1.0])), growth, n)
+    edge = draw(st.one_of(st.none(), st.tuples(st.sampled_from([1, 2, 5]),
+                                               st.sampled_from([-1, 0, 1]))))
+    n = (draw(st.one_of(st.integers(1, 300), st.integers(2, 6000))) if edge is None
+         else _edge_order(x, growth, *edge))
+    spec = _growth_spec(x, draw(st.sampled_from([1.0, -1.0])), _clamped_growth(growth, n), n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rhs = rng.standard_normal(n) * draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    rhs = rng.standard_normal(n) * draw(_RHS_SCALES)
     if draw(st.booleans()):
         rhs[rng.random(n) < 0.5] = 0.0
     for entry in draw(st.lists(st.sampled_from([1e300, 1e-300, 0.0, np.nan, np.inf, -np.inf]),
@@ -675,7 +782,7 @@ def _thomas_cases(draw):
         st.just(None)))
     b = 1e-200 if x is None else 2.0 * x * math.sqrt(abs(a)) * math.sqrt(abs(c))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rhs = rng.standard_normal(n) * draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    rhs = rng.standard_normal(n) * draw(_RHS_SCALES)
     if draw(st.booleans()):
         rhs[rng.random(n) < 0.5] = 0.0
     for entry in draw(st.lists(st.sampled_from([1e300, 1e-300, 0.0, np.nan, np.inf, -np.inf]),
