@@ -360,6 +360,7 @@ def _fused(kernel: GreenKernel, terms):
     else:
         # one chunk, no carry: log alpha is log max|rhs| plus one constant per
         # part, bounded by the grid's largest and least nonzero |rhs|
+        carry, log_beta = 0.0, -math.inf
         peak = log_alpha
         risky = (top_max and math.log(top_max) + max(g + spreads[0], g - s1 + spreads[1])
                  > _LOG_MAX) or math.log(low) + min(g, g - s1) < subnormal
@@ -377,17 +378,16 @@ def _fused(kernel: GreenKernel, terms):
         exact = exact if exact.any() else None
     if exact is not None:
         part, _, chunk = np.nonzero(exact)
-        carry_x, log_beta_x = (np.broadcast_to(a, exact.shape)[exact][:, None]
-                               for a in ((carry, log_beta) if chunks > 1 else (0.0, -np.inf)))
-        sums, la = terms[exact], log_alpha[exact][:, None]
+        carry, log_beta = (np.broadcast_to(a, exact.shape) for a in (carry, log_beta))
+        sums, la, lb = terms[exact], log_alpha[exact][:, None], log_beta[exact][:, None]
         if wide is not None:
             sel = wide[exact]
             la = np.repeat(la, length, axis=1)
             sums[sel] = wide_acc
             la[sel] += wide_scale
-        top_log = np.maximum(la, log_beta_x)
+        top_log = np.maximum(la, lb)
         top_log[top_log == -np.inf] = 0.0  # a zero sum: any finite shift
-        sums = sums * np.exp(la - top_log) + carry_x * np.exp(log_beta_x - top_log)
+        sums = sums * np.exp(la - top_log) + carry[exact][:, None] * np.exp(lb - top_log)
         factors = np.stack(rows)[part, chunk] * back_weights[part]
         log_mag = np.log(np.abs(sums)) + np.log(np.abs(factors)) + top_log
         exact_rows = np.copysign(np.exp(log_mag), sums * factors)

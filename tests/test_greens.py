@@ -276,11 +276,6 @@ def _cap(kernel):
     return max(1, int(_CHUNK_LOG_SPAN / per_row))
 
 
-def _rate_cap(x, q_sign, log_q):
-    """_cap of the kernels _rate_spec(x, q_sign, log_q, n) gives, for every n."""
-    return _cap(build_kernel(_rate_spec(x, q_sign, log_q, 2)))
-
-
 def _grid(n, cap):
     """The term-grid shape of one column: n rows in as few chunks of at most
     cap rows as hold them, each ceil(n / chunks) rows, padded."""
@@ -323,9 +318,11 @@ def scan_calls(monkeypatch):
     return calls
 
 
-# per-row log|q| of the chunk-rule kernels: about 30 e-folds over three chunks.
-# The caps are 4096 rows (x = 0.35), 924 (x = 1.25), 371 (x = 2.9) and 122 (x = 100)
-_RATE_KERNELS = [(0.35, 1.0, 0.0025), (1.25, -1.0, 0.01), (2.9, 1.0, 0.025), (100.0, -1.0, 0.0)]
+# x, the sign of q, the per-row log|q| (about 30 e-folds over three chunks) and
+# the cap: 4096 rows where gamma + |log|q|| <= 650 / 4096, else
+# floor(650 / (gamma + |log|q||))
+_RATE_KERNELS = [(0.35, 1.0, 0.0025, 4096), (1.25, -1.0, 0.01, 924), (2.9, 1.0, 0.025, 371),
+                 (100.0, -1.0, 0.0, 122)]
 
 
 class TestTwoLevelScan:
@@ -338,9 +335,8 @@ class TestTwoLevelScan:
     @pytest.mark.parametrize("edge", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, -1), (2, 0),
                                       (2, 1), (3, -2), (3, -1), (3, 0), (3, 1)],
                              ids=lambda e: f"{e[0]}L{e[1]:+d}")
-    @pytest.mark.parametrize("x, q_sign, log_q", _RATE_KERNELS)
-    def test_cap_edges(self, edge, x, q_sign, log_q, fused_calls, scan_calls):
-        cap = _rate_cap(x, q_sign, log_q)
+    @pytest.mark.parametrize("x, q_sign, log_q, cap", _RATE_KERNELS)
+    def test_cap_edges(self, edge, x, q_sign, log_q, cap, fused_calls, scan_calls):
         n = edge[0] * cap + edge[1]
         spec = _rate_spec(x, q_sign, log_q, n)
         rhs = np.random.default_rng(n).standard_normal(n)
@@ -353,8 +349,9 @@ class TestTwoLevelScan:
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    # the chunk edges of the former 256-row cap, n = 0, 1, 254 and 255 (mod
-    # 256): all but one chunk of L rows or fewer now, evened out
+    # orders that were chunk edges of the former 256-row cap (n = 0, 1, 254
+    # and 255 mod 256): one chunk now at x = 0.35, two at x = 1.25, four or
+    # five at x = 2.9
     @pytest.mark.parametrize("n", [1279, 1280, 1281, 1791, 1534, 1536, 1537])
     @pytest.mark.parametrize("x, q_sign", [(0.35, 1.0), (1.25, -1.0), (2.9, 1.0)])
     def test_chunk_edges(self, n, x, q_sign, fused_calls):
@@ -389,10 +386,6 @@ class TestTwoLevelScan:
         assert _backward_error(spec, got, rhs) <= 1e-11
         want = thomas_solve(spec, rhs)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-
-    def test_caps_of_the_rule_kernels(self):
-        # 4096 rows where gamma + |log|q|| <= 650 / 4096, else floor(650 / (gamma + |log|q||))
-        assert [_rate_cap(*k) for k in _RATE_KERNELS] == [4096, 924, 371, 122]
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(227)
