@@ -17,8 +17,8 @@ sum (O(n)), the suffix sums as prefix sums of the reversed right-hand side.
 Both run in linear space on one grid of chunks, one exponent per chunk
 (reduce-then-scan in block floating point), at every n.  A chunk has at
 most 4096 rows and at most 650 e-folds of row weights, in as few chunks
-of even length as that allows, so a kernel with n <= L is one chunk and
-needs no carry.  Each chunk's sums take their back-weights, at most 1,
+of even length as that allows, so a kernel whose rows fit in one chunk
+(n <= 937 at x = 1.25, q = 1) needs no carry.  Each chunk's sums take their back-weights, at most 1,
 before its one factor, so a row's bound is that factor times the growth
 the rows themselves carry.  A chunk whose rows could leave the float
 range, whose carry outweighs its factor past it, or whose right-hand
@@ -319,14 +319,14 @@ def _fused(kernel: GreenKernel, terms):
     terms *= np.exp(tau_slopes)[:, None, None]
     np.add.accumulate(terms, axis=3, out=terms)
 
-    # a row of a part is at most e^(log alpha + spread), since sum times back-weight
-    # carries at most (L - 1) max(0, -slope) e-folds, and it is rounded to 0
-    # below 2^-1075; a rounding below the normal floats is multiplied by
-    # max|v| <= n + 1 at most.  The quick test shows the grids with no such
-    # chunk, which are most
+    # a row of a part is at most e^(log alpha + spread): (2L + 2) max|v|^2 times
+    # the (L - 1) max(0, -slope) e-folds that a sum times its back-weight
+    # carries.  It is rounded to 0 below 2^-1075, and a rounding below the
+    # normal floats is multiplied by max|v| <= n + 1 at most.  The quick test
+    # shows the grids with no such chunk, which are most
     log_vmax = math.log(n + 1.0)
-    spread = math.log(2 * length + 2) + 2 * log_vmax
-    spreads = spread + (length - 1) * max(0.0, -s0), spread + (length - 1) * max(0.0, -s1)
+    terms_log = math.log(2 * length + 2) + 2 * log_vmax
+    spreads = terms_log + (length - 1) * max(0.0, -s0), terms_log + (length - 1) * max(0.0, -s1)
     subnormal = math.log(_MIN_NORMAL) + log_vmax
     # log alpha: log max|rhs| plus the log of the part's constant row factor;
     # a chunk's sum times e^(log alpha - base) is the sum itself
@@ -352,16 +352,15 @@ def _fused(kernel: GreenKernel, terms):
         # ratio of 0 where a zero chunk has no carry either
         np.copyto(log_alpha, log_beta, where=log_alpha == -np.inf)
         log_ratio = np.fmax(log_beta - log_alpha, -np.inf)
-        peak = np.maximum(log_alpha, log_beta)
-        risky = (np.maximum.reduce(peak, axis=None, initial=-math.inf) + max(spreads) > _LOG_MAX
-                 or np.maximum.reduce(log_ratio, axis=None, initial=-math.inf) + max(spreads)
-                 > _LOG_MAX
+        # log beta = log alpha + log ratio: neither is above max log alpha + max(0, max log ratio)
+        ratio_max = np.maximum.reduce(log_ratio, axis=None, initial=-math.inf)
+        risky = (np.maximum.reduce(log_alpha, axis=None, initial=-math.inf) + max(ratio_max, 0.0)
+                 + max(spreads) > _LOG_MAX or ratio_max + max(spreads) > _LOG_MAX
                  or np.minimum.reduce(log_alpha, axis=None, initial=math.inf) < subnormal)
     else:
         # one chunk, no carry: log alpha is log max|rhs| plus one constant per
         # part, bounded by the grid's largest and least nonzero |rhs|
         carry, log_beta = 0.0, -math.inf
-        peak = log_alpha
         risky = (top_max and math.log(top_max) + max(g + spreads[0], g - s1 + spreads[1])
                  > _LOG_MAX) or math.log(low) + min(g, g - s1) < subnormal
     exact = None
@@ -369,7 +368,7 @@ def _fused(kernel: GreenKernel, terms):
         # per chunk: rows past the float range, an alpha with too few bits for
         # rows that are not 0, or a carry past the float range in units of alpha
         spread = np.array(spreads)[:, None, None]
-        high = peak + spread
+        high = np.maximum(log_alpha, log_beta) + spread
         exact = ((log_alpha < subnormal) & (high > -1075 * math.log(2.0))) | (high > _LOG_MAX)
         if chunks > 1:
             exact |= log_ratio + spread > _LOG_MAX

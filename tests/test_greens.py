@@ -380,7 +380,7 @@ class TestTwoLevelScan:
         rhs = np.random.default_rng(n).standard_normal(n)
         got = apply_inverse(kernel, rhs)
         rows = _cap(kernel)
-        assert rows == 122 if x == 100.0 else n <= 2 or rows > 256
+        assert (rows == 122) if x == 100.0 else (n <= 2 or rows > 256)
         assert fused_calls == [_grid(n, rows)]
         assert scan_calls == ([] if n <= rows else [_grid(n, rows)[:3]])
         assert _backward_error(spec, got, rhs) <= 1e-11
