@@ -300,10 +300,6 @@ def _fused(kernel: GreenKernel, terms):
     for part in (0, 1):
         if off[part]:
             tau_slopes[part] -= off[part]
-    # the back-weights carry the sign of the rows' constant factor
-    back_weights = np.exp(-tau_slopes)
-    if (q > 0 and n % 2 == 0) != (kernel.wronskian.sign < 0):
-        np.negative(back_weights, out=back_weights)
     if wide is not None:
         # the wide chunks' running sums in log space, in units of their alpha
         part, _, chunk = np.nonzero(wide)
@@ -318,6 +314,11 @@ def _fused(kernel: GreenKernel, terms):
     terms[0] *= weights[0]
     terms *= np.exp(tau_slopes)[:, None, None]
     np.add.accumulate(terms, axis=3, out=terms)
+    # the back-weights e^(off - tau slope), over tau_slopes, with the sign of
+    # the rows' constant factor
+    back_weights = np.exp(np.negative(tau_slopes, out=tau_slopes), out=tau_slopes)
+    if (q > 0 and n % 2 == 0) != (kernel.wronskian.sign < 0):
+        np.negative(back_weights, out=back_weights)
 
     # a row of a part is at most e^(log alpha + spread): (2L + 2) max|v|^2 times
     # the (L - 1) max(0, -slope) e-folds that a sum times its back-weight
