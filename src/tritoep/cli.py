@@ -47,7 +47,8 @@ if TYPE_CHECKING:
 # The other library modules (greens, conditioning, repunit, oracle), numpy
 # and the stdlib modules that only some paths need (json, statistics) are
 # imported where they are used, so a process loads only what its subcommand
-# needs: det, charpoly and every repunit action but product run without numpy.
+# needs: det, charpoly, cond, decay and every repunit action but product run
+# without numpy.
 
 DEFAULT_SINGULAR_TOL = _SINGULAR_TOL
 DEFAULT_DENSE_LIMIT = 1024

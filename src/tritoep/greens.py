@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cheby import ScaledValue, _check_x, _log1mexp, _u_sequence_into, eval_U_scaled
 from .core import (_LOG_MAX, _MIN_NORMAL, _SINGULAR_TOL, _WRONSKIAN_TOL, SymmetrisedForm,
@@ -50,6 +49,9 @@ from .errors import (
     NotInGappedRegime,
     SingularMatrix,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GreenKernel",
@@ -79,8 +81,6 @@ _CHUNK = 4096
 # rhs: this far below the chunk's largest |rhs| a term is still normal
 # (708 e-folds below 1), since the weights e^(tau slope - off) >= 1 only lift it
 _CHUNK_LOG_SPAN = 650.0
-# the row offsets tau of a chunk
-_STEPS = np.arange(float(_CHUNK))
 
 @dataclass(frozen=True, eq=False)
 class GreenKernel:
@@ -125,13 +125,18 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = _SINGULAR_TOL) -> 
     kernel below that raise SingularMatrix.  Construction raises it when
     the flag passes but the Wronskian self-check fails.
     """
+    import numpy as np
+
     _check_singular_tol(singular_tol)
     form = symmetrise(spec)
     n = spec.n
     # index k holds v_(k-1), k = 0..n+1; v_(-1) := 0 covers both boundaries
     v = np.empty(n + 2)
     gamma = _u_sequence_into(v, form.x)
-    wronskian = ScaledValue.from_float(float(v[n + 1])) * ScaledValue(1, n * gamma)
+    # U_n = v_n e^(n gamma)
+    v_n = float(v[-1])
+    wronskian = (ScaledValue(1 if v_n > 0.0 else -1, math.log(abs(v_n)) + n * gamma)
+                 if v_n else ScaledValue(0, -math.inf))
     log_threshold = _log_threshold(v, gamma, singular_tol)
     invertible = wronskian.sign != 0 and wronskian.log_mag > log_threshold
 
@@ -143,7 +148,8 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = _SINGULAR_TOL) -> 
         t1 = np.multiply(v[1 : h + 1], v[n + 1 : n - h + 1 : -1])
         t2 = np.multiply(v[:h], v[n : n - h : -1])
         t1 -= np.multiply(t2, math.exp(-2.0 * gamma), out=t2)
-        residual = float(np.max(np.abs(np.subtract(t1, v[-1], out=t1), out=t1)) / abs(v[-1]))
+        # max|t1 - v_n| from the extremes of t1: rounding t - v_n is monotone in t
+        residual = max(float(t1.max()) - v_n, v_n - float(t1.min())) / abs(v_n)
         if residual > _WRONSKIAN_TOL:
             raise SingularMatrix(
                 f"kernel self-check failed: Wronskian residual {residual:.3e} "
@@ -182,6 +188,8 @@ def _entry_sign_log(kernel: GreenKernel, lo, hi, diff):
     Works on scalar indices and elementwise on index arrays; callers
     exponentiate the result themselves.
     """
+    import numpy as np
+
     sign_neg_q = -1.0 if kernel.q > 0 else 1.0
     vv = kernel.v[lo] * kernel.v[kernel.n + 1 - hi]
     sign = np.sign(vv) * kernel.wronskian.sign * sign_neg_q**diff
@@ -207,6 +215,8 @@ def inverse_entry(kernel: GreenKernel, i: int, j: int) -> float:
 
 def inverse_dense(kernel: GreenKernel) -> np.ndarray:
     """Materialise the full inverse (O(n^2)); agrees with inverse_entry."""
+    import numpy as np
+
     _require_invertible(kernel)
     n = kernel.n
     idx = np.arange(1, n + 1)
@@ -228,6 +238,8 @@ def _scan_scaled(negative, pos):
     |acc| <= 1 and the scan never overflows.  Until the first nonzero
     term, acc is 0 and scale is -inf.  acc is pos, overwritten.
     """
+    import numpy as np
+
     # zero terms carry log -inf, so they can join either part
     neg = np.where(negative, pos, -np.inf)
     np.copyto(pos, -np.inf, where=negative)
@@ -257,6 +269,8 @@ def _fused(kernel: GreenKernel, terms):
     sums a wide chunk, whose rhs spans too far for its terms to stay
     normal, in log space.
     """
+    import numpy as np
+
     _, k, chunks, length = terms.shape
     n, q, size, grid = kernel.n, kernel.q, chunks * length, (chunks, length)
     pad = size - n
@@ -296,7 +310,7 @@ def _fused(kernel: GreenKernel, terms):
     # tau slope - off >= 0 in a chunk, with off = min(0, (L - 1) slope)
     slopes = np.array((s0, s1))
     off = min(0.0, (length - 1) * s0), min(0.0, (length - 1) * s1)
-    tau_slopes = slopes[:, None] * _STEPS[:length]
+    tau_slopes = np.multiply.outer(slopes, np.arange(float(length)))
     for part in (0, 1):
         if off[part]:
             tau_slopes[part] -= off[part]
@@ -436,6 +450,8 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
     entry of a column makes that whole column of the solution NaN, with no
     RuntimeWarning, as thomas_solve does.
     """
+    import numpy as np
+
     _require_invertible(kernel)
     n = kernel.n
     rhs = np.asarray(rhs, dtype=float)
@@ -478,6 +494,8 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     exact but for a subnormal a or c, and returns a quarter of that
     solution; a refusal then quotes the pivots and the row scale of A/4.
     """
+    import numpy as np
+
     n = spec.n
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):

@@ -79,16 +79,28 @@ def eigenvalues(spec: TriToeplitzSpec) -> np.ndarray:
     """
     import numpy as np
 
-    return _eigenvalues_at(spec, np.arange(1, spec.n + 1))
-
-
-def _eigenvalues_at(spec: TriToeplitzSpec, k):
-    """Eigenvalues b + 2s*cos(k*pi/(n+1)) for 1-based indices k, an int or an array."""
-    import numpy as np
-
     s = symmetrise(spec).s
     _extremes(spec, s)
-    return spec.b + s * (2.0 * np.cos(k * math.pi / (spec.n + 1)))
+    # _eigenvalue's operations, in its order, over k = 1..n in one buffer
+    lam = np.arange(1.0, spec.n + 1)
+    lam *= math.pi
+    lam /= spec.n + 1
+    np.cos(lam, out=lam)
+    lam *= 2.0
+    lam *= s
+    lam += spec.b
+    return lam
+
+
+def _eigenvalue(spec: TriToeplitzSpec, s: float, k: int) -> float:
+    """lambda_k = b + s*(2cos(k*pi/(n+1))) on Python floats, for a 1-based index k.
+
+    :func:`eigenvalues` runs the same operations over k = 1..n, and
+    ``math.cos`` gives ``np.cos``'s values, so each lambda_k equals its
+    entry there bit for bit.  The caller checks the extremes first
+    (:func:`_extremes`), which refuses a value past the float range.
+    """
+    return spec.b + s * (2.0 * math.cos(k * math.pi / (spec.n + 1)))
 
 
 def _extremes(spec: TriToeplitzSpec, s: float) -> tuple[float, float, float]:
@@ -127,13 +139,14 @@ def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np
     if normalization == "unit_weighted":
         # w_j * vec_j^2 = sin^2(j*theta), so the W-norm is the Euclidean
         # norm of the sine vector; no q powers are needed
-        return vec / np.linalg.norm(sines)
+        return vec / math.sqrt(sines.dot(sines))
+    # sqrt(x.x) is np.linalg.norm of a 1-D float array, without its wrapper
     with np.errstate(over="ignore"):
-        nrm = np.linalg.norm(vec)
+        nrm = math.sqrt(vec.dot(vec))
     if not math.isfinite(nrm):
         # finite entries whose squares overflow: rescale them first
         vec = vec / np.max(np.abs(vec))
-        nrm = np.linalg.norm(vec)
+        nrm = math.sqrt(vec.dot(vec))
     vec = vec / nrm
     first = vec[np.nonzero(vec)[0][0]]
     return vec if first > 0 else -vec
@@ -157,8 +170,9 @@ def eigen_pair(spec: TriToeplitzSpec, k: int) -> EigenPair:
 
     Raises OverflowError as eigenvector and eigenvalues do.
     """
-    _, k, theta, sines, vec = _eigvec_parts(spec, k)
-    return EigenPair(k=k, theta=theta, value=float(_eigenvalues_at(spec, k)),
+    form, k, theta, sines, vec = _eigvec_parts(spec, k)
+    _extremes(spec, form.s)
+    return EigenPair(k=k, theta=theta, value=_eigenvalue(spec, form.s, k),
                      right_vector=vec, symmetric_vector=sines)
 
 

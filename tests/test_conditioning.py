@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import random_symmetrisable_spec
 from tritoep import (
     ConditionReport,
     DimensionMismatch,
+    InvalidParameter,
     SingularMatrix,
     TriToeplitzError,
     apply_matvec,
@@ -47,6 +49,53 @@ class TestInnerAndNorm:
     def test_matrix_input_rejected(self):
         with pytest.raises(DimensionMismatch, match="expected a vector"):
             weighted_inner([1, 1], [[1, 0], [0, 1]], [1, 1])
+
+    def test_no_intermediate_overflow_or_underflow(self):
+        # the plain sums gave inf with a RuntimeWarning (w u = 1e400), nan
+        # (1e600 - 1e600) and 0.0 (w u^2 = 1e-340)
+        assert weighted_inner([1e200], [1e200], [1e-200]) == 1e200
+        assert weighted_inner([1e200, 1e200], [1e200, 1e200], [1e200, -1e200]) == 0.0
+        assert weighted_norm([1e-300, 1e-300], [1e-20, 1e-20]) == pytest.approx(
+            math.sqrt(2.0) * 1e-170, rel=1e-15)
+
+    def test_terms_of_any_range_against_the_exact_sum(self):
+        # each term is rounded twice on the way (w u, then times v), the exact
+        # sum of the rounded terms once: within 2 eps sum|terms| + eps |sum|
+        rng = np.random.default_rng(241)
+        eps = sys.float_info.epsilon
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            w, u, v = (rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n) for _ in "wuv")
+            w = np.abs(w)
+            terms = [Fraction(x) * Fraction(y) * Fraction(z) for x, y, z in zip(w, u, v)]
+            exact, size = sum(terms), sum(abs(t) for t in terms)
+            if not Fraction(sys.float_info.min) <= size <= Fraction(sys.float_info.max):
+                continue
+            got = weighted_inner(w, u, v)
+            assert abs(Fraction(got) - exact) <= 2 * eps * size + eps * abs(exact)
+            # the exact norm in units of 2^e, which may be past the float range
+            norm2 = sum(Fraction(x) * Fraction(y) ** 2 for x, y in zip(w, u))
+            e = (norm2.numerator.bit_length() - norm2.denominator.bit_length()) // 2
+            if not norm2 or abs(e) > 1000:
+                continue
+            exact_norm = math.ldexp(math.sqrt(norm2 / Fraction(2) ** (2 * e)), e)
+            assert weighted_norm(w, u) == pytest.approx(exact_norm, rel=4 * eps)
+
+    def test_sum_past_the_float_range_is_refused(self):
+        with pytest.raises(OverflowError, match="weighted inner product has log-magnitude 709.889, beyond"):
+            weighted_inner([1, 1], [1, 1], [1e308, 1e308])
+        # 1e300 (1e160)^2 = 1e620, whose square root 1e310 is past the range
+        with pytest.raises(OverflowError, match="weighted norm has log-magnitude 713.801, beyond"):
+            weighted_norm([1e300], [1e160])
+        assert weighted_norm([1e300], [1e-160]) == pytest.approx(1e-10, rel=1e-15)
+
+    @pytest.mark.parametrize("weight", [-1.0, -1e-300, math.inf, math.nan])
+    def test_weights_must_be_finite_and_nonnegative(self, weight):
+        # a negative weight raised a plain ValueError from the norm's sqrt
+        with pytest.raises(InvalidParameter, match=re.escape(f"got w_2 = {weight!r}")):
+            weighted_inner([1.0, weight], [1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(InvalidParameter, match="weights must be finite and nonnegative"):
+            weighted_norm([1.0, weight], [1.0, 2.0])
 
 
 class TestWeightedCondition:
@@ -125,6 +174,67 @@ class TestWeightedCondition:
             rep = weighted_condition(spec)
             if not rep.positive_definite:
                 assert rep.cond_weighted == lam_max / lam_min
+
+    # (n, side, k): the abs_min of the refusals 2 ulps below, at and 2 ulps
+    # above x = -cos(k pi/(n+1)), as the parent of the Python-float
+    # candidates quoted them; side indexes _SIDES
+    _SIDES = ((1e-300, 1e-300), (1e300, 1e-300), (-1e300, -1e300))
+    _REFUSED = {
+        (1, 0, 1): ("0.0", "0.0", "0.0"),
+        (1, 1, 1): ("4.930380657631324e-32", "0.0", "4.930380657631324e-32"),
+        (1, 2, 1): ("4.952761229396862e+268", "0.0", "4.952761229396862e+268"),
+        (2, 0, 1): ("4.97342764e-316", "0.0", "3.3156184e-316"),
+        (2, 0, 2): ("1.6578092e-316", "0.0", "3.3156184e-316"),
+        (2, 1, 1): ("4.440892098500626e-16", "0.0", "4.440892098500626e-16"),
+        (2, 1, 2): ("2.220446049250313e-16", "0.0", "2.220446049250313e-16"),
+        (2, 2, 1): ("4.461050725433349e+284", "0.0", "2.974033816955566e+284"),
+        (2, 2, 2): ("1.487016908477783e+284", "0.0", "2.974033816955566e+284"),
+        (3, 0, 1): ("4.97342764e-316", "0.0", "4.97342764e-316"),
+        (3, 0, 2): ("0.0", "0.0", "0.0"),
+        (3, 1, 1): ("4.440892098500626e-16", "0.0", "4.440892098500626e-16"),
+        (3, 1, 2): ("4.930380657631324e-32", "0.0", "4.930380657631324e-32"),
+        (3, 2, 1): ("5.948067633911132e+284", "0.0", "2.974033816955566e+284"),
+        (3, 2, 2): ("4.952761229396862e+268", "0.0", "4.952761229396862e+268"),
+        (50, 0, 1): ("3.3156184e-316", "0.0", "6.63123685e-316"),
+        (50, 0, 26): ("1.036131e-317", "0.0", "1.036131e-317"),
+        (50, 1, 1): ("4.440892098500626e-16", "0.0", "4.440892098500626e-16"),
+        (50, 1, 26): ("1.3877787807814457e-17", "0.0", "1.3877787807814457e-17"),
+        (50, 2, 1): ("5.948067633911132e+284", "0.0", "2.974033816955566e+284"),
+        (50, 2, 26): ("1.858771135597229e+283", "0.0", "9.293855677986144e+282"),
+        (4096, 0, 1): ("3.3156184e-316", "0.0", "3.3156184e-316"),
+        (4096, 0, 2049): ("1.61895e-319", "0.0", "3.2379e-319"),
+        (4096, 1, 1): ("4.440892098500626e-16", "0.0", "4.440892098500626e-16"),
+        (4096, 1, 2049): ("2.168404344971009e-19", "0.0", "2.168404344971009e-19"),
+        (4096, 2, 1): ("2.974033816955566e+284", "0.0", "5.948067633911132e+284"),
+        (4096, 2, 2049): ("1.452164949685335e+281", "0.0", "2.90432989937067e+281"),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 4096])
+    def test_one_eigenvalue_expression_across_singular_points(self, n):
+        # the candidates are evaluated on Python floats by the expression that
+        # eigenvalues runs on arrays: an indefinite ratio equals the one over
+        # the whole spectrum bit for bit, and a refusal quotes the same abs_min
+        pd = 0
+        for side, (a, c) in enumerate(self._SIDES):
+            s = math.sqrt(abs(a)) * math.sqrt(abs(c))
+            for k in sorted({1, n // 2 + 1}):
+                x0 = -math.cos(k * math.pi / (n + 1))
+                quarter_gap = 0.25 * math.pi / (n + 1)
+                for step, abs_min in zip((-2, 0, 2), self._REFUSED[n, side, k]):
+                    spec = make_spec(a, 2.0 * s * (x0 + step * math.ulp(x0)), c, n)
+                    message = f"smallest eigenvalue magnitude {abs_min} is below"
+                    with pytest.raises(SingularMatrix, match=re.escape(message)):
+                        weighted_condition(spec)
+                for x in (x0 - quarter_gap, x0 + quarter_gap, 1.5, -1.5):
+                    spec = make_spec(a, 2.0 * s * x, c, n)
+                    rep = weighted_condition(spec)
+                    lam = np.abs(eigenvalues(spec))
+                    if rep.positive_definite:
+                        pd += 1
+                        assert rep.cond_weighted == rep.lambda_max / rep.lambda_min
+                    else:
+                        assert rep.cond_weighted == float(lam.max()) / float(lam.min())
+        assert pd >= len(self._SIDES)
 
     def test_monotone_blowup(self):
         n, s = 8, 1.0
