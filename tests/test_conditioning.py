@@ -82,7 +82,9 @@ class TestInnerAndNorm:
             assert weighted_norm(w, u) == pytest.approx(exact_norm, rel=4 * eps)
 
     def test_sum_past_the_float_range_is_refused(self):
-        with pytest.raises(OverflowError, match="weighted inner product has log-magnitude 709.889, beyond"):
+        # 2e308 is past the range
+        with pytest.raises(OverflowError,
+                           match="weighted inner product has log-magnitude 709.889, beyond"):
             weighted_inner([1, 1], [1, 1], [1e308, 1e308])
         # 1e300 (1e160)^2 = 1e620, whose square root 1e310 is past the range
         with pytest.raises(OverflowError, match="weighted norm has log-magnitude 713.801, beyond"):
@@ -175,9 +177,9 @@ class TestWeightedCondition:
             if not rep.positive_definite:
                 assert rep.cond_weighted == lam_max / lam_min
 
-    # (n, side, k): the abs_min of the refusals 2 ulps below, at and 2 ulps
-    # above x = -cos(k pi/(n+1)), as the parent of the Python-float
-    # candidates quoted them; side indexes _SIDES
+    # (n, side, k): the abs_min that the refusals 2 ulps below, at and 2 ulps
+    # above x = -cos(k pi/(n+1)) quoted when the candidates were evaluated
+    # on a numpy array, before the Python floats; side indexes _SIDES
     _SIDES = ((1e-300, 1e-300), (1e300, 1e-300), (-1e300, -1e300))
     _REFUSED = {
         (1, 0, 1): ("0.0", "0.0", "0.0"),
