@@ -59,14 +59,13 @@ def _as_vector(u) -> np.ndarray:
 
 
 def _scaled_inner(w, u, v) -> tuple[float, int]:
-    """(d, e) with sum_j w_j u_j v_j = d 2^e, |d| <= n, to the rounding of each term.
+    """(d, e) with sum_j w_j u_j v_j = d 2^e and |d| <= n, to the rounding of a plain sum.
 
     Each factor is split into its frexp mantissa and power of two, exactly,
     and the terms are taken on the mantissas in units of the largest term's
     power of two, so no term over- or underflows but one below 2^-1022 of
-    the largest.  d is their exact sum, rounded once (``math.fsum``), so
-    terms that cancel exactly give 0.  A NaN or an inf of u or v gives a
-    NaN or an inf d.
+    the largest, and no partial sum overflows.  Two terms that cancel
+    exactly give 0.  A NaN or an inf of u or v gives a NaN or an inf d.
     """
     import numpy as np
 
@@ -81,18 +80,17 @@ def _scaled_inner(w, u, v) -> tuple[float, int]:
         raise InvalidParameter(
             f"weights must be finite and nonnegative, got w_{j + 1} = {float(w[j])!r}")
     (mw, ew), (mu, eu), (mv, ev) = np.frexp(w), np.frexp(u), np.frexp(v)
-    p = mw * mu
-    e = ew + eu
+    p = np.multiply(mw, mu, out=mw)
+    e = np.add(ew, eu, out=ew)
     e += ev
-    nonzero = (p != 0.0) & (mv != 0.0)
-    top = int(e[nonzero].max()) if nonzero.any() else 0
+    low = int(np.iinfo(e.dtype).min)
+    top = int(np.max(e, where=(p != 0.0) & (mv != 0.0), initial=low))
+    if top == low:  # every term is 0
+        return 0.0, 0
     # v_j in units of 2^top over w_j u_j's power, at most 1; a zero term's is capped
     e -= top
-    terms = p * np.ldexp(mv, np.minimum(e, 0, out=e))
-    try:
-        return math.fsum(terms.tolist()), top
-    except ValueError:  # inf - inf, from an infinite u or v
-        return math.nan, top
+    p *= np.ldexp(mv, np.minimum(e, 0, out=e), out=mv)
+    return float(np.sum(p)), top
 
 
 def _ldexp(d: float, e: int, what: str) -> float:

@@ -59,8 +59,8 @@ class TestInnerAndNorm:
             math.sqrt(2.0) * 1e-170, rel=1e-15)
 
     def test_terms_of_any_range_against_the_exact_sum(self):
-        # each term is rounded twice on the way (w u, then times v), the exact
-        # sum of the rounded terms once: within 2 eps sum|terms| + eps |sum|
+        # each term is rounded twice on the way (w u, then times v) and the
+        # sum n - 1 times at most: within gamma_(n+1) sum|terms|
         rng = np.random.default_rng(241)
         eps = sys.float_info.epsilon
         for _ in range(200):
@@ -72,7 +72,7 @@ class TestInnerAndNorm:
             if not Fraction(sys.float_info.min) <= size <= Fraction(sys.float_info.max):
                 continue
             got = weighted_inner(w, u, v)
-            assert abs(Fraction(got) - exact) <= 2 * eps * size + eps * abs(exact)
+            assert abs(Fraction(got) - exact) <= (n + 1) * eps * size
             # the exact norm in units of 2^e, which may be past the float range
             norm2 = sum(Fraction(x) * Fraction(y) ** 2 for x, y in zip(w, u))
             e = (norm2.numerator.bit_length() - norm2.denominator.bit_length()) // 2
