@@ -39,7 +39,8 @@ from . import __version__
 from .cheby import ScaledValue
 from .core import _SINGULAR_TOL, _check_int, _check_singular_tol, make_spec, symmetrise
 from .errors import SingularMatrix, TriToeplitzError
-from .spectral import _CHARPOLY_ZERO_TOL, char_poly_eval, determinant, eigenvalues, eigenvector
+from .spectral import (_CHARPOLY_ZERO_TOL, _eigenvalue, _extremes, char_poly_eval, determinant,
+                       eigenvector)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,8 +48,8 @@ if TYPE_CHECKING:
 # The other library modules (greens, conditioning, repunit, oracle), numpy
 # and the stdlib modules that only some paths need (json, statistics) are
 # imported where they are used, so a process loads only what its subcommand
-# needs: det, charpoly, cond, decay and every repunit action but product run
-# without numpy.
+# needs: eig without -k, det, charpoly, cond, decay and every repunit action
+# but product run without numpy.
 
 DEFAULT_SINGULAR_TOL = _SINGULAR_TOL
 DEFAULT_DENSE_LIMIT = 1024
@@ -225,12 +226,18 @@ def _parse_rhs(text: str, n: int) -> np.ndarray:
 # subcommands: each takes the parsed args and the resolved spec
 
 def _cmd_eig(args, spec) -> _Answer:
+    # the eigenvalues on Python floats, each equal to its entry of
+    # spectral.eigenvalues bit for bit, so the listing never loads numpy
+    s = symmetrise(spec).s
     if args.k is None:
-        vals, table, plain = _indexed("k", "eigenvalue", "lambda", eigenvalues(spec))
+        _extremes(spec, s)
+        vals, table, plain = _indexed("k", "eigenvalue", "lambda",
+                                      [_eigenvalue(spec, s, k) for k in range(1, spec.n + 1)])
         return _Answer({"eigenvalues": vals}, plain, table=table)
     vec, table, plain = _indexed("j", "component", "v",
                                  eigenvector(spec, args.k, args.normalization))
-    lam = float(eigenvalues(spec)[args.k - 1])
+    _extremes(spec, s)
+    lam = _eigenvalue(spec, s, args.k)
     result = {"k": args.k, "eigenvalue": lam,
               "normalization": args.normalization, "eigenvector": vec}
     return _Answer(result, [f"lambda_{args.k} = {_fmt(lam)}", *plain], table=table)

@@ -76,6 +76,7 @@ def eigenvalues(spec: TriToeplitzSpec) -> np.ndarray:
     much smaller than s carries a large relative error (for
     ``make_spec(1e200, 1, 1e200, 3)`` the middle one, exactly 1, comes out
     near 1.2e184).  Raises OverflowError as :func:`extremal_eigenvalues` does.
+    The ``eig`` subcommand lists the same values from :func:`_eigenvalue`.
     """
     import numpy as np
 
@@ -98,7 +99,9 @@ def _eigenvalue(spec: TriToeplitzSpec, s: float, k: int) -> float:
     :func:`eigenvalues` runs the same operations over k = 1..n, and
     ``math.cos`` gives ``np.cos``'s values, so each lambda_k equals its
     entry there bit for bit.  The caller checks the extremes first
-    (:func:`_extremes`), which refuses a value past the float range.
+    (:func:`_extremes`), which refuses a value past the float range.  Read
+    by ``eigen_pair``, ``weighted_condition`` and the ``eig`` subcommand,
+    which lists the whole spectrum from it without loading numpy.
     """
     return spec.b + s * (2.0 * math.cos(k * math.pi / (spec.n + 1)))
 

@@ -416,10 +416,12 @@ watched = ("tritoep.greens", "tritoep.repunit", "tritoep.conditioning", "tritoep
 loaded = [[name for name in watched if name in sys.modules]]
 for argv in (["det", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5"],
              ["charpoly", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5", "-t", "0.5"],
+             ["eig", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5"],
              ["repunit", "det", "--base", "10", "-n", "3"],
              ["repunit", "inverse", "--base", "10", "-n", "3", "-i", "1", "-j", "2"],
              ["cond", "-a", "1", "-b", "0.5", "-c", "1", "-n", "5"],
              ["decay", "-a", "1", "-b", "2.5", "-c", "1", "-n", "9", "-i", "2", "-j", "7"],
+             ["eig", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5", "-k", "2"],
              ["solve", "-a", "1", "-b", "2.5", "-c", "1", "-n", "3", "--rhs", "1,2,3",
               "--method", "thomas"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -434,8 +436,9 @@ print(json.dumps({"listed": listed, "loaded": loaded, "function": function}))
 
 def test_each_subcommand_loads_only_its_modules():
     # a fresh interpreter: the library modules, statistics, fractions and
-    # numpy come with the subcommands that use them (the scalar ones, cond
-    # and decay among them, never load numpy); the repunit subcommand imports the submodule
+    # numpy come with the subcommands that use them (the scalar ones, eig
+    # without -k, cond and decay among them, never load numpy; eig -k, whose
+    # vector is an array, does); the repunit subcommand imports the submodule
     # tritoep.repunit before anything reads the package attribute, which
     # must stay the function
     run = subprocess.run([sys.executable, "-c", _IMPORT_SETS], capture_output=True,
@@ -446,6 +449,7 @@ def test_each_subcommand_loads_only_its_modules():
     decay = ["tritoep.greens", *cond]
     assert json.loads(run.stdout) == {
         "listed": True,
-        "loaded": [[], [], [], repunit, repunit, cond, decay, [*decay, "numpy"]],
+        "loaded": [[], [], [], [], repunit, repunit, cond, decay, [*decay, "numpy"],
+                   [*decay, "numpy"]],
         "function": True,
     }

@@ -41,6 +41,11 @@ _PER_FORMAT = [
     (["eig", *NEG_Q, "-n", "5", "-k", "1", "--normalization", "unit_euclidean"],
      FORMATS),
     (["eig", *NEG_Q, "-n", "4"], FORMATS),
+    # n = 1: the one eigenvalue is b
+    (["eig", "-a", "1", "-b", "2", "-c", "1", "-n", "1"], FORMATS),
+    # a*c = 1e400 past the float range; the middle eigenvalue, exactly 1, is
+    # accurate only normwise and prints as 1.2246467991473533e+184
+    (["eig", "-a", "1e200", "-b", "1", "-c", "1e200", "-n", "3"], FORMATS),
     (["det", "-a", "10", "-b", "11", "-c", "1", "-n", "50"], FORMATS),
     # a singular spec: the sine quotient never rounds to an exact zero, so
     # the determinant prints as a rounding-level value with its sign

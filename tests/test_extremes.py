@@ -5,10 +5,15 @@ reference that does not share its code, or raises OverflowError; no answer
 is NaN or inf, and no call warns (pytest turns a RuntimeWarning into an
 error).  The references are exact: the continuant in Fraction arithmetic
 for det(A) and det(tI - A), the Usmani inverse (``helpers.inverse_exact``)
-and, for the spectrum, b + 2s cos(k pi/(n+1)) in 40-digit mpmath.
+and, for the spectrum, b + 2s cos(k pi/(n+1)) in 40-digit mpmath.  The
+``eig`` subcommand, run in process, prints the library's spectrum exactly
+or exits 1 with the library's refusal.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -18,7 +23,7 @@ import numpy as np
 import pytest
 
 from helpers import inverse_exact, log_abs_fraction
-from tritoep import make_spec
+from tritoep import cli, make_spec
 from tritoep.conditioning import weighted_condition
 from tritoep.greens import build_kernel, inverse_dense
 from tritoep.spectral import char_poly_eval, determinant, eigenvalues, extremal_eigenvalues
@@ -57,6 +62,22 @@ def _log_close(got, want, amp, n):
     assert abs(got.log_mag - log_want) <= 64 * n * EPS * amp + 8 * EPS * abs(log_want)
 
 
+def _check_cli_eig(spec):
+    """``tritoep eig`` in json: exit 0 with eigenvalues(spec), or exit 1 with its refusal."""
+    argv = ["eig", f"-a{spec.a!r}", f"-b{spec.b!r}", f"-c{spec.c!r}", "-n", str(spec.n),
+            "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    try:
+        want = eigenvalues(spec).tolist()
+    except OverflowError as exc:
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: OverflowError: {exc}\n")
+        return
+    assert (code, err.getvalue()) == (0, "")
+    assert json.loads(out.getvalue())["result"] == {"eigenvalues": want}
+
+
 @pytest.mark.parametrize("ma", MAGNITUDES)
 def test_extreme_grid(ma):
     # one test per |a|, so that the grid costs 8 test items, not 192
@@ -84,6 +105,7 @@ def _check_case(ma, mc, x, n):
         assert max(abs(g - w) for g, w in zip(got, lam)) <= 8 * EPS * spread
     except OverflowError:
         assert max(abs(v) for v in lam) > sys.float_info.max
+    _check_cli_eig(spec)
     try:
         ext = extremal_eigenvalues(spec)
         assert math.isfinite(ext.lambda_max) and math.isfinite(ext.lambda_min)

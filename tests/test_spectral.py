@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -27,9 +29,11 @@ from tritoep import (
     weighted_inner,
 )
 from tritoep.oracle import dense_from_spec
+from tritoep.spectral import _eigenvalue, _extremes
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+MAGNITUDES = (1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300, 1e308)
 
 
 class TestEigenvalues:
@@ -57,6 +61,39 @@ class TestEigenvalues:
         assert np.all(np.isfinite(lam))
         np.testing.assert_allclose(lam, [1 + SQRT2 * 1e200, 1.0, 1 - SQRT2 * 1e200],
                                    rtol=1e-15, atol=1e-15 * SQRT2 * 1e200)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 2000, 4096])
+    def test_python_float_eigenvalue_is_the_array_entry(self, n):
+        # `tritoep eig` lists _eigenvalue over k = 1..n and perfbench checks
+        # the listing against eigenvalues: each value must be the array's
+        # entry bit for bit (the sign of a zero too), and a spectrum past the
+        # float range refused by _extremes with the array's own message;
+        # x straddles cos(k pi/(n+1)) and +-1, and q < 0 on half the specs
+        xs = [1.0 - 2.0**-40, 1.0 + 2.0**-40, -1.0 - 2.0**-40, -1.0 + 2.0**-40]
+        for k in sorted({1, (n + 1) // 2}):
+            c = math.cos(k * math.pi / (n + 1))
+            xs += [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
+        # every |a| against every |c| at small n; each magnitude on both
+        # sides, with its mirror, at n = 2000 and 4096
+        pairs = (itertools.product(MAGNITUDES, MAGNITUDES) if n <= 50 else
+                 [*zip(MAGNITUDES, MAGNITUDES), *zip(MAGNITUDES, MAGNITUDES[::-1])])
+        refused = 0
+        for (ma, mc), sign, x in itertools.product(pairs, (1.0, -1.0), xs):
+            b = 2.0 * math.sqrt(ma) * math.sqrt(mc) * x
+            b = b if math.isfinite(b) else math.copysign(1.7976931348623157e308, x)
+            spec = make_spec(sign * ma, b, sign * mc, n)
+            s = symmetrise(spec).s
+            try:
+                want = eigenvalues(spec)
+            except OverflowError as exc:
+                refused += 1
+                with pytest.raises(OverflowError, match=re.escape(str(exc))):
+                    _extremes(spec, s)
+                continue
+            _extremes(spec, s)
+            got = np.array([_eigenvalue(spec, s, k) for k in range(1, n + 1)])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert refused > 0
 
 
 class TestEigenvector:
