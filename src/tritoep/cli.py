@@ -15,11 +15,12 @@ produce byte-identical output (bench timing columns excepted; pass
 The module parses arguments and prints answers; ``verify``'s
 cross-checks are ``oracle.verify_checks``.  Every subcommand takes the
 parsed arguments and the spec that ``main`` resolved, and returns one
-``_Answer``: the result dict, its plain lines and, where needed,
-tolerances, a csv table, json meta or a spec echo.  ``main`` alone
-prints it with ``_emit`` and sets the exit status.  json is
-the spec echo, the result (non-finite floats as null) and a meta block;
-csv is the result's fields as a header and one row, or a table for 1-based
+``_Answer``: the result dict, its lazy plain lines and, where needed,
+tolerances, a lazy csv table, json meta or a spec echo.  ``main`` alone
+prints it with ``_emit``, which formats only the chosen format and
+prints it with one ``print``, and sets the exit status.  json is the
+spec echo, the result (non-finite floats as null) and a meta block; csv
+is the result's fields as a header and one row, or a table for 1-based
 vectors (one row per index), ``repunit inverse``, ``verify`` and
 ``bench``; plain is the subcommand's lines, or the csv for ``bench``.
 """
@@ -33,7 +34,7 @@ import math
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import __version__
 from .cheby import ScaledValue
@@ -62,6 +63,7 @@ class _UsageError(Exception):
 class _Answer(NamedTuple):
     """One subcommand's answer, which ``main`` prints with ``_emit``.
 
+    ``plain`` and ``table``'s rows may be lazy, read only if printed.
     ``plain`` None prints the csv; ``table`` None makes the csv the
     result's fields as one row; ``tolerances`` None is the singular
     tolerance alone where the subcommand takes --tol, and none else;
@@ -69,7 +71,7 @@ class _Answer(NamedTuple):
     """
 
     result: dict
-    plain: list | None = None
+    plain: Iterable[str] | None = None
     tolerances: dict | None = None
     table: tuple | None = None
     meta: dict | None = None
@@ -119,7 +121,7 @@ def _sanitize(obj):
 
 
 def _emit(fmt: str, echo: dict, tolerances: dict, answer: _Answer) -> None:
-    """Print one answer in ``fmt`` (rules in the module docstring)."""
+    """Print one answer in ``fmt``, with one ``print`` (rules in the module docstring)."""
     if fmt == "json":
         import json
 
@@ -129,23 +131,19 @@ def _emit(fmt: str, echo: dict, tolerances: dict, answer: _Answer) -> None:
             "meta": {"version": __version__, **(answer.meta or {}),
                      "tolerances": tolerances},
         }
-        print(json.dumps(doc, indent=2))
+        text = json.dumps(doc, indent=2)
     elif fmt == "plain" and answer.plain is not None:
-        for line in answer.plain:
-            print(line)
+        text = "\n".join(answer.plain)
     else:
         header, rows = answer.table or (list(answer.result), [answer.result.values()])
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_cell(v) for v in row))
+        text = "\n".join([",".join(header), *(",".join(map(_cell, row)) for row in rows)])
+    print(text)
 
 
-def _indexed(index: str, name: str, symbol: str, values):
-    """A 1-based vector as floats, its csv table and its plain lines."""
-    values = [float(v) for v in values]
-    rows = list(enumerate(values, 1))
-    lines = [f"{symbol}_{k} = {_fmt(v)}" for k, v in rows]
-    return values, ([index, name], rows), lines
+def _indexed(index: str, name: str, symbol: str, values: list):
+    """A 1-based vector of Python floats: its csv table and plain lines, both lazy."""
+    lines = (f"{symbol}_{k} = {_fmt(v)}" for k, v in enumerate(values, 1))
+    return ([index, name], enumerate(values, 1)), lines
 
 
 def _signed_log(sv: ScaledValue, lhs: str, log_name: str, zero: str = "") -> tuple:
@@ -157,9 +155,9 @@ def _signed_log(sv: ScaledValue, lhs: str, log_name: str, zero: str = "") -> tup
             f"{lhs} = {_fmt(value)} (sign {sv.sign}, log|{log_name}| {_fmt(sv.log_mag)})")
 
 
-def _solution(x, **fields) -> _Answer:
+def _solution(x: list, **fields) -> _Answer:
     """A solve's answer: ``fields``, then the solution vector."""
-    x, table, plain = _indexed("i", "x", "x", x)
+    table, plain = _indexed("i", "x", "x", x)
     return _Answer({**fields, "solution": x}, plain, table=table)
 
 
@@ -231,16 +229,17 @@ def _cmd_eig(args, spec) -> _Answer:
     s = symmetrise(spec).s
     if args.k is None:
         _extremes(spec, s)
-        vals, table, plain = _indexed("k", "eigenvalue", "lambda",
-                                      [_eigenvalue(spec, s, k) for k in range(1, spec.n + 1)])
+        vals = [_eigenvalue(spec, s, k) for k in range(1, spec.n + 1)]
+        table, plain = _indexed("k", "eigenvalue", "lambda", vals)
         return _Answer({"eigenvalues": vals}, plain, table=table)
-    vec, table, plain = _indexed("j", "component", "v",
-                                 eigenvector(spec, args.k, args.normalization))
+    vec = eigenvector(spec, args.k, args.normalization).tolist()
+    table, plain = _indexed("j", "component", "v", vec)
     _extremes(spec, s)
     lam = _eigenvalue(spec, s, args.k)
     result = {"k": args.k, "eigenvalue": lam,
               "normalization": args.normalization, "eigenvector": vec}
-    return _Answer(result, [f"lambda_{args.k} = {_fmt(lam)}", *plain], table=table)
+    plain = itertools.chain([f"lambda_{args.k} = {_fmt(lam)}"], plain)
+    return _Answer(result, plain, table=table)
 
 
 def _cmd_det(args, spec) -> _Answer:
@@ -266,7 +265,7 @@ def _cmd_inverse(args, spec) -> _Answer:
         raise _UsageError("both -i and -j are required for an entry")
     kernel = build_kernel(spec, singular_tol=args.tol)
     if not entry_mode:
-        return _solution(apply_inverse(kernel, _parse_rhs(args.rhs, spec.n)))
+        return _solution(apply_inverse(kernel, _parse_rhs(args.rhs, spec.n)).tolist())
     value = inverse_entry(kernel, args.i, args.j)
     return _Answer({"i": args.i, "j": args.j, "value": value},
                    [f"inverse[{args.i},{args.j}] = {_fmt(value)}"])
@@ -280,7 +279,7 @@ def _cmd_solve(args, spec) -> _Answer:
         x = thomas_solve(spec, rhs)
     else:
         x = apply_inverse(build_kernel(spec, singular_tol=args.tol), rhs)
-    return _solution(x, method=args.method)
+    return _solution(x.tolist(), method=args.method)
 
 
 def _cmd_cond(args, spec) -> _Answer:

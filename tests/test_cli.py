@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -342,6 +343,18 @@ class TestBench:
         assert all(row.split(",")[1] != "n/a"
                    for row in out.strip().splitlines()[1:])
 
+    def test_failing_solvers_blank_their_columns(self, capsys):
+        # b = 0: at n = 3 Thomas meets a zero pivot and the dense LU is
+        # singular; at n = 4 only Thomas fails.  x = 0 offers no apply.
+        code, out, _ = run_cli(capsys, "bench", "--grid", "3,4", "-a", "1",
+                               "-b", "0", "-c", "1", "--reps", "1")
+        assert code == 0
+        rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+        assert rows[0] == ["3", "n/a", "n/a", "n/a", "n/a"]
+        assert rows[1][:3] == ["4", "n/a", "n/a"]
+        assert float(rows[1][3]) > 0.0
+        assert rows[1][4] == "n/a"
+
     def test_grid_order_and_discrepancy(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--grid", "8,16,32", "-a", "1",
                                "-b", "2.5", "-c", "1", "--reps", "0")
@@ -391,13 +404,20 @@ def test_cross_process_determinism():
     assert r1.stdout == r2.stdout
 
 
-def test_closed_pipe_exits_one_quietly():
-    # 10^4 eigenvalues are far more than a pipe holds, so the writes meet
-    # the closed pipe
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_closed_pipe_exits_one_quietly(fmt, unbuffered):
+    # 10^4 eigenvalues are far more than a pipe holds, so the write meets the
+    # closed pipe.  Unbuffered, the answer's one large write may come back
+    # short without an error; the print's closing newline must then raise.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen([sys.executable, "-m", "tritoep", "eig", "-a", "1", "-b", "2.5",
-                             "-c", "1", "-n", "10000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"lambda_1 = ")
+                             "-c", "1", "-n", "10000", "--format", fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = {"json": b"{", "csv": b"k,eigenvalue", "plain": b"lambda_1 = "}[fmt]
+    assert proc.stdout.readline().startswith(first)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

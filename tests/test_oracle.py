@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import random_symmetrisable_spec
 from tritoep import ZeroVector, determinant, make_spec, symmetrise
-from tritoep.errors import SingularMatrix
+from tritoep.errors import DimensionMismatch, SingularMatrix
 from tritoep.oracle import (
     dense_from_spec,
     dense_inverse,
@@ -44,6 +44,14 @@ class TestLuSolve:
     def test_singular(self):
         with pytest.raises(SingularMatrix):
             lu_solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0])
+
+    def test_non_square_matrix_refused(self):
+        with pytest.raises(DimensionMismatch, match="expected a square matrix"):
+            lu_solve([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 0.0])
+
+    def test_rhs_of_the_wrong_length_refused(self):
+        with pytest.raises(DimensionMismatch, match="does not match matrix order 2"):
+            lu_solve(np.eye(2), [1.0, 0.0, 0.0])
 
     def test_scaled_matrix_gives_the_scaled_answer_bit_for_bit(self):
         # the pivot rule n eps max|m| has no floor, so m * 2^-70 (entries
@@ -130,6 +138,10 @@ class TestEigenCheck:
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
             eigen_check(np.eye(2), 1.0, [0.0, 0.0])
+
+    def test_vector_of_the_wrong_length_refused(self):
+        with pytest.raises(DimensionMismatch, match="does not match matrix order 2"):
+            eigen_check(np.eye(2), 1.0, [1.0, 1.0, 1.0])
 
 
 # verify_checks at a spec times 2^k.  Every closed form and every dense
