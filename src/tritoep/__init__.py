@@ -24,9 +24,9 @@ _LAZY = {
     "spectral": ("EigenPair", "SpectrumSummary", "char_poly_eval", "determinant",
                  "determinant_continuant", "eigen_pair", "eigenvalues", "eigenvector",
                  "extremal_eigenvalues"),
-    "greens": ("DecayEnvelope", "GreenKernel", "apply_inverse", "build_kernel",
-               "decay_bound", "decay_envelope", "hyperbolic_inverse_entry",
-               "inverse_dense", "inverse_entry", "thomas_solve"),
+    "greens": ("GreenKernel", "apply_inverse", "build_kernel", "inverse_dense",
+               "inverse_entry", "thomas_solve"),
+    "decay": ("DecayEnvelope", "decay_bound", "decay_envelope", "hyperbolic_inverse_entry"),
     "conditioning": ("ConditionReport", "weighted_condition", "weighted_inner",
                      "weighted_norm", "weighted_operator_norm"),
     "repunit": ("ALT_SCALING_NOTE", "RepunitInverseEntry", "RepunitValue",

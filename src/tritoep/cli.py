@@ -40,17 +40,16 @@ from . import __version__
 from .cheby import ScaledValue
 from .core import _SINGULAR_TOL, _check_int, _check_singular_tol, make_spec, symmetrise
 from .errors import SingularMatrix, TriToeplitzError
-from .spectral import (_CHARPOLY_ZERO_TOL, _eigenvalue, _extremes, char_poly_eval, determinant,
-                       eigenvector)
 
 if TYPE_CHECKING:
     import numpy as np
 
-# The other library modules (greens, conditioning, repunit, oracle), numpy
-# and the stdlib modules that only some paths need (json, statistics) are
-# imported where they are used, so a process loads only what its subcommand
-# needs: eig without -k, det, charpoly, cond, decay and every repunit action
-# but product run without numpy.
+# ``main`` builds the parser of the named subcommand alone.  The other library
+# modules (spectral, greens, decay, conditioning, repunit, oracle), numpy and
+# the stdlib modules that only some paths need (json, statistics) are imported
+# where they are used, so a process loads only what its subcommand needs: eig
+# without -k, det, charpoly, cond, decay and every repunit action but product
+# run without numpy, decay, solve and inverse without spectral.
 
 DEFAULT_SINGULAR_TOL = _SINGULAR_TOL
 DEFAULT_DENSE_LIMIT = 1024
@@ -224,6 +223,8 @@ def _parse_rhs(text: str, n: int) -> np.ndarray:
 # subcommands: each takes the parsed args and the resolved spec
 
 def _cmd_eig(args, spec) -> _Answer:
+    from .spectral import _eigenvalue, _extremes, eigenvector
+
     # the eigenvalues on Python floats, each equal to its entry of
     # spectral.eigenvalues bit for bit, so the listing never loads numpy
     s = symmetrise(spec).s
@@ -243,11 +244,15 @@ def _cmd_eig(args, spec) -> _Answer:
 
 
 def _cmd_det(args, spec) -> _Answer:
+    from .spectral import determinant
+
     result, line = _signed_log(determinant(spec), "det", "det")
     return _Answer(result, [line])
 
 
 def _cmd_charpoly(args, spec) -> _Answer:
+    from .spectral import _CHARPOLY_ZERO_TOL, char_poly_eval
+
     result, line = _signed_log(char_poly_eval(spec, args.t), f"charpoly({_fmt(args.t)})",
                                "chi", " (within tolerance)")
     return _Answer({"t": args.t, **result}, [line], {"charpoly_zero_tol": _CHARPOLY_ZERO_TOL})
@@ -292,7 +297,7 @@ def _cmd_cond(args, spec) -> _Answer:
 
 
 def _cmd_decay(args, spec) -> _Answer:
-    from .greens import decay_bound, decay_envelope
+    from .decay import decay_bound, decay_envelope
 
     env = decay_envelope(spec)
     bound = decay_bound(spec, args.i, args.j)
@@ -489,22 +494,38 @@ _REPUNIT_ACTIONS = {"value": "m", "det": "n", "product": "n", "cond": "n",
                     "inverse": "nij", "identity": "m"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _subparsers(parser, dest: str, names: list, argv):
+    """The subparsers, and the names to add: argv[0] alone if it is one of ``names``.
+
+    The metavar then lists every name, so an error's usage reads as the full parser's.
+    """
+    if argv and argv[0] in names:
+        return parser.add_subparsers(dest=dest, required=True,
+                                     metavar="{" + ",".join(names) + "}"), argv[:1]
+    return parser.add_subparsers(dest=dest, required=True), names
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser, with the subcommand and repunit action that ``argv`` names alone."""
     parser = argparse.ArgumentParser(
         prog="tritoep",
         description="Closed-form spectra, determinants, inverses and "
                     "conditioning of tridiagonal Toeplitz matrices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub, names = _subparsers(parser, "command", [c[0] for c in _COMMANDS], argv)
     for name, func, helptext, extra in _COMMANDS:
+        if name not in names:
+            continue
         sp = sub.add_parser(name, help=helptext)
         if func is _cmd_repunit:
-            rsub = sp.add_subparsers(dest="action", required=True)
-            for action, ints in _REPUNIT_ACTIONS.items():
+            # the action is argv[1] only where argv[0] named repunit
+            rsub, actions = _subparsers(sp, "action", list(_REPUNIT_ACTIONS),
+                                        argv[1:] if len(names) == 1 else ())
+            for action in actions:
                 rp = rsub.add_parser(action)
                 rp.add_argument("--base", type=float, required=True,
                                 help="repunit base d > 0")
-                for arg in ints:
+                for arg in _REPUNIT_ACTIONS[action]:
                     rp.add_argument(f"-{arg}", type=int, required=True)
                 if action in ("value", "det"):
                     rp.add_argument("--exact", action="store_true",
@@ -522,9 +543,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -19,12 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .cheby import _log1mexp, eval_U_scaled
 from .core import TriToeplitzSpec, _check_int, _exp_signed, _is_real, make_spec
 from .errors import IndexOutOfRange, InvalidBase
-from .spectral import eigenvalues, extremal_eigenvalues
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# spectral (cosine product, condition number) and fractions (exact inverse
+# entries) are imported where used: computing a repunit loads neither
 
 __all__ = [
     "RepunitValue",
@@ -199,11 +204,15 @@ def cosine_product_log(d, n: int) -> float:
     """
     import numpy as np
 
+    from .spectral import eigenvalues
+
     return math.fsum(np.log(eigenvalues(repunit_matrix_spec(d, n))))
 
 
 def repunit_condition(d, n: int) -> float:
     """Weighted condition number of the n x n repunit matrix (closed form)."""
+    from .spectral import extremal_eigenvalues
+
     ext = extremal_eigenvalues(repunit_matrix_spec(d, n))
     return ext.lambda_max / ext.lambda_min
 
@@ -214,6 +223,8 @@ def repunit_inverse_entry(d, n: int, i: int, j: int) -> RepunitInverseEntry:
     (-1)^(i+j) R_i R_{n+1-j} / R_{n+1} for i <= j; below the diagonal the
     mirrored product picks up the weighted-symmetry factor d^(i-j).
     """
+    from fractions import Fraction
+
     di = _require_integer_base(d)
     n = _check_int(n, "n", 1)
     i = _check_int(i, "index", 1, n, IndexOutOfRange)
@@ -243,6 +254,8 @@ def inverse_entry_alt_scaling(d, n: int, i: int, j: int):
     fails the exact identity V * V^(-1) = I and exists only so the
     discrepancy stays documented and testable.
     """
+    from fractions import Fraction
+
     di = _require_integer_base(d)
     n = _check_int(n, "n", 1)
     entry = repunit_inverse_entry(di, n, i, j)

@@ -196,8 +196,6 @@ def determinant(spec: TriToeplitzSpec) -> ScaledValue:
     """det = s^n * U_n(b/(2s)) in scaled form."""
     form = symmetrise(spec)
     u = eval_U_scaled(spec.n, form.x)
-    if u.sign == 0:
-        return u
     return ScaledValue(u.sign, spec.n * math.log(form.s) + u.log_mag)
 
 

@@ -6,7 +6,7 @@ from tritoep import errors
 
 # the package attribute ``repunit`` is the function, so the modules come by path
 MODULES = [importlib.import_module(f"tritoep.{name}") for name in
-           ("core", "cheby", "spectral", "greens", "conditioning", "repunit")]
+           ("core", "cheby", "spectral", "greens", "decay", "conditioning", "repunit")]
 
 
 def test_package_exports_exactly_the_submodules_public_names():

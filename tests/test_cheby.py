@@ -196,6 +196,13 @@ class TestScaledValue:
         zero = ScaledValue.from_float(0.0)
         assert (a * zero).sign == 0
 
+    def test_neg(self):
+        # public API that nothing in the library calls: the sign flips, the
+        # magnitude stays, and zero stays zero
+        assert -ScaledValue(1, 2.5) == ScaledValue(-1, 2.5)
+        assert -ScaledValue(-1, 1e4) == ScaledValue(1, 1e4)
+        assert -ScaledValue(0, -math.inf) == ScaledValue(0, -math.inf)
+
 
 # x = +-(1 + e) with |e| in [1e-14, 1e-4]: both sides of |x| = 1, either sign
 _NEAR_ONE = st.builds(

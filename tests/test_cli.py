@@ -240,6 +240,95 @@ class TestRun:
         assert float(lines[1].split(",")[3]) == pytest.approx(7 / 3, rel=1e-13)
 
 
+# each subcommand and repunit action, with a valid argv after it
+_NAMED = {
+    ("eig",): ["-a", "1", "-b", "2.5", "-c", "1", "-n", "5", "-k", "2"],
+    ("det",): ["-a", "1", "-b", "2.5", "-c", "1", "-n", "5"],
+    ("charpoly",): ["-a", "1", "-b", "2.5", "-c", "1", "-n", "5", "-t", "0.5"],
+    ("inverse",): ["-a", "1", "-b", "2.5", "-c", "1", "-n", "5", "-i", "1", "-j", "2"],
+    ("solve",): ["-a", "1", "-b", "2.5", "-c", "1", "-n", "2", "--rhs", "1,2"],
+    ("cond",): ["-a", "1", "-b", "2.5", "-c", "1", "-n", "5", "--tol", "1e-9"],
+    ("decay",): ["-a", "1", "-b", "2.5", "-c", "1", "-n", "5", "-i", "1", "-j", "2"],
+    ("verify",): ["-a", "1", "-b", "2.5", "-c", "1", "-n", "5"],
+    ("bench",): ["-a", "1", "-b", "2.5", "-c", "1", "--grid", "8", "--reps", "0"],
+    ("repunit", "value"): ["--base", "10", "-m", "3", "--exact"],
+    ("repunit", "det"): ["--base", "10", "-n", "3"],
+    ("repunit", "product"): ["--base", "10", "-n", "3"],
+    ("repunit", "cond"): ["--base", "10", "-n", "3"],
+    ("repunit", "inverse"): ["--base", "10", "-n", "3", "-i", "1", "-j", "2"],
+    ("repunit", "identity"): ["--base", "10", "-m", "3"],
+}
+# per name: the name alone, its help, a valid argv, an unknown option and a
+# bad --format, each with a piece of what it prints
+_PARSER_CASES = [case for name, valid in _NAMED.items() for case in (
+    ([*name], ""), ([*name, "--help"], "usage: "), ([*name, *valid], ""),
+    ([*name, *valid, "--wat", "7"], "error: unrecognized arguments: --wat 7\n"),
+    ([*name, *valid, "--format", "xml"], "error: argument --format: invalid choice: 'xml'"))]
+
+
+def _parsed(parser, argv, capsys):
+    """The parsed namespace (or the exit code), stdout and stderr."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, shown", _PARSER_CASES,
+                             ids=[" ".join(argv) for argv, _ in _PARSER_CASES])
+    def test_named_subcommand_parses_as_the_full_parser(self, argv, shown, capsys,
+                                                        monkeypatch):
+        # main builds the named subcommand's parser alone; its usage, help,
+        # errors and namespace must be the full parser's
+        monkeypatch.setenv("COLUMNS", "80")
+        full = _parsed(cli._build_parser(), argv, capsys)
+        assert _parsed(cli._build_parser(argv), argv, capsys) == full
+        assert shown in full[1] + full[2]
+
+    def test_named_subcommand_is_the_only_one(self, capsys):
+        det = _NAMED[("det",)]
+        assert _parsed(cli._build_parser(["det", *det]), ["eig", *det], capsys)[0] == 2
+        value = ["repunit", "value", *_NAMED[("repunit", "value")]]
+        assert _parsed(cli._build_parser(["repunit", "det"]), value, capsys)[0] == 2
+        assert _parsed(cli._build_parser(value), value, capsys)[0]["action"] == "value"
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["repunit", "bogus"]], ids=" ".join)
+    def test_unknown_name_lists_every_choice(self, capsys, argv):
+        names = ([name for name, *_ in cli._COMMANDS] if len(argv) == 1
+                 else list(cli._REPUNIT_ACTIONS))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        choices = err.split("invalid choice: 'bogus'")[1]
+        assert all(name in choices for name in names)
+        assert err.splitlines()[0].startswith(f"usage: {' '.join(['tritoep', *argv[:-1]])} [-h]")
+
+    def test_top_level_help_lists_every_subcommand(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, "-h")
+        assert (code, err) == (0, "")
+        assert all(f"    {name:<20}{helptext}\n" in out for name, _, helptext, _ in cli._COMMANDS)
+
+    def test_no_arguments_names_the_missing_command(self, capsys):
+        code, out, err = run_cli(capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: tritoep [-h]")
+        assert err.endswith("tritoep: error: the following arguments are required: command\n")
+
+    def test_negative_first_rhs_entry_needs_the_attached_form(self, capsys):
+        # argparse reads "-1.5,1" as an option, not as a negative number, so
+        # --rhs takes it only attached, as --rhs=-1.5,1 (README, "Command line")
+        spec = ["-a", "1", "-b", "2.5", "-c", "1", "-n", "2"]
+        code, out, err = run_cli(capsys, "solve", *spec, "--rhs", "-1.5,1")
+        assert (code, out) == (2, "")
+        assert err.endswith("tritoep solve: error: argument --rhs: expected one argument\n")
+        code, out, err = run_cli(capsys, "solve", *spec, "--rhs=-1.5,1")
+        assert (code, err) == (0, "")
+        x = [float(line.split(" = ")[1]) for line in out.splitlines()]
+        assert x == pytest.approx([-19 / 21, 16 / 21], rel=1e-14)
+
+
 class TestVerify:
     def test_all_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "-a", "10", "-b", "11", "-c", "1",
@@ -431,19 +520,10 @@ import tritoep
 from tritoep import cli
 
 listed = set(tritoep.__all__) <= set(dir(tritoep))
-watched = ("tritoep.greens", "tritoep.repunit", "tritoep.conditioning", "tritoep.oracle",
-           "statistics", "fractions", "numpy")
+watched = ("tritoep.spectral", "tritoep.greens", "tritoep.decay", "tritoep.repunit",
+           "tritoep.conditioning", "tritoep.oracle", "statistics", "fractions", "numpy")
 loaded = [[name for name in watched if name in sys.modules]]
-for argv in (["det", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5"],
-             ["charpoly", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5", "-t", "0.5"],
-             ["eig", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5"],
-             ["repunit", "det", "--base", "10", "-n", "3"],
-             ["repunit", "inverse", "--base", "10", "-n", "3", "-i", "1", "-j", "2"],
-             ["cond", "-a", "1", "-b", "0.5", "-c", "1", "-n", "5"],
-             ["decay", "-a", "1", "-b", "2.5", "-c", "1", "-n", "9", "-i", "2", "-j", "7"],
-             ["eig", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5", "-k", "2"],
-             ["solve", "-a", "1", "-b", "2.5", "-c", "1", "-n", "3", "--rhs", "1,2,3",
-              "--method", "thomas"]):
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     loaded.append([name for name in watched if name in sys.modules])
@@ -453,23 +533,43 @@ function = (isinstance(tritoep.repunit, types.FunctionType)
 print(json.dumps({"listed": listed, "loaded": loaded, "function": function}))
 """
 
+_SPEC5 = ["-a", "1", "-b", "2.5", "-c", "1", "-n", "5"]
+_SPECTRAL, _DECAY, _REPUNIT = "tritoep.spectral", "tritoep.decay", "tritoep.repunit"
+
+
+# (subcommands, what is loaded before them and after each): each process
+# runs its subcommands in turn, so a module shows with the first that needs it
+_LOADING = (
+    ([["repunit", "det", "--base", "10", "-n", "3"],
+      ["decay", "-a", "1", "-b", "2.5", "-c", "1", "-n", "9", "-i", "2", "-j", "7"],
+      ["repunit", "inverse", "--base", "10", "-n", "3", "-i", "1", "-j", "2"],
+      ["det", *_SPEC5],
+      ["charpoly", *_SPEC5, "-t", "0.5"],
+      ["eig", *_SPEC5],
+      ["cond", "-a", "1", "-b", "0.5", "-c", "1", "-n", "5"],
+      ["eig", *_SPEC5, "-k", "2"]],
+     [[], [_REPUNIT], [_DECAY, _REPUNIT], [_DECAY, _REPUNIT, "fractions"],
+      *[[_SPECTRAL, _DECAY, _REPUNIT, "fractions"]] * 3,
+      [_SPECTRAL, _DECAY, _REPUNIT, "tritoep.conditioning", "fractions"],
+      [_SPECTRAL, _DECAY, _REPUNIT, "tritoep.conditioning", "fractions", "numpy"]]),
+    ([["solve", "-a", "1", "-b", "2.5", "-c", "1", "-n", "3", "--rhs", "1,2,3",
+       "--method", "thomas"],
+      ["inverse", *_SPEC5, "-i", "1", "-j", "2"]],
+     # greens re-exports decay's names, so it loads decay
+     [[], *[["tritoep.greens", _DECAY, "numpy"]] * 2]),
+)
+
 
 def test_each_subcommand_loads_only_its_modules():
-    # a fresh interpreter: the library modules, statistics, fractions and
+    # fresh interpreters: the library modules, statistics, fractions and
     # numpy come with the subcommands that use them (the scalar ones, eig
     # without -k, cond and decay among them, never load numpy; eig -k, whose
-    # vector is an array, does); the repunit subcommand imports the submodule
-    # tritoep.repunit before anything reads the package attribute, which
-    # must stay the function
-    run = subprocess.run([sys.executable, "-c", _IMPORT_SETS], capture_output=True,
-                         text=True, timeout=60)
-    assert run.returncode == 0, run.stderr
-    repunit = ["tritoep.repunit", "fractions"]
-    cond = ["tritoep.repunit", "tritoep.conditioning", "fractions"]
-    decay = ["tritoep.greens", *cond]
-    assert json.loads(run.stdout) == {
-        "listed": True,
-        "loaded": [[], [], [], [], repunit, repunit, cond, decay, [*decay, "numpy"],
-                   [*decay, "numpy"]],
-        "function": True,
-    }
+    # vector is an array, does; repunit det loads no fractions, and decay,
+    # solve and inverse no spectral); the repunit subcommand imports the
+    # submodule tritoep.repunit before anything reads the package attribute,
+    # which must stay the function
+    for argvs, loaded in _LOADING:
+        run = subprocess.run([sys.executable, "-c", _IMPORT_SETS, json.dumps(argvs)],
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == {"listed": True, "loaded": loaded, "function": True}

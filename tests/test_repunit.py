@@ -41,6 +41,12 @@ class TestRepunitValue:
         assert rv.exact_value is None
         assert rv.float_value == pytest.approx((1 - 0.5**6) / 0.5, rel=1e-14)
 
+    def test_float_base_past_the_float_range(self):
+        # 1.5^3000 overflows the float power: the value is inf, not an error
+        rv = repunit(3000, 1.5)
+        assert rv.exact_value is None
+        assert rv.float_value == math.inf
+
     def test_invalid_base(self):
         with pytest.raises(InvalidBase):
             repunit(3, 0.0)

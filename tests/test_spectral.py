@@ -28,6 +28,7 @@ from tritoep import (
     weighted_condition,
     weighted_inner,
 )
+from tritoep import ScaledValue, spectral
 from tritoep.oracle import dense_from_spec
 from tritoep.spectral import _eigenvalue, _extremes
 
@@ -220,6 +221,13 @@ class TestDeterminant:
         assert determinant(make_spec(1, 2, 1, 2)).to_float() == pytest.approx(3.0, rel=1e-13)
         assert determinant(make_spec(10, 11, 1, 3)).to_float() == pytest.approx(1111.0, rel=1e-12)
         assert determinant(make_spec(1, 0, 1, 2)).to_float() == pytest.approx(-1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("s", [1e-300, 1.0, 1e300])
+    def test_zero_chebyshev_value_gives_zero(self, monkeypatch, s):
+        # no spec is known whose U_n rounds to exactly 0; if one does, the
+        # one return gives sign 0 and log -inf, as n log s is finite
+        monkeypatch.setattr(spectral, "eval_U_scaled", lambda m, x: ScaledValue(0, -math.inf))
+        assert determinant(make_spec(s, 3.0, s, 7)) == ScaledValue(0, -math.inf)
 
     def test_continuant_examples(self):
         assert determinant_continuant(make_spec(1, 2, 1, 2)).to_float() == pytest.approx(3.0)
