@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from helpers import random_symmetrisable_spec
 from tritoep import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidOrder,
     InvalidParameter,
     NotSymmetrisable,
@@ -22,7 +24,8 @@ from tritoep import (
     weight_vector,
     weighted_selfadjoint_residual,
 )
-from tritoep.core import _check_log_mags
+from tritoep.cheby import _check_x
+from tritoep.core import _check_int, _check_log_mags
 from tritoep.oracle import dense_from_spec
 
 
@@ -304,3 +307,170 @@ def test_numpy_scalars_accepted_before_and_after_numpy_loads():
         "before": [False, plain],
         "after": [*plain, "ok", "InvalidOrder", "ok", "ok", "ok", "ok"],
     }
+
+
+# The validators' verdicts over a grid of input types, pinned class and
+# message.  Each row: label, value, verdict in a coefficient field (a, b
+# or c), in the order n, from _check_int(v, "n", 1), from
+# _check_int(v, "index", 1, 5, IndexOutOfRange) and from cheby._check_x.
+# A verdict is None (accepted), "zero" (a finite zero: refused as an
+# off-diagonal a or c, accepted as b) or (class, message), where {f} is
+# the field's name, {r} repr(value) and {s} str(value).
+_REAL = (InvalidParameter, "{f} must be a real number, got {r}")
+_FINITE = (InvalidParameter, "{f} must be finite, got {r}")
+_HUGE = (OverflowError, "int too large to convert to float")
+_N_INT = (InvalidOrder, "order n must be an integer, got {r}")
+_INT = (InvalidOrder, "n must be an integer, got {r}")
+_INDEX = (IndexOutOfRange, "index must be an integer, got {r}")
+_OUTSIDE = (IndexOutOfRange, "index {s} outside 1..5")
+_X_NAN = (InvalidParameter, "Chebyshev argument x must be a number, got {r}")
+_X_INF = (OverflowError, "Chebyshev argument x = {r} is beyond the float range")
+_NOT_REAL = (TypeError, "must be real number, not {t}")
+_VALIDATOR_GRID = [
+    ("bool", True, _REAL, _N_INT, _INT, _INDEX, None),
+    ("np.bool_", np.bool_(True), _REAL, _N_INT, _INT, _INDEX, None),
+    ("int", 2, None, None, None, None, None),
+    ("int zero", 0, "zero", (InvalidOrder, "order n must be >= 1, got 0"),
+     (InvalidOrder, "n must be >= 1, got 0"), (IndexOutOfRange, "index 0 outside 1..5"), None),
+    ("int above hi", 7, None, None, None, _OUTSIDE, None),
+    ("negative int", -3, None, (InvalidOrder, "order n must be >= 1, got -3"),
+     (InvalidOrder, "n must be >= 1, got -3"), (IndexOutOfRange, "index -3 outside 1..5"), None),
+    ("10**400", 10**400, _HUGE, None, None, _OUTSIDE, _HUGE),
+    ("float", 2.5, None, _N_INT, _INT, _INDEX, None),
+    ("integral float", 2.0, None, _N_INT, _INT, _INDEX, None),
+    ("-0.0", -0.0, "zero", _N_INT, _INT, _INDEX, None),
+    ("nan", math.nan, _FINITE, _N_INT, _INT, _INDEX, _X_NAN),
+    ("inf", math.inf, _FINITE, _N_INT, _INT, _INDEX, _X_INF),
+    ("-inf", -math.inf, _FINITE, _N_INT, _INT, _INDEX, _X_INF),
+    ("np.float64", np.float64(2.5), None, _N_INT, _INT, _INDEX, None),
+    ("np.float64 nan", np.float64(math.nan), _FINITE, _N_INT, _INT, _INDEX, _X_NAN),
+    ("np.float64 inf", np.float64(math.inf), _FINITE, _N_INT, _INT, _INDEX, _X_INF),
+    ("np.int64", np.int64(2), None, None, None, None, None),
+    ("np.int64 above hi", np.int64(7), None, None, None, _OUTSIDE, None),
+    ("Fraction", Fraction(1, 2), _REAL, _N_INT, _INT, _INDEX, None),
+    ("Decimal", Decimal("1.5"), _REAL, _N_INT, _INT, _INDEX, None),
+    ("str", "1", _REAL, _N_INT, _INT, _INDEX, _NOT_REAL),
+    ("None", None, _REAL, _N_INT, _INT, _INDEX, _NOT_REAL),
+]
+_GRID_IDS = [row[0] for row in _VALIDATOR_GRID]
+_GOOD = {"a": 1.5, "b": 2.5, "c": 0.5, "n": 3}
+
+
+def _verdict(call):
+    try:
+        return call()
+    except Exception as exc:  # the verdict under test is the exception itself
+        return type(exc), str(exc)
+
+
+def _expected(verdict, value, field="n"):
+    if verdict in (None, "zero"):
+        return verdict
+    cls, message = verdict
+    return cls, message.format(f=field, r=repr(value), s=str(value), t=type(value).__name__)
+
+
+def _spec_verdict(fields):
+    """The expected verdict of a spec: a, b, c in order (real, then finite),
+    then a zero off-diagonal, then n."""
+    rows = {f: next(r for r in _VALIDATOR_GRID if r[0] == label)
+            for f, label in fields.items()}
+    for f in "abc":
+        if f in rows and rows[f][2] not in (None, "zero"):
+            return _expected(rows[f][2], rows[f][1], f)
+    if any(f in rows and rows[f][2] == "zero" for f in "ac"):
+        return ZeroOffDiagonal, "off-diagonal entries a and c must be nonzero"
+    if "n" in rows and rows["n"][3] is not None:
+        return _expected(rows["n"][3], rows["n"][1])
+    return None
+
+
+def _constructors():
+    return [make_spec, TriToeplitzSpec, lambda a, b, c, n: TriToeplitzSpec(a=a, b=b, c=c, n=n)]
+
+
+class TestValidatorGrid:
+    @pytest.mark.parametrize("field", "abcn")
+    @pytest.mark.parametrize("label", _GRID_IDS)
+    def test_one_field(self, label, field):
+        value = next(r for r in _VALIDATOR_GRID if r[0] == label)[1]
+        expected = _spec_verdict({field: label})
+        for construct in _constructors():
+            got = _verdict(lambda: construct(**{**_GOOD, field: value}))
+            if expected is not None:
+                assert got == expected
+                continue
+            assert isinstance(got, TriToeplitzSpec)
+            assert type(got.a) is float and type(got.b) is float and type(got.c) is float
+            assert type(got.n) is int
+            if field == "n":
+                assert got.n == value
+            else:
+                assert math.copysign(1.0, getattr(got, field)) == math.copysign(1.0, value)
+                assert getattr(got, field) == float(value)
+
+    @pytest.mark.parametrize("fields", ["ab", "ac", "bc", "an", "bn", "cn"])
+    def test_two_fields_name_the_first_bad_one(self, fields):
+        for first, second in [(x, y) for x in _GRID_IDS for y in _GRID_IDS]:
+            labels = dict(zip(fields, (first, second)))
+            values = {f: next(r for r in _VALIDATOR_GRID if r[0] == lab)[1]
+                      for f, lab in labels.items()}
+            expected = _spec_verdict(labels)
+            for construct in _constructors():
+                got = _verdict(lambda: construct(**{**_GOOD, **values}))
+                if expected is None:
+                    assert isinstance(got, TriToeplitzSpec), (labels, got)
+                else:
+                    assert got == expected, labels
+
+    def test_pinned_combinations(self):
+        assert _verdict(lambda: make_spec("x", math.nan, 0.0, 0)) == (
+            InvalidParameter, "a must be a real number, got 'x'")
+        assert _verdict(lambda: make_spec(0.0, math.nan, "x", 0)) == (
+            InvalidParameter, "b must be finite, got nan")
+        assert _verdict(lambda: make_spec(0.0, 1.0, None, 0)) == (
+            InvalidParameter, "c must be a real number, got None")
+        assert _verdict(lambda: make_spec(1.0, 1.0, -0.0, 0)) == (
+            ZeroOffDiagonal, "off-diagonal entries a and c must be nonzero")
+        assert _verdict(lambda: make_spec(10**400, math.inf, 1.0, 2)) == _HUGE
+        assert _verdict(lambda: make_spec(1.0, 1.0, 1.0, True)) == (
+            InvalidOrder, "order n must be an integer, got True")
+
+    @pytest.mark.parametrize("value", [2, np.float64(2.5), np.int64(2), np.float32(0.5)])
+    def test_fields_come_out_as_builtin_types(self, value):
+        spec = make_spec(value, value, value, 2)
+        assert (type(spec.a), type(spec.b), type(spec.c)) == (float, float, float)
+        assert spec.a == spec.b == spec.c == float(value)
+        for n in (2, np.int64(2), np.int32(2), np.uint8(2)):
+            spec = make_spec(1.0, 2.0, 1.0, n)
+            assert type(spec.n) is int and spec.n == 2
+
+    @pytest.mark.parametrize("label", _GRID_IDS)
+    def test_check_int(self, label):
+        _, value, _, _, open_verdict, index_verdict, _ = next(
+            r for r in _VALIDATOR_GRID if r[0] == label)
+        for got, verdict in ((_verdict(lambda: _check_int(value, "n", 1)), open_verdict),
+                             (_verdict(lambda: _check_int(value, "index", 1, 5,
+                                                          IndexOutOfRange)), index_verdict)):
+            if verdict is None:
+                assert type(got) is int and got == value
+            else:
+                assert got == _expected(verdict, value)
+
+    def test_check_int_bounds(self):
+        assert _verdict(lambda: _check_int(-1, "degree m", 0)) == (
+            InvalidOrder, "degree m must be a nonnegative integer, got -1")
+        assert _verdict(lambda: _check_int(np.int64(-1), "degree m", 0)) == (
+            InvalidOrder, "degree m must be a nonnegative integer, got -1")
+        assert _check_int(0, "degree m", 0) == 0
+        assert _check_int(5, "index", 1, 5) == 5 and _check_int(1, "index", 1, 5) == 1
+        assert _verdict(lambda: _check_int(6, "index", 1, 5)) == (
+            InvalidOrder, "index 6 outside 1..5")
+        assert _verdict(lambda: _check_int(3, "k", 4, 2)) == (InvalidOrder, "k 3 outside 4..2")
+        big = 10**400
+        assert _check_int(big, "n", 1) is big
+
+    @pytest.mark.parametrize("label", _GRID_IDS)
+    def test_check_x(self, label):
+        _, value, *_, verdict = next(r for r in _VALIDATOR_GRID if r[0] == label)
+        assert _verdict(lambda: _check_x(value)) == _expected(verdict, value)
