@@ -81,10 +81,11 @@ def _log1mexp(t: float) -> float:
 
 def _check_x(x: float) -> None:
     """Refuse a non-finite argument: U_m(+-inf) is infinite, U_m(nan) undefined."""
+    if math.isfinite(x):
+        return
     if math.isnan(x):
         raise InvalidParameter(f"Chebyshev argument x must be a number, got {x!r}")
-    if math.isinf(x):
-        raise OverflowError(f"Chebyshev argument x = {x!r} is beyond the float range")
+    raise OverflowError(f"Chebyshev argument x = {x!r} is beyond the float range")
 
 
 def _eval_u(m: int, x: float):

@@ -62,8 +62,8 @@ class _UsageError(Exception):
 class _Answer(NamedTuple):
     """One subcommand's answer, which ``main`` prints with ``_emit``.
 
-    ``plain`` and ``table``'s rows may be lazy, read only if printed.
-    ``plain`` None prints the csv; ``table`` None makes the csv the
+    ``table`` is the csv header and its formatted rows, lazy or not like
+    ``plain``.  ``plain`` None prints the csv; ``table`` None makes it the
     result's fields as one row; ``tolerances`` None is the singular
     tolerance alone where the subcommand takes --tol, and none else;
     ``echo`` None echoes the resolved spec.
@@ -108,6 +108,10 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _csv_row(values) -> str:
+    return ",".join(map(_cell, values))
+
+
 def _sanitize(obj):
     """Replace non-finite floats with null so the JSON stays strict."""
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -134,15 +138,16 @@ def _emit(fmt: str, echo: dict, tolerances: dict, answer: _Answer) -> None:
     elif fmt == "plain" and answer.plain is not None:
         text = "\n".join(answer.plain)
     else:
-        header, rows = answer.table or (list(answer.result), [answer.result.values()])
-        text = "\n".join([",".join(header), *(",".join(map(_cell, row)) for row in rows)])
+        header, rows = answer.table or (list(answer.result), [_csv_row(answer.result.values())])
+        text = "\n".join([",".join(header), *rows])
     print(text)
 
 
 def _indexed(index: str, name: str, symbol: str, values: list):
     """A 1-based vector of Python floats: its csv table and plain lines, both lazy."""
     lines = (f"{symbol}_{k} = {_fmt(v)}" for k, v in enumerate(values, 1))
-    return ([index, name], enumerate(values, 1)), lines
+    # each row formatted whole, as _csv_row((k, v)) formats a Python float v
+    return ([index, name], (f"{k},{v!r}" for k, v in enumerate(values, 1))), lines
 
 
 def _signed_log(sv: ScaledValue, lhs: str, log_name: str, zero: str = "") -> tuple:
@@ -344,7 +349,7 @@ def _cmd_repunit(args, _spec) -> _Answer:
         header = ["i", "j", "sign", "rational", "value"]
         answer = _Answer(result, [f"inverse[{args.i},{args.j}] = {rational} "
                                   f"({_fmt(entry.float_value)})"],
-                         table=(header, [[result[k] for k in header]]))
+                         table=(header, [_csv_row(result[k] for k in header)]))
     else:  # identity
         resid = cheb_repunit_identity_residual(base, args.m)
         answer = _Answer({"m": args.m, "base": base, "residual": resid},
@@ -371,7 +376,7 @@ def _cmd_verify(args, spec) -> _Answer:
              + c["status"] for c in checks]
     plain.append(f"overall: {result['overall']}")
     table = (["check", "residual", "tolerance", "status"],
-             [c.values() for c in checks])
+             [_csv_row(c.values()) for c in checks])
     return _Answer(result, plain, table=table)
 
 
@@ -438,7 +443,7 @@ def _cmd_bench(args, abc) -> _Answer:
                                 for name in ("apply_inverse", "thomas", "dense")},
                      "max_discrepancy": disc})
 
-    return _Answer({"rows": rows}, table=(list(rows[0]), [row.values() for row in rows]),
+    return _Answer({"rows": rows}, table=(list(rows[0]), [_csv_row(r.values()) for r in rows]),
                    meta={"grid": grid, "reps": args.reps, "dense_limit": args.dense_limit},
                    echo={"a": a, "b": b, "c": c})
 
@@ -494,6 +499,13 @@ _REPUNIT_ACTIONS = {"value": "m", "det": "n", "product": "n", "cond": "n",
                     "inverse": "nij", "identity": "m"}
 
 
+class _ActionFirst(argparse.Action):
+    """A repunit action's option given before the action, refused by its name."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"argument {option_string}: the action comes first")
+
+
 def _subparsers(parser, dest: str, names: list, argv):
     """The subparsers, and the names to add: argv[0] alone if it is one of ``names``.
 
@@ -518,6 +530,9 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
             continue
         sp = sub.add_parser(name, help=helptext)
         if func is _cmd_repunit:
+            # argparse would set an action's option aside here and take its value for the action
+            sp.add_argument("--base", "--exact", "--format", "-m", "-n", "-i", "-j", nargs="?",
+                            action=_ActionFirst, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
             # the action is argv[1] only where argv[0] named repunit
             rsub, actions = _subparsers(sp, "action", list(_REPUNIT_ACTIONS),
                                         argv[1:] if len(names) == 1 else ())

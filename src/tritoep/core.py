@@ -68,6 +68,8 @@ def _check_int(value, name: str, lo: int, hi: int | None = None,
     ``hi=None`` leaves the range open above, and each caller names the
     error class it raises.
     """
+    if type(value) is int and lo <= value and (hi is None or value <= hi):
+        return value
     if not _is_real(value, integral=True):
         raise error(f"{name} must be an integer, got {value!r}")
     if hi is not None and not lo <= value <= hi:
@@ -130,19 +132,20 @@ class TriToeplitzSpec:
     n: int
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not _is_real(v):
+        a, c = self.a, self.c
+        for name, v in (("a", a), ("b", self.b), ("c", c)):
+            exact = type(v) is float
+            if not (exact or _is_real(v)):
                 raise InvalidParameter(f"{name} must be a real number, got {v!r}")
             if not math.isfinite(v):
                 raise InvalidParameter(f"{name} must be finite, got {v!r}")
-        if self.a == 0 or self.c == 0:
+            if not exact:
+                object.__setattr__(self, name, float(v))
+        if a == 0 or c == 0:
             raise ZeroOffDiagonal("off-diagonal entries a and c must be nonzero")
         n = _check_int(self.n, "order n", 1)
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "n", n)
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", n)
 
     @property
     def symmetrisable(self) -> bool:
@@ -205,7 +208,7 @@ def symmetrise(spec: TriToeplitzSpec) -> SymmetrisedForm:
         s = math.sqrt(abs(spec.a)) * math.sqrt(abs(spec.c))
     q = s / spec.c
     x = _half_ratio(spec.b, s)
-    return SymmetrisedForm(s=s, q=q, x=x, n=spec.n)
+    return SymmetrisedForm(s, q, x, spec.n)
 
 
 def _half_ratio(num: float, s: float) -> float:
@@ -253,7 +256,7 @@ def apply_matvec(spec: TriToeplitzSpec, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (spec.n,):
         raise DimensionMismatch(f"expected vector of length {spec.n}, got shape {v.shape}")
-    v_max = float(max(v.max(), -v.min()))
+    v_max = float(max(np.maximum.reduce(v), -np.minimum.reduce(v)))
     if not math.inf > v_max > 2.0**1000 / spec.row_scale():
         return _matvec(spec, v)
     # a term may overflow: the entries it makes non-finite are taken again on

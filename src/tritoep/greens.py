@@ -133,7 +133,8 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = _SINGULAR_TOL) -> 
         t2 = np.multiply(v[:h], v[n : n - h : -1])
         t1 -= np.multiply(t2, math.exp(-2.0 * gamma), out=t2)
         # max|t1 - v_n| from the extremes of t1: rounding t - v_n is monotone in t
-        residual = max(float(t1.max()) - v_n, v_n - float(t1.min())) / abs(v_n)
+        residual = max(float(np.maximum.reduce(t1)) - v_n,
+                       v_n - float(np.minimum.reduce(t1))) / abs(v_n)
         if residual > _WRONSKIAN_TOL:
             raise SingularMatrix(
                 f"kernel self-check failed: Wronskian residual {residual:.3e} "
@@ -519,7 +520,7 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     for k in range(n - 2, -1, -1):
         z[k] = zk = z[k] - w[k] * zk
     x = np.array(z, dtype=float)
-    x_max = abs(x).max()
+    x_max = np.maximum.reduce(abs(x))
     # a NaN or infinite x: returned or refused before the residual
     if not x_max < math.inf:
         if not np.isfinite(rhs).all():
@@ -543,8 +544,8 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     e = math.frexp(x_max)[1] if x_max > 2.0**1000 / row_scale else 0
     xs, rs = (np.ldexp(x, -e), np.ldexp(rhs, -e)) if e else (x, rhs)
     resid = _matvec(spec, xs) - rs
-    resid_norm = float(abs(resid).max())
-    x_max, rhs_max = math.ldexp(x_max, -e), float(abs(rs).max())
+    resid_norm = float(np.maximum.reduce(abs(resid)))
+    x_max, rhs_max = math.ldexp(x_max, -e), float(np.maximum.reduce(abs(rs)))
     # on Python floats a scale past the float range is inf, with no warning;
     # there the tolerance goes on each term first, so that a finite solution
     # near the range keeps a finite bound

@@ -1,5 +1,8 @@
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 
 import tritoep
 from tritoep import errors
@@ -24,3 +27,27 @@ def test_package_exports_exactly_the_submodules_public_names():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(tritoep, name) is getattr(module, name)
+
+
+_FRESH = """
+import json, sys
+import tritoep
+loaded = sorted(m for m in sys.modules if m.startswith("tritoep."))
+spectral = tritoep.spectral
+names = dir(tritoep)
+print(json.dumps({"loaded": loaded, "is_module": spectral is sys.modules["tritoep.spectral"],
+                  "determinant": spectral.determinant is tritoep.determinant,
+                  "dir": names, "sorted": names == sorted(names)}))
+"""
+
+
+def test_submodule_access_before_its_first_import_and_dir():
+    # a fresh process: the suite has already imported every submodule here
+    run = subprocess.run([sys.executable, "-c", _FRESH], capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["loaded"] == ["tritoep.core", "tritoep.errors"]
+    assert got["is_module"] and got["determinant"] and got["sorted"]
+    lazy = {"cheby", "spectral", "greens", "decay", "conditioning", "repunit"}
+    assert set(tritoep.__all__) | lazy | {"__version__"} <= set(got["dir"])

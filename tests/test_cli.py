@@ -239,6 +239,16 @@ class TestRun:
         assert lines[0] == "lambda_max,lambda_min,positive_definite,cond_weighted,formula_value"
         assert float(lines[1].split(",")[3]) == pytest.approx(7 / 3, rel=1e-13)
 
+    def test_vector_csv_rows_are_the_cells_formatted(self, capsys):
+        # a vector's rows are formatted whole; each must read as its cells do
+        values = [math.nan, math.inf, -math.inf, 1e300, -1e-300, -0.0, 0.1, 5e-324]
+        (header, rows), _ = cli._indexed("i", "x", "x", values)
+        assert header == ["i", "x"]
+        assert list(rows) == [",".join(map(cli._cell, row)) for row in enumerate(values, 1)]
+        code, out, err = run_cli(capsys, "solve", "-a", "1", "-b", "2.5", "-c", "1", "-n", "3",
+                                 "--rhs=1e300,nan,2", "--format", "csv")
+        assert (code, out, err) == (0, "i,x\n1,nan\n2,nan\n3,nan\n", "")
+
 
 # each subcommand and repunit action, with a valid argv after it
 _NAMED = {
@@ -303,6 +313,19 @@ class TestParser:
         choices = err.split("invalid choice: 'bogus'")[1]
         assert all(name in choices for name in names)
         assert err.splitlines()[0].startswith(f"usage: {' '.join(['tritoep', *argv[:-1]])} [-h]")
+
+    @pytest.mark.parametrize("argv", [["--base", "10", "det", "-n", "3"], ["-n", "3"],
+                                      ["--format=json", "value", "--base", "10", "-m", "3"]],
+                             ids=" ".join)
+    def test_option_before_the_repunit_action_is_named(self, capsys, monkeypatch, argv):
+        # argparse would set the option aside and take its value for the action
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, "repunit", *argv)
+        assert (code, out) == (2, "")
+        option = argv[0].split("=")[0]
+        assert err == (
+            "usage: tritoep repunit [-h] {value,det,product,cond,inverse,identity} ...\n"
+            f"tritoep repunit: error: argument {option}: the action comes first\n")
 
     def test_top_level_help_lists_every_subcommand(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

@@ -385,8 +385,8 @@ def _spec_verdict(fields):
     return None
 
 
-def _constructors():
-    return [make_spec, TriToeplitzSpec, lambda a, b, c, n: TriToeplitzSpec(a=a, b=b, c=c, n=n)]
+_CONSTRUCTORS = (make_spec, TriToeplitzSpec,
+                 lambda a, b, c, n: TriToeplitzSpec(a=a, b=b, c=c, n=n))
 
 
 class TestValidatorGrid:
@@ -395,7 +395,7 @@ class TestValidatorGrid:
     def test_one_field(self, label, field):
         value = next(r for r in _VALIDATOR_GRID if r[0] == label)[1]
         expected = _spec_verdict({field: label})
-        for construct in _constructors():
+        for construct in _CONSTRUCTORS:
             got = _verdict(lambda: construct(**{**_GOOD, field: value}))
             if expected is not None:
                 assert got == expected
@@ -416,7 +416,7 @@ class TestValidatorGrid:
             values = {f: next(r for r in _VALIDATOR_GRID if r[0] == lab)[1]
                       for f, lab in labels.items()}
             expected = _spec_verdict(labels)
-            for construct in _constructors():
+            for construct in _CONSTRUCTORS:
                 got = _verdict(lambda: construct(**{**_GOOD, **values}))
                 if expected is None:
                     assert isinstance(got, TriToeplitzSpec), (labels, got)

@@ -47,6 +47,15 @@ class TestRepunitValue:
         assert rv.exact_value is None
         assert rv.float_value == math.inf
 
+    @pytest.mark.parametrize("d", [np.float32(1.0), np.longdouble(1.0)])
+    def test_float_base_one(self, d):
+        # a numpy float other than float64 is no Python float, so d = 1 takes
+        # the float path, where (d^m - 1)/(d - 1) would divide 0 by 0
+        rv = repunit(5, d)
+        assert (rv.d, rv.m, rv.exact_value, rv.float_value) == (1.0, 5, None, 5.0)
+        assert type(rv.d) is float
+        assert log_repunit(5, d) == math.log(5)
+
     def test_invalid_base(self):
         with pytest.raises(InvalidBase):
             repunit(3, 0.0)
@@ -224,6 +233,17 @@ class TestInverseEntries:
         assert inverse_entry_alt_scaling(10, 2, 1, 2) != repunit_inverse_entry(
             10, 2, 1, 2
         ).value
+
+    def test_alt_scaling_below_the_diagonal(self):
+        # (3, 1) of the inverse of [[11, 1, 0], [10, 11, 1], [0, 10, 11]]: the
+        # cofactor of (1, 3) over the determinant 1111
+        exact = Fraction(10 * 10 - 11 * 0, 11 * (11 * 11 - 1 * 10) - 1 * (10 * 11 - 1 * 0))
+        assert exact == repunit_inverse_entry(10, 3, 3, 1).value == Fraction(100, 1111)
+        # below the diagonal the variant drops d^(i - j), and its odd exponent
+        # i - j - 1 = 1 leaves the float d^(1/2)
+        value = inverse_entry_alt_scaling(10, 3, 3, 1)
+        assert type(value) is float
+        assert value == float(exact / 10**2) * 10**0.5 == 0.0028463345276043017
 
 
 class TestChebIdentity:
