@@ -62,11 +62,11 @@ class _UsageError(Exception):
 class _Answer(NamedTuple):
     """One subcommand's answer, which ``main`` prints with ``_emit``.
 
-    ``table`` is the csv header and its formatted rows, lazy or not like
-    ``plain``.  ``plain`` None prints the csv; ``table`` None makes it the
-    result's fields as one row; ``tolerances`` None is the singular
-    tolerance alone where the subcommand takes --tol, and none else;
-    ``echo`` None echoes the resolved spec.
+    ``table`` is the csv header and its rows as csv lines; the rows and
+    ``plain`` may be lazy, read only if printed.  ``plain`` None prints
+    the csv; ``table`` None makes it the result's fields as one row;
+    ``tolerances`` None is the singular tolerance alone where the
+    subcommand takes --tol, and none else; ``echo`` None echoes the spec.
     """
 
     result: dict

@@ -352,7 +352,8 @@ _VALIDATOR_GRID = [
     ("str", "1", _REAL, _N_INT, _INT, _INDEX, _NOT_REAL),
     ("None", None, _REAL, _N_INT, _INT, _INDEX, _NOT_REAL),
 ]
-_GRID_IDS = [row[0] for row in _VALIDATOR_GRID]
+_GRID = {row[0]: row for row in _VALIDATOR_GRID}
+_GRID_IDS = list(_GRID)
 _GOOD = {"a": 1.5, "b": 2.5, "c": 0.5, "n": 3}
 
 
@@ -373,8 +374,7 @@ def _expected(verdict, value, field="n"):
 def _spec_verdict(fields):
     """The expected verdict of a spec: a, b, c in order (real, then finite),
     then a zero off-diagonal, then n."""
-    rows = {f: next(r for r in _VALIDATOR_GRID if r[0] == label)
-            for f, label in fields.items()}
+    rows = {f: _GRID[label] for f, label in fields.items()}
     for f in "abc":
         if f in rows and rows[f][2] not in (None, "zero"):
             return _expected(rows[f][2], rows[f][1], f)
@@ -393,7 +393,7 @@ class TestValidatorGrid:
     @pytest.mark.parametrize("field", "abcn")
     @pytest.mark.parametrize("label", _GRID_IDS)
     def test_one_field(self, label, field):
-        value = next(r for r in _VALIDATOR_GRID if r[0] == label)[1]
+        value = _GRID[label][1]
         expected = _spec_verdict({field: label})
         for construct in _CONSTRUCTORS:
             got = _verdict(lambda: construct(**{**_GOOD, field: value}))
@@ -413,8 +413,7 @@ class TestValidatorGrid:
     def test_two_fields_name_the_first_bad_one(self, fields):
         for first, second in [(x, y) for x in _GRID_IDS for y in _GRID_IDS]:
             labels = dict(zip(fields, (first, second)))
-            values = {f: next(r for r in _VALIDATOR_GRID if r[0] == lab)[1]
-                      for f, lab in labels.items()}
+            values = {f: _GRID[lab][1] for f, lab in labels.items()}
             expected = _spec_verdict(labels)
             for construct in _CONSTRUCTORS:
                 got = _verdict(lambda: construct(**{**_GOOD, **values}))
@@ -447,8 +446,7 @@ class TestValidatorGrid:
 
     @pytest.mark.parametrize("label", _GRID_IDS)
     def test_check_int(self, label):
-        _, value, _, _, open_verdict, index_verdict, _ = next(
-            r for r in _VALIDATOR_GRID if r[0] == label)
+        _, value, _, _, open_verdict, index_verdict, _ = _GRID[label]
         for got, verdict in ((_verdict(lambda: _check_int(value, "n", 1)), open_verdict),
                              (_verdict(lambda: _check_int(value, "index", 1, 5,
                                                           IndexOutOfRange)), index_verdict)):
@@ -472,5 +470,5 @@ class TestValidatorGrid:
 
     @pytest.mark.parametrize("label", _GRID_IDS)
     def test_check_x(self, label):
-        _, value, *_, verdict = next(r for r in _VALIDATOR_GRID if r[0] == label)
+        _, value, *_, verdict = _GRID[label]
         assert _verdict(lambda: _check_x(value)) == _expected(verdict, value)
