@@ -499,11 +499,14 @@ _REPUNIT_ACTIONS = {"value": "m", "det": "n", "product": "n", "cond": "n",
                     "inverse": "nij", "identity": "m"}
 
 
+_REPUNIT_OPTIONS = ("--base", "--exact", "--format", "-m", "-n", "-i", "-j")
+
+
 class _ActionFirst(argparse.Action):
-    """A repunit action's option given before the action, refused by its name."""
+    """An option given before the command or action that ``dest`` names, refused by its name."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(f"argument {option_string}: the action comes first")
+        parser.error(f"argument {option_string}: the {self.dest} comes first")
 
 
 def _subparsers(parser, dest: str, names: list, argv):
@@ -525,14 +528,22 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
                     "conditioning of tridiagonal Toeplitz matrices.",
     )
     sub, names = _subparsers(parser, "command", [c[0] for c in _COMMANDS], argv)
+    if len(names) > 1:
+        # argparse would set an option before the command aside and take its value for the
+        # command.  Not after a command, whose parser reads its options: here --r would be
+        # ambiguous between --rhs and --reps
+        flags = ("-a", "-b", "-c", "--spec-file", *_REPUNIT_OPTIONS,
+                 *(flag for *_, extra in _COMMANDS for flag, _ in extra))
+        parser.add_argument(*dict.fromkeys(flags), nargs="?", action=_ActionFirst, dest="command",
+                            default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     for name, func, helptext, extra in _COMMANDS:
         if name not in names:
             continue
         sp = sub.add_parser(name, help=helptext)
         if func is _cmd_repunit:
             # argparse would set an action's option aside here and take its value for the action
-            sp.add_argument("--base", "--exact", "--format", "-m", "-n", "-i", "-j", nargs="?",
-                            action=_ActionFirst, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+            sp.add_argument(*_REPUNIT_OPTIONS, nargs="?", action=_ActionFirst, dest="action",
+                            default=argparse.SUPPRESS, help=argparse.SUPPRESS)
             # the action is argv[1] only where argv[0] named repunit
             rsub, actions = _subparsers(sp, "action", list(_REPUNIT_ACTIONS),
                                         argv[1:] if len(names) == 1 else ())

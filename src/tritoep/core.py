@@ -122,8 +122,9 @@ def _exp_signed(sign, log_mag, what: str, *args) -> float:
 class TriToeplitzSpec:
     """Parameters (a, b, c, n) of a real tridiagonal Toeplitz matrix.
 
-    Validated eagerly: a and c must be nonzero finite reals, b finite,
-    n a positive integer.
+    Validated eagerly, on the floats it stores: a and c must be nonzero
+    finite reals, b finite, n a positive integer.  A finite value past the
+    float range (a numpy longdouble) raises OverflowError.
     """
 
     a: float
@@ -132,16 +133,19 @@ class TriToeplitzSpec:
     n: int
 
     def __post_init__(self):
-        a, c = self.a, self.c
-        for name, v in (("a", a), ("b", self.b), ("c", c)):
-            exact = type(v) is float
-            if not (exact or _is_real(v)):
-                raise InvalidParameter(f"{name} must be a real number, got {v!r}")
-            if not math.isfinite(v):
+        for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
+            f = v
+            if type(v) is not float:
+                if not _is_real(v):
+                    raise InvalidParameter(f"{name} must be a real number, got {v!r}")
+                # a numpy longdouble may round to 0 or leave the float range
+                f = float(v)
+                if abs(f) == math.inf != abs(v):
+                    raise OverflowError(f"{name} = {v!r} is beyond the float range")
+                object.__setattr__(self, name, f)
+            if not math.isfinite(f):
                 raise InvalidParameter(f"{name} must be finite, got {v!r}")
-            if not exact:
-                object.__setattr__(self, name, float(v))
-        if a == 0 or c == 0:
+        if self.a == 0 or self.c == 0:
             raise ZeroOffDiagonal("off-diagonal entries a and c must be nonzero")
         n = _check_int(self.n, "order n", 1)
         if type(self.n) is not int:

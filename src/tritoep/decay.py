@@ -1,6 +1,6 @@
 """Decay of the inverse for x = b/(2s) > 1, where entry (i, j) of the symmetrised
 inverse falls off like eta^(-|i-j|), eta = x + sqrt(x^2 - 1): closed forms on
-Python floats that need no kernel.  ``greens`` re-exports them."""
+Python floats that need no kernel."""
 
 from __future__ import annotations
 

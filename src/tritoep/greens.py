@@ -36,30 +36,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .cheby import ScaledValue, _u_sequence_into, eval_U_scaled
 from .core import (_LOG_MAX, _MIN_NORMAL, _SINGULAR_TOL, _WRONSKIAN_TOL, TriToeplitzSpec,
                    _check_int, _check_log_mags, _check_singular_tol, _exp_signed, _matvec,
                    symmetrise)
-# the closed-form decay bounds live in ``decay``, which needs no kernel
-from .decay import DecayEnvelope, decay_bound, decay_envelope, hyperbolic_inverse_entry
 from .errors import DimensionMismatch, IndexOutOfRange, NearSingularPivot, SingularMatrix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "GreenKernel",
-    "DecayEnvelope",
     "build_kernel",
     "inverse_entry",
     "inverse_dense",
     "apply_inverse",
     "thomas_solve",
-    "decay_envelope",
-    "decay_bound",
-    "hyperbolic_inverse_entry",
 ]
 
 _BACKWARD_TOL = 1e-9
@@ -109,8 +101,6 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = _SINGULAR_TOL) -> 
     kernel below that raise SingularMatrix.  Construction raises it when
     the flag passes but the Wronskian self-check fails.
     """
-    import numpy as np
-
     _check_singular_tol(singular_tol)
     form = symmetrise(spec)
     n = spec.n
@@ -173,8 +163,6 @@ def _entry_sign_log(kernel: GreenKernel, lo, hi, diff):
     Works on scalar indices and elementwise on index arrays; callers
     exponentiate the result themselves.
     """
-    import numpy as np
-
     sign_neg_q = -1.0 if kernel.q > 0 else 1.0
     vv = kernel.v[lo] * kernel.v[kernel.n + 1 - hi]
     sign = np.sign(vv) * kernel.wronskian.sign * sign_neg_q**diff
@@ -200,8 +188,6 @@ def inverse_entry(kernel: GreenKernel, i: int, j: int) -> float:
 
 def inverse_dense(kernel: GreenKernel) -> np.ndarray:
     """Materialise the full inverse (O(n^2)); agrees with inverse_entry."""
-    import numpy as np
-
     _require_invertible(kernel)
     n = kernel.n
     idx = np.arange(1, n + 1)
@@ -223,8 +209,6 @@ def _scan_scaled(negative, pos):
     |acc| <= 1 and the scan never overflows.  Until the first nonzero
     term, acc is 0 and scale is -inf.  acc is pos, overwritten.
     """
-    import numpy as np
-
     # zero terms carry log -inf, so they can join either part
     neg = np.where(negative, pos, -np.inf)
     np.copyto(pos, -np.inf, where=negative)
@@ -254,8 +238,6 @@ def _fused(kernel: GreenKernel, terms):
     sums a wide chunk, whose rhs spans too far for its terms to stay
     normal, in log space.
     """
-    import numpy as np
-
     _, k, chunks, length = terms.shape
     n, q, size, grid = kernel.n, kernel.q, chunks * length, (chunks, length)
     pad = size - n
@@ -435,8 +417,6 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
     entry of a column makes that whole column of the solution NaN, with no
     RuntimeWarning, as thomas_solve does.
     """
-    import numpy as np
-
     _require_invertible(kernel)
     n = kernel.n
     rhs = np.asarray(rhs, dtype=float)
@@ -479,8 +459,6 @@ def thomas_solve(spec: TriToeplitzSpec, rhs) -> np.ndarray:
     exact but for a subnormal a or c, and returns a quarter of that
     solution; a refusal then quotes the pivots and the row scale of A/4.
     """
-    import numpy as np
-
     n = spec.n
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):

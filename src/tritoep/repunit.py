@@ -277,8 +277,7 @@ def cheb_repunit_identity_residual(d, m: int) -> float:
     """
     dv = _check_base(d)
     m = _check_int(m, "m", 0)
+    # x >= 1 in floats too, as fl(d + 1) >= fl(2 sqrt d) = 2 fl(sqrt d), so U_m(x) > 0
     lhs = eval_U_scaled(m, (dv + 1.0) / (2.0 * math.sqrt(dv)))
     rhs_log = -0.5 * m * math.log(dv) + log_repunit(m + 1, dv)
-    if lhs.sign != 1:
-        return math.inf
     return abs(math.expm1(lhs.log_mag - rhs_log))

@@ -327,6 +327,29 @@ class TestParser:
             "usage: tritoep repunit [-h] {value,det,product,cond,inverse,identity} ...\n"
             f"tritoep repunit: error: argument {option}: the action comes first\n")
 
+    _BEFORE_THE_COMMAND = [
+        (["--format", "json", "det", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5"], "--format"),
+        (["-n", "5", "eig"], "-n"), (["--rhs=1,2", "solve"], "--rhs"), (["-k2", "eig"], "-k"),
+        (["--base", "10", "repunit", "det", "-n", "3"], "--base")]
+
+    @pytest.mark.parametrize("argv, option", _BEFORE_THE_COMMAND,
+                             ids=[" ".join(argv) for argv, _ in _BEFORE_THE_COMMAND])
+    def test_option_before_the_command_is_named(self, capsys, monkeypatch, argv, option):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: tritoep [-h]\n"
+            "               {eig,det,charpoly,inverse,solve,cond,decay,repunit,verify,bench}\n"
+            "               ...\n"
+            f"tritoep: error: argument {option}: the command comes first\n")
+
+    def test_abbreviated_option_after_the_command_is_its_own(self, capsys):
+        # --r names --rhs to solve; the top level, where --reps would share it, never reads it
+        spec = ["-a", "1", "-b", "2.5", "-c", "1", "-n", "3"]
+        assert run_cli(capsys, "solve", *spec, "--r", "1,2,3") == run_cli(
+            capsys, "solve", *spec, "--rhs", "1,2,3")
+
     def test_top_level_help_lists_every_subcommand(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         code, out, err = run_cli(capsys, "-h")
@@ -578,8 +601,7 @@ _LOADING = (
     ([["solve", "-a", "1", "-b", "2.5", "-c", "1", "-n", "3", "--rhs", "1,2,3",
        "--method", "thomas"],
       ["inverse", *_SPEC5, "-i", "1", "-j", "2"]],
-     # greens re-exports decay's names, so it loads decay
-     [[], *[["tritoep.greens", _DECAY, "numpy"]] * 2]),
+     [[], *[["tritoep.greens", "numpy"]] * 2]),
 )
 
 

@@ -326,6 +326,7 @@ _OUTSIDE = (IndexOutOfRange, "index {s} outside 1..5")
 _X_NAN = (InvalidParameter, "Chebyshev argument x must be a number, got {r}")
 _X_INF = (OverflowError, "Chebyshev argument x = {r} is beyond the float range")
 _NOT_REAL = (TypeError, "must be real number, not {t}")
+_PAST = (OverflowError, "{f} = {r} is beyond the float range")
 _VALIDATOR_GRID = [
     ("bool", True, _REAL, _N_INT, _INT, _INDEX, None),
     ("np.bool_", np.bool_(True), _REAL, _N_INT, _INT, _INDEX, None),
@@ -352,6 +353,15 @@ _VALIDATOR_GRID = [
     ("str", "1", _REAL, _N_INT, _INT, _INDEX, _NOT_REAL),
     ("None", None, _REAL, _N_INT, _INT, _INDEX, _NOT_REAL),
 ]
+if np.finfo(np.longdouble).maxexp > np.finfo(float).maxexp:
+    # a spec is checked on the floats it stores: a nonzero longdouble that
+    # rounds to 0.0, and a finite one past the float range
+    _VALIDATOR_GRID += [
+        ("longdouble below the floats", np.longdouble(2.0)**-1100, "zero", _N_INT, _INT, _INDEX,
+         None),
+        ("longdouble past the floats", np.longdouble(10)**331, _PAST, _N_INT, _INT, _INDEX,
+         _X_INF),
+    ]
 _GRID = {row[0]: row for row in _VALIDATOR_GRID}
 _GRID_IDS = list(_GRID)
 _GOOD = {"a": 1.5, "b": 2.5, "c": 0.5, "n": 3}

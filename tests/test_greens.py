@@ -960,8 +960,9 @@ class TestThomas:
                 thomas_solve(make_spec(1e-300, 0.3, 1e200, 3), [1.0, 2.0, 3.0])
 
     def test_finite_solution_near_the_float_range_is_accepted(self):
-        # row_scale max|x| + max|rhs| is past the float range, the bound is
-        # not; (5e307, -6.25e307, 6.5625e307) is the exact solution, which
+        # row_scale max|x| + max|rhs| is past the float range, so the residual
+        # and its bound run on x and rhs times 2^-1023, where neither is;
+        # (5e307, -6.25e307, 6.5625e307) is the exact solution, which
         # the log-space kernel scan meets to about |log 1e308| * eps
         spec = make_spec(0.5, 2, 1e-300, 3)
         rhs = [1e308, -1e308, 1e308]
@@ -971,6 +972,18 @@ class TestThomas:
             via_kernel = apply_inverse(build_kernel(spec), rhs)
         np.testing.assert_allclose(x, [5e307, -6.25e307, 6.5625e307], rtol=1e-15)
         np.testing.assert_allclose(x, via_kernel, rtol=1e-12)
+
+    def test_bound_where_the_scale_leaves_the_float_range(self, monkeypatch):
+        # row_scale max|x| + max|rhs| = 2 * 1.683e308 is past the float range,
+        # and max|x| = 0.99 is not rescaled: the tolerance goes on each term
+        spec = make_spec(1e-300, 1.7e308, 1e-300, 1)
+        rhs = [1.7e308 * 0.99]
+        assert thomas_solve(spec, rhs).tolist() == [0.99]
+        # a residual past that bound is refused with a finite backward error,
+        # 1e300 over the 2 * 1.683e308 that the scale would have been
+        monkeypatch.setattr(greens, "_matvec", lambda spec, x: x * spec.b + 1e300)
+        with pytest.raises(NearSingularPivot, match=r"^backward error 2\.971e-09 exceeds 1e-09$"):
+            thomas_solve(spec, rhs)
 
     def test_row_scale_past_the_float_range(self):
         # |a| + |b| + |c| = 3.3e308 made the pivot floor inf, so every pivot

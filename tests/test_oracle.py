@@ -144,6 +144,26 @@ class TestEigenCheck:
             eigen_check(np.eye(2), 1.0, [1.0, 1.0, 1.0])
 
 
+def test_verify_skips_an_inverse_past_the_float_range():
+    # q = 1e300: the kernel's entry (3, 1) is about q^2
+    checks = {ch["name"]: ch for ch in verify_checks(make_spec(1e300, 1.0, 1e-300, 3), 1e-12)}
+    assert checks["inverse"]["status"] == "SKIP (kernel: OverflowError)"
+    assert checks["wronskian"]["status"] == "PASS"
+
+
+def test_verify_fails_determinants_of_opposite_signs(monkeypatch):
+    # the closed form and the continuant are both exact in sign; a continuant
+    # of the other sign, stubbed here, must fail the check, not pass on |det|
+    from tritoep import spectral
+
+    continuant = spectral.determinant_continuant
+    monkeypatch.setattr(spectral, "determinant_continuant",
+                        lambda spec: -continuant(spec))
+    checks = {ch["name"]: ch for ch in verify_checks(make_spec(1.0, 2.5, 1.0, 5), 1e-12)}
+    assert (checks["determinant"]["status"], checks["determinant"]["residual"]) == (
+        "FAIL", math.inf)
+
+
 # verify_checks at a spec times 2^k.  Every closed form and every dense
 # routine it compares is exact under the scaling or scales with it, so the
 # verdicts must not move, provided k keeps every entry and |a| + |b| + |c|

@@ -224,6 +224,15 @@ class TestInverseEntries:
                             exact.float_value, rel=1e-10
                         )
 
+    def test_entry_past_the_float_range_is_signed_inf(self):
+        # |entry| <= n, so only base 1, where R_m(1) = m costs nothing, reaches
+        # past the float range: entry (i, j), i <= j, is i (n + 1 - j) / (n + 1)
+        n, half = 10**309, 5 * 10**308
+        for j, sign in ((half, 1), (half + 1, -1)):
+            entry = repunit_inverse_entry(1, n, half, j)
+            assert entry.value == sign * Fraction(half * (n + 1 - j), n + 1)
+            assert entry.float_value == sign * math.inf
+
     def test_alt_scaling_documents_discrepancy(self):
         # the d^((i-j)/2)/sqrt(d) prefactor variant gives -1/1110 where the
         # dense inverse has -1/111; it is not the inverse
@@ -258,6 +267,16 @@ class TestChebIdentity:
             d = float(math.exp(rng.uniform(math.log(0.1), math.log(100.0))))
             m = int(rng.integers(0, 301))
             assert cheb_repunit_identity_residual(d, m) <= 1e-10
+
+    def test_argument_is_at_least_one_in_floats(self):
+        # fl(d + 1) >= fl(2 sqrt d) = 2 fl(sqrt d), as rounding is monotone, so
+        # U_m is positive at the rounded argument too, however large m
+        rng = np.random.default_rng(4177)
+        near = 1.0 + rng.uniform(-1e-7, 1e-7, 2000)
+        for d in [*near, *np.exp(rng.uniform(-700.0, 700.0, 2000)), 5e-324, 1.7976931348623157e308]:
+            d = float(d)
+            assert (d + 1.0) / (2.0 * math.sqrt(d)) >= 1.0
+        assert cheb_repunit_identity_residual(1.0 + 2**-52, 10**9) <= 1e-10
 
 
 class TestBoundaryBase:
