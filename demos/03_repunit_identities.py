@@ -13,12 +13,10 @@ from fractions import Fraction
 import numpy as np
 
 from tritoep import (
-    ALT_SCALING_NOTE,
     build_kernel,
     cheb_repunit_identity_residual,
     cosine_product,
     inverse_entry,
-    inverse_entry_alt_scaling,
     repunit,
     repunit_condition,
     repunit_det_exact,
@@ -76,10 +74,9 @@ dense = dense_inverse(dense_from_spec(repunit_matrix_spec(10, 2)))
 print("  dense inverse entry (1,2)          :", dense[0, 1])
 print("  repunit formula entry (1,2)        :",
       repunit_inverse_entry(10, 2, 1, 2).value)
+# the variant times the entry by d^((i-j)/2)/sqrt(d) = 10^-1 at (1, 2)
 print("  d^((i-j)/2)/sqrt(d)-scaled variant :",
-      inverse_entry_alt_scaling(10, 2, 1, 2), " <- not the inverse")
-print()
-print(ALT_SCALING_NOTE)
+      repunit_inverse_entry(10, 2, 1, 2).value / 10, " <- not the inverse")
 print()
 
 print("floating kernel path agrees with the exact entries (d = 10, n = 9):")

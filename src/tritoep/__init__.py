@@ -29,10 +29,10 @@ _LAZY = {
     "decay": ("DecayEnvelope", "decay_bound", "decay_envelope", "hyperbolic_inverse_entry"),
     "conditioning": ("ConditionReport", "weighted_condition", "weighted_inner",
                      "weighted_norm", "weighted_operator_norm"),
-    "repunit": ("ALT_SCALING_NOTE", "RepunitInverseEntry", "RepunitValue",
-                "cheb_repunit_identity_residual", "cosine_product", "cosine_product_log",
-                "inverse_entry_alt_scaling", "log_repunit", "repunit", "repunit_condition",
-                "repunit_det_exact", "repunit_inverse_entry", "repunit_matrix_spec"),
+    "repunit": ("RepunitInverseEntry", "RepunitValue", "cheb_repunit_identity_residual",
+                "cosine_product", "cosine_product_log", "log_repunit", "repunit",
+                "repunit_condition", "repunit_det_exact", "repunit_inverse_entry",
+                "repunit_matrix_spec"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -4,7 +4,13 @@ regime.
 Evaluation is regime-dispatched on |x|, times the parity (-1)^m when x < 0:
 
 * ``|x| < 1`` -- sine quotient sin((m+1)*theta)/sin(theta) with
-  theta = arccos(|x|);
+  theta = arccos(|x|), the phase (m+1)*theta taken exactly: split as
+  (m+1) = j*B + r with the fixed block B = 1024, it is j*B*theta plus
+  r*theta, each reduced by pi from exact products (Cody and Waite), and
+  sin((m+1)*theta) is sin(jB theta) cos(r theta) + cos(jB theta) sin(r theta).
+  The products are exact for m + 1 < 2^27; there the sine is within a few
+  eps of that of the stored theta, absolutely, at any m, where sin of the
+  rounded product is off by up to (m+1)*theta*eps/2;
 * ``|x| = 1`` -- the exact value m + 1, the only point where the quotients
   are 0/0; just off it theta and gamma are small but accurate, and so are
   the quotients;
@@ -74,6 +80,62 @@ class ScaledValue:
         return ScaledValue(-self.sign, self.log_mag)
 
 
+# The sine regime's exact phase.  theta = arccos|x| is split into two parts
+# of at most 26 significant bits, so k theta_i is exact for every integer
+# k < _EXACT_K; the double nearest pi is split the same way (_PI_1 + _PI_2)
+# and _PI_T holds the rest of pi, so q _PI_i is exact for every half-turn
+# count q <= k / 2.  Past _EXACT_K the products round.
+_EXACT_K = 2**27
+_PI_1 = float.fromhex("0x1.921fb58p+1")
+_PI_2 = float.fromhex("-0x1.dde974p-26")
+_PI_T = float.fromhex("0x1.1a62633145c07p-53")
+# m + 1 = j _BLOCK + r; even, so (-1)^m depends on r alone.  Fixed, so an
+# entry is the same for every n; 1024 keeps query-sized sequences (n up to
+# about 1000) to the row alone and the n = 10^5 pass to about 100 rows
+_BLOCK = 1024
+
+
+def _theta_parts(theta: float) -> tuple[float, float, float]:
+    """theta = t1 + t2, each of at most 26 significant bits (Veltkamp's
+    split), and theta / pi, which counts the half-turns."""
+    c = theta * 134217729.0
+    t1 = c - (c - theta)
+    return t1, theta - t1, theta * (1.0 / math.pi)
+
+
+def _phase(k: int, parts) -> tuple[float, int]:
+    """(rem, q) with k theta = q pi + rem, |rem| <= pi/2 to rounding, for an
+    integer k >= 0: the scalar form of :func:`_phases`, in the same operations.
+
+    rem is formed from exact products (Cody and Waite), so it is within
+    about an ulp of its exact value for k < _EXACT_K, where the rounded
+    k theta is off by up to k theta eps / 2.  sin and cos of k theta are
+    those of rem times (-1)^q.
+    """
+    t1, t2, tq = parts
+    q = int(k * tq + 0.5)
+    return ((k * t1 - q * _PI_1) + (k * t2 - q * _PI_2)) - q * _PI_T, q
+
+
+def _phases(k, parts):
+    """(rem, q) of :func:`_phase` for a float array k of integers >= 0: the
+    array form.  k is overwritten."""
+    import numpy as np
+
+    t1, t2, tq = parts
+    q = np.multiply(k, tq)
+    q += 0.5
+    q = q.astype(np.intp)  # floor, as int() in the scalar form
+    rem = k * t1
+    w = np.multiply(q, _PI_1)
+    rem -= w
+    lo = np.multiply(k, t2, out=k)
+    lo -= np.multiply(q, _PI_2, out=w)
+    rem += lo
+    rem -= np.multiply(q, _PI_T, out=w)
+    return rem, q
+
+
 def _log1mexp(t: float) -> float:
     """log(1 - exp(-t)) for t > 0, stable for both tiny and large t."""
     return math.log(-math.expm1(-t))
@@ -92,7 +154,10 @@ def _eval_u(m: int, x: float):
     """The scalar regime dispatch behind :func:`eval_U` and :func:`eval_U_scaled`.
 
     Returns a plain float for |x| <= 1, and a ScaledValue from the
-    hyperbolic form, whose value may lie beyond the float range.
+    hyperbolic form, whose value may lie beyond the float range.  In the
+    sine regime it runs the operations of ``_u_sequence_into`` on the one
+    entry, so U_m(x) equals that entry bit for bit: m + 1 = j _BLOCK + r,
+    and for j = 0 the row value alone.
     """
     m = _check_int(m, "degree m", 0)
     _check_x(x)
@@ -103,7 +168,18 @@ def _eval_u(m: int, x: float):
     if ax < 1.0:
         # at |x|, so theta stays away from pi, where acos loses pi - theta
         theta = math.acos(ax)
-        return parity * (math.sin((m + 1) * theta) / math.sin(theta))
+        parts = _theta_parts(theta)
+        j, r = divmod(m + 1, _BLOCK)
+        rem, q = _phase(r, parts)
+        # (-1)^q sin(theta): the sign of the half-turns, as the array divides
+        sin_t = -math.sin(theta) if q & 1 else math.sin(theta)
+        s = parity * (math.sin(rem) / sin_t)
+        if not j:  # the column value, bit for bit: 0 c + 1 s = s
+            return s
+        c = parity * (math.cos(rem) / sin_t)
+        rem, q = _phase(j * _BLOCK, parts)
+        sign = -1.0 if q & 1 else 1.0
+        return (sign * math.sin(rem)) * c + (sign * math.cos(rem)) * s
     # sinh((m+1)g)/sinh(g) = e^(m*g) * (1 - e^(-2(m+1)g)) / (1 - e^(-2g))
     g = math.acosh(ax)
     return ScaledValue(parity, m * g + _log1mexp(2.0 * (m + 1) * g) - _log1mexp(2.0 * g))
@@ -145,26 +221,83 @@ def _u_sequence_into(v, x: float) -> float:
     """Write v[k] = U_(k-1)(x) e^(-(k-1) gamma), k = 0..v.size - 1, in place; return gamma.
 
     v[0] = 0 stands for U_(-1); gamma = arccosh|x| for |x| > 1, else 0.
+    In the sine regime v[k] = sin(k theta)/sin(theta) from the exact phase
+    (the module docstring): two outer products of the _BLOCK row phases and
+    about v.size/_BLOCK column phases, so the pass takes no sine per entry
+    and allocates one scratch array of v's size, as the other regimes do.
     """
     import numpy as np
 
     _check_x(x)
     ax = abs(x)
+    if ax < 1.0:
+        _sine_sequence_into(v, math.acos(ax), not x >= 0)
+        v[0] = 0.0
+        return 0.0
     gamma = math.acosh(ax) if ax > 1.0 else 0.0
     v[0] = 0.0
     u, t = v[1:], np.arange(1.0, v.size)  # m + 1, the one scratch array
     if ax == 1.0:
         u[...] = t
-    elif ax < 1.0:
-        theta = math.acos(ax)  # at |x| with the parity, as in _eval_u
-        np.sin(np.multiply(t, theta, out=u), out=u)
-        u /= math.sin(theta)
     else:  # (1 - e^(-2(m+1) gamma)) / (1 - e^(-2 gamma))
         np.expm1(np.multiply(t, -2.0 * gamma, out=u), out=u)
         u /= math.expm1(-2.0 * gamma)
     if not x >= 0:
         u[1::2] *= -1.0
     return gamma
+
+
+def _sine_sequence_into(v, theta: float, negative: bool) -> None:
+    """v[k] = sin(k theta) / sin(theta), times (-1)^(k-1) if ``negative``, k >= 1.
+
+    k = j _BLOCK + r: the row of _BLOCK phases r theta, with 1/sin(theta)
+    and the parity folded in, and the column of phases j _BLOCK theta give
+    sin(j B theta) cos(r theta) + cos(j B theta) sin(r theta) as two outer
+    products into a (rows, _BLOCK) view of v; row j = 0 is the row itself,
+    as in ``_eval_u``.
+    """
+    import numpy as np
+
+    size = v.size
+    width = min(_BLOCK, size)
+    rows = -(-size // _BLOCK)
+    k = np.arange(width + rows - 1, dtype=float)  # r = 0..width-1, then j = 1..rows-1
+    if rows > 1:
+        k[width:] -= width - 1
+        k[width:] *= _BLOCK
+    rem, q = _phases(k, _theta_parts(theta))
+    odd = q & 1  # (-1)^q = -1
+    sin_t = math.sin(theta)
+    if rows == 1:
+        # the row alone, which needs no cosines: most kernels of a query are
+        # this short, and there each numpy call is a measurable share of
+        # the build; divided by (-1)^q sin(theta), as _eval_u divides
+        np.divide(np.sin(rem, out=v), np.where(odd, -sin_t, sin_t), out=v)
+        if negative:  # (-1)^(k-1) = (-1)^(r+1), since _BLOCK is even
+            v[::2] *= -1.0
+        return
+    # the row is divided by (-1)^q sin(theta), the column by (-1)^q
+    div = np.where(odd, -1.0, 1.0)
+    div[:width] *= sin_t
+    base = np.empty((2, rem.size))  # sin and cos
+    np.sin(rem, out=base[0])
+    np.cos(rem, out=base[1])
+    base /= div
+    if negative:
+        base[:, :width:2] *= -1.0
+    sin_r, cos_r, sin_j, cos_j = base[0, :width], base[1, :width], base[0, width:], base[1, width:]
+    v[:width] = sin_r
+    full = (size - width) // _BLOCK  # whole rows j = 1..full
+    if full:
+        body = v[width:width + full * _BLOCK].reshape(full, _BLOCK)
+        # einsum, since a broadcast multiply buffers a copy of its output
+        np.einsum("i,j->ij", sin_j[:full], cos_r, out=body)
+        scratch = np.empty((full, _BLOCK))  # the one scratch array
+        body += np.einsum("i,j->ij", cos_j[:full], sin_r, out=scratch)
+    tail = v[width + full * _BLOCK:]
+    if tail.size:
+        np.multiply(cos_r[:tail.size], sin_j[-1], out=tail)
+        tail += sin_r[:tail.size] * cos_j[-1]
 
 
 def _three_term(m: int, c: float) -> tuple[float, int]:

@@ -5,14 +5,6 @@ The repunit R_m(d) = 1 + d + ... + d^(m-1) is the determinant of the
 factorisation is an eigenvalue, and the inverse entries are ratios of
 repunits.  Integer bases get exact big-integer / rational paths; real
 bases use stable log-space floating arithmetic.
-
-The inverse-entry prefactor deserves a note.  A superficially plausible
-variant multiplies the entry by d^((i-j)/2)/sqrt(d); it fails the exact
-arbiter V * V^(-1) = I (for d = 10, n = 2 it yields -1/1110 at (1, 2)
-where the true entry is -1/111).  The plain product form implemented in
-:func:`repunit_inverse_entry` is the one consistent with the Chebyshev
-kernel and with dense inversion; the variant is kept as
-:func:`inverse_entry_alt_scaling` so tests can document the discrepancy.
 """
 
 from __future__ import annotations
@@ -34,7 +26,6 @@ if TYPE_CHECKING:
 __all__ = [
     "RepunitValue",
     "RepunitInverseEntry",
-    "ALT_SCALING_NOTE",
     "repunit",
     "log_repunit",
     "repunit_matrix_spec",
@@ -43,18 +34,8 @@ __all__ = [
     "cosine_product_log",
     "repunit_condition",
     "repunit_inverse_entry",
-    "inverse_entry_alt_scaling",
     "cheb_repunit_identity_residual",
 ]
-
-ALT_SCALING_NOTE = (
-    "The alternative inverse-entry prefactor (-1)^(i+j) * d^((i-j)/2) / sqrt(d) "
-    "is inconsistent with the inverse kernel: for d = 10, n = 2 it gives -1/1110 "
-    "at entry (1, 2) while the dense inverse gives -1/111.  The implemented form "
-    "(-1)^(i+j) * R_i * R_{n+1-j} / R_{n+1} (times d^(i-j) below the diagonal) "
-    "satisfies V * V^(-1) = I in exact rational arithmetic."
-)
-
 
 @dataclass(frozen=True)
 class RepunitValue:
@@ -244,29 +225,6 @@ def repunit_inverse_entry(d, n: int, i: int, j: int) -> RepunitInverseEntry:
     return RepunitInverseEntry(
         i=i, j=j, sign=sign, rational_part=rational, float_value=fv
     )
-
-
-def inverse_entry_alt_scaling(d, n: int, i: int, j: int):
-    """The rejected d^((i-j)/2)/sqrt(d)-scaled variant of the inverse entry.
-
-    Returns an exact Fraction when the extra exponent (i - j - 1)/2 is an
-    integer and a float otherwise.  See ALT_SCALING_NOTE: this variant
-    fails the exact identity V * V^(-1) = I and exists only so the
-    discrepancy stays documented and testable.
-    """
-    from fractions import Fraction
-
-    di = _require_integer_base(d)
-    n = _check_int(n, "n", 1)
-    entry = repunit_inverse_entry(di, n, i, j)
-    # the plain entry without its d^(i-j) factor below the diagonal
-    base = entry.value
-    if entry.i > entry.j:
-        base /= Fraction(di) ** (entry.i - entry.j)
-    exponent = entry.i - entry.j - 1
-    if exponent % 2 == 0:
-        return base * Fraction(di) ** (exponent // 2)
-    return float(base) * di ** (exponent / 2.0)
 
 
 def cheb_repunit_identity_residual(d, m: int) -> float:

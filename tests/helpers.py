@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from tritoep import NearSingularPivot, make_spec
+from tritoep import NearSingularPivot, make_spec, repunit_inverse_entry
 from tritoep.oracle import dense_from_spec, lu_det
 
 
@@ -66,6 +66,34 @@ def inverse_exact(spec):
             except OverflowError:
                 inv[i, j] = math.inf if (num > 0) == (den > 0) else -math.inf
     return inv
+
+
+ALT_SCALING_NOTE = (
+    "The alternative inverse-entry prefactor (-1)^(i+j) * d^((i-j)/2) / sqrt(d) "
+    "is inconsistent with the inverse kernel: for d = 10, n = 2 it gives -1/1110 "
+    "at entry (1, 2) while the dense inverse gives -1/111.  The implemented form "
+    "(-1)^(i+j) * R_i * R_{n+1-j} / R_{n+1} (times d^(i-j) below the diagonal) "
+    "satisfies V * V^(-1) = I in exact rational arithmetic."
+)
+
+
+def inverse_entry_alt_scaling(d: int, n: int, i: int, j: int):
+    """The rejected d^((i-j)/2)/sqrt(d)-scaled variant of the repunit inverse entry.
+
+    Returns an exact Fraction when the extra exponent (i - j - 1)/2 is an
+    integer and a float otherwise.  See ALT_SCALING_NOTE: the variant
+    fails the exact identity V * V^(-1) = I; it is kept here so that the
+    discrepancy stays documented and tested.
+    """
+    entry = repunit_inverse_entry(d, n, i, j)
+    # the plain entry without its d^(i-j) factor below the diagonal
+    base = entry.value
+    if entry.i > entry.j:
+        base /= Fraction(d) ** (entry.i - entry.j)
+    exponent = entry.i - entry.j - 1
+    if exponent % 2 == 0:
+        return base * Fraction(d) ** (exponent // 2)
+    return float(base) * d ** (exponent / 2.0)
 
 
 def log_abs_fraction(fr: Fraction) -> float:

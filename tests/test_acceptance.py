@@ -13,13 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import log_abs_fraction, repunit_fraction
+from helpers import inverse_entry_alt_scaling, log_abs_fraction, repunit_fraction
 from tritoep import (
     apply_inverse,
     build_kernel,
     cosine_product_log,
     inverse_dense,
-    inverse_entry_alt_scaling,
     make_spec,
     repunit,
     repunit_det_exact,

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +17,7 @@ from tritoep import (
     eval_U_scaled,
     u_sequence_scaled,
 )
-from tritoep.cheby import _u_sequence_arrays, _u_sequence_into
+from tritoep.cheby import _BLOCK, _EXACT_K, _u_sequence_arrays, _u_sequence_into
 
 EPS = 2.0**-52
 
@@ -307,3 +308,42 @@ def test_negative_oscillatory_scalar_and_array_agree(x):
         ref = eval_U_scaled(m, x)
         assert sv.sign == ref.sign
         assert sv.log_mag == pytest.approx(ref.log_mag, rel=1e-13, abs=1e-13)
+
+
+# m + 1 on and around the block edges of the sine regime's exact phase
+_BLOCK_EDGES = st.sampled_from(sorted({e + d for e in (1, _BLOCK, 2 * _BLOCK, 3 * _BLOCK, 4 * _BLOCK)
+                                       for d in (-1, 0, 1) if e + d >= 1}))
+
+
+@given(st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       _BLOCK_EDGES | st.integers(min_value=1, max_value=5000),
+       st.integers(min_value=0, max_value=2 * _BLOCK))
+def test_scalar_is_the_sequence_entry_bit_for_bit(x, k, extra):
+    # the scalar runs the array's operations on one entry, so U_(k-1)(x) is
+    # the same double whether the sequence ends at it or runs past it
+    for size in (k + 1, k + 1 + extra):
+        v = np.empty(size)
+        assert _u_sequence_into(v, x) == 0.0
+        assert v[k].hex() == eval_U(k - 1, x).hex()
+
+
+def _sine_error(k, x, value):
+    """|value - sin(k theta)/sin(theta)| sin(theta), theta the stored arccos|x|:
+    the absolute error of the sine, against 40-digit mpmath."""
+    with mpmath.workdps(40):
+        theta = mpmath.mpf(math.acos(abs(x)))
+        exact = mpmath.sin(k * theta) / mpmath.sin(theta)
+        if x < 0 and k % 2 == 0:
+            exact = -exact
+        return float(abs(mpmath.mpf(value) - exact) * mpmath.sin(theta))
+
+
+@pytest.mark.parametrize("x", [0.35, -0.35, 0.0, -0.7071, 0.999, 1e-3])
+def test_sine_within_four_eps_at_large_degree(x):
+    # sin of the rounded (m+1) theta was off by up to (m+1) theta eps / 2
+    # (1.1e-10 at m = 10^6); the exact phase keeps the sine within 4 eps at
+    # any m below the exactness bound, and at the bound itself
+    rng = np.random.default_rng(41)
+    ks = [int(k) for k in rng.integers(1, 10**6 + 2, 12)] + [10**6 + 1, _EXACT_K - 1]
+    for k in ks:
+        assert _sine_error(k, x, eval_U(k - 1, x)) <= 4 * EPS, k

@@ -390,6 +390,15 @@ class TestVerify:
         assert "SKIP (singular)" in out
         assert "FAIL" not in out
 
+    def test_determinant_where_the_raw_elimination_meets_a_zero_pivot(self, capsys):
+        # |q| = 1e150: the raw matrix's elimination meets an exact zero pivot
+        # although det is about 55; the check reads the symmetrised matrix
+        code, out, _ = run_cli(capsys, "verify", "-a", "1e150", "-b", "3", "-c", "1e-150",
+                               "-n", "4")
+        assert code == 0
+        assert "determinant   residual 0.0  tol 1e-09  PASS\n" in out
+        assert "overall: PASS" in out
+
     def test_envelope_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "-a", "1", "-b", "2", "-c", "1",
                                "-n", "500")

@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 from helpers import inverse_exact, log_abs_fraction
-from tritoep import cli, make_spec
+from tritoep import TriToeplitzError, cli, make_spec
 from tritoep.conditioning import weighted_condition
-from tritoep.greens import build_kernel, inverse_dense
+from tritoep.greens import apply_inverse, build_kernel, inverse_dense, thomas_solve
 from tritoep.spectral import char_poly_eval, determinant, eigenvalues, extremal_eigenvalues
 
 MAGNITUDES = (1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300, 1e308)
@@ -120,6 +120,7 @@ def _check_case(ma, mc, x, n):
     except OverflowError:
         assert max(abs(v) for v in lam) > sys.float_info.max
 
+    _check_solves(spec)
     try:
         inv = inverse_dense(build_kernel(spec))
     except OverflowError:
@@ -127,3 +128,25 @@ def _check_case(ma, mc, x, n):
     want = inverse_exact(spec)
     assert np.isfinite(want).all()
     assert np.max(np.abs(inv - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# exact zeros, both signs and a spread of magnitudes
+RHS = np.array([1.0, -2.0, 0.0, 0.5, -3.0, 1.0])
+
+
+def _check_solves(spec):
+    """apply_inverse and thomas_solve, normwise: within 1e-12 n max|A^-1|
+    max|rhs| of ``inverse_exact(spec) @ rhs``, or a typed refusal."""
+    rhs = RHS[:spec.n]
+    inv = inverse_exact(spec)
+    with np.errstate(all="ignore"):  # an inverse entry past the float range is inf
+        bound = 1e-12 * spec.n * np.max(np.abs(inv)) * np.max(np.abs(rhs))
+        want = inv @ rhs
+    for solve in (lambda: apply_inverse(build_kernel(spec), rhs), lambda: thomas_solve(spec, rhs)):
+        try:
+            got = solve()
+        except (TriToeplitzError, OverflowError):
+            continue
+        assert np.isfinite(got).all()
+        if math.isfinite(bound):
+            assert np.max(np.abs(got - want)) <= bound

@@ -615,7 +615,8 @@ def _peak_arrays(fn, n):
 
 def test_allocation_budget():
     # the kernel array plus one scratch array for build_kernel (the m + 1 of
-    # the sequence, then the self-check's two half-length products); for
+    # the sequence, or its second outer product in the sine regime, then the
+    # self-check's two half-length products); for
     # apply_inverse the padded row weights plus, per column, the two-part
     # term grid, whose prefix part holds the solution, and its |rhs| > 0
     # mask.  A temporary per numpy operation would go past these (9 arrays
@@ -628,6 +629,9 @@ def test_allocation_budget():
     rng = np.random.default_rng(269)
     rhs, block = rng.standard_normal(n), rng.standard_normal((n, 8))
     assert _peak_arrays(lambda: build_kernel(spec), n) <= 2.5
+    # the sine regime's two outer products share the one scratch array
+    sine = _growth_spec(0.35, 1.0, 30.0, n)
+    assert _peak_arrays(lambda: build_kernel(sine), n) <= 2.5
     assert _peak_arrays(lambda: apply_inverse(kernel, rhs), n) <= 4.0
     assert _peak_arrays(lambda: apply_inverse(kernel, block), n) <= 2.0 + 2.1 * 8
 
@@ -637,6 +641,17 @@ def _backward_error(spec, x, rhs):
     a_norm = abs(spec.a) + abs(spec.b) + abs(spec.c)
     resid = np.max(np.abs(apply_matvec(spec, x) - rhs))
     return resid / (a_norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+
+
+def test_sine_regime_kernel_at_a_million():
+    # x = 0.35: sin of the rounded (m+1) theta gave a Wronskian residual of
+    # 2.2e-9 here, and the build refused a matrix of weighted condition 1.5e7
+    n = 10**6
+    spec = make_spec(1, 0.7, 1, n)
+    kernel = build_kernel(spec)
+    assert kernel.wronskian_residual <= 1e-13
+    rhs = np.random.default_rng(331).standard_normal(n)
+    assert _backward_error(spec, apply_inverse(kernel, rhs), rhs) <= 1e-13
 
 
 @pytest.mark.parametrize("x", [0.35, -0.8, 1 + 5e-8, 1.25])

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import log_abs_fraction, repunit_fraction
+from helpers import inverse_entry_alt_scaling, log_abs_fraction, repunit_fraction
 from tritoep import (
     InvalidBase,
     NotInGappedRegime,
@@ -15,7 +15,6 @@ from tritoep import (
     cosine_product_log,
     decay_bound,
     inverse_entry,
-    inverse_entry_alt_scaling,
     log_repunit,
     make_spec,
     repunit,

@@ -325,6 +325,15 @@ class TestCharPoly:
         assert char_poly_eval(make_spec(1, 3, 1, 1), 5.0).to_float() == pytest.approx(2.0, rel=1e-13)
         assert char_poly_eval(make_spec(1, 2, 1, 3), 2.0).sign == 0
 
+    def test_sine_regime_value_is_the_correctly_rounded_one(self):
+        # det(0.5 I - A) = prod(0.5 - 2 - 2 cos(k pi/6)) = 1.40625 exactly, at
+        # x = -0.75; the CLI golden `charpoly -a 1 -b 2 -c 1 -n 5 -t 0.5` prints
+        # this value and log, which 40-digit mpmath rounds to (sin of the
+        # rounded 6 theta gave 1.4062500000000002 and 0.34092658697059336)
+        chi = char_poly_eval(make_spec(1, 2, 1, 5), 0.5)
+        assert chi.to_float() == 1.40625
+        assert chi.log_mag == 0.3409265869705932
+
     def test_vanishes_at_eigenvalues(self):
         rng = np.random.default_rng(47)
         for n in (3, 8, 40, 120, 200):
