@@ -103,36 +103,25 @@ def _theta_parts(theta: float) -> tuple[float, float, float]:
     return t1, theta - t1, theta * (1.0 / math.pi)
 
 
-def _phase(k: int, parts) -> tuple[float, int]:
+def _phase(k, parts, whole=int):
     """(rem, q) with k theta = q pi + rem, |rem| <= pi/2 to rounding, for an
-    integer k >= 0: the scalar form of :func:`_phases`, in the same operations.
+    integer k >= 0, or for a float array k, which it overwrites, with whole=np.intp.
 
     rem is formed from exact products (Cody and Waite), so it is within
     about an ulp of its exact value for k < _EXACT_K, where the rounded
     k theta is off by up to k theta eps / 2.  sin and cos of k theta are
-    those of rem times (-1)^q.
+    those of rem times (-1)^q.  Both forms run the same operations, bit for bit.
     """
     t1, t2, tq = parts
-    q = int(k * tq + 0.5)
-    return ((k * t1 - q * _PI_1) + (k * t2 - q * _PI_2)) - q * _PI_T, q
-
-
-def _phases(k, parts):
-    """(rem, q) of :func:`_phase` for a float array k of integers >= 0: the
-    array form.  k is overwritten."""
-    import numpy as np
-
-    t1, t2, tq = parts
-    q = np.multiply(k, tq)
+    q = k * tq
     q += 0.5
-    q = q.astype(np.intp)  # floor, as int() in the scalar form
+    q = whole(q)  # floor, as q >= 0
     rem = k * t1
-    w = np.multiply(q, _PI_1)
-    rem -= w
-    lo = np.multiply(k, t2, out=k)
-    lo -= np.multiply(q, _PI_2, out=w)
-    rem += lo
-    rem -= np.multiply(q, _PI_T, out=w)
+    rem -= q * _PI_1
+    k *= t2
+    k -= q * _PI_2
+    rem += k
+    rem -= q * _PI_T
     return rem, q
 
 
@@ -265,7 +254,7 @@ def _sine_sequence_into(v, theta: float, negative: bool) -> None:
     if rows > 1:
         k[width:] -= width - 1
         k[width:] *= _BLOCK
-    rem, q = _phases(k, _theta_parts(theta))
+    rem, q = _phase(k, _theta_parts(theta), np.intp)
     odd = q & 1  # (-1)^q = -1
     sin_t = math.sin(theta)
     if rows == 1:

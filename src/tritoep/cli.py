@@ -168,16 +168,6 @@ def _solution(x: list, **fields) -> _Answer:
 # ---------------------------------------------------------------------------
 # spec plumbing
 
-def _add_spec_args(sp, with_n=True):
-    sp.add_argument("-a", type=float, default=None, help="subdiagonal entry")
-    sp.add_argument("-b", type=float, default=None, help="diagonal entry")
-    sp.add_argument("-c", type=float, default=None, help="superdiagonal entry")
-    if with_n:
-        sp.add_argument("-n", type=int, default=None, help="matrix order")
-    sp.add_argument("--spec-file", default=None,
-                    help="JSON file with a/b/c/n (accepts any subcommand's output)")
-
-
 def _resolve_spec(args):
     """The spec from the flags over --spec-file; (a, b, c) for bench, None for repunit."""
     if not hasattr(args, "spec_file"):
@@ -449,57 +439,69 @@ def _cmd_bench(args, abc) -> _Answer:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table of rows (name, handler or the rows of its actions, help,
+# options), each option declared once as (flag, argparse keywords)
 
-_FORMATS = ("json", "csv", "plain")
+def _opt(option: tuple, **changes) -> tuple:
+    """``option`` with ``changes`` to its argparse keywords."""
+    return option[0], {**option[1], **changes}
 
+
+_N, _I, _J = ("-n", {"type": int}), ("-i", {"type": int}), ("-j", {"type": int})
+# repunit's integer arguments and decay's indices are required
+_REQUIRED_N, _REQUIRED_I, _REQUIRED_J = (_opt(o, required=True) for o in (_N, _I, _J))
+_M = ("-m", {"type": int, "required": True})
+_SPEC = (("-a", {"type": float, "help": "subdiagonal entry"}),
+         ("-b", {"type": float, "help": "diagonal entry"}),
+         ("-c", {"type": float, "help": "superdiagonal entry"}))
+_SPEC_FILE = ("--spec-file", {"help": "JSON file with a/b/c/n (accepts any subcommand's output)"})
+_SPEC_N = (*_SPEC, _opt(_N, help="matrix order"), _SPEC_FILE)
 # --tol, for the subcommands whose answer depends on it
 _TOL = ("--tol", {"type": float, "default": DEFAULT_SINGULAR_TOL,
                   "help": f"singularity tolerance (default {DEFAULT_SINGULAR_TOL})"})
+_RHS = ("--rhs", {"help": "comma-separated right-hand side"})
+_FORMAT = ("--format", {"choices": ("json", "csv", "plain"), "default": "plain"})
+_BASE = ("--base", {"type": float, "required": True, "help": "repunit base d > 0"})
+_EXACT = ("--exact", {"action": "store_true",
+                      "help": "print the exact decimal string (integer base only)"})
 
-# (name, handler, help, arguments between the spec and --format)
 _COMMANDS = (
     ("eig", _cmd_eig, "eigenvalues (all) or one eigenvector (-k)", (
-        ("-k", {"type": int, "help": "eigenpair index (1-based)"}),
+        *_SPEC_N, ("-k", {"type": int, "help": "eigenpair index (1-based)"}),
         ("--normalization", {"choices": ("raw", "unit_weighted", "unit_euclidean"),
-                             "default": "raw"}),
-    )),
-    ("det", _cmd_det, "determinant (sign, log-magnitude, value)", ()),
+                             "default": "raw"}), _FORMAT)),
+    ("det", _cmd_det, "determinant (sign, log-magnitude, value)", (*_SPEC_N, _FORMAT)),
     ("charpoly", _cmd_charpoly, "characteristic polynomial at t", (
-        ("-t", {"type": float, "required": True, "help": "evaluation point"}),
-    )),
+        *_SPEC_N, ("-t", {"type": float, "required": True, "help": "evaluation point"}),
+        _FORMAT)),
     ("inverse", _cmd_inverse, "one inverse entry (-i -j) or apply (--rhs)", (
-        _TOL, ("-i", {"type": int}), ("-j", {"type": int}),
-        ("--rhs", {"help": "comma-separated right-hand side"}),
-    )),
+        *_SPEC_N, _TOL, _I, _J, _RHS, _FORMAT)),
     ("solve", _cmd_solve, "solve A x = rhs", (
-        _TOL,
-        ("--rhs", {"required": True, "help": "comma-separated right-hand side"}),
-        ("--method", {"choices": ("thomas", "kernel"), "default": "thomas"}),
-    )),
-    ("cond", _cmd_cond, "weighted condition number report", (_TOL,)),
+        *_SPEC_N, _TOL, _opt(_RHS, required=True),
+        ("--method", {"choices": ("thomas", "kernel"), "default": "thomas"}), _FORMAT)),
+    ("cond", _cmd_cond, "weighted condition number report", (*_SPEC_N, _TOL, _FORMAT)),
     ("decay", _cmd_decay, "inverse-entry decay bound (needs x > 1)", (
-        ("-i", {"type": int, "required": True}), ("-j", {"type": int, "required": True}),
-    )),
-    ("repunit", _cmd_repunit, "repunit identities (exact for integer bases)", ()),
-    ("verify", _cmd_verify, "oracle cross-checks for one spec (n <= 200)", (_TOL,)),
+        *_SPEC_N, _REQUIRED_I, _REQUIRED_J, _FORMAT)),
+    ("repunit", (
+        ("value", _cmd_repunit, None, (_BASE, _M, _EXACT, _FORMAT)),
+        ("det", _cmd_repunit, None, (_BASE, _REQUIRED_N, _EXACT, _FORMAT)),
+        ("product", _cmd_repunit, None, (_BASE, _REQUIRED_N, _FORMAT)),
+        ("cond", _cmd_repunit, None, (_BASE, _REQUIRED_N, _FORMAT)),
+        ("inverse", _cmd_repunit, None, (_BASE, _REQUIRED_N, _REQUIRED_I, _REQUIRED_J, _FORMAT)),
+        ("identity", _cmd_repunit, None, (_BASE, _M, _FORMAT)),
+    ), "repunit identities (exact for integer bases)", ()),
+    ("verify", _cmd_verify, "oracle cross-checks for one spec (n <= 200)", (
+        *_SPEC_N, _TOL, _FORMAT)),
     ("bench", _cmd_bench, "timing table: apply_inverse / thomas / dense", (
-        _TOL,
+        *_SPEC, _SPEC_FILE, _TOL,
         ("--grid", {"required": True, "help": "comma-separated orders, e.g. 64,256"}),
         ("--reps", {"type": int, "default": 9,
                     "help": "timing repetitions (median reported); 0 = no timing, "
                             "deterministic output"}),
         ("--dense-limit", {"type": int, "default": DEFAULT_DENSE_LIMIT,
                            "help": "skip the dense baseline above this order"}),
-    )),
+        _opt(_FORMAT, default="csv"))),
 )
-
-# repunit action: its integer arguments
-_REPUNIT_ACTIONS = {"value": "m", "det": "n", "product": "n", "cond": "n",
-                    "inverse": "nij", "identity": "m"}
-
-
-_REPUNIT_OPTIONS = ("--base", "--exact", "--format", "-m", "-n", "-i", "-j")
 
 
 class _ActionFirst(argparse.Action):
@@ -509,15 +511,42 @@ class _ActionFirst(argparse.Action):
         parser.error(f"argument {option_string}: the {self.dest} comes first")
 
 
-def _subparsers(parser, dest: str, names: list, argv):
-    """The subparsers, and the names to add: argv[0] alone if it is one of ``names``.
+def _flags(rows):
+    """The option flags of ``rows`` and of the rows nested in them, in table order."""
+    for _, then, _, options in rows:
+        yield from (flag for flag, _ in options)
+        if not callable(then):
+            yield from _flags(then)
 
-    The metavar then lists every name, so an error's usage reads as the full parser's.
+
+def _add_level(parser, rows: tuple, argv, dest: str = "command") -> None:
+    """Add ``rows`` as the choices of ``dest``: argv[0]'s row alone if it names one,
+    else every row; each with its options, then its handler or its own level.
+
+    A lone row keeps every name in the metavar, so an error's usage reads as the
+    full parser's.  With every row, an option of any row given before the choice is
+    refused by its name: argparse would set it aside and take its value for the
+    choice.  Not after a choice, whose parser reads its own options; here --r would
+    be ambiguous between --rhs and --reps.
     """
+    names = [name for name, *_ in rows]
     if argv and argv[0] in names:
-        return parser.add_subparsers(dest=dest, required=True,
-                                     metavar="{" + ",".join(names) + "}"), argv[:1]
-    return parser.add_subparsers(dest=dest, required=True), names
+        sub = parser.add_subparsers(dest=dest, required=True,
+                                    metavar="{" + ",".join(names) + "}")
+        rows, argv = [rows[names.index(argv[0])]], argv[1:]
+    else:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        parser.add_argument(*dict.fromkeys(_flags(rows)), nargs="?", action=_ActionFirst,
+                            dest=dest, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        argv = ()
+    for name, then, helptext, options in rows:
+        sp = sub.add_parser(name, **({"help": helptext} if helptext else {}))
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+        if callable(then):
+            sp.set_defaults(func=then)
+        else:
+            _add_level(sp, then, argv, "action")
 
 
 def _build_parser(argv=()) -> argparse.ArgumentParser:
@@ -527,44 +556,7 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
         description="Closed-form spectra, determinants, inverses and "
                     "conditioning of tridiagonal Toeplitz matrices.",
     )
-    sub, names = _subparsers(parser, "command", [c[0] for c in _COMMANDS], argv)
-    if len(names) > 1:
-        # argparse would set an option before the command aside and take its value for the
-        # command.  Not after a command, whose parser reads its options: here --r would be
-        # ambiguous between --rhs and --reps
-        flags = ("-a", "-b", "-c", "--spec-file", *_REPUNIT_OPTIONS,
-                 *(flag for *_, extra in _COMMANDS for flag, _ in extra))
-        parser.add_argument(*dict.fromkeys(flags), nargs="?", action=_ActionFirst, dest="command",
-                            default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    for name, func, helptext, extra in _COMMANDS:
-        if name not in names:
-            continue
-        sp = sub.add_parser(name, help=helptext)
-        if func is _cmd_repunit:
-            # argparse would set an action's option aside here and take its value for the action
-            sp.add_argument(*_REPUNIT_OPTIONS, nargs="?", action=_ActionFirst, dest="action",
-                            default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-            # the action is argv[1] only where argv[0] named repunit
-            rsub, actions = _subparsers(sp, "action", list(_REPUNIT_ACTIONS),
-                                        argv[1:] if len(names) == 1 else ())
-            for action in actions:
-                rp = rsub.add_parser(action)
-                rp.add_argument("--base", type=float, required=True,
-                                help="repunit base d > 0")
-                for arg in _REPUNIT_ACTIONS[action]:
-                    rp.add_argument(f"-{arg}", type=int, required=True)
-                if action in ("value", "det"):
-                    rp.add_argument("--exact", action="store_true",
-                                    help="print the exact decimal string (integer base only)")
-                rp.add_argument("--format", choices=_FORMATS, default="plain")
-                rp.set_defaults(func=func)
-            continue
-        _add_spec_args(sp, with_n=name != "bench")
-        for flag, kwargs in extra:
-            sp.add_argument(flag, **kwargs)
-        sp.add_argument("--format", choices=_FORMATS,
-                        default="csv" if name == "bench" else "plain")
-        sp.set_defaults(func=func)
+    _add_level(parser, _COMMANDS, argv)
     return parser
 
 

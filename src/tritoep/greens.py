@@ -131,12 +131,15 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = _SINGULAR_TOL) -> 
                 f"exceeds {_WRONSKIAN_TOL:g}; log|U_n(x)| = "
                 f"{wronskian.log_mag:.6g} against the threshold {log_threshold:.6g}"
             )
-        # the identity holds for any gamma; the scalar U_n checks gamma, to the rounding of n gamma
-        ref = eval_U_scaled(n, form.x)
-        if ref.sign != wronskian.sign or abs(ref.log_mag - wronskian.log_mag) > (
-                _WRONSKIAN_TOL + 4 * math.ulp(n * gamma)):
-            raise SingularMatrix(f"kernel self-check failed: log|U_n(x)| = {wronskian.log_mag!r}"
-                                 f" against {ref.log_mag!r} from eval_U_scaled")
+        # the identity holds for any gamma; the scalar U_n checks gamma, to the rounding of
+        # n gamma.  At gamma = 0 it runs the sequence's own operations, so it would be v_n
+        if gamma > 0.0:
+            ref = eval_U_scaled(n, form.x)
+            if ref.sign != wronskian.sign or abs(ref.log_mag - wronskian.log_mag) > (
+                    _WRONSKIAN_TOL + 4 * math.ulp(n * gamma)):
+                raise SingularMatrix(f"kernel self-check failed: log|U_n(x)| = "
+                                     f"{wronskian.log_mag!r} against {ref.log_mag!r} from "
+                                     "eval_U_scaled")
     return GreenKernel(n=n, s=form.s, q=form.q, x=form.x, v=v, gamma=gamma,
                        wronskian=wronskian, invertible=invertible,
                        wronskian_residual=residual, singular_tol=singular_tol)

@@ -154,8 +154,9 @@ def eigen_check(m, value: float, vector) -> float:
     return float(np.max(np.abs(m @ v - value * v))) / scale
 
 
-def _check(name, residual, tolerance, rounding=None):
+def _check(name, residual, rounding=None):
     # a miss that the spec's rounding bound reaches too is a SKIP; a NaN fails
+    tolerance = _VERIFY_TOLS[name]
     ill = rounding is not None and residual > tolerance and rounding >= tolerance
     status = "PASS" if residual <= tolerance else "SKIP (ill-conditioned)" if ill else "FAIL"
     return {"name": name, "residual": residual, "tolerance": tolerance,
@@ -202,7 +203,7 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
 
     # similarity: the conjugated off-diagonals must both equal s
     sim = max(abs(spec.c * q - s), abs(spec.a / q - s)) / s
-    checks.append(_check("similarity", sim, _VERIFY_TOLS["similarity"]))
+    checks.append(_check("similarity", sim))
 
     # eigen residuals, on A while its eigenvectors' q powers stay below
     # 1e280, otherwise on the symmetrised matrix
@@ -221,7 +222,7 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
         np.max(np.max(np.abs(resid), axis=0)
                / (scale * np.max(np.abs(vecs), axis=0)))
     )
-    checks.append(_check("eigen", eig_resid, _VERIFY_TOLS["eigen"]))
+    checks.append(_check("eigen", eig_resid))
     # the closed forms are accurate to a few eps of |b| + 2s, not of max|lambda|
     # (at n = 1, 2s cos(pi/2) rounds to 1.2e-16 s)
     lam_min = float(np.min(np.abs(lam)))
@@ -238,12 +239,12 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
     if det_closed.sign == 0 or det_cont.sign == 0 or osign == 0.0:
         checks.append(_skip("determinant", "singular"))
     elif det_closed.sign != det_cont.sign or float(osign) != float(det_closed.sign):
-        checks.append(_check("determinant", math.inf, _VERIFY_TOLS["determinant"], rounding))
+        checks.append(_check("determinant", math.inf, rounding))
     else:
         anchor = max(1.0, abs(det_closed.log_mag))
         dresid = max(abs(det_closed.log_mag - det_cont.log_mag),
                      abs(det_closed.log_mag - olog)) / anchor
-        checks.append(_check("determinant", dresid, _VERIFY_TOLS["determinant"], rounding))
+        checks.append(_check("determinant", dresid, rounding))
 
     # inverse kernel vs dense inverse, plus the Wronskian constancy
     try:
@@ -270,11 +271,10 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
                     kinv = (np.sign(kinv) * np.sign(q) ** d
                             * np.exp(np.log(np.abs(kinv)) - d * math.log(abs(q))))
             iresid = float(np.max(np.abs(kinv - dinv)) / np.max(np.abs(dinv)))
-            checks.append(_check("inverse", iresid, _VERIFY_TOLS["inverse"], rounding))
+            checks.append(_check("inverse", iresid, rounding))
         except (SingularMatrix, OverflowError) as exc:
             checks.append(_skip("inverse", f"{side}: {type(exc).__name__}"))
-        checks.append(_check("wronskian", kernel.wronskian_residual,
-                             _VERIFY_TOLS["wronskian"]))
+        checks.append(_check("wronskian", kernel.wronskian_residual))
 
     # weighted conditioning vs a dense symmetric eigensolve
     try:
@@ -285,7 +285,7 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
         lam_dense = np.linalg.eigvalsh(sym_dense)
         dense_ratio = float(np.max(np.abs(lam_dense)) / np.min(np.abs(lam_dense)))
         cresid = abs(rep.cond_weighted / dense_ratio - 1.0)
-        checks.append(_check("conditioning", cresid, _VERIFY_TOLS["conditioning"], rounding))
+        checks.append(_check("conditioning", cresid, rounding))
 
     # repunit identities when the spec is the repunit matrix with integer base
     if spec.c == 1.0 and float(spec.a).is_integer() and spec.a >= 1.0 \
@@ -298,6 +298,6 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
                 exact = repunit_inverse_entry(d, n, ii, jj).float_value
                 got = inverse_entry(kernel, ii, jj)
                 rresid = max(rresid, abs(got - exact) / max(abs(exact), 1e-300))
-        checks.append(_check("repunit", rresid, _VERIFY_TOLS["repunit"]))
+        checks.append(_check("repunit", rresid))
 
     return checks

@@ -210,13 +210,8 @@ def repunit_inverse_entry(d, n: int, i: int, j: int) -> RepunitInverseEntry:
     n = _check_int(n, "n", 1)
     i = _check_int(i, "index", 1, n, IndexOutOfRange)
     j = _check_int(j, "index", 1, n, IndexOutOfRange)
-    denom = _repunit_int(n + 1, di)
-    if i <= j:
-        rational = Fraction(_repunit_int(i, di) * _repunit_int(n + 1 - j, di), denom)
-    else:
-        rational = Fraction(
-            di ** (i - j) * _repunit_int(j, di) * _repunit_int(n + 1 - i, di), denom
-        )
+    rational = Fraction(di ** max(i - j, 0) * _repunit_int(min(i, j), di)
+                        * _repunit_int(n + 1 - max(i, j), di), _repunit_int(n + 1, di))
     sign = 1 if (i + j) % 2 == 0 else -1
     try:
         fv = float(sign * rational)

@@ -268,6 +268,18 @@ _NAMED = {
     ("repunit", "inverse"): ["--base", "10", "-n", "3", "-i", "1", "-j", "2"],
     ("repunit", "identity"): ["--base", "10", "-m", "3"],
 }
+# the parser table's repunit actions, and every option given before the command
+# (any row's, nested ones too) and before a repunit action, with the usage printed
+_ACTIONS = next(then for name, then, *_ in cli._COMMANDS if name == "repunit")
+_ACTION_FLAGS = sorted({flag for *_, options in _ACTIONS for flag, _ in options})
+_COMMAND_FLAGS = sorted({flag for *_, options in cli._COMMANDS for flag, _ in options}
+                        | set(_ACTION_FLAGS))
+_USAGE = ("usage: tritoep [-h]\n"
+          "               {eig,det,charpoly,inverse,solve,cond,decay,repunit,verify,bench}\n"
+          "               ...\n")
+_REPUNIT_USAGE = "usage: tritoep repunit [-h] {value,det,product,cond,inverse,identity} ...\n"
+_REFUSALS = ([([flag, "det"], _USAGE, "command") for flag in _COMMAND_FLAGS]
+             + [(["repunit", flag, "det"], _REPUNIT_USAGE, "action") for flag in _ACTION_FLAGS])
 # per name: the name alone, its help, a valid argv, an unknown option and a
 # bad --format, each with a piece of what it prints
 _PARSER_CASES = [case for name, valid in _NAMED.items() for case in (
@@ -306,8 +318,7 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [["bogus"], ["repunit", "bogus"]], ids=" ".join)
     def test_unknown_name_lists_every_choice(self, capsys, argv):
-        names = ([name for name, *_ in cli._COMMANDS] if len(argv) == 1
-                 else list(cli._REPUNIT_ACTIONS))
+        names = [name for name, *_ in (cli._COMMANDS if len(argv) == 1 else _ACTIONS)]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         choices = err.split("invalid choice: 'bogus'")[1]
@@ -323,9 +334,20 @@ class TestParser:
         code, out, err = run_cli(capsys, "repunit", *argv)
         assert (code, out) == (2, "")
         option = argv[0].split("=")[0]
-        assert err == (
-            "usage: tritoep repunit [-h] {value,det,product,cond,inverse,identity} ...\n"
-            f"tritoep repunit: error: argument {option}: the action comes first\n")
+        assert err == (_REPUNIT_USAGE
+                       + f"tritoep repunit: error: argument {option}: the action comes first\n")
+
+    @pytest.mark.parametrize("argv, usage, level", _REFUSALS,
+                             ids=[" ".join(argv) for argv, *_ in _REFUSALS])
+    def test_every_option_before_its_command_or_action_is_named(self, capsys, monkeypatch,
+                                                                argv, usage, level):
+        # every option of the table, at the level where argparse would take its value
+        # for the name that follows it
+        monkeypatch.setenv("COLUMNS", "80")
+        option = argv[-2]
+        prog = " ".join(["tritoep", *argv[:-2]])
+        assert run_cli(capsys, *argv) == (
+            2, "", f"{usage}{prog}: error: argument {option}: the {level} comes first\n")
 
     _BEFORE_THE_COMMAND = [
         (["--format", "json", "det", "-a", "1", "-b", "2.5", "-c", "1", "-n", "5"], "--format"),
@@ -338,11 +360,7 @@ class TestParser:
         monkeypatch.setenv("COLUMNS", "80")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == (
-            "usage: tritoep [-h]\n"
-            "               {eig,det,charpoly,inverse,solve,cond,decay,repunit,verify,bench}\n"
-            "               ...\n"
-            f"tritoep: error: argument {option}: the command comes first\n")
+        assert err == _USAGE + f"tritoep: error: argument {option}: the command comes first\n"
 
     def test_abbreviated_option_after_the_command_is_its_own(self, capsys):
         # --r names --rhs to solve; the top level, where --reps would share it, never reads it
