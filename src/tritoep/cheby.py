@@ -105,7 +105,8 @@ def _theta_parts(theta: float) -> tuple[float, float, float]:
 
 def _phase(k, parts, whole=int):
     """(rem, q) with k theta = q pi + rem, |rem| <= pi/2 to rounding, for an
-    integer k >= 0, or for a float array k, which it overwrites, with whole=np.intp.
+    integer k >= 0, or for a float array k, which it overwrites, with
+    whole=np.floor: q is then whole floats, whose products are float by float.
 
     rem is formed from exact products (Cody and Waite), so it is within
     about an ulp of its exact value for k < _EXACT_K, where the rounded
@@ -250,24 +251,26 @@ def _sine_sequence_into(v, theta: float, negative: bool) -> None:
     size = v.size
     width = min(_BLOCK, size)
     rows = -(-size // _BLOCK)
-    k = np.arange(width + rows - 1, dtype=float)  # r = 0..width-1, then j = 1..rows-1
+    k = np.arange(float(width + rows - 1))  # r = 0..width-1, then j = 1..rows-1
     if rows > 1:
         k[width:] -= width - 1
         k[width:] *= _BLOCK
-    rem, q = _phase(k, _theta_parts(theta), np.intp)
-    odd = q & 1  # (-1)^q = -1
+    rem, q = _phase(k, _theta_parts(theta), np.floor)
     sin_t = math.sin(theta)
+    # the row is divided by (-1)^q sin(theta), as _eval_u divides, looked up
+    # by the parity of q
+    div = np.array((sin_t, -sin_t))[q.astype(np.intp) & 1]
     if rows == 1:
         # the row alone, which needs no cosines: most kernels of a query are
-        # this short, and there each numpy call is a measurable share of
-        # the build; divided by (-1)^q sin(theta), as _eval_u divides
-        np.divide(np.sin(rem, out=v), np.where(odd, -sin_t, sin_t), out=v)
+        # this short, and there each numpy call is a measurable share of the
+        # build (19 calls, 12 of them the phase, whose q is a float so that
+        # its three products need no cast)
+        np.divide(np.sin(rem, out=v), div, out=v)
         if negative:  # (-1)^(k-1) = (-1)^(r+1), since _BLOCK is even
             v[::2] *= -1.0
         return
-    # the row is divided by (-1)^q sin(theta), the column by (-1)^q
-    div = np.where(odd, -1.0, 1.0)
-    div[:width] *= sin_t
+    # the column is divided by (-1)^q: (-1)^q sin(theta) / sin(theta), exactly
+    div[width:] /= sin_t
     base = np.empty((2, rem.size))  # sin and cos
     np.sin(rem, out=base[0])
     np.cos(rem, out=base[1])

@@ -253,7 +253,11 @@ def apply_matvec(spec: TriToeplitzSpec, v) -> np.ndarray:
     """Multiply the tridiagonal matrix onto v in O(n) without materialising it.
 
     A finite v gets a finite product, or OverflowError naming the largest
-    entry past the float range.
+    entry past the float range.  The contract is entrywise: entry j is
+    within 3u/(1 - 3u) (|a v_(j-1)| + |b v_j| + |c v_(j+1)|) of its exact
+    value, u = 2^-53, plus a few subnormal steps, the rounding of its three
+    products and two sums, also where one of its terms alone is past the
+    float range.
     """
     import numpy as np
 
@@ -263,21 +267,29 @@ def apply_matvec(spec: TriToeplitzSpec, v) -> np.ndarray:
     v_max = float(max(np.maximum.reduce(v), -np.minimum.reduce(v)))
     if not math.inf > v_max > 2.0**1000 / spec.row_scale():
         return _matvec(spec, v)
-    # a term may overflow: the entries it makes non-finite are taken again on
-    # v times 2^-e, e the exponent of 4 max|v|, where no term can, and scaled
-    # back; every other entry keeps its plain rounding
+    # a term may overflow: the entries it makes non-finite are taken again
+    # from their three terms, each the product of a coefficient and an entry
+    # of v that are scaled by powers of two into [1/2, 1), so that neither
+    # over- nor underflows, summed in _matvec's order at the exponent of the
+    # largest term and scaled back; every other entry keeps its plain rounding
     with np.errstate(over="ignore", invalid="ignore"):
         out = _matvec(spec, v)
-    lost = ~np.isfinite(out)
-    if lost.any():
-        e = math.frexp(v_max)[1] + 2
-        scaled = _matvec(spec, np.ldexp(v, -e))
-        beyond = lost & (np.abs(scaled) >= math.ldexp(1.0, 1024 - e))
+    lost = np.nonzero(~np.isfinite(out))[0]
+    if lost.size:
+        padded = np.concatenate(([0.0], v, [0.0]))
+        v_mant, v_exp = np.frexp(np.stack((padded[lost + 1], padded[lost], padded[lost + 2])))
+        c_mant, c_exp = np.frexp([[spec.b], [spec.a], [spec.c]])
+        mant, exps = v_mant * c_mant, v_exp + c_exp
+        # a zero term must not set the exponent of the sum
+        top = np.where(mant != 0.0, exps, np.iinfo(exps.dtype).min).max(axis=0)
+        terms = np.ldexp(mant, exps - top)
+        total = terms[0] + terms[1] + terms[2]
+        beyond = (total != 0.0) & (np.abs(total) >= np.ldexp(1.0, 1024 - top))
         if beyond.any():
-            with np.errstate(divide="ignore"):
-                log_mag = np.log(np.abs(scaled)) + e * math.log(2.0)
-            _check_log_mags(log_mag[:, None], "product entry", beyond[:, None])
-        out[lost] = np.ldexp(scaled[lost], e)
+            log_mag = np.full((out.size, 1), -np.inf)
+            log_mag[lost[beyond], 0] = np.log(np.abs(total[beyond])) + top[beyond] * math.log(2.0)
+            _check_log_mags(log_mag, "product entry", log_mag > -np.inf)
+        out[lost] = np.ldexp(total, top)
     return out
 
 

@@ -69,8 +69,13 @@ _CHUNK = 4096
 # rhs: this far below the chunk's largest |rhs| a term is still normal
 # (708 e-folds below 1), since the weights e^(tau slope - off) >= 1 only lift it
 _CHUNK_LOG_SPAN = 650.0
+_CHUNK_SPAN = math.exp(_CHUNK_LOG_SPAN)
+_LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
+# the row offsets tau = 0, 1, ... of a chunk, read only
+_TAU = np.arange(float(_CHUNK))
+_TAU.flags.writeable = False
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GreenKernel:
     """Assembled inverse kernel of one matrix.
 
@@ -91,6 +96,14 @@ class GreenKernel:
     invertible: bool
     wronskian_residual: float
     singular_tol: float
+
+    def __init__(self, n, s, q, x, v, gamma, wronskian, invertible, wronskian_residual,
+                 singular_tol):
+        # one dict update: the frozen dataclass's own __init__ sets each field
+        # through object.__setattr__, about 2.5 us for the ten of a build
+        vars(self).update(n=n, s=s, q=q, x=x, v=v, gamma=gamma, wronskian=wronskian,
+                          invertible=invertible, wronskian_residual=wronskian_residual,
+                          singular_tol=singular_tol)
 
 
 def build_kernel(spec: TriToeplitzSpec, singular_tol: float = _SINGULAR_TOL) -> GreenKernel:
@@ -121,7 +134,9 @@ def build_kernel(spec: TriToeplitzSpec, singular_tol: float = _SINGULAR_TOL) -> 
         h = n // 2 + 1
         t1 = np.multiply(v[1 : h + 1], v[n + 1 : n - h + 1 : -1])
         t2 = np.multiply(v[:h], v[n : n - h : -1])
-        t1 -= np.multiply(t2, math.exp(-2.0 * gamma), out=t2)
+        if gamma:  # else e^(-2 gamma) = 1, a product that changes nothing
+            t2 *= math.exp(-2.0 * gamma)
+        t1 -= t2
         # max|t1 - v_n| from the extremes of t1: rounding t - v_n is monotone in t
         residual = max(float(np.maximum.reduce(t1)) - v_n,
                        v_n - float(np.minimum.reduce(t1))) / abs(v_n)
@@ -227,10 +242,10 @@ def _scan_scaled(negative, pos):
     return acc, scale
 
 
-def _fused(kernel: GreenKernel, terms):
+def _fused(kernel: GreenKernel, terms, log_q: float):
     """The (n, k) solution, both sums on one grid of chunks; terms[0] holds the padded rhs.
 
-    terms has shape (2, k, chunks, L).  Row f's prefix term is v_f rhs_f
+    terms has shape (2, k, chunks, L), and log_q is log|q|.  Row f's prefix term is v_f rhs_f
     e^(f slope_0), its suffix term on the reversed grid v_f rhs_(n-1-f)
     e^(f slope_1), v_f = U_f e^(-f gamma) times the sign of (-q)^(f+1),
     bounded; each chunk is divided by its max|rhs| (top).  Row f of a part
@@ -240,67 +255,73 @@ def _fused(kernel: GreenKernel, terms):
     could leave the float range through log space row by row, and first
     sums a wide chunk, whose rhs spans too far for its terms to stay
     normal, in log space.
+
+    At query sizes the cost is per numpy call, not per row: one column in
+    one chunk takes about 25 calls here, the exps of the slopes and of their
+    negatives (the back-weights) one of them.
     """
     _, k, chunks, length = terms.shape
-    n, q, size, grid = kernel.n, kernel.q, chunks * length, (chunks, length)
+    n, q, size = kernel.n, kernel.q, chunks * length
     pad = size - n
-    log_q = math.log(abs(q))
+    flat = terms.reshape(2, k, size)
     s0, s1 = kernel.gamma - log_q, kernel.gamma + log_q
     mags = np.abs(terms[0], out=terms[1])
-    tops = np.empty((2, k, chunks))
-    top = np.maximum.reduce(mags, axis=2, out=tops[0])
-    # a column with a NaN or an inf is NaN throughout: it is solved as zeros, then set
+    top = np.maximum.reduce(mags, axis=2)
+    # a column with a NaN or an inf is NaN throughout: it is solved as zeros, then
+    # set.  The largest |rhs| is, for one column in one chunk, its top itself
     bad = None
-    top_max = np.maximum.reduce(top, axis=None, initial=0.0)
+    top_max = top.item() if top.size == 1 else np.maximum.reduce(top, axis=None, initial=0.0)
     if not top_max < math.inf:
         bad = ~np.isfinite(top).all(axis=1)
         terms[:, bad] = 0.0
         top[bad] = 0.0
         top_max = np.maximum.reduce(top, axis=None, initial=0.0)
-    tops[1] = top[:, ::-1]
     # a wide chunk's rhs spans more than _CHUNK_LOG_SPAN e-folds; its weights
     # e^(tau slope - off) >= 1 only lift its terms.  There is none where the
     # least nonzero |rhs| of the grid (past its padding) is near enough to the largest
-    limit = math.exp(_CHUNK_LOG_SPAN)
-    low = np.minimum.reduce(mags.reshape(k, size)[:, :n], axis=None, initial=math.inf)
-    if low == 0.0:
+    low = np.minimum.reduce(flat[1, :, :n], axis=None, initial=math.inf)
+    # every chunk holds a row of rhs, so with no zero in rhs no chunk is zero
+    zeros, divisor = low == 0.0, top
+    if zeros:
         low = np.minimum.reduce(mags, axis=None, where=mags > 0, initial=math.inf)
+        # a zero chunk is divided by the smallest float and stays zero
+        divisor = np.maximum(top, math.ulp(0.0))
     wide = None
-    if top_max > low * limit:
-        wide = top > np.minimum.reduce(mags, axis=2, where=mags > 0, initial=math.inf) * limit
+    if top_max > low * _CHUNK_SPAN:
+        wide = top > np.minimum.reduce(mags, axis=2, where=mags > 0, initial=math.inf) * _CHUNK_SPAN
         wide = np.stack((wide, wide[:, ::-1])) if wide.any() else None
     # v at buf[pad + 1 : size + 1] after v_(-1) = 0: the prefix terms read buf[pad + 1:],
-    # the suffix terms buf[1:], the rows buf backwards
+    # the suffix terms buf[1:], the rows buf backwards, each along the whole grid
     buf = np.zeros(size + pad + 1)
     buf[pad : size + 1] = kernel.v[: n + 1]
     if q > 0:
         buf[pad + 1 : size + 1 : 2] *= -1.0
-    weights = buf[pad + 1 : pad + 1 + size].reshape(grid), buf[1 : size + 1].reshape(grid)
-    rows = buf[size:0:-1].reshape(grid), buf[size + pad - 1 :: -1][:size].reshape(grid)
+    weights = buf[pad + 1 : pad + 1 + size], buf[1 : size + 1]
+    rows = buf[size:0:-1], buf[size + pad - 1 :: -1][:size]
     # tau slope - off >= 0 in a chunk, with off = min(0, (L - 1) slope)
-    slopes = np.array((s0, s1))
+    # (rows 2 and 3 hold its negative, whose exp is the back-weight)
     off = min(0.0, (length - 1) * s0), min(0.0, (length - 1) * s1)
-    tau_slopes = np.multiply.outer(slopes, np.arange(float(length)))
+    tau_slopes = np.multiply.outer((s0, s1, -s0, -s1), _TAU[:length])
     for part in (0, 1):
         if off[part]:
             tau_slopes[part] -= off[part]
+            tau_slopes[part + 2] += off[part]
     if wide is not None:
         # the wide chunks' running sums in log space, in units of their alpha
         part, _, chunk = np.nonzero(wide)
         raw = np.stack((terms[0], terms[0, :, ::-1, ::-1]))[wide]
-        w = np.stack(weights)[part, chunk]
+        w = np.stack(weights).reshape(2, chunks, length)[part, chunk]
         logs = np.log(np.abs(raw)) + np.log(np.abs(w))
-        logs += tau_slopes[part] - np.log(tops[wide])[:, None]
+        logs += tau_slopes[part] - np.log(np.stack((top, top[:, ::-1]))[wide])[:, None]
         wide_acc, wide_scale = _scan_scaled((raw < 0) != (w < 0), logs)
-    # a zero chunk is divided by the smallest float and stays zero
-    terms[0] /= np.maximum(top, math.ulp(0.0))[:, :, None]
-    np.multiply(terms[0, :, ::-1, ::-1], weights[1], out=terms[1])
-    terms[0] *= weights[0]
-    terms *= np.exp(tau_slopes)[:, None, None]
+    exps = np.exp(tau_slopes, out=tau_slopes)
+    terms[0] /= divisor[..., None]
+    np.multiply(flat[0, :, ::-1], weights[1], out=flat[1])
+    flat[0] *= weights[0]
+    terms *= exps[:2, None, None]
     np.add.accumulate(terms, axis=3, out=terms)
-    # the back-weights e^(off - tau slope), over tau_slopes, with the sign of
-    # the rows' constant factor
-    back_weights = np.exp(np.negative(tau_slopes, out=tau_slopes), out=tau_slopes)
+    # the back-weights e^(off - tau slope), with the sign of the rows' constant factor
+    back_weights = exps[2:]
     if (q > 0 and n % 2 == 0) != (kernel.wronskian.sign < 0):
         np.negative(back_weights, out=back_weights)
 
@@ -311,32 +332,38 @@ def _fused(kernel: GreenKernel, terms):
     # shows the grids with no such chunk, which are most
     log_vmax = math.log(n + 1.0)
     terms_log = math.log(2 * length + 2) + 2 * log_vmax
-    spreads = terms_log + (length - 1) * max(0.0, -s0), terms_log + (length - 1) * max(0.0, -s1)
-    subnormal = math.log(_MIN_NORMAL) + log_vmax
+    spreads = terms_log - off[0], terms_log - off[1]
+    subnormal = _LOG_MIN_NORMAL + log_vmax
     # log alpha: log max|rhs| plus the log of the part's constant row factor;
     # a chunk's sum times e^(log alpha - base) is the sum itself
     g = -kernel.gamma - math.log(kernel.s) - math.log(abs(kernel.v[-1]))
-    log_alpha = np.log(tops, out=tops)
-    log_alpha += np.array((g, g - s1))[:, None, None]
+    log_alpha = np.log(top) + np.array((g, g - s1))[:, None, None]
     if chunks > 1:
-        base = (np.array((g - off[0], g + (pad - 1) * s1 - off[1]))[:, None, None]
-                - np.multiply.outer(slopes, np.arange(0, size, length))[:, None, :])
+        log_alpha[1] = log_alpha[1, :, ::-1]  # the suffix part's chunks run backwards
+        # the chunks' base, log alpha less the part's e-folds c L slope up to chunk c
+        base = np.multiply.outer((-s0, -s1), np.arange(0, size, length))[:, None, :]
+        base[0] += g - off[0]
+        base[1] += g + (pad - 1) * s1 - off[1]
         # entry c + 1 holds the total of chunk c, so the scan of the totals
         # gives in entry c the carry into chunk c, the sum of the chunks before it
         tot = terms[..., :-1, -1]
         negative = np.zeros(log_alpha.shape, bool)
         np.less(tot, 0.0, out=negative[..., 1:])
         tot_logs = np.full(log_alpha.shape, -np.inf)
-        np.log(np.abs(tot), out=tot_logs[..., 1:])
-        tot_logs[..., 1:] += log_alpha[..., :-1]
-        tot_logs[..., 1:] -= base[..., :-1]
+        shifted = tot_logs[..., 1:]
+        np.log(np.abs(tot, out=shifted), out=shifted)
+        shifted += log_alpha[..., :-1]
+        shifted -= base[..., :-1]
         carry, log_beta = _scan_scaled(negative, tot_logs)
         log_beta += base
         # a zero chunk's sums are 0, so its alpha may be its carry's beta; the
         # carry joins the sums in units of alpha, e^(log beta - log alpha), a
         # ratio of 0 where a zero chunk has no carry either
-        np.copyto(log_alpha, log_beta, where=log_alpha == -np.inf)
-        log_ratio = np.fmax(log_beta - log_alpha, -np.inf)
+        if zeros:
+            np.copyto(log_alpha, log_beta, where=log_alpha == -np.inf)
+            log_ratio = np.fmax(log_beta - log_alpha, -np.inf)
+        else:  # every log alpha is finite
+            log_ratio = log_beta - log_alpha
         # log beta = log alpha + log ratio: neither is above max log alpha + max(0, max log ratio)
         ratio_max = np.maximum.reduce(log_ratio, axis=None, initial=-math.inf)
         risky = (np.maximum.reduce(log_alpha, axis=None, initial=-math.inf) + max(ratio_max, 0.0)
@@ -372,17 +399,17 @@ def _fused(kernel: GreenKernel, terms):
         top_log = np.maximum(la, lb)
         top_log[top_log == -np.inf] = 0.0  # a zero sum: any finite shift
         sums = sums * np.exp(la - top_log) + carry[exact][:, None] * np.exp(lb - top_log)
-        factors = np.stack(rows)[part, chunk] * back_weights[part]
+        factors = np.stack(rows).reshape(2, chunks, length)[part, chunk] * back_weights[part]
         log_mag = np.log(np.abs(sums)) + np.log(np.abs(factors)) + top_log
         exact_rows = np.copysign(np.exp(log_mag), sums * factors)
     if chunks > 1:
         terms += (carry * np.exp(log_ratio))[..., None]
     terms *= back_weights[:, None, None]
     terms *= np.exp(log_alpha, out=log_alpha)[..., None]
-    terms[0] *= rows[0]
-    terms[1] *= rows[1]
+    flat[0] *= rows[0]
+    flat[1] *= rows[1]
     # the suffix part of row i is at padded row size - 1 - i; S_(n+1) = 0
-    p, s = terms[0].reshape(k, size)[:, :n].T, terms[1].reshape(k, size)[:, ::-1][:, 1:n].T
+    p, s = flat[0, :, :n].T, flat[1, :, ::-1][:, 1:n].T
     safe = exact is None or log_mag.max() < _LOG_MAX - math.log(2.0)
     if exact is not None:
         if not safe and (log_mag > _LOG_MAX).any():
@@ -429,19 +456,19 @@ def apply_inverse(kernel: GreenKernel, rhs) -> np.ndarray:
         )
     # at most _CHUNK rows and _CHUNK_LOG_SPAN e-folds of weights per chunk, in as
     # few chunks as that allows, evened out: under one row of padding per chunk
-    per_row = kernel.gamma + abs(math.log(abs(kernel.q)))
+    log_q = math.log(abs(kernel.q))
+    per_row = kernel.gamma + abs(log_q)
     cap = min(_CHUNK, n)
     if cap * per_row > _CHUNK_LOG_SPAN:
         cap = max(1, int(_CHUNK_LOG_SPAN / per_row))
     chunks = -(-n // cap)
     length = -(-n // chunks)
-    cols = rhs[:, None] if rhs.ndim == 1 else rhs
-    k = cols.shape[1]
+    k = 1 if rhs.ndim == 1 else rhs.shape[1]
     # zero chunks, padding and the exact path meet log 0, exp overflows and 0 * inf
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        terms = np.zeros((2, k, chunks, length))
-        terms[0].reshape(k, chunks * length)[:, :n] = cols.T
-        x = _fused(kernel, terms)
+        terms = np.zeros((2, k, chunks * length))
+        terms[0, :, :n] = rhs.T
+        x = _fused(kernel, terms.reshape(2, k, chunks, length), log_q)
     return x.reshape(rhs.shape)
 
 

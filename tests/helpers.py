@@ -34,15 +34,15 @@ def u_exact(m: int, x: float) -> Fraction:
     return Fraction(cur, 2 ** (k * m))
 
 
-def inverse_exact(spec):
-    """The inverse of the float matrix in exact arithmetic, each entry rounded once.
+def _inverse_factors(spec):
+    """Entry (i, j) of the exact inverse as a row factor times a column factor.
 
     With the leading minors theta_0 = 1, theta_1 = b and theta_k =
     b theta_(k-1) - a c theta_(k-2), entry (i, j) is (-1)^(i+j) c^(j-i)
     theta_(i-1) theta_(n-j) / theta_n for i <= j, and (-1)^(i+j) a^(i-j)
-    theta_(j-1) theta_(n-i) / theta_n below the diagonal (Usmani, 1994):
-    a row factor times a column factor.  An entry past the float range
-    reads +-inf; returns None when theta_n = 0.
+    theta_(j-1) theta_(n-i) / theta_n below the diagonal (Usmani, 1994).
+    Returns a function of 0-based (i, j) giving the two Fractions, or None
+    when theta_n = 0.
     """
     a, b, c, n = Fraction(spec.a), Fraction(spec.b), Fraction(spec.c), spec.n
     theta = [Fraction(1), b]
@@ -55,17 +55,50 @@ def inverse_exact(spec):
              [(-1) ** j * c**j * theta[n - j] / theta[n] for j in range(1, n + 1)])
     lower = ([(-1) ** i * a**i * theta[n - i] / theta[n] for i in range(1, n + 1)],
              [(-1) ** j * theta[j - 1] / a**j for j in range(1, n + 1)])
+
+    def factors(i, j):
+        row, col = upper if i <= j else lower
+        return row[i], col[j]
+
+    return factors
+
+
+def inverse_exact(spec):
+    """The inverse of the float matrix in exact arithmetic, each entry rounded once.
+
+    An entry past the float range reads +-inf; returns None when the matrix
+    is singular (see ``_inverse_factors``).
+    """
+    factors = _inverse_factors(spec)
+    if factors is None:
+        return None
+    n = spec.n
     inv = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            row, col = upper if i <= j else lower
-            num = row[i].numerator * col[j].numerator
-            den = row[i].denominator * col[j].denominator
+            row, col = factors(i, j)
+            num = row.numerator * col.numerator
+            den = row.denominator * col.denominator
             try:
                 inv[i, j] = num / den  # Python int / int rounds correctly
             except OverflowError:
                 inv[i, j] = math.inf if (num > 0) == (den > 0) else -math.inf
     return inv
+
+
+def inverse_log_abs(spec):
+    """log|entry (i, j)| of the exact inverse, -inf for a zero entry, past the
+    float range too; None when the matrix is singular."""
+    factors = _inverse_factors(spec)
+    if factors is None:
+        return None
+    n = spec.n
+    logs = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            row, col = factors(i, j)
+            logs[i, j] = log_abs_fraction(row) + log_abs_fraction(col) if row and col else -math.inf
+    return logs
 
 
 ALT_SCALING_NOTE = (

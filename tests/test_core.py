@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_symmetrisable_spec
 from tritoep import (
@@ -194,6 +196,58 @@ class TestApplyMatvec:
         # rows 2 and 3 are 3.3e308 and 2.8e308: the larger is named
         with pytest.raises(OverflowError, match=r"^product entry \(2,1\) has log-magnitude 710.39,"):
             apply_matvec(make_spec(1, 2.5, 1.5, 3), [1e307, 8e307, 8e307])
+
+    def test_finite_entry_of_an_overflowing_term_keeps_its_bits(self):
+        # row 2 is 1.7e308 - 1.995e308: c v_3 alone is past the float range.
+        # Taken again on v / 2^1026, v_3 = -(1.5 + 2^-49) became a subnormal
+        # that lost its last bit, and row 2 was 42.6 of its ulps off
+        # (5.8e-16 of its terms' magnitudes, past 3u)
+        a, b, c = 1.7, 1.0, 1.33e308
+        v = [1e308, 1e-300, -(1.5 + 2.0**-49)]
+        got = apply_matvec(make_spec(a, b, c, 3), v)
+        fa, fb, fc, *fv = map(Fraction, (a, b, c, *v))
+        rows = [(fb * fv[0], fc * fv[1]), (fa * fv[0], fb * fv[1], fc * fv[2]),
+                (fa * fv[1], fb * fv[2])]
+        for g, terms in zip(got, rows):
+            assert abs(Fraction(g) - sum(terms)) <= _GAMMA3 * sum(map(abs, terms))
+
+
+_U = Fraction(1, 2**53)
+_GAMMA3 = 3 * _U / (1 - 3 * _U)
+
+
+def _any_float(mant_exp):
+    # a float of either sign, any binary exponent and a full significand
+    return math.ldexp(*mant_exp)
+
+
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.max, -sys.float_info.max]),
+    st.tuples(st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True),
+              st.integers(-1074, 1023)).map(_any_float),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(_FINITE.filter(bool), _FINITE, _FINITE.filter(bool), st.lists(_FINITE, min_size=1,
+                                                                    max_size=40))
+def test_matvec_against_the_exact_product(a, b, c, v):
+    # entrywise, as the docstring states: each entry within 3u/(1 - 3u) of the
+    # magnitudes of its three terms, plus three subnormal steps, of the exact
+    # Fraction product; or OverflowError where an exact entry is at the edge
+    # of the float range or past it
+    n = len(v)
+    ex = [Fraction(0), *map(Fraction, v), Fraction(0)]
+    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+    exact = [fa * ex[j - 1] + fb * ex[j] + fc * ex[j + 1] for j in range(1, n + 1)]
+    mags = [abs(fa * ex[j - 1]) + abs(fb * ex[j]) + abs(fc * ex[j + 1]) for j in range(1, n + 1)]
+    try:
+        got = apply_matvec(make_spec(a, b, c, n), v)
+    except OverflowError:
+        assert max(map(abs, exact)) > Fraction(sys.float_info.max) * (1 - 4 * _U)
+        return
+    assert np.isfinite(got).all()
+    for g, e, m in zip(got, exact, mags):
+        assert abs(Fraction(g) - e) <= _GAMMA3 * m + Fraction(3, 2**1074)
 
 
 class TestWeightedSelfAdjointness:

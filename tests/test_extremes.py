@@ -5,9 +5,10 @@ reference that does not share its code, or raises OverflowError; no answer
 is NaN or inf, and no call warns (pytest turns a RuntimeWarning into an
 error).  The references are exact: the continuant in Fraction arithmetic
 for det(A) and det(tI - A), the Usmani inverse (``helpers.inverse_exact``)
-and, for the spectrum, b + 2s cos(k pi/(n+1)) in 40-digit mpmath.  The
-``eig`` subcommand, run in process, prints the library's spectrum exactly
-or exits 1 with the library's refusal.
+and, for the spectrum, b + 2s cos(k pi/(n+1)) in 40-digit mpmath, which
+also forms the eigenvectors' residuals.  The ``eig`` subcommand, run in
+process, prints the library's spectrum exactly or exits 1 with the
+library's refusal.
 """
 
 import contextlib
@@ -22,11 +23,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import inverse_exact, log_abs_fraction
-from tritoep import TriToeplitzError, cli, make_spec
+from helpers import inverse_exact, inverse_log_abs, log_abs_fraction
+from tritoep import TriToeplitzError, cli, make_spec, symmetrise
 from tritoep.conditioning import weighted_condition
-from tritoep.greens import apply_inverse, build_kernel, inverse_dense, thomas_solve
-from tritoep.spectral import char_poly_eval, determinant, eigenvalues, extremal_eigenvalues
+from tritoep.oracle import dense_from_spec
+from tritoep.greens import apply_inverse, build_kernel, inverse_dense, inverse_entry, thomas_solve
+from tritoep.spectral import (char_poly_eval, determinant, eigenvalues, eigenvector,
+                              extremal_eigenvalues)
 
 MAGNITUDES = (1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300, 1e308)
 EPS = 2.0**-52
@@ -121,6 +124,8 @@ def _check_case(ma, mc, x, n):
         assert max(abs(v) for v in lam) > sys.float_info.max
 
     _check_solves(spec)
+    _check_entries(spec)
+    _check_eigenvectors(spec, lam)
     try:
         inv = inverse_dense(build_kernel(spec))
     except OverflowError:
@@ -150,3 +155,72 @@ def _check_solves(spec):
         assert np.isfinite(got).all()
         if math.isfinite(bound):
             assert np.max(np.abs(got - want)) <= bound
+
+
+def _check_entries(spec):
+    """inverse_entry at every (i, j), entrywise against the exact entry X_ij:
+    within 16 eps (l_ij |X_ij| + (|X| |A| |X|)_ij) to first order, l_ij the
+    rounding of the log-magnitudes (as in
+    ``test_greens.test_entries_against_the_exact_inverse``) and |X| |A| |X|
+    a perturbation of each entry of A by 16 eps of itself; or
+    OverflowError where X_ij is near or past the float range; or a typed
+    refusal of the whole kernel.  The bound is formed in logs, so that the
+    products of entries near 1e308 and 1e-300 stay in range."""
+    try:
+        kernel = build_kernel(spec)
+    except (TriToeplitzError, OverflowError):
+        return
+    exact = inverse_exact(spec)
+    n, form = spec.n, symmetrise(spec)
+    log_x = inverse_log_abs(spec)  # of |X|, past the float range too
+    gamma = math.acosh(abs(form.x)) if abs(form.x) > 1.0 else 0.0
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    log_scale = (1.0 + (d + 1) * gamma + d * abs(math.log(abs(form.q)))
+                 + abs(math.log(form.s)) + 2.0 * math.log(n + 1))
+    tol = 16 * EPS
+    with np.errstate(divide="ignore"):  # log 0 = -inf off the band of A
+        log_a = np.log(np.abs(dense_from_spec(spec)))
+
+    def log_product(left, right):
+        # log of (|X| |A| right)_ij from the logs of |X| and of right
+        return np.logaddexp.reduce(
+            left[:, :, None, None] + log_a[None, :, :, None] + right[None, None, :, :],
+            axis=(1, 2))
+
+    log_first = log_product(log_x, log_x)
+    log_bound = np.logaddexp(math.log(tol) + np.logaddexp(np.log(log_scale) + log_x, log_first),
+                             2 * math.log(tol) + log_product(log_first, log_x))
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        want = exact[i - 1, j - 1]
+        try:
+            got = inverse_entry(kernel, i, j)
+        except OverflowError:
+            # its log-magnitude rounds past the float range
+            assert abs(want) > sys.float_info.max / 2
+            continue
+        assert math.isfinite(got) and math.isfinite(want)
+        # halved, so that the difference of two finite entries is finite
+        err = abs(got / 2 - want / 2)
+        assert err == 0 or math.log(err) + math.log(2.0) <= log_bound[i - 1, j - 1]
+
+
+def _check_eigenvectors(spec, lam):
+    """eigenvector in the raw and unit_weighted normalizations, normwise: the
+    residual max|A v - lambda v|, formed in 40-digit mpmath with the exact
+    eigenvalue, is within 4 (n + 1)^2 eps ||A|| max|v| (the rounded theta_k
+    and sines, as in ``test_spectral.test_eigen_pair_residual_normwise``), or
+    OverflowError, or a typed refusal."""
+    n = spec.n
+    a, b, c = (mpmath.mpf(v) for v in (spec.a, spec.b, spec.c))
+    row_scale = abs(a) + abs(b) + abs(c)
+    for k, norm in itertools.product(range(1, n + 1), ("raw", "unit_weighted")):
+        try:
+            vec = eigenvector(spec, k, norm)
+        except (TriToeplitzError, OverflowError):
+            continue
+        assert np.isfinite(vec).all() and np.any(vec)
+        with mpmath.workdps(40):
+            v = [mpmath.mpf(0), *map(mpmath.mpf, vec), mpmath.mpf(0)]
+            resid = max(abs(a * v[j - 1] + (b - lam[k - 1]) * v[j] + c * v[j + 1])
+                        for j in range(1, n + 1))
+            assert resid <= 4 * (n + 1) ** 2 * EPS * row_scale * max(abs(t) for t in v)
