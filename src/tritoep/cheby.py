@@ -40,7 +40,7 @@ __all__ = [
     "eval_U_recurrence",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScaledValue:
     """A real number stored as sign and natural log of absolute value.
 
@@ -52,6 +52,9 @@ class ScaledValue:
 
     sign: int
     log_mag: float
+
+    def __init__(self, sign, log_mag):
+        self.__dict__.update(sign=sign, log_mag=log_mag)
 
     @classmethod
     def from_float(cls, value: float) -> "ScaledValue":

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConditionReport:
     """Spectral extremes plus the weighted condition number.
 
@@ -47,6 +47,11 @@ class ConditionReport:
     positive_definite: bool
     cond_weighted: float
     formula_value: float | None
+
+    def __init__(self, lambda_max, lambda_min, positive_definite, cond_weighted, formula_value):
+        self.__dict__.update(lambda_max=lambda_max, lambda_min=lambda_min,
+                             positive_definite=positive_definite, cond_weighted=cond_weighted,
+                             formula_value=formula_value)
 
 
 def _as_vector(u) -> np.ndarray:

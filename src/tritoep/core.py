@@ -118,13 +118,37 @@ def _exp_signed(sign, log_mag, what: str, *args) -> float:
     return sign * math.exp(log_mag)
 
 
-@dataclass(frozen=True)
+def _coefficient(name: str, v) -> float:
+    """A real coefficient as a finite float, else InvalidParameter or OverflowError."""
+    f = v
+    if type(v) is not float:
+        if not _is_real(v):
+            raise InvalidParameter(f"{name} must be a real number, got {v!r}")
+        # a numpy longdouble may round to 0 or leave the float range
+        f = float(v)
+        if abs(f) == math.inf != abs(v):
+            raise OverflowError(f"{name} = {v!r} is beyond the float range")
+    if not math.isfinite(f):
+        raise InvalidParameter(f"{name} must be finite, got {v!r}")
+    return f
+
+
+@dataclass(frozen=True, init=False)
 class TriToeplitzSpec:
     """Parameters (a, b, c, n) of a real tridiagonal Toeplitz matrix.
 
     Validated eagerly, on the floats it stores: a and c must be nonzero
     finite reals, b finite, n a positive integer.  A finite value past the
     float range (a numpy longdouble) raises OverflowError.
+
+    Like every record of the package, a frozen dataclass whose ``__init__``
+    fills the instance dict in one ``self.__dict__.update``.  The generated
+    one sets each field through ``object.__setattr__``, about 0.6 of the 1.4
+    us of a ``make_spec``.  A store per field (``self.__dict__["a"] = a``)
+    fills the dict faster but leaves one that reads each attribute about 35
+    ns slower, and over ``query_mix`` requests the two tie.  The checks run
+    on the arguments, so ``dataclasses.replace`` validates as ``make_spec``
+    does.
     """
 
     a: float
@@ -132,24 +156,14 @@ class TriToeplitzSpec:
     c: float
     n: int
 
-    def __post_init__(self):
-        for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
-            f = v
-            if type(v) is not float:
-                if not _is_real(v):
-                    raise InvalidParameter(f"{name} must be a real number, got {v!r}")
-                # a numpy longdouble may round to 0 or leave the float range
-                f = float(v)
-                if abs(f) == math.inf != abs(v):
-                    raise OverflowError(f"{name} = {v!r} is beyond the float range")
-                object.__setattr__(self, name, f)
-            if not math.isfinite(f):
-                raise InvalidParameter(f"{name} must be finite, got {v!r}")
-        if self.a == 0 or self.c == 0:
+    def __init__(self, a, b, c, n):
+        # three finite floats need no coercion; a sum is inf or NaN where one is
+        if not (type(a) is type(b) is type(c) is float and math.isfinite(a + b + c)):
+            a, b, c = _coefficient("a", a), _coefficient("b", b), _coefficient("c", c)
+        if a == 0 or c == 0:
             raise ZeroOffDiagonal("off-diagonal entries a and c must be nonzero")
-        n = _check_int(self.n, "order n", 1)
-        if type(self.n) is not int:
-            object.__setattr__(self, "n", n)
+        n = _check_int(n, "order n", 1)
+        self.__dict__.update(a=a, b=b, c=c, n=n)
 
     @property
     def symmetrisable(self) -> bool:
@@ -164,7 +178,7 @@ class TriToeplitzSpec:
         return abs(self.a) + abs(self.b) + abs(self.c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymmetrisedForm:
     """Derived parameters of the symmetrised matrix.
 
@@ -177,6 +191,9 @@ class SymmetrisedForm:
     q: float
     x: float
     n: int
+
+    def __init__(self, s, q, x, n):
+        self.__dict__.update(s=s, q=q, x=x, n=n)
 
 
 def make_spec(a: float, b: float, c: float, n: int) -> TriToeplitzSpec:

@@ -15,7 +15,7 @@ from .errors import IndexOutOfRange, NotInGappedRegime
 __all__ = ["DecayEnvelope", "decay_envelope", "decay_bound", "hyperbolic_inverse_entry"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DecayEnvelope:
     """Geometric envelope of the symmetrised inverse for x > 1.
 
@@ -25,6 +25,9 @@ class DecayEnvelope:
 
     eta: float
     prefactor: float
+
+    def __init__(self, eta, prefactor):
+        self.__dict__.update(eta=eta, prefactor=prefactor)
 
 
 def _gapped(form: SymmetrisedForm) -> float:

@@ -37,7 +37,7 @@ __all__ = [
     "cheb_repunit_identity_residual",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RepunitValue:
     """R_m(d) with an exact integer value whenever d is a positive integer.
 
@@ -49,8 +49,11 @@ class RepunitValue:
     exact_value: int | None
     float_value: float
 
+    def __init__(self, d, m, exact_value, float_value):
+        self.__dict__.update(d=d, m=m, exact_value=exact_value, float_value=float_value)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class RepunitInverseEntry:
     """One exact inverse entry of the repunit matrix.
 
@@ -64,6 +67,10 @@ class RepunitInverseEntry:
     sign: int
     rational_part: Fraction
     float_value: float
+
+    def __init__(self, i, j, sign, rational_part, float_value):
+        self.__dict__.update(i=i, j=j, sign=sign, rational_part=rational_part,
+                             float_value=float_value)
 
     @property
     def value(self) -> Fraction:

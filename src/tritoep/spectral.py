@@ -45,7 +45,7 @@ _CHARPOLY_ZERO_TOL = 1e-10
 _NORMALIZATIONS = ("raw", "unit_weighted", "unit_euclidean")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EigenPair:
     """One closed-form eigenpair: angle, value, and both eigenvector forms.
 
@@ -60,12 +60,20 @@ class EigenPair:
     right_vector: np.ndarray
     symmetric_vector: np.ndarray
 
+    def __init__(self, k, theta, value, right_vector, symmetric_vector):
+        self.__dict__.update(k=k, theta=theta, value=value, right_vector=right_vector,
+                             symmetric_vector=symmetric_vector)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class SpectrumSummary:
     lambda_min: float
     lambda_max: float
     positive_definite: bool
+
+    def __init__(self, lambda_min, lambda_max, positive_definite):
+        self.__dict__.update(lambda_min=lambda_min, lambda_max=lambda_max,
+                             positive_definite=positive_definite)
 
 
 def eigenvalues(spec: TriToeplitzSpec) -> np.ndarray:
@@ -162,10 +170,11 @@ def _eigvec_parts(spec: TriToeplitzSpec, k: int):
     form = symmetrise(spec)
     k = _check_int(k, "index", 1, spec.n, IndexOutOfRange)
     theta = k * math.pi / (spec.n + 1)
-    j = np.arange(1, spec.n + 1)
-    sines = np.sin(j * theta)
+    # j = 1..n and j - 1 as two views of one float range: no int-to-float casts
+    j = np.arange(spec.n + 1.0)
+    sines = np.sin(j[1:] * theta)
     _check_log_mag((spec.n - 1) * math.log(abs(form.q)), "eigenvector entry q^(n-1)")
-    return form, k, theta, sines, np.power(form.q, j - 1) * sines
+    return form, k, theta, sines, np.power(form.q, j[:-1]) * sines
 
 
 def eigen_pair(spec: TriToeplitzSpec, k: int) -> EigenPair:
