@@ -6,12 +6,14 @@ is NaN or inf, and no call warns (pytest turns a RuntimeWarning into an
 error).  The references are exact: the continuant in Fraction arithmetic
 for det(A) and det(tI - A), the Usmani inverse (``helpers.inverse_exact``)
 and, for the spectrum, b + 2s cos(k pi/(n+1)) in 40-digit mpmath, which
-also forms the eigenvectors' residuals.  The ``eig`` subcommand, run in
-process, prints the library's spectrum exactly or exits 1 with the
-library's refusal.
+also forms the eigenvectors' residuals.  The decay bound dominates every
+exact entry.  The ``eig``, ``cond`` and ``decay`` subcommands, run in
+process, print the library's values exactly or exit 1 with the library's
+refusal.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -26,6 +28,7 @@ import pytest
 from helpers import inverse_exact, inverse_log_abs, log_abs_fraction
 from tritoep import TriToeplitzError, cli, make_spec, symmetrise
 from tritoep.conditioning import weighted_condition
+from tritoep.decay import decay_bound, decay_envelope
 from tritoep.oracle import dense_from_spec
 from tritoep.greens import apply_inverse, build_kernel, inverse_dense, inverse_entry, thomas_solve
 from tritoep.spectral import (char_poly_eval, determinant, eigenvalues, eigenvector,
@@ -65,20 +68,36 @@ def _log_close(got, want, amp, n):
     assert abs(got.log_mag - log_want) <= 64 * n * EPS * amp + 8 * EPS * abs(log_want)
 
 
-def _check_cli_eig(spec):
-    """``tritoep eig`` in json: exit 0 with eigenvalues(spec), or exit 1 with its refusal."""
-    argv = ["eig", f"-a{spec.a!r}", f"-b{spec.b!r}", f"-c{spec.c!r}", "-n", str(spec.n),
+def _check_cli(spec, command, want):
+    """``tritoep <command>`` in json, run in process: exit 0 printing ``want()``,
+    the library's values, or exit 1 with the refusal that ``want()`` raises."""
+    argv = [*command, f"-a{spec.a!r}", f"-b{spec.b!r}", f"-c{spec.c!r}", "-n", str(spec.n),
             "--format", "json"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     try:
-        want = eigenvalues(spec).tolist()
-    except OverflowError as exc:
-        assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: OverflowError: {exc}\n")
+        expected = want()
+    except (TriToeplitzError, OverflowError) as exc:
+        assert (code, out.getvalue(), err.getvalue()) == (
+            1, "", f"error: {type(exc).__name__}: {exc}\n")
         return
     assert (code, err.getvalue()) == (0, "")
-    assert json.loads(out.getvalue())["result"] == {"eigenvalues": want}
+    assert json.loads(out.getvalue())["result"] == expected
+
+
+def _check_cli_commands(spec):
+    """``eig``, ``cond`` and ``decay`` (at (1, n) and (n, 1)) against the library."""
+    _check_cli(spec, ["eig"], lambda: {"eigenvalues": eigenvalues(spec).tolist()})
+    _check_cli(spec, ["cond"], lambda: dataclasses.asdict(weighted_condition(spec)))
+    n = spec.n
+    # a spec outside the gapped regime is refused whatever i and j
+    for i, j in ((1, n), (n, 1)) if symmetrise(spec).x > 1.0 else ((1, n),):
+        def decay(i=i, j=j):
+            env = decay_envelope(spec)
+            return {"i": i, "j": j, "eta": env.eta, "prefactor": env.prefactor,
+                    "bound": decay_bound(spec, i, j)}
+        _check_cli(spec, ["decay", "-i", str(i), "-j", str(j)], decay)
 
 
 @pytest.mark.parametrize("ma", MAGNITUDES)
@@ -108,7 +127,7 @@ def _check_case(ma, mc, x, n):
         assert max(abs(g - w) for g, w in zip(got, lam)) <= 8 * EPS * spread
     except OverflowError:
         assert max(abs(v) for v in lam) > sys.float_info.max
-    _check_cli_eig(spec)
+    _check_cli_commands(spec)
     try:
         ext = extremal_eigenvalues(spec)
         assert math.isfinite(ext.lambda_max) and math.isfinite(ext.lambda_min)
@@ -125,6 +144,7 @@ def _check_case(ma, mc, x, n):
 
     _check_solves(spec)
     _check_entries(spec)
+    _check_decay(spec)
     _check_eigenvectors(spec, lam)
     try:
         inv = inverse_dense(build_kernel(spec))
@@ -202,6 +222,29 @@ def _check_entries(spec):
         # halved, so that the difference of two finite entries is finite
         err = abs(got / 2 - want / 2)
         assert err == 0 or math.log(err) + math.log(2.0) <= log_bound[i - 1, j - 1]
+
+
+def _check_decay(spec):
+    """decay_bound at every (i, j) dominates the exact |X_ij| (from its log,
+    ``inverse_log_abs``), up to the rounding of the bound's log and one
+    subnormal step, so that a bound that underflows to 0 passes only where
+    X_ij is below the floats; or a typed refusal (x <= 1); or OverflowError
+    where X_ij is within e^2 of the float range, as the bound exceeds the
+    entry by at most 2/(1 - e^(-2 gamma))^2, 2.5 at x = 1.7."""
+    gapped = symmetrise(spec).x > 1.0
+    log_x = inverse_log_abs(spec) if gapped else None
+    for i, j in itertools.product(range(1, spec.n + 1), repeat=2):
+        try:
+            bound = decay_bound(spec, i, j)
+        except TriToeplitzError:
+            assert not gapped
+            continue
+        except OverflowError:
+            assert log_x[i - 1, j - 1] > math.log(sys.float_info.max) - 2.0
+            continue
+        assert 0.0 <= bound < math.inf
+        want = log_x[i - 1, j - 1]
+        assert bound + 5e-324 >= math.exp(want - 64 * EPS * (1.0 + abs(want)))
 
 
 def _check_eigenvectors(spec, lam):
