@@ -8,7 +8,7 @@ temporary directory twice, as the packages ``tritoep_parent`` and
 ``tritoep_control`` (the package imports itself relatively, so a copy loads
 under any name); the working tree's ``src/tritoep`` loads as ``tritoep``.
 All three run in this process.  Each cell of the grid (a call, an order n and
-x = b/(2s) of the spec (1, 2x, 1, n)) is timed in rounds of ``--per-round`` calls;
+x = b/(2s) of the spec (1, 2x, 1, n)) is timed in rounds of ``PER_ROUND`` calls;
 the three sides take turns inside a round, each round starting on the next
 side.  A cell reports the median and the minimum over the rounds, per call,
 in us, for the parent and the change, their ratio (change over parent), and
@@ -44,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CALLS = ("make_spec", "symmetrise", "determinant", "char_poly_eval", "weighted_condition",
          "decay_bound", "eigenvalues", "eigenvector", "build_kernel", "apply_inverse",
          "thomas_solve")
+PER_ROUND = 200
 
 
 def load_commit(rev: str, name: str, into: Path):
@@ -102,7 +103,6 @@ def main(argv=None) -> None:
     p.add_argument("--x", type=float, nargs="+", default=[0.35, 1.25])
     p.add_argument("--calls", nargs="+", default=list(CALLS), choices=CALLS, metavar="CALL")
     p.add_argument("--rounds", type=int, default=21)
-    p.add_argument("--per-round", type=int, default=200, help="calls per round and side")
     args = p.parse_args(argv)
 
     sys.dont_write_bytecode = True
@@ -125,7 +125,7 @@ def main(argv=None) -> None:
                     funcs = {side: cell_call(lib, call, n, x) for side, lib in libs.items()}
                     if None in funcs.values():
                         continue
-                    times = time_cell(funcs, args.rounds, args.per_round)
+                    times = time_cell(funcs, args.rounds, PER_ROUND)
                     med = {side: statistics.median(t) for side, t in times.items()}
                     low = {side: min(t) for side, t in times.items()}
                     cell = {"call": call, "n": n, "x": x,
@@ -148,7 +148,7 @@ def main(argv=None) -> None:
         "command": "python tests/micro.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         "parent": commit,
         "how": f"spec (1, 2x, 1, n); median and min over {args.rounds} rounds of "
-               f"{args.per_round} calls per side, the sides interleaved, each round starting "
+               f"{PER_ROUND} calls per side, the sides interleaved, each round starting "
                "on the next; us per call; ratio = change / parent, A/A = control / parent",
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "cpus": sorted(os.sched_getaffinity(0))},
