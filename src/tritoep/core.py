@@ -157,9 +157,7 @@ class TriToeplitzSpec:
     n: int
 
     def __init__(self, a, b, c, n):
-        # three finite floats need no coercion; a sum is inf or NaN where one is
-        if not (type(a) is type(b) is type(c) is float and math.isfinite(a + b + c)):
-            a, b, c = _coefficient("a", a), _coefficient("b", b), _coefficient("c", c)
+        a, b, c = _coefficient("a", a), _coefficient("b", b), _coefficient("c", c)
         if a == 0 or c == 0:
             raise ZeroOffDiagonal("off-diagonal entries a and c must be nonzero")
         n = _check_int(n, "order n", 1)
