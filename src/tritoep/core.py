@@ -143,8 +143,8 @@ class TriToeplitzSpec:
 
     Like every record of the package, a frozen dataclass whose ``__init__``
     fills the instance dict in one ``self.__dict__.update``.  The generated
-    one would set each field through ``object.__setattr__``, about 0.55 us
-    more on a ``make_spec`` of 0.8 us.  A store per field
+    one would set each field through ``object.__setattr__``, about 0.45 us
+    more on a ``make_spec`` of 0.9 us.  A store per field
     (``self.__dict__["a"] = a``) fills the dict faster but leaves one that
     reads each attribute about 35 ns slower, and over ``query_mix``
     requests the two tie.  The checks run on the arguments, so
