@@ -19,8 +19,7 @@ from .errors import __all__ as _ERRORS
 # resolved on first access (PEP 562), so a process loads only the
 # submodules it uses: a CLI subcommand pays for its own modules alone.
 _LAZY = {
-    "cheby": ("ScaledValue", "eval_U", "eval_U_recurrence", "eval_U_scaled",
-              "u_sequence_scaled"),
+    "cheby": ("ScaledValue", "eval_U", "eval_U_recurrence", "eval_U_scaled"),
     "spectral": ("EigenPair", "SpectrumSummary", "char_poly_eval", "determinant",
                  "determinant_continuant", "eigen_pair", "eigenvalues", "eigenvector",
                  "extremal_eigenvalues"),
@@ -28,9 +27,9 @@ _LAZY = {
                "inverse_entry", "thomas_solve"),
     "decay": ("DecayEnvelope", "decay_bound", "decay_envelope", "hyperbolic_inverse_entry"),
     "conditioning": ("ConditionReport", "weighted_condition", "weighted_inner",
-                     "weighted_norm", "weighted_operator_norm"),
+                     "weighted_norm"),
     "repunit": ("RepunitInverseEntry", "RepunitValue", "cheb_repunit_identity_residual",
-                "cosine_product", "cosine_product_log", "log_repunit", "repunit",
+                "cosine_product", "cosine_product_log", "repunit",
                 "repunit_condition", "repunit_det_exact", "repunit_inverse_entry",
                 "repunit_matrix_spec"),
 }

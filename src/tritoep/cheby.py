@@ -36,7 +36,6 @@ __all__ = [
     "ScaledValue",
     "eval_U",
     "eval_U_scaled",
-    "u_sequence_scaled",
     "eval_U_recurrence",
 ]
 
@@ -72,15 +71,6 @@ class ScaledValue:
             return self.to_float()
         except OverflowError:
             return None
-
-    def __mul__(self, other: "ScaledValue") -> "ScaledValue":
-        sign = self.sign * other.sign
-        if sign == 0:
-            return ScaledValue(0, -math.inf)
-        return ScaledValue(sign, self.log_mag + other.log_mag)
-
-    def __neg__(self) -> "ScaledValue":
-        return ScaledValue(-self.sign, self.log_mag)
 
 
 # The sine regime's exact phase.  theta = arccos|x| is split into two parts
@@ -194,14 +184,9 @@ def eval_U_scaled(m: int, x: float) -> ScaledValue:
     return ScaledValue.from_float(u) if isinstance(u, float) else u
 
 
-def u_sequence_scaled(m_max: int, x: float) -> list[ScaledValue]:
-    """U_0(x) .. U_{m_max}(x) in scaled form, consistent with eval_U_scaled."""
-    signs, logs = _u_sequence_arrays(m_max, x)
-    return [ScaledValue(int(s), float(l)) for s, l in zip(signs, logs)]
-
-
 def _u_sequence_arrays(m_max: int, x: float):
-    """Signs and log-magnitudes of U_0..U_{m_max} as numpy arrays."""
+    """Signs and log-magnitudes of U_0..U_{m_max} as numpy arrays; its only
+    caller is perfbench's ``cheby.u_sequence`` probe."""
     import numpy as np
 
     v = np.empty(_check_int(m_max, "degree m", 0) + 2)

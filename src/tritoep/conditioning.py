@@ -1,4 +1,4 @@
-"""Weighted inner products, operator norm, and the sharp condition number.
+"""Weighted inner products and norms, and the sharp condition number.
 
 In the weight W = D^(-2) the matrix is self-adjoint, so its weighted
 operator norm is the spectral radius and the weighted condition number of
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from .core import (_SINGULAR_TOL, TriToeplitzSpec, _beyond_range, _check_singular_tol,
                    _times_spread, symmetrise)
 from .errors import DimensionMismatch, InvalidParameter, SingularMatrix
-from .spectral import _eigenvalue, _extremes, extremal_eigenvalues
+from .spectral import _eigenvalue, _extremes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "weighted_inner",
     "weighted_norm",
     "weighted_condition",
-    "weighted_operator_norm",
 ]
 
 
@@ -122,12 +121,6 @@ def weighted_norm(w, u) -> float:
     d, e = _scaled_inner(w, u, u)
     # sqrt(d 2^e) = sqrt(d 2^(e mod 2)) 2^(e // 2), the power of two taken exactly
     return _ldexp(math.sqrt(math.ldexp(d, e % 2)), e // 2, "weighted norm")
-
-
-def weighted_operator_norm(spec: TriToeplitzSpec) -> float:
-    """max_k |lambda_k|, attained at k = 1 or k = n."""
-    ext = extremal_eigenvalues(spec)
-    return max(abs(ext.lambda_max), abs(ext.lambda_min))
 
 
 def weighted_condition(spec: TriToeplitzSpec,

@@ -9,7 +9,7 @@ base.  Plain-value overflow is signalled with the builtin
 __all__ = [
     "TriToeplitzError", "ZeroOffDiagonal", "InvalidOrder", "InvalidParameter",
     "NotSymmetrisable", "DimensionMismatch", "IndexOutOfRange", "SingularMatrix",
-    "NearSingularPivot", "NotInGappedRegime", "InvalidBase", "ZeroVector",
+    "NearSingularPivot", "NotInGappedRegime", "InvalidBase",
 ]
 
 
@@ -55,7 +55,3 @@ class NotInGappedRegime(TriToeplitzError):
 
 class InvalidBase(TriToeplitzError):
     """Repunit base d is not positive (or not a positive integer on exact paths)."""
-
-
-class ZeroVector(TriToeplitzError):
-    """A nonzero vector was required."""

@@ -24,14 +24,13 @@ import math
 import numpy as np
 
 from .core import _WRONSKIAN_TOL, TriToeplitzSpec
-from .errors import DimensionMismatch, SingularMatrix, ZeroVector
+from .errors import DimensionMismatch, SingularMatrix
 
 __all__ = [
     "dense_from_spec",
     "lu_solve",
     "lu_det",
     "dense_inverse",
-    "eigen_check",
     "verify_checks",
 ]
 
@@ -138,20 +137,6 @@ def dense_inverse(m) -> np.ndarray:
     """:func:`lu_solve` against the identity."""
     m = _as_square(m)
     return lu_solve(m, np.eye(m.shape[0]))
-
-
-def eigen_check(m, value: float, vector) -> float:
-    """Residual ||m v - value v||_inf / ||v||_inf."""
-    m = _as_square(m)
-    v = np.asarray(vector, dtype=float)
-    if v.shape != (m.shape[0],):
-        raise DimensionMismatch(
-            f"vector shape {v.shape} does not match matrix order {m.shape[0]}"
-        )
-    scale = float(np.max(np.abs(v)))
-    if scale == 0.0:
-        raise ZeroVector("eigenvector candidate must be nonzero")
-    return float(np.max(np.abs(m @ v - value * v))) / scale
 
 
 def _check(name, residual, rounding=None):

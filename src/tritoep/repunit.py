@@ -27,7 +27,6 @@ __all__ = [
     "RepunitValue",
     "RepunitInverseEntry",
     "repunit",
-    "log_repunit",
     "repunit_matrix_spec",
     "repunit_det_exact",
     "cosine_product",
@@ -135,7 +134,7 @@ def repunit(m: int, d) -> RepunitValue:
     return RepunitValue(d=dv, m=m, exact_value=None, float_value=fv)
 
 
-def log_repunit(m: int, d) -> float:
+def _log_repunit(m: int, d) -> float:
     """log R_m(d), stable for large m and for d near 1."""
     m = _check_int(m, "m", 1)
     dv = _check_base(d)
@@ -239,5 +238,5 @@ def cheb_repunit_identity_residual(d, m: int) -> float:
     m = _check_int(m, "m", 0)
     # x >= 1 in floats too, as fl(d + 1) >= fl(2 sqrt d) = 2 fl(sqrt d), so U_m(x) > 0
     lhs = eval_U_scaled(m, (dv + 1.0) / (2.0 * math.sqrt(dv)))
-    rhs_log = -0.5 * m * math.log(dv) + log_repunit(m + 1, dv)
+    rhs_log = -0.5 * m * math.log(dv) + _log_repunit(m + 1, dv)
     return abs(math.expm1(lhs.log_mag - rhs_log))

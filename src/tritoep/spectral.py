@@ -45,13 +45,14 @@ _CHARPOLY_ZERO_TOL = 1e-10
 _NORMALIZATIONS = ("raw", "unit_weighted", "unit_euclidean")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class EigenPair:
     """One closed-form eigenpair: angle, value, and both eigenvector forms.
 
     ``right_vector`` has entries q^(j-1) * sin(j*theta_k); it equals the
     diagonal scaling D applied to ``symmetric_vector`` (entries
     sin(j*theta_k)), which is the eigenvector of the symmetrised matrix.
+    It holds arrays, so ``==`` and ``hash`` are those of the object.
     """
 
     k: int

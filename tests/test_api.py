@@ -1,11 +1,16 @@
+import ast
 import importlib
 import inspect
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import tritoep
-from tritoep import errors
+from tritoep import errors, oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # the package attribute ``repunit`` is the function, so the modules come by path
 MODULES = [importlib.import_module(f"tritoep.{name}") for name in
@@ -51,3 +56,37 @@ def test_submodule_access_before_its_first_import_and_dir():
     assert got["is_module"] and got["determinant"] and got["sorted"]
     lazy = {"cheby", "spectral", "greens", "decay", "conditioning", "repunit"}
     assert set(tritoep.__all__) | lazy | {"__version__"} <= set(got["dir"])
+
+
+def _reads(tree):
+    """The names a module loads, as a variable or an attribute, outside the
+    definition of the name itself; the strings of an export list are no read."""
+    read = set()
+
+    def walk(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, inside | {child.name})
+                continue
+            name = (child.id if isinstance(child, ast.Name) else
+                    child.attr if isinstance(child, ast.Attribute) else None)
+            if name is not None and isinstance(child.ctx, ast.Load) and name not in inside:
+                read.add(name)
+            walk(child, inside)
+
+    walk(tree, frozenset())
+    return read
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # a public name that only its own tests call is code to delete: its
+    # readers are the library (the CLI included), the demos, the benchmark
+    # and README, which documents the API
+    read = set()
+    for part in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / part).rglob("*.py")):
+            read |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    unread = [name for name in (*tritoep.__all__, *oracle.__all__)
+              if name not in read and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert unread == [], f"no reader outside tests/: {unread}"

@@ -7,9 +7,9 @@ error).  The references are exact: the continuant in Fraction arithmetic
 for det(A) and det(tI - A), the Usmani inverse (``helpers.inverse_exact``)
 and, for the spectrum, b + 2s cos(k pi/(n+1)) in 40-digit mpmath, which
 also forms the eigenvectors' residuals.  The decay bound dominates every
-exact entry.  The ``eig``, ``cond`` and ``decay`` subcommands, run in
-process, print the library's values exactly or exit 1 with the library's
-refusal.
+exact entry.  The ``eig``, ``det``, ``charpoly``, ``cond`` and ``decay``
+subcommands, run in process, print the library's values exactly or exit 1
+with the library's refusal.
 """
 
 import contextlib
@@ -86,9 +86,20 @@ def _check_cli(spec, command, want):
     assert json.loads(out.getvalue())["result"] == expected
 
 
+def _signed(value, **fields):
+    """The sign / log_abs / value result that the CLI prints for a ScaledValue."""
+    if value.sign == 0:
+        return {**fields, "sign": 0, "log_abs": None, "value": 0.0}
+    return {**fields, "sign": value.sign, "log_abs": value.log_mag, "value": value.try_float()}
+
+
 def _check_cli_commands(spec):
-    """``eig``, ``cond`` and ``decay`` (at (1, n) and (n, 1)) against the library."""
+    """``eig``, ``det``, ``charpoly`` (at t = b/2), ``cond`` and ``decay`` (at
+    (1, n) and (n, 1)) against the library."""
     _check_cli(spec, ["eig"], lambda: {"eigenvalues": eigenvalues(spec).tolist()})
+    _check_cli(spec, ["det"], lambda: _signed(determinant(spec)))
+    t = spec.b / 2
+    _check_cli(spec, ["charpoly", f"-t{t!r}"], lambda: _signed(char_poly_eval(spec, t), t=t))
     _check_cli(spec, ["cond"], lambda: dataclasses.asdict(weighted_condition(spec)))
     n = spec.n
     # a spec outside the gapped regime is refused whatever i and j
@@ -248,15 +259,16 @@ def _check_decay(spec):
 
 
 def _check_eigenvectors(spec, lam):
-    """eigenvector in the raw and unit_weighted normalizations, normwise: the
-    residual max|A v - lambda v|, formed in 40-digit mpmath with the exact
-    eigenvalue, is within 4 (n + 1)^2 eps ||A|| max|v| (the rounded theta_k
-    and sines, as in ``test_spectral.test_eigen_pair_residual_normwise``), or
-    OverflowError, or a typed refusal."""
+    """eigenvector in the raw, unit_weighted and unit_euclidean normalizations,
+    normwise: the residual max|A v - lambda v|, formed in 40-digit mpmath with
+    the exact eigenvalue, is within 4 (n + 1)^2 eps ||A|| max|v| (the rounded
+    theta_k and sines, as in ``test_spectral.test_eigen_pair_residual_normwise``),
+    or OverflowError, or a typed refusal."""
     n = spec.n
     a, b, c = (mpmath.mpf(v) for v in (spec.a, spec.b, spec.c))
     row_scale = abs(a) + abs(b) + abs(c)
-    for k, norm in itertools.product(range(1, n + 1), ("raw", "unit_weighted")):
+    for k, norm in itertools.product(range(1, n + 1), ("raw", "unit_weighted",
+                                                       "unit_euclidean")):
         try:
             vec = eigenvector(spec, k, norm)
         except (TriToeplitzError, OverflowError):

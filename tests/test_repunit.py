@@ -15,7 +15,6 @@ from tritoep import (
     cosine_product_log,
     decay_bound,
     inverse_entry,
-    log_repunit,
     make_spec,
     repunit,
     repunit_condition,
@@ -26,6 +25,7 @@ from tritoep import (
     weighted_condition,
 )
 from tritoep.oracle import dense_from_spec, dense_inverse
+from tritoep.repunit import _log_repunit
 
 
 class TestRepunitValue:
@@ -53,7 +53,7 @@ class TestRepunitValue:
         rv = repunit(5, d)
         assert (rv.d, rv.m, rv.exact_value, rv.float_value) == (1.0, 5, None, 5.0)
         assert type(rv.d) is float
-        assert log_repunit(5, d) == math.log(5)
+        assert _log_repunit(5, d) == math.log(5)
 
     def test_invalid_base(self):
         with pytest.raises(InvalidBase):
@@ -86,12 +86,12 @@ class TestRepunitValue:
                 assert rv.float_value == pytest.approx(float(rv.exact_value), rel=1e-14)
 
     def test_log_repunit(self):
-        assert log_repunit(4, 10) == pytest.approx(math.log(1111.0), rel=1e-14)
-        assert log_repunit(9, 1.0) == pytest.approx(math.log(9.0), rel=1e-14)
+        assert _log_repunit(4, 10) == pytest.approx(math.log(1111.0), rel=1e-14)
+        assert _log_repunit(9, 1.0) == pytest.approx(math.log(9.0), rel=1e-14)
         for d in (0.5, 0.99, 1.37, 100.0):
             for m in (1, 5, 37, 300):
                 ref = log_abs_fraction(repunit_fraction(m, Fraction(d)))
-                assert log_repunit(m, d) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+                assert _log_repunit(m, d) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
     @pytest.mark.parametrize("d", [1e-300, 1e-15, 0.5])
@@ -99,7 +99,7 @@ class TestRepunitValue:
         # d - 1 rounds to -1 below about 1.1e-16, and log R_m is about d there
         for m in (1, 2, 3, 5, 40):
             ref = math.log1p(float(repunit_fraction(m, Fraction(d)) - 1))
-            assert log_repunit(m, d) == pytest.approx(ref, rel=1e-15, abs=0.0)
+            assert _log_repunit(m, d) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 class TestRepunitMatrixSpec:
@@ -149,7 +149,7 @@ class TestCosineProduct:
 
     def test_log_accessor_survives_overflow(self):
         lv = cosine_product_log(10, 400)
-        assert lv == pytest.approx(log_repunit(401, 10), rel=1e-12)
+        assert lv == pytest.approx(_log_repunit(401, 10), rel=1e-12)
         with pytest.raises(OverflowError, match="^cosine product has log-magnitude 92"):
             cosine_product(10, 400)
 
