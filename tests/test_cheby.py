@@ -152,6 +152,33 @@ class TestUSequence:
             if sign != 0:
                 assert log == pytest.approx(ref.log_mag, rel=1e-13, abs=1e-13)
 
+    def test_nonfinite_argument_refused_before_a_write(self):
+        v = np.full(4, 7.0)
+        for x in (math.inf, -math.inf):
+            with pytest.raises(OverflowError):
+                _u_sequence_into(v, x)
+        with pytest.raises(InvalidParameter):
+            _u_sequence_into(v, math.nan)
+        assert v.tolist() == [7.0] * 4
+
+    @pytest.mark.parametrize("x", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+    def test_shortest_arrays(self, x):
+        # v[0] = U_(-1) = 0 and v[1] = U_0 = 1 in every regime and for either
+        # sign; gamma is arccosh|x| past |x| = 1, else 0.  Past |x| = 1, v[1]
+        # is the quotient of numpy's and math's expm1(-2 gamma), which may
+        # differ in the last bit, so it is held to test_hyperbolic's 1e-13
+        gamma = math.acosh(abs(x)) if abs(x) > 1.0 else 0.0
+        v = np.full(1, 7.0)
+        assert _u_sequence_into(v, x) == gamma
+        assert v.tolist() == [0.0]
+        v = np.full(2, 7.0)
+        assert _u_sequence_into(v, x) == gamma
+        assert v[0] == 0.0
+        if gamma:
+            assert v[1] == pytest.approx(1.0, rel=1e-13)
+        else:
+            assert v[1] == 1.0
+
 
 class TestConfluentWindow:
     @pytest.mark.parametrize("eps", [1e-9, -1e-9, 1e-12, 0.0])

@@ -15,6 +15,7 @@ from tritoep.oracle import (
     lu_solve,
     verify_checks,
 )
+from tritoep.spectral import EigenPair
 
 
 class TestDenseFromSpec:
@@ -150,6 +151,49 @@ def test_verify_fails_determinants_of_opposite_signs(monkeypatch):
     checks = {ch["name"]: ch for ch in verify_checks(make_spec(1.0, 2.5, 1.0, 5), 1e-12)}
     assert (checks["determinant"]["status"], checks["determinant"]["residual"]) == (
         "FAIL", math.inf)
+
+
+# the eigen check on A = [[2, 1], [1, 2]]: eigenvalues 3 and 1 (k = 1, 2),
+# eigenvectors along (1, 1) and (1, -1), row scale 4
+_EIGEN_SPEC = make_spec(1.0, 2.0, 1.0, 2)
+
+
+def _eigen_check():
+    return next(ch for ch in verify_checks(_EIGEN_SPEC, 1e-12) if ch["name"] == "eigen")
+
+
+def _stub_right_vectors(monkeypatch, vector):
+    """Make ``eigen_pair`` return ``vector(k, right_vector)`` as pair k's right vector."""
+    from tritoep import spectral
+
+    pair_of = spectral.eigen_pair
+
+    def stub(spec, k):
+        p = pair_of(spec, k)
+        return EigenPair(p.k, p.theta, p.value, vector(k, p.right_vector), p.symmetric_vector)
+
+    monkeypatch.setattr(spectral, "eigen_pair", stub)
+
+
+def test_verify_passes_the_closed_form_eigenpairs():
+    check = _eigen_check()
+    assert check["status"] == "PASS"
+    assert check["residual"] <= 2.0**-52
+
+
+def test_verify_fails_a_vector_that_is_not_an_eigenvector(monkeypatch):
+    # (1, 0) for lambda = 3: A v - 3 v = (-1, 1), over the row scale 4 times max|v| = 1
+    _stub_right_vectors(monkeypatch, lambda k, v: np.array([1.0, 0.0]) if k == 1 else v)
+    check = _eigen_check()
+    assert (check["status"], check["residual"]) == ("FAIL", 0.25)
+
+
+def test_verify_measures_each_eigenvector_against_its_own_size(monkeypatch):
+    # scaling one vector by 2^600 and the other by 2^-600 is exact, and each
+    # residual is divided by its own vector's max|v|, so nothing moves
+    exact = _eigen_check()["residual"]
+    _stub_right_vectors(monkeypatch, lambda k, v: v * 2.0 ** (600 if k == 1 else -600))
+    assert _eigen_check()["residual"] == exact
 
 
 # verify_checks at a spec times 2^k.  Every closed form and every dense
