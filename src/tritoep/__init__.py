@@ -15,7 +15,7 @@ from .core import __all__ as _CORE
 from .errors import *  # noqa: F403
 from .errors import __all__ as _ERRORS
 
-# The public names of the other submodules, by submodule.  They are
+# The public names of the other submodules, each one's __all__.  They are
 # resolved on first access (PEP 562), so a process loads only the
 # submodules it uses: a CLI subcommand pays for its own modules alone.
 _LAZY = {

@@ -27,19 +27,14 @@ of two, is kept as an independent cross-check of U_m and of the determinant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import _beyond_range, _check_int, _check_log_mag, _exp_signed
+from . import _LAZY
+from .core import _beyond_range, _check_int, _check_log_mag, _exp_signed, _record
 from .errors import InvalidParameter
 
-__all__ = [
-    "ScaledValue",
-    "eval_U",
-    "eval_U_scaled",
-    "eval_U_recurrence",
-]
+__all__ = _LAZY["cheby"]
 
-@dataclass(frozen=True, init=False)
+@_record
 class ScaledValue:
     """A real number stored as sign and natural log of absolute value.
 
@@ -51,9 +46,6 @@ class ScaledValue:
 
     sign: int
     log_mag: float
-
-    def __init__(self, sign, log_mag):
-        self.__dict__.update(sign=sign, log_mag=log_mag)
 
     @classmethod
     def from_float(cls, value: float) -> "ScaledValue":

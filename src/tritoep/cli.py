@@ -38,7 +38,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import __version__
 from .cheby import ScaledValue
-from .core import _SINGULAR_TOL, _check_int, _check_singular_tol, make_spec, symmetrise
+from .core import (_SINGULAR_TOL, _check_int, _check_singular_tol, _coefficient, make_spec,
+                   symmetrise)
 from .errors import SingularMatrix, TriToeplitzError
 
 if TYPE_CHECKING:
@@ -193,8 +194,8 @@ def _resolve_spec(args):
     if missing:
         raise _UsageError(f"missing required parameters: {', '.join(missing)}")
     if with_n:
-        return make_spec(fields["a"], fields["b"], fields["c"], int(fields["n"]))
-    return float(fields["a"]), float(fields["b"]), float(fields["c"])
+        return make_spec(fields["a"], fields["b"], fields["c"], fields["n"])
+    return tuple(_coefficient(k, fields[k]) for k in "abc")
 
 
 def _spec_echo(spec) -> dict:

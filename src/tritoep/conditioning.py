@@ -13,26 +13,21 @@ min|lambda| <= singular_tol (|b| + 2s), a scale-free rule, counts as singular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _LAZY
 from .core import (_SINGULAR_TOL, TriToeplitzSpec, _beyond_range, _check_singular_tol,
-                   _times_spread, symmetrise)
+                   _record, _times_spread, symmetrise)
 from .errors import DimensionMismatch, InvalidParameter, SingularMatrix
 from .spectral import _eigenvalue, _extremes
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "ConditionReport",
-    "weighted_inner",
-    "weighted_norm",
-    "weighted_condition",
-]
+__all__ = _LAZY["conditioning"]
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class ConditionReport:
     """Spectral extremes plus the weighted condition number.
 
@@ -46,11 +41,6 @@ class ConditionReport:
     positive_definite: bool
     cond_weighted: float
     formula_value: float | None
-
-    def __init__(self, lambda_max, lambda_min, positive_definite, cond_weighted, formula_value):
-        self.__dict__.update(lambda_max=lambda_max, lambda_min=lambda_min,
-                             positive_definite=positive_definite, cond_weighted=cond_weighted,
-                             formula_value=formula_value)
 
 
 def _as_vector(u) -> np.ndarray:

@@ -133,22 +133,44 @@ def _coefficient(name: str, v) -> float:
     return f
 
 
-@dataclass(frozen=True, init=False)
+def _record(cls=None, *, eq=True):
+    """Make ``cls`` a frozen record: ``@_record``, or ``@_record(eq=False)``
+    for one that holds arrays, whose ``==`` and ``hash`` are the object's.
+
+    The one idiom of the package's records: a frozen dataclass whose
+    ``__init__`` fills the instance dict in one ``self.__dict__.update``,
+    written here from the class's annotations unless the class defines its
+    own.  The generated one would set each field through
+    ``object.__setattr__``: about 0.45 us more on a ``make_spec`` of 0.9 us,
+    about 2.5 us for the ten fields of a ``GreenKernel``.  A store per field
+    (``self.__dict__["a"] = a``) fills the dict faster but leaves one that
+    reads each attribute about 35 ns slower, and over ``query_mix`` requests
+    the two tie.  The ``__init__`` comes first: ``dataclass`` gives a class
+    with no docstring one from its signature, slow to take on the inherited
+    ``object.__init__``.
+    """
+    def wrap(cls):
+        if "__init__" not in vars(cls):
+            fields, scope = vars(cls)["__annotations__"], {}
+            exec(f"def __init__(self, {', '.join(fields)}):\n"
+                 f"    self.__dict__.update({', '.join(f'{f}={f}' for f in fields)})\n",
+                 vars(sys.modules[cls.__module__]), scope)
+            scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = scope["__init__"]
+        return dataclass(frozen=True, init=False, eq=eq)(cls)
+
+    return wrap if cls is None else wrap(cls)
+
+
+@_record
 class TriToeplitzSpec:
     """Parameters (a, b, c, n) of a real tridiagonal Toeplitz matrix.
 
     Validated eagerly, on the floats it stores: a and c must be nonzero
     finite reals, b finite, n a positive integer.  A finite value past the
-    float range (a numpy longdouble) raises OverflowError.
-
-    Like every record of the package, a frozen dataclass whose ``__init__``
-    fills the instance dict in one ``self.__dict__.update``.  The generated
-    one would set each field through ``object.__setattr__``, about 0.45 us
-    more on a ``make_spec`` of 0.9 us.  A store per field
-    (``self.__dict__["a"] = a``) fills the dict faster but leaves one that
-    reads each attribute about 35 ns slower, and over ``query_mix``
-    requests the two tie.  The checks run on the arguments, so
-    ``dataclasses.replace`` validates as ``make_spec`` does.
+    float range (a numpy longdouble) raises OverflowError.  The checks run
+    on the arguments, so ``dataclasses.replace`` validates as ``make_spec``
+    does.
     """
 
     a: float
@@ -176,7 +198,7 @@ class TriToeplitzSpec:
         return abs(self.a) + abs(self.b) + abs(self.c)
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class SymmetrisedForm:
     """Derived parameters of the symmetrised matrix.
 
@@ -189,9 +211,6 @@ class SymmetrisedForm:
     q: float
     x: float
     n: int
-
-    def __init__(self, s, q, x, n):
-        self.__dict__.update(s=s, q=q, x=x, n=n)
 
 
 def make_spec(a: float, b: float, c: float, n: int) -> TriToeplitzSpec:

@@ -5,17 +5,17 @@ Python floats that need no kernel."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from . import _LAZY
 from .cheby import _check_x, _log1mexp, eval_U_scaled
 from .core import (SymmetrisedForm, TriToeplitzSpec, _beyond_range, _check_int, _exp_signed,
-                   symmetrise)
+                   _record, symmetrise)
 from .errors import IndexOutOfRange, NotInGappedRegime
 
-__all__ = ["DecayEnvelope", "decay_envelope", "decay_bound", "hyperbolic_inverse_entry"]
+__all__ = _LAZY["decay"]
 
 
-@dataclass(frozen=True, init=False)
+@_record
 class DecayEnvelope:
     """Geometric envelope of the symmetrised inverse for x > 1.
 
@@ -25,9 +25,6 @@ class DecayEnvelope:
 
     eta: float
     prefactor: float
-
-    def __init__(self, eta, prefactor):
-        self.__dict__.update(eta=eta, prefactor=prefactor)
 
 
 def _gapped(form: SymmetrisedForm) -> float:

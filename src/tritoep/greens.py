@@ -35,24 +35,17 @@ is the only routine here that does not need a*c > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _LAZY
 from .cheby import ScaledValue, _u_sequence_into, eval_U_scaled
 from .core import (_LOG_MAX, _MIN_NORMAL, _SINGULAR_TOL, _WRONSKIAN_TOL, TriToeplitzSpec,
                    _check_int, _check_log_mags, _check_singular_tol, _exp_signed, _matvec,
-                   symmetrise)
+                   _record, symmetrise)
 from .errors import DimensionMismatch, IndexOutOfRange, NearSingularPivot, SingularMatrix
 
-__all__ = [
-    "GreenKernel",
-    "build_kernel",
-    "inverse_entry",
-    "inverse_dense",
-    "apply_inverse",
-    "thomas_solve",
-]
+__all__ = _LAZY["greens"]
 
 _BACKWARD_TOL = 1e-9
 _PIVOT_TOL = 1e-300
@@ -75,7 +68,7 @@ _LOG_MIN_NORMAL = math.log(_MIN_NORMAL)
 _TAU = np.arange(float(_CHUNK))
 _TAU.flags.writeable = False
 
-@dataclass(frozen=True, eq=False, init=False)
+@_record(eq=False)
 class GreenKernel:
     """Assembled inverse kernel of one matrix.
 
@@ -84,10 +77,6 @@ class GreenKernel:
     |v[k]| <= k.  Entry (i, j) reads indices lo and n+1-hi.  ``wronskian``
     equals U_n(x); ``invertible`` is a queried flag, entry and solve
     operations raise SingularMatrix when it is False.
-
-    Its ``__init__`` fills the instance dict in one ``self.__dict__.update``,
-    the one idiom of the package's records (see ``TriToeplitzSpec``): the
-    generated one would take about 2.5 us for the ten fields of a build.
     """
 
     n: int
@@ -100,12 +89,6 @@ class GreenKernel:
     invertible: bool
     wronskian_residual: float
     singular_tol: float
-
-    def __init__(self, n, s, q, x, v, gamma, wronskian, invertible, wronskian_residual,
-                 singular_tol):
-        self.__dict__.update(n=n, s=s, q=q, x=x, v=v, gamma=gamma, wronskian=wronskian,
-                             invertible=invertible, wronskian_residual=wronskian_residual,
-                             singular_tol=singular_tol)
 
 
 def build_kernel(spec: TriToeplitzSpec, singular_tol: float = _SINGULAR_TOL) -> GreenKernel:

@@ -184,7 +184,6 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
     # the symmetrised matrix, for the checks that the raw q powers defeat
     sym_spec = make_spec(s, spec.b, s, n)
     sym_dense = dense_from_spec(sym_spec)
-    scale = spec.row_scale()
 
     # similarity: the conjugated off-diagonals must both equal s
     sim = max(abs(spec.c * q - s), abs(spec.a / q - s)) / s
@@ -197,11 +196,13 @@ def verify_checks(spec: TriToeplitzSpec, singular_tol: float) -> list[dict]:
     else:
         vec_spec, mat = sym_spec, sym_dense
     vecs = np.column_stack([eigen_pair(vec_spec, k).right_vector for k in range(1, n + 1)])
-    # on A/4, lambda/4 and the row scale of A/4 where |a| + |b| + |c| is past
-    # the float range, as _times_spread does: a power of two scales exactly
-    lam_r = lam
+    # over the row scale of the matrix they are checked on; on its quarter,
+    # with lambda/4, where |a| + |b| + |c| is past the float range, as
+    # _times_spread does: a power of two scales exactly
+    lam_r, scale = lam, vec_spec.row_scale()
     if scale == math.inf:
-        mat, lam_r, scale = mat / 4, lam / 4, abs(spec.a) / 4 + abs(spec.b) / 4 + abs(spec.c) / 4
+        mat, lam_r = mat / 4, lam / 4
+        scale = abs(vec_spec.a) / 4 + abs(vec_spec.b) / 4 + abs(vec_spec.c) / 4
     resid = mat @ vecs - vecs * lam_r[None, :]
     eig_resid = float(
         np.max(np.max(np.abs(resid), axis=0)

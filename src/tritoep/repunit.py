@@ -10,11 +10,11 @@ bases use stable log-space floating arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _LAZY
 from .cheby import _log1mexp, eval_U_scaled
-from .core import TriToeplitzSpec, _check_int, _exp_signed, _is_real, make_spec
+from .core import TriToeplitzSpec, _check_int, _exp_signed, _is_real, _record, make_spec
 from .errors import IndexOutOfRange, InvalidBase
 
 if TYPE_CHECKING:
@@ -23,20 +23,9 @@ if TYPE_CHECKING:
 # spectral (cosine product, condition number) and fractions (exact inverse
 # entries) are imported where used: computing a repunit loads neither
 
-__all__ = [
-    "RepunitValue",
-    "RepunitInverseEntry",
-    "repunit",
-    "repunit_matrix_spec",
-    "repunit_det_exact",
-    "cosine_product",
-    "cosine_product_log",
-    "repunit_condition",
-    "repunit_inverse_entry",
-    "cheb_repunit_identity_residual",
-]
+__all__ = _LAZY["repunit"]
 
-@dataclass(frozen=True, init=False)
+@_record
 class RepunitValue:
     """R_m(d) with an exact integer value whenever d is a positive integer.
 
@@ -48,11 +37,8 @@ class RepunitValue:
     exact_value: int | None
     float_value: float
 
-    def __init__(self, d, m, exact_value, float_value):
-        self.__dict__.update(d=d, m=m, exact_value=exact_value, float_value=float_value)
 
-
-@dataclass(frozen=True, init=False)
+@_record
 class RepunitInverseEntry:
     """One exact inverse entry of the repunit matrix.
 
@@ -66,10 +52,6 @@ class RepunitInverseEntry:
     sign: int
     rational_part: Fraction
     float_value: float
-
-    def __init__(self, i, j, sign, rational_part, float_value):
-        self.__dict__.update(i=i, j=j, sign=sign, rational_part=rational_part,
-                             float_value=float_value)
 
     @property
     def value(self) -> Fraction:

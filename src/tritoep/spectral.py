@@ -15,28 +15,18 @@ they need no operation of their own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _LAZY
 from .cheby import ScaledValue, _check_x, _three_term, eval_U_scaled
 from .core import (TriToeplitzSpec, _beyond_range, _check_int, _check_log_mag, _half_ratio,
-                   symmetrise)
+                   _record, symmetrise)
 from .errors import IndexOutOfRange, InvalidParameter
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "EigenPair",
-    "SpectrumSummary",
-    "eigenvalues",
-    "eigenvector",
-    "eigen_pair",
-    "extremal_eigenvalues",
-    "determinant",
-    "determinant_continuant",
-    "char_poly_eval",
-]
+__all__ = _LAZY["spectral"]
 
 # below this magnitude of U_n((t-b)/(2s)) the characteristic polynomial is
 # reported as an exact zero (sign 0)
@@ -45,7 +35,7 @@ _CHARPOLY_ZERO_TOL = 1e-10
 _NORMALIZATIONS = ("raw", "unit_weighted", "unit_euclidean")
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_record(eq=False)
 class EigenPair:
     """One closed-form eigenpair: angle, value, and both eigenvector forms.
 
@@ -61,20 +51,12 @@ class EigenPair:
     right_vector: np.ndarray
     symmetric_vector: np.ndarray
 
-    def __init__(self, k, theta, value, right_vector, symmetric_vector):
-        self.__dict__.update(k=k, theta=theta, value=value, right_vector=right_vector,
-                             symmetric_vector=symmetric_vector)
 
-
-@dataclass(frozen=True, init=False)
+@_record
 class SpectrumSummary:
     lambda_min: float
     lambda_max: float
     positive_definite: bool
-
-    def __init__(self, lambda_min, lambda_max, positive_definite):
-        self.__dict__.update(lambda_min=lambda_min, lambda_max=lambda_max,
-                             positive_definite=positive_definite)
 
 
 def eigenvalues(spec: TriToeplitzSpec) -> np.ndarray:

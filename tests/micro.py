@@ -8,9 +8,9 @@ temporary directory twice, as the packages ``tritoep_parent`` and
 ``tritoep_control`` (the package imports itself relatively, so a copy loads
 under any name); the working tree's ``src/tritoep`` loads as ``tritoep``.
 All three run in this process.  Each cell of the grid (a call, an order n and
-x = b/(2s) of the spec (1, 2x, 1, n)) is timed in rounds of ``PER_ROUND`` calls;
-the three sides take turns inside a round, each round starting on the next
-side.  A cell reports the median and the minimum over the rounds, per call,
+x = b/(2s) of the spec (1, 2x, 1, n); the repunit calls take d = 2 and n
+alone) is timed in rounds of ``PER_ROUND`` calls; the three sides take turns
+inside a round, each round starting on the next side.  A cell reports the median and the minimum over the rounds, per call,
 in us, for the parent and the change, their ratio (change over parent), and
 the same ratio for the control copy: the A/A ratio, the noise of a ratio
 when nothing changed.  A call that a side refuses (``decay_bound`` outside
@@ -43,7 +43,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = ("make_spec", "symmetrise", "determinant", "char_poly_eval", "weighted_condition",
          "decay_bound", "eigenvalues", "eigenvector", "build_kernel", "apply_inverse",
-         "thomas_solve")
+         "thomas_solve", "eigen_pair", "extremal_eigenvalues", "decay_envelope", "repunit",
+         "repunit_inverse_entry")
 PER_ROUND = 200
 
 
@@ -66,7 +67,8 @@ def cell_call(lib, call: str, n: int, x: float):
     rhs = np.random.default_rng(n).standard_normal(n)
     args = {"make_spec": (1.0, 2.0 * x, 1.0, n), "char_poly_eval": (spec, 0.5),
             "decay_bound": (spec, 1, n), "eigenvector": (spec, (n + 1) // 2),
-            "thomas_solve": (spec, rhs)}.get(call, (spec,))
+            "eigen_pair": (spec, (n + 1) // 2), "thomas_solve": (spec, rhs),
+            "repunit": (n, 2), "repunit_inverse_entry": (2, n, 1, n)}.get(call, (spec,))
     fn = getattr(lib, call)
     try:
         if call == "apply_inverse":

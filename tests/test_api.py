@@ -90,3 +90,27 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     unread = [name for name in (*tritoep.__all__, *oracle.__all__)
               if name not in read and not re.search(rf"\b{re.escape(name)}\b", readme)]
     assert unread == [], f"no reader outside tests/: {unread}"
+
+
+def _assigned(module):
+    """The names that a module's own top-level statements assign."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)}
+
+
+def test_export_table_names_where_each_name_is_defined():
+    # the package lists each public name once, under the module that defines
+    # it: a function or class of that module, or a constant it assigns, so a
+    # name that a module only imports (a re-export) cannot enter the table
+    tables = {"core": tritoep.core.__all__, **tritoep._LAZY}
+    for module_name, names in tables.items():
+        module = importlib.import_module(f"tritoep.{module_name}")
+        assigned = _assigned(module)
+        for name in names:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__, (module_name, name)
+            else:
+                assert name in assigned, (module_name, name)

@@ -556,6 +556,24 @@ class TestSpecFile:
         assert out == ""
         assert "--spec-file must contain a JSON object" in err
 
+    # the file's values go through the spec's own validators, as the flags' do
+    @pytest.mark.parametrize("n, shown", [("3.7", "3.7"), ("5.0", "5.0"), ("true", "True"),
+                                          ('"5"', "'5'"), ("1e400", "inf")])
+    def test_order_that_is_not_an_integer_refused(self, capsys, tmp_path, n, shown):
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"a": 1, "b": 2.5, "c": 1, "n": {n}}}')
+        code, out, err = run_cli(capsys, "det", "--spec-file", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidOrder: order n must be an integer, got {shown}\n"
+
+    @pytest.mark.parametrize("a, shown", [('"x"', "'x'"), ("null", "None")])
+    def test_bench_coefficient_that_is_not_a_number_refused(self, capsys, tmp_path, a, shown):
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"a": {a}, "b": 2.5, "c": 1}}')
+        code, out, err = run_cli(capsys, "bench", "--spec-file", str(path), "--grid", "4")
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidParameter: a must be a real number, got {shown}\n"
+
 
 def test_cross_process_determinism():
     argv = [sys.executable, "-m", "tritoep", "eig", "-a", "1", "-b", "2",

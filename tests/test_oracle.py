@@ -158,8 +158,8 @@ def test_verify_fails_determinants_of_opposite_signs(monkeypatch):
 _EIGEN_SPEC = make_spec(1.0, 2.0, 1.0, 2)
 
 
-def _eigen_check():
-    return next(ch for ch in verify_checks(_EIGEN_SPEC, 1e-12) if ch["name"] == "eigen")
+def _eigen_check(spec=_EIGEN_SPEC):
+    return next(ch for ch in verify_checks(spec, 1e-12) if ch["name"] == "eigen")
 
 
 def _stub_right_vectors(monkeypatch, vector):
@@ -186,6 +186,20 @@ def test_verify_fails_a_vector_that_is_not_an_eigenvector(monkeypatch):
     _stub_right_vectors(monkeypatch, lambda k, v: np.array([1.0, 0.0]) if k == 1 else v)
     check = _eigen_check()
     assert (check["status"], check["residual"]) == ("FAIL", 0.25)
+
+
+def test_verify_measures_vectors_on_the_symmetrised_matrix_by_its_row_scale(monkeypatch):
+    # q^2 = 1e600: the vectors are checked on the symmetrised matrix, whose
+    # entries are s = 1 and b = 1, not on A's |a| + |c| = 1e300.  (1, 0, 0) for
+    # lambda_1 = 1 + sqrt(2) leaves the residual (sqrt(2), 1, 0) over the row
+    # scale 3, not a PASS at 1e-300
+    spec = make_spec(1e300, 1.0, 1e-300, 3)
+    check = _eigen_check(spec)
+    assert check["status"] == "PASS" and check["residual"] <= 2.0**-52
+    _stub_right_vectors(monkeypatch, lambda k, v: np.array([1.0, 0.0, 0.0]) if k == 1 else v)
+    check = _eigen_check(spec)
+    assert check["status"] == "FAIL"
+    assert check["residual"] == pytest.approx(2.0**0.5 / 3, rel=1e-15)
 
 
 def test_verify_measures_each_eigenvector_against_its_own_size(monkeypatch):
