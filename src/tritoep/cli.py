@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import __version__
 from .cheby import ScaledValue
-from .core import (_SINGULAR_TOL, _check_int, _check_singular_tol, _coefficient, make_spec,
-                   symmetrise)
+from .core import (_NORMALIZATIONS, _SINGULAR_TOL, _check_int, _check_singular_tol,
+                   _coefficient, make_spec, symmetrise)
 from .errors import SingularMatrix, TriToeplitzError
 
 if TYPE_CHECKING:
@@ -306,7 +306,7 @@ def _cmd_decay(args, spec) -> _Answer:
 
 def _cmd_repunit(args, _spec) -> _Answer:
     from .repunit import (_integer_base, cheb_repunit_identity_residual, cosine_product_log,
-                          repunit, repunit_condition, repunit_inverse_entry)
+                          repunit, repunit_condition, repunit_inverse_entry, repunit_matrix_spec)
 
     base = args.base
     if args.action in ("value", "det"):
@@ -349,7 +349,7 @@ def _cmd_repunit(args, _spec) -> _Answer:
     if hasattr(args, "m"):
         echo = {"base": base, "m": args.m}
     else:
-        echo = {**_spec_echo(make_spec(base, base + 1.0, 1.0, args.n)), "base": base}
+        echo = {**_spec_echo(repunit_matrix_spec(base, args.n)), "base": base}
     return answer._replace(echo=echo)
 
 
@@ -469,8 +469,7 @@ _EXACT = ("--exact", {"action": "store_true",
 _COMMANDS = (
     ("eig", _cmd_eig, "eigenvalues (all) or one eigenvector (-k)", (
         *_SPEC_N, ("-k", {"type": int, "help": "eigenpair index (1-based)"}),
-        ("--normalization", {"choices": ("raw", "unit_weighted", "unit_euclidean"),
-                             "default": "raw"}), _FORMAT)),
+        ("--normalization", {"choices": _NORMALIZATIONS, "default": "raw"}), _FORMAT)),
     ("det", _cmd_det, "determinant (sign, log-magnitude, value)", (*_SPEC_N, _FORMAT)),
     ("charpoly", _cmd_charpoly, "characteristic polynomial at t", (
         *_SPEC_N, ("-t", {"type": float, "required": True, "help": "evaluation point"}),
@@ -601,7 +600,3 @@ def __getattr__(name):
         from .oracle import verify_checks
         return verify_checks
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -129,22 +129,23 @@ def weighted_condition(spec: TriToeplitzSpec,
     _check_singular_tol(singular_tol)
     form = symmetrise(spec)
     x, n, s = form.x, spec.n, form.s
-    lam_max, lam_min, edge = _extremes(spec, s)
+    lam_max, lam_min = _extremes(spec, s)
     # |lambda_k| = 2s |x + cos(k pi/(n+1))| falls up to k = phi, where the
     # cosine equals -x, and rises after it, so max|lambda| sits at k = 1 or
-    # k = n and min|lambda| there or at one of the two indices around phi
-    k = [1, n]
+    # k = n and min|lambda| there or at one of the two indices around phi;
+    # lam_max is lambda_1 as _eigenvalue gives it, bit for bit
+    k = [n]
     if abs(x) <= 1.0:
         phi = (n + 1) * math.acos(-x) / math.pi
         k += [min(max(math.floor(phi), 1), n), min(max(math.ceil(phi), 1), n)]
-    lam = [abs(_eigenvalue(spec, s, j)) for j in k]
+    lam = [abs(lam_max)] + [abs(_eigenvalue(spec, s, j)) for j in k]
     abs_min, abs_max = min(lam), max(lam)
     # not max|lambda|: at n = 1, b = 0 it is 2s cos(pi/2) = 1.2e-16 s, not 0
     if abs_min <= _times_spread(singular_tol, spec.b, s):
         raise SingularMatrix(
             f"smallest eigenvalue magnitude {abs_min!r} is below tolerance"
         )
-    if spec.b > edge:  # positive definite
+    if lam_min > 0:  # positive definite
         value = lam_max / lam_min
         return ConditionReport(lam_max, lam_min, True, value, value)
     return ConditionReport(lam_max, lam_min, False, abs_max / abs_min, None)

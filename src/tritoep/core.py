@@ -44,6 +44,8 @@ _LOG_MAX = math.log(sys.float_info.max)
 _SINGULAR_TOL = 1e-12
 # the Wronskian residual above which build_kernel refuses, as the CLI's verify tests it
 _WRONSKIAN_TOL = 1e-9
+# the eigenvector scalings of spectral.eigenvector, as the CLI's eig offers them
+_NORMALIZATIONS = ("raw", "unit_weighted", "unit_euclidean")
 
 
 def _is_real(value, integral: bool = False) -> bool:

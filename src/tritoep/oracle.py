@@ -85,10 +85,6 @@ def _lu_factor(m: np.ndarray):
     return lu, swaps, parity
 
 
-def _pivot_tolerance(m: np.ndarray) -> float:
-    return m.shape[0] * np.finfo(float).eps * float(np.max(np.abs(m)))
-
-
 def lu_solve(m, rhs) -> np.ndarray:
     """Solve m x = rhs, rhs of shape (n,) or (n, k), by elimination with partial pivoting.
 
@@ -100,7 +96,7 @@ def lu_solve(m, rhs) -> np.ndarray:
     if y.shape[:1] != m.shape[:1] or y.ndim > 2:
         raise DimensionMismatch(f"rhs shape {y.shape} does not match matrix order {len(m)}")
     lu, swaps, _ = _lu_factor(m)
-    if np.min(np.abs(np.diag(lu))) <= _pivot_tolerance(m):
+    if np.min(np.abs(np.diag(lu))) <= len(m) * np.finfo(float).eps * float(np.max(np.abs(m))):
         raise SingularMatrix("numerically zero pivot during elimination")
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(m)):

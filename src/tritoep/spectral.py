@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING
 
 from . import _LAZY
 from .cheby import ScaledValue, _check_x, _three_term, eval_U_scaled
-from .core import (TriToeplitzSpec, _beyond_range, _check_int, _check_log_mag, _half_ratio,
-                   _record, symmetrise)
+from .core import (_NORMALIZATIONS, TriToeplitzSpec, _beyond_range, _check_int, _check_log_mag,
+                   _half_ratio, _record, symmetrise)
 from .errors import IndexOutOfRange, InvalidParameter
 
 if TYPE_CHECKING:
@@ -31,8 +31,6 @@ __all__ = _LAZY["spectral"]
 # below this magnitude of U_n((t-b)/(2s)) the characteristic polynomial is
 # reported as an exact zero (sign 0)
 _CHARPOLY_ZERO_TOL = 1e-10
-
-_NORMALIZATIONS = ("raw", "unit_weighted", "unit_euclidean")
 
 
 @_record(eq=False)
@@ -67,38 +65,37 @@ def eigenvalues(spec: TriToeplitzSpec) -> np.ndarray:
     much smaller than s carries a large relative error (for
     ``make_spec(1e200, 1, 1e200, 3)`` the middle one, exactly 1, comes out
     near 1.2e184).  Raises OverflowError as :func:`extremal_eigenvalues` does.
-    The ``eig`` subcommand lists the same values from :func:`_eigenvalue`.
     """
     import numpy as np
 
     s = symmetrise(spec).s
     _extremes(spec, s)
-    # _eigenvalue's operations, in its order, over k = 1..n in one buffer
-    lam = np.arange(1.0, spec.n + 1)
-    lam *= math.pi
-    lam /= spec.n + 1
-    np.cos(lam, out=lam)
-    lam *= 2.0
-    lam *= s
-    lam += spec.b
-    return lam
+    # k = 1..n as floats, and np.cos with its out argument t: in place
+    return _eigenvalue(spec, s, np.arange(1, spec.n + 1, dtype=float), lambda t: np.cos(t, t))
 
 
-def _eigenvalue(spec: TriToeplitzSpec, s: float, k: int) -> float:
-    """lambda_k = b + s*(2cos(k*pi/(n+1))) on Python floats, for a 1-based index k.
+def _eigenvalue(spec: TriToeplitzSpec, s: float, k: int | np.ndarray, cos=math.cos):
+    """lambda_k = b + s*(2cos(k*pi/(n+1))) for a 1-based index k.
 
-    :func:`eigenvalues` runs the same operations over k = 1..n, and
-    ``math.cos`` gives ``np.cos``'s values, so each lambda_k equals its
-    entry there bit for bit.  The caller checks the extremes first
-    (:func:`_extremes`), which refuses a value past the float range.  Read
-    by ``eigen_pair``, ``weighted_condition`` and the ``eig`` subcommand,
-    which lists the whole spectrum from it without loading numpy.
+    An integer k runs on Python floats; a float array k, with an in-place
+    ``np.cos``, is overwritten by the same operations in the same order,
+    and ``math.cos`` gives ``np.cos``'s values, so each lambda_k equals its
+    entry of :func:`eigenvalues` bit for bit.  The caller checks the
+    extremes first (:func:`_extremes`), which refuses a value past the float
+    range.  The integer form is read by ``eigen_pair``, ``weighted_condition``
+    and the ``eig`` subcommand, which lists the spectrum without loading numpy.
     """
-    return spec.b + s * (2.0 * math.cos(k * math.pi / (spec.n + 1)))
+    k *= math.pi
+    k /= spec.n + 1
+    k = cos(k)
+    k *= 2.0
+    k *= s
+    k += spec.b
+    return k
 
 
-def _extremes(spec: TriToeplitzSpec, s: float) -> tuple[float, float, float]:
-    """(lambda_1, lambda_n, edge = 2s*cos(pi/(n+1))); the largest |lambda_k| is one of them.
+def _extremes(spec: TriToeplitzSpec, s: float) -> tuple[float, float]:
+    """(lambda_1, lambda_n) = b +- 2s*cos(pi/(n+1)); the largest |lambda_k| is one of them.
 
     One past the float range is refused, naming k.  s*(2 cos) is 2s*cos bit
     for bit wherever 2s is finite.
@@ -110,7 +107,7 @@ def _extremes(spec: TriToeplitzSpec, s: float) -> tuple[float, float, float]:
         k, sign = (1, 1.0) if lam_1 == math.inf else (spec.n, -1.0)
         quarter = 0.25 * spec.b + sign * (0.5 * s) * cos
         raise _beyond_range(f"eigenvalue lambda_{k}", math.log(abs(quarter)) + math.log(4.0))
-    return lam_1, lam_n, edge
+    return lam_1, lam_n
 
 
 def eigenvector(spec: TriToeplitzSpec, k: int, normalization: str = "raw") -> np.ndarray:
@@ -179,9 +176,10 @@ def extremal_eigenvalues(spec: TriToeplitzSpec) -> SpectrumSummary:
     2s*cos(pi/(n+1)).  Raises OverflowError, naming k, when lambda_1 or
     lambda_n is past the float range.
     """
-    lam_max, lam_min, edge = _extremes(spec, symmetrise(spec).s)
+    lam_max, lam_min = _extremes(spec, symmetrise(spec).s)
+    # lambda_n = b - 2s*cos(pi/(n+1)) rounds to a positive float exactly when b exceeds 2s*cos
     return SpectrumSummary(lambda_min=lam_min, lambda_max=lam_max,
-                           positive_definite=spec.b > edge)
+                           positive_definite=lam_min > 0)
 
 
 def determinant(spec: TriToeplitzSpec) -> ScaledValue:
@@ -202,10 +200,8 @@ def determinant_continuant(spec: TriToeplitzSpec) -> ScaledValue:
     c = spec.b / form.s
     _check_x(c)
     u, e = _three_term(spec.n, c)
-    if u == 0.0:
-        return ScaledValue(0, -math.inf)
-    log_u = math.log(abs(u)) + e * math.log(2.0)
-    return ScaledValue(1 if u > 0 else -1, log_u + spec.n * math.log(form.s))
+    v = ScaledValue.from_float(u)
+    return ScaledValue(v.sign, v.log_mag + e * math.log(2.0) + spec.n * math.log(form.s))
 
 
 def char_poly_eval(spec: TriToeplitzSpec, t: float) -> ScaledValue:

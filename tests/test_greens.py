@@ -29,6 +29,7 @@ from tritoep import (
     make_spec,
     symmetrise,
     thomas_solve,
+    weighted_condition,
 )
 from tritoep import greens
 from tritoep.greens import _CHUNK, _CHUNK_LOG_SPAN
@@ -893,6 +894,18 @@ class TestThomas:
         except TriToeplitzError:
             return
         assert _backward_error(spec, x, rhs) <= 1e-15
+
+    def test_refuses_a_well_conditioned_system_that_the_kernel_solves(self):
+        # a disagreement of the invertibility criteria, pinned as it stands:
+        # at x = -0.184 and q = 1.014 Thomas's backward error reads 1.8e-9,
+        # past its 1e-9 bound, on a matrix of weighted condition 2.1e3 whose
+        # kernel solve meets 2.5e-15 (14 of 40 such rhs are refused)
+        spec = make_spec(1.544772434339653, -0.5606010965395323, 1.502349388269263, 2673)
+        rhs = np.random.default_rng(3).standard_normal(2673)
+        with pytest.raises(NearSingularPivot, match=r"^backward error 1\.804e-09 exceeds 1e-09$"):
+            thomas_solve(spec, rhs)
+        assert _backward_error(spec, apply_inverse(build_kernel(spec), rhs), rhs) <= 1e-13
+        assert weighted_condition(spec).cond_weighted == pytest.approx(2.1e3, rel=0.05)
 
     @pytest.mark.parametrize("spec, rhs", [
         # LAPACK gives (-1e-289, 1e10); elimination gave (nan, inf)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -95,6 +96,32 @@ class TestEigenvalues:
             got = np.array([_eigenvalue(spec, s, k) for k in range(1, n + 1)])
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert refused > 0
+
+    @staticmethod
+    def _extreme_pairs():
+        # 1,000 seeded specs, n in 1..5000, a and c in U(0.1, 3), b in U(-5, 5);
+        # the first spec's two lambda_n read 0.06949195169519129 (eigenvalues)
+        # and 0.06949195169519118 (extremal_eigenvalues)
+        rnd = random.Random(1)
+        specs = [make_spec(0.29725472741502035, 0.8703184282516627, 0.5428867319210992, 38)]
+        for _ in range(1000):
+            n = rnd.randint(1, 5000)
+            a, c, b = rnd.uniform(0.1, 3), rnd.uniform(0.1, 3), rnd.uniform(-5, 5)
+            specs.append(make_spec(a, b, c, n))
+        return [(eigenvalues(spec), extremal_eigenvalues(spec)) for spec in specs]
+
+    def test_largest_eigenvalue_is_the_extreme_bit_for_bit(self):
+        # lambda_1 = b + 2s cos(pi/(n+1)) in both, the same operations
+        for lam, ext in self._extreme_pairs():
+            assert lam[0] == ext.lambda_max
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "lambda_n has two expressions: eigenvalues takes b + 2s cos(n pi/(n+1)), "
+        "extremal_eigenvalues the paper's b - 2s cos(pi/(n+1)); they differ in the last "
+        "bit on some specs until the eigen phase is folded by symmetry"))
+    def test_smallest_eigenvalue_is_the_extreme_bit_for_bit(self):
+        for lam, ext in self._extreme_pairs():
+            assert lam[-1] == ext.lambda_min
 
 
 class TestEigenvector:
